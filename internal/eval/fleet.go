@@ -6,23 +6,19 @@ package eval
 // service under synthetic inter-burst pressure, the fleet protocol makes
 // the pressure endogenous: every tenant's faults compete for the same
 // budget, so one tenant's working set evicts another's pages, and the
-// osim interference matrix says exactly who evicted whom. The interleave
-// runs on the simulated clock with the same seeded discipline as the
-// serve streams, so fleet outcomes are bit-deterministic across -workers
-// and repeats — and a single-tenant fleet without quota reproduces
-// MeasureServe exactly (the back-compat contract fleet_test.go enforces).
+// osim interference matrix says exactly who evicted whom. A fleet run is
+// a run of the one serve engine (runEngine) with one stream per tenant,
+// so fleet outcomes are bit-deterministic across -workers and repeats —
+// and a single-tenant fleet without quota reproduces MeasureServe exactly
+// (the back-compat contract fleet_test.go enforces).
 
 import (
 	"fmt"
 	"sort"
 	"strings"
 
-	"nimage/internal/heap"
-	"nimage/internal/image"
-	"nimage/internal/ir"
 	"nimage/internal/obs"
 	"nimage/internal/osim"
-	"nimage/internal/vm"
 	"nimage/internal/workloads"
 )
 
@@ -68,19 +64,8 @@ type FleetConfig struct {
 // the measured interleave — is independent of how the caller happened to
 // order the tenant slice.
 func (c FleetConfig) withDefaults() FleetConfig {
-	d := DefaultServeConfig()
-	if c.Bursts <= 0 {
-		c.Bursts = d.Bursts
-	}
-	if c.BurstSize <= 0 {
-		c.BurstSize = d.BurstSize
-	}
-	if c.HotRoutes <= 0 {
-		c.HotRoutes = d.HotRoutes
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
+	d := c.serveConfig().withDefaults()
+	c.Bursts, c.BurstSize, c.HotRoutes, c.Seed = d.Bursts, d.BurstSize, d.HotRoutes, d.Seed
 	ts := make([]TenantSpec, len(c.Tenants))
 	copy(ts, c.Tenants)
 	for i := range ts {
@@ -144,14 +129,6 @@ func (c FleetConfig) serveConfig() ServeConfig {
 		CacheBudget: c.CacheBudget, Policy: c.Policy,
 		HotPct: c.HotPct, HotRoutes: c.HotRoutes, Seed: c.Seed,
 	}
-}
-
-// quotaPages resolves tenant i's residency quota in pages (0: none).
-func (c FleetConfig) quotaPages(i int) int {
-	if c.CacheBudget <= 0 {
-		return 0
-	}
-	return c.CacheBudget * c.Tenants[i].QuotaPct / 100
 }
 
 // TenantOutcome is one tenant's view of a fleet run: the same telemetry a
@@ -281,42 +258,20 @@ func (h *Harness) MeasureFleet(fcfg FleetConfig) ([]*FleetOutcome, error) {
 	if err := fcfg.validate(); err != nil {
 		return nil, err
 	}
-	key := fcfg.key()
-	if o := h.cachedFleet(key); o != nil {
-		return o, nil
-	}
-	err := h.once("fleet\x00"+key, func() error {
-		if h.cachedFleet(key) != nil {
-			return nil
-		}
-		out, err := h.measureFleet(fcfg)
-		if err != nil {
-			return err
-		}
-		h.mu.Lock()
-		h.fleetCache[key] = out
-		h.mu.Unlock()
-		return nil
+	return memo(h, h.fleetCache, "fleet\x00"+fcfg.key(), func() ([]*FleetOutcome, error) {
+		return h.measureFleet(fcfg)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedFleet(key), nil
 }
 
-func (h *Harness) cachedFleet(key string) []*FleetOutcome {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.fleetCache[key]
-}
-
-// measureFleet resolves the tenants, measures every tenant's solo
+// measureFleet resolves the tenants and measures every tenant's solo
 // baseline first (memoized — this also warms the serve-image cache the
 // fleet runs map from), then fans the fleet builds out across the worker
 // pool. The outcome slice is indexed by build: bit-identical results for
 // every worker count.
 func (h *Harness) measureFleet(fcfg FleetConfig) ([]*FleetOutcome, error) {
+	scfg := fcfg.serveConfig()
 	ws := make([]workloads.Workload, len(fcfg.Tenants))
+	solo := make([][]*ServeOutcome, len(fcfg.Tenants))
 	for i, t := range fcfg.Tenants {
 		w, err := workloads.ByName(t.Workload)
 		if err != nil {
@@ -326,32 +281,30 @@ func (h *Harness) measureFleet(fcfg FleetConfig) ([]*FleetOutcome, error) {
 			return nil, fmt.Errorf("eval: fleet tenant %s has no serve spec", t.Workload)
 		}
 		ws[i] = w
-	}
-	scfg := fcfg.serveConfig()
-	solo := make([][]*ServeOutcome, len(fcfg.Tenants))
-	for i, t := range fcfg.Tenants {
-		so, err := h.MeasureServe(ws[i], t.Strategy, scfg)
-		if err != nil {
+		if solo[i], err = h.MeasureServe(w, t.Strategy, scfg); err != nil {
 			return nil, err
 		}
-		solo[i] = so
 	}
+	rcfg := scfg.withDefaults()
+	rcfg.RecordRequests = fcfg.RecordRequests
 	out := make([]*FleetOutcome, h.Cfg.Builds)
 	err := h.forEach(h.Cfg.Builds, func(bld int) error {
 		h.sched.buildTasks.Add(1)
-		imgs := make([]*image.Image, len(fcfg.Tenants))
+		ts := make([]engineTenant, len(fcfg.Tenants))
 		for i, t := range fcfg.Tenants {
 			img, err := h.serveImage(ws[i], t.Strategy, bld)
 			if err != nil {
 				return err
 			}
-			imgs[i] = img
+			ts[i] = engineTenant{spec: t, img: img, w: ws[i]}
 		}
-		o, err := h.fleetRun(imgs, ws, fcfg)
+		run, err := h.runEngine(ts, rcfg, true, false)
 		if err != nil {
 			return err
 		}
-		for i, tn := range o.Tenants {
+		fo := run.fo
+		fo.Config = fcfg
+		for i, tn := range fo.Tenants {
 			s := solo[i][bld]
 			tn.SoloWarmMeanNanos = s.WarmMeanNanos
 			tn.SoloRefaults = s.RefaultPages
@@ -360,294 +313,13 @@ func (h *Harness) measureFleet(fcfg FleetConfig) ([]*FleetOutcome, error) {
 			}
 			tn.IsolationRefault = float64(1+tn.RefaultPages) / float64(1+s.RefaultPages)
 		}
-		out[bld] = o
+		out[bld] = fo
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// fleetRun executes one fleet scenario: sequential cold startups (in
-// tenant order — later startups already press on earlier tenants' pages),
-// then the request bursts, every burst the union of all tenants'
-// BurstSize requests drained by the single simulated CPU in the seeded
-// pickStream interleave. The fleet clock is the sum of every tenant's CPU
-// and fault-I/O time — for one tenant exactly the serve clock, so a
-// single-tenant fleet is bit-identical to serveRun.
-func (h *Harness) fleetRun(imgs []*image.Image, ws []workloads.Workload, fcfg FleetConfig) (*FleetOutcome, error) {
-	n := len(imgs)
-	o := h.newOS()
-	o.CacheBudget = fcfg.CacheBudget
-	o.Policy = fcfg.Policy
-	if h.Cfg.Observe {
-		o.Obs = obs.NewRegistry()
-	}
-	procs := make([]*image.Process, n)
-	meths := make([]*ir.Method, n)
-	files := make([]*osim.File, n)
-	closeAll := func() {
-		for _, p := range procs {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}
-	startup := make([]float64, n)
-	for i := 0; i < n; i++ {
-		w := ws[i]
-		cls := imgs[i].Program.Class(w.Serve.DispatchClass)
-		if cls == nil {
-			closeAll()
-			return nil, fmt.Errorf("eval: fleet %s: dispatch class %s missing", w.Name, w.Serve.DispatchClass)
-		}
-		meth := cls.LookupMethod(w.Serve.DispatchMethod)
-		if meth == nil || !meth.Static || meth.NParams != 1 {
-			closeAll()
-			return nil, fmt.Errorf("eval: fleet %s: dispatch method %s.%s must be static with one parameter",
-				w.Name, w.Serve.DispatchClass, w.Serve.DispatchMethod)
-		}
-		meths[i] = meth
-		// Ownership must be set at file-registration time (NewProcess
-		// touches pages while constructing the mapping), so the tenant id
-		// is installed as the OS default around process construction.
-		o.DefaultTenant = i
-		if q := fcfg.quotaPages(i); q > 0 {
-			o.SetTenantQuota(i, q)
-		}
-		proc, err := imgs[i].NewProcess(o, vm.Hooks{})
-		if err != nil {
-			o.DefaultTenant = -1
-			closeAll()
-			return nil, err
-		}
-		f, err := imgs[i].File(o)
-		o.DefaultTenant = -1
-		if err != nil {
-			proc.Close()
-			closeAll()
-			return nil, err
-		}
-		procs[i] = proc
-		files[i] = f
-		proc.Machine.StopOnRespond = true
-		if err := proc.Run(w.Args...); err != nil {
-			closeAll()
-			return nil, fmt.Errorf("eval: fleet startup of %s: %w", w.Name, err)
-		}
-		st := proc.Stats()
-		if st.TimeToResponse <= 0 {
-			closeAll()
-			return nil, fmt.Errorf("eval: fleet tenant %s never responded during startup", w.Name)
-		}
-		startup[i] = float64(st.TimeToResponse.Nanoseconds())
-	}
-
-	var latHists []*obs.Histogram
-	var burstTls []*obs.Timeline
-	if o.Obs.Enabled() {
-		latHists = make([]*obs.Histogram, n)
-		burstTls = make([]*obs.Timeline, n)
-		for i := range latHists {
-			latHists[i] = o.Obs.Histogram(
-				fmt.Sprintf("fleet.tenant%02d.latency_nanos", i), obs.LatencyBuckets())
-			burstTls[i] = o.Obs.Timeline(fmt.Sprintf("fleet.tenant%02d.burst", i),
-				"requests", "p50_nanos", "p99_nanos", "major", "minor",
-				"refaults", "evicted", "resident")
-		}
-	}
-	var trace *obs.RequestTrace
-	if fcfg.RecordRequests {
-		trace = obs.NewRequestTrace(n, fcfg.Bursts*fcfg.BurstSize*n)
-		names := make([]string, n)
-		layouts := make([]string, n)
-		for i, t := range fcfg.Tenants {
-			names[i] = t.Workload
-			layouts[i] = t.Strategy
-		}
-		trace.Workload = strings.Join(names, "+")
-		trace.Layout = strings.Join(layouts, "+")
-	}
-	// The fleet clock: one simulated CPU serving all tenants back to back,
-	// so elapsed server time is every machine's CPU nanos plus all the
-	// fault I/O any of them waited on.
-	clock := func() float64 {
-		t := 0.0
-		for _, p := range procs {
-			t += p.Machine.SimTimeNanos() + float64(p.Mapping.IOTime.Nanoseconds())
-		}
-		return t
-	}
-	scfg := fcfg.serveConfig() // the route/interleave helpers' knob view
-
-	warm := make([][]float64, n)
-	all := make([][]float64, n)
-	bursts := make([][]BurstMeasure, n)
-	resident := make([][]int64, n)
-	reqByTenant := make([]int, n)
-	reqID := 0
-	for b := 0; b < fcfg.Bursts; b++ {
-		evict0 := make([]int64, n)
-		faults0 := make([]int64, n)
-		major0 := make([]int64, n)
-		refault0 := make([]int64, n)
-		io0 := make([]int64, n)
-		for i, f := range files {
-			evict0[i] = f.EvictedPages()
-		}
-		if b > 0 && fcfg.PressurePct > 0 {
-			o.ReclaimFraction(fcfg.PressurePct)
-			trace.Mark(obs.MarkReclaim, b, clock())
-		}
-		trace.Mark(obs.MarkBurst, b, clock())
-		for i, p := range procs {
-			faults0[i] = p.Mapping.Faults
-			major0[i] = p.Mapping.MajorFaults
-			refault0[i] = p.Mapping.Refaults
-			io0[i] = p.Mapping.IOTime.Nanoseconds()
-		}
-		// Closed-loop clients, one per tenant: each submits its first
-		// request at the burst start and the next the instant the previous
-		// response returns; the single CPU drains the union in the seeded
-		// interleave, and arrival-to-service gaps are queue wait.
-		burstStart := clock()
-		arrival := make([]float64, n)
-		remaining := make([]int, n)
-		for i := range remaining {
-			arrival[i] = burstStart
-			remaining[i] = fcfg.BurstSize
-		}
-		lats := make([][]float64, n)
-		queueSum := make([]float64, n)
-		queueMax := make([]float64, n)
-		total := n * fcfg.BurstSize
-		for t := 0; t < total; t++ {
-			i := pickStream(scfg, b, t, remaining)
-			remaining[i]--
-			k := reqByTenant[i]
-			reqByTenant[i]++
-			route := routeForStream(i, k, scfg, ws[i].Serve.Routes)
-			proc := procs[i]
-			serviceStart := clock()
-			rFaults0 := proc.Mapping.Faults
-			rMajor0 := proc.Mapping.MajorFaults
-			rRefault0 := proc.Mapping.Refaults
-			rIO0 := proc.Mapping.IOTime
-			steps0 := proc.Machine.Steps
-			if _, err := proc.Machine.RunMethod(meths[i], heap.IntVal(int64(route))); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("eval: fleet %s burst %d request %d: %w", ws[i].Name, b, t, err)
-			}
-			end := clock()
-			service := end - serviceStart
-			queue := serviceStart - arrival[i]
-			lat := queue + service
-			arrival[i] = end
-			queueSum[i] += queue
-			if queue > queueMax[i] {
-				queueMax[i] = queue
-			}
-			lats[i] = append(lats[i], lat)
-			if latHists != nil {
-				latHists[i].Observe(lat)
-			}
-			trace.Record(obs.RequestRecord{
-				ID: reqID, Stream: i, Burst: b, Route: route,
-				StartNanos: serviceStart - queue, QueueNanos: queue,
-				ServiceNanos: service, LatencyNanos: lat,
-				Steps:       proc.Machine.Steps - steps0,
-				Faults:      proc.Mapping.Faults - rFaults0,
-				MajorFaults: proc.Mapping.MajorFaults - rMajor0,
-				Refaults:    proc.Mapping.Refaults - rRefault0,
-				IONanos:     (proc.Mapping.IOTime - rIO0).Nanoseconds(),
-			})
-			reqID++
-		}
-		for i, p := range procs {
-			sort.Float64s(lats[i])
-			major := p.Mapping.MajorFaults - major0[i]
-			bm := BurstMeasure{
-				Burst:         b,
-				Requests:      len(lats[i]),
-				P50Nanos:      obs.QuantileExact(lats[i], 0.50),
-				P90Nanos:      obs.QuantileExact(lats[i], 0.90),
-				P99Nanos:      obs.QuantileExact(lats[i], 0.99),
-				MeanNanos:     Mean(lats[i]),
-				MajorFaults:   major,
-				MinorFaults:   (p.Mapping.Faults - faults0[i]) - major,
-				Refaults:      p.Mapping.Refaults - refault0[i],
-				IONanos:       p.Mapping.IOTime.Nanoseconds() - io0[i],
-				EvictedPages:  files[i].EvictedPages() - evict0[i],
-				ResidentText:  files[i].ResidentInSection(image.SectionText),
-				ResidentHeap:  files[i].ResidentInSection(image.SectionHeap),
-				MaxQueueNanos: queueMax[i],
-			}
-			if len(lats[i]) > 0 {
-				bm.MeanQueueNanos = queueSum[i] / float64(len(lats[i]))
-			}
-			bursts[i] = append(bursts[i], bm)
-			resident[i] = append(resident[i], int64(o.TenantResidentPages(i)))
-			if burstTls != nil {
-				burstTls[i].Record(fmt.Sprintf("burst-%d", b),
-					int64(bm.Requests), int64(bm.P50Nanos), int64(bm.P99Nanos),
-					bm.MajorFaults, bm.MinorFaults, bm.Refaults, bm.EvictedPages,
-					int64(o.TenantResidentPages(i)))
-			}
-			all[i] = append(all[i], lats[i]...)
-			if b >= 1 {
-				warm[i] = append(warm[i], lats[i]...)
-			}
-		}
-	}
-
-	fo := &FleetOutcome{Config: fcfg}
-	counters := o.TenantCounters()
-	for i := range procs {
-		w := warm[i]
-		if len(w) == 0 {
-			// Single-burst configs: the cold burst is all there is.
-			w = all[i]
-		}
-		sort.Float64s(w)
-		tn := &TenantOutcome{
-			Spec:          fcfg.Tenants[i],
-			Tenant:        i,
-			QuotaPages:    fcfg.quotaPages(i),
-			StartupNanos:  startup[i],
-			Bursts:        bursts[i],
-			Resident:      resident[i],
-			WarmMeanNanos: Mean(w),
-			WarmP99Nanos:  obs.QuantileExact(w, 0.99),
-			EvictedPages:  o.TenantEvictions(i),
-			RefaultPages:  o.TenantRefaults(i),
-			ResidentPages: int64(o.TenantResidentPages(i)),
-			Attainment:    obs.Attainment(w, obs.DefaultSLOTargets()),
-		}
-		if i < len(counters) {
-			tn.Counters = counters[i]
-		}
-		fo.Tenants = append(fo.Tenants, tn)
-	}
-	fo.EvictedBy = normalizeMatrix(o.InterferenceMatrix(), n)
-	for _, row := range fo.EvictedBy {
-		for _, v := range row {
-			fo.TotalEvictions += v
-		}
-	}
-	for _, p := range procs {
-		fo.TotalFaults += p.Mapping.Faults
-		fo.TotalMajorFaults += p.Mapping.MajorFaults
-		fo.TotalRefaults += p.Mapping.Refaults
-		fo.TotalIONanos += p.Mapping.IOTime.Nanoseconds()
-	}
-	fo.ResidentPages = o.ResidentPages()
-	fo.Requests = trace
-	closeAll()
-	if o.Obs != nil {
-		fo.Report = o.Obs.Snapshot()
-	}
-	return fo, nil
 }
 
 // normalizeMatrix pads the lazily-grown osim interference matrix to

@@ -146,28 +146,10 @@ func NewHarness(cfg Config) *Harness {
 // Program returns the (cached) program of a workload. Concurrent callers
 // for the same workload share one build.
 func (h *Harness) Program(w workloads.Workload) *ir.Program {
-	h.mu.Lock()
-	p := h.progs[w.Name]
-	h.mu.Unlock()
-	if p != nil {
-		return p
-	}
-	h.once("prog\x00"+w.Name, func() error {
-		h.mu.Lock()
-		cached := h.progs[w.Name] != nil
-		h.mu.Unlock()
-		if cached {
-			return nil
-		}
-		built := w.Build()
-		h.mu.Lock()
-		h.progs[w.Name] = built
-		h.mu.Unlock()
-		return nil
+	p, _ := memo(h, h.progs, "prog\x00"+w.Name, func() (*ir.Program, error) {
+		return w.Build(), nil
 	})
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.progs[w.Name]
+	return p
 }
 
 func (h *Harness) newOS() *osim.OS {
@@ -288,32 +270,9 @@ func (h *Harness) MeasureBaseline(w workloads.Workload) ([]RunMeasure, error) {
 // snapshots. Concurrent callers for the same workload block on one
 // in-flight measurement instead of duplicating the builds.
 func (h *Harness) MeasureBaselineOutcome(w workloads.Workload) (*BaselineOutcome, error) {
-	if o := h.cachedBaseline(w.Name); o != nil {
-		return o, nil
-	}
-	err := h.once("base\x00"+w.Name, func() error {
-		if h.cachedBaseline(w.Name) != nil {
-			return nil
-		}
-		out, err := h.measureBaseline(w)
-		if err != nil {
-			return err
-		}
-		h.mu.Lock()
-		h.baseCache[w.Name] = out
-		h.mu.Unlock()
-		return nil
+	return memo(h, h.baseCache, "base\x00"+w.Name, func() (*BaselineOutcome, error) {
+		return h.measureBaseline(w)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedBaseline(w.Name), nil
-}
-
-func (h *Harness) cachedBaseline(name string) *BaselineOutcome {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.baseCache[name]
 }
 
 // measureBaseline builds and measures every baseline image of a workload,
@@ -399,33 +358,9 @@ func (o *StrategyOutcome) MergedPipeline() *obs.Snapshot {
 // the same key block on one in-flight measurement instead of duplicating
 // the pipelines.
 func (h *Harness) MeasureStrategy(w workloads.Workload, strategy string) (*StrategyOutcome, error) {
-	key := w.Name + "\x00" + strategy
-	if o := h.cachedStrategy(key); o != nil {
-		return o, nil
-	}
-	err := h.once("strat\x00"+key, func() error {
-		if h.cachedStrategy(key) != nil {
-			return nil
-		}
-		out, err := h.measureStrategy(w, strategy)
-		if err != nil {
-			return err
-		}
-		h.mu.Lock()
-		h.stratCache[key] = out
-		h.mu.Unlock()
-		return nil
+	return memo(h, h.stratCache, "strat\x00"+w.Name+"\x00"+strategy, func() (*StrategyOutcome, error) {
+		return h.measureStrategy(w, strategy)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedStrategy(key), nil
-}
-
-func (h *Harness) cachedStrategy(key string) *StrategyOutcome {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stratCache[key]
 }
 
 // measureStrategy runs the full pipeline of one strategy over every build

@@ -102,6 +102,38 @@ func (h *Harness) once(key string, fn func() error) error {
 	return f.err
 }
 
+// memo returns cache[key], computing it at most once: the first caller runs
+// fn under the key's singleflight slot and stores its result, concurrent
+// callers wait and share its error, and later callers read the cache. A
+// failed computation stores nothing, so it may be retried. The key doubles
+// as the singleflight key, so keys must be unique across every cache.
+func memo[V any](h *Harness, cache map[string]V, key string, fn func() (V, error)) (V, error) {
+	cached := func() (V, bool) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		v, ok := cache[key]
+		return v, ok
+	}
+	if v, ok := cached(); ok {
+		return v, nil
+	}
+	err := h.once(key, func() error {
+		if _, ok := cached(); ok {
+			return nil
+		}
+		v, err := fn()
+		if err != nil {
+			return err
+		}
+		h.mu.Lock()
+		cache[key] = v
+		h.mu.Unlock()
+		return nil
+	})
+	v, _ := cached()
+	return v, err
+}
+
 // task runs fn under a worker slot, accounting its wall time. Tasks must
 // not schedule nested tasks (the slot would deadlock the pool at
 // Workers=1); the harness only creates them at the build granularity.

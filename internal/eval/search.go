@@ -18,9 +18,9 @@ package eval
 // measurement is the bit-deterministic simulated protocol — so the full
 // trajectory (journal bytes included) is identical across -workers
 // counts, repeats and platforms. Scheduler note: SearchLayout is reached
-// from inside serveImage's singleflight (itself inside a measureServe
+// from inside serveImage's singleflight (itself inside a MeasureServe
 // worker task), so it must never fan work out through the pool — only
-// direct serveRun/BuildOptimized calls and nested once() — or a
+// direct runServe/BuildOptimized calls and nested once() — or a
 // Workers=1 pool would deadlock on the nested-task rule (scheduler.go).
 
 import (
@@ -198,33 +198,9 @@ func (h *Harness) SearchLayout(w workloads.Workload, cfg SearchConfig) (*SearchR
 		return nil, fmt.Errorf("eval: workload %s has no serve spec", w.Name)
 	}
 	cfg = cfg.withDefaults()
-	key := w.Name + "\x00" + cfg.key()
-	if r := h.cachedSearch(key); r != nil {
-		return r, nil
-	}
-	err := h.once("search\x00"+key, func() error {
-		if h.cachedSearch(key) != nil {
-			return nil
-		}
-		res, err := h.searchLayout(w, cfg)
-		if err != nil {
-			return err
-		}
-		h.mu.Lock()
-		h.searchCache[key] = res
-		h.mu.Unlock()
-		return nil
+	return memo(h, h.searchCache, "search\x00"+w.Name+"\x00"+cfg.key(), func() (*SearchResult, error) {
+		return h.searchLayout(w, cfg)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedSearch(key), nil
-}
-
-func (h *Harness) cachedSearch(key string) *SearchResult {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.searchCache[key]
 }
 
 // searchLayout is the search loop proper. Everything here is serial and
@@ -243,7 +219,7 @@ func (h *Harness) searchLayout(w workloads.Workload, cfg SearchConfig) (*SearchR
 	// refault-factor side of every candidate's scorecard.
 	baseRefaults := make(map[int]int64, len(cfg.Pressures))
 	for _, p := range cfg.Pressures {
-		o, err := h.serveRun(baseImg, w, LayoutBaseline, cfg.ServeAt(p), false)
+		o, err := h.runServe(baseImg, w, LayoutBaseline, cfg.ServeAt(p), false)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +255,7 @@ func (h *Harness) searchLayout(w workloads.Workload, cfg SearchConfig) (*SearchR
 		var logGeo float64
 		for _, p := range cfg.Pressures {
 			pcfg := cfg.ServeAt(p)
-			o, err := h.serveRun(res.Optimized, w, core.StrategySLOSearch, pcfg, false)
+			o, err := h.runServe(res.Optimized, w, core.StrategySLOSearch, pcfg, false)
 			if err != nil {
 				return SearchScore{}, fmt.Errorf("eval: search measurement of %s candidate %s: %w", w.Name, c.ID, err)
 			}

@@ -13,10 +13,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
+	"time"
 
 	"nimage/internal/core"
 	"nimage/internal/heap"
 	"nimage/internal/image"
+	"nimage/internal/ir"
 	"nimage/internal/murmur"
 	"nimage/internal/obs"
 	"nimage/internal/obs/affinity"
@@ -247,132 +250,79 @@ func (h *Harness) MeasureServe(w workloads.Workload, strategy string, scfg Serve
 	if strategy == "" {
 		strategy = LayoutBaseline
 	}
-	key := w.Name + "\x00" + strategy + "\x00" + scfg.key()
-	if o := h.cachedServe(key); o != nil {
-		return o, nil
-	}
-	err := h.once("serve\x00"+key, func() error {
-		if h.cachedServe(key) != nil {
-			return nil
-		}
-		out, err := h.measureServe(w, strategy, scfg)
-		if err != nil {
+	key := "serve\x00" + w.Name + "\x00" + strategy + "\x00" + scfg.key()
+	return memo(h, h.serveCache, key, func() ([]*ServeOutcome, error) {
+		// The builds fan out across the worker pool; the outcome slice is
+		// indexed by build, so results are bit-identical for every worker
+		// count (the determinism contract of scheduler.go).
+		out := make([]*ServeOutcome, h.Cfg.Builds)
+		err := h.forEach(h.Cfg.Builds, func(bld int) error {
+			h.sched.buildTasks.Add(1)
+			img, err := h.serveImage(w, strategy, bld)
+			if err != nil {
+				return err
+			}
+			out[bld], err = h.runServe(img, w, strategy, scfg, false)
 			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		h.mu.Lock()
-		h.serveCache[key] = out
-		h.mu.Unlock()
-		return nil
+		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedServe(key), nil
-}
-
-func (h *Harness) cachedServe(key string) []*ServeOutcome {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.serveCache[key]
-}
-
-// measureServe fans the builds out across the worker pool; the outcome
-// slice is indexed by build, so results are bit-identical for every worker
-// count (the determinism contract of scheduler.go).
-func (h *Harness) measureServe(w workloads.Workload, strategy string, scfg ServeConfig) ([]*ServeOutcome, error) {
-	out := make([]*ServeOutcome, h.Cfg.Builds)
-	err := h.forEach(h.Cfg.Builds, func(bld int) error {
-		h.sched.buildTasks.Add(1)
-		img, err := h.serveImage(w, strategy, bld)
-		if err != nil {
-			return err
-		}
-		o, err := h.serveRun(img, w, strategy, scfg, false)
-		if err != nil {
-			return err
-		}
-		out[bld] = o
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // serveImage builds (once per workload/strategy/build — shared by every
 // pressure level) the image a serve run executes.
 func (h *Harness) serveImage(w workloads.Workload, strategy string, bld int) (*image.Image, error) {
 	key := fmt.Sprintf("simg\x00%s\x00%s\x00%d", w.Name, strategy, bld)
-	if img := h.cachedServeImg(key); img != nil {
-		return img, nil
-	}
-	err := h.once(key, func() error {
-		if h.cachedServeImg(key) != nil {
-			return nil
-		}
+	return memo(h, h.serveImgs, key, func() (*image.Image, error) {
 		p := h.Program(w)
-		var img *image.Image
 		if strategy == LayoutBaseline {
-			built, err := image.Build(p, image.Options{
+			img, err := image.Build(p, image.Options{
 				Kind: image.KindRegular, Compiler: h.Cfg.Compiler, BuildSeed: baselineSeed(bld),
 			})
 			if err != nil {
-				return fmt.Errorf("eval: serve baseline build of %s: %w", w.Name, err)
+				return nil, fmt.Errorf("eval: serve baseline build of %s: %w", w.Name, err)
 			}
-			img = built
-		} else {
-			popts := image.PipelineOptions{
-				Compiler:         h.Cfg.Compiler,
-				Strategy:         strategy,
-				InstrumentedSeed: instrumentedSeed(bld),
-				OptimizedSeed:    optimizedSeed(bld),
-				// Serve workloads are services: durable buffers (Sec. 6.1).
-				Mode:    profiler.MemoryMapped,
-				Args:    w.Args,
-				Service: true,
-			}
-			if core.IsGraphStrategy(strategy) {
-				// Graph strategies optimize burst residency, so they bake
-				// from the baseline *serve* recording rather than letting
-				// the pipeline record a cold start.
-				g, err := h.serveAffinityGraph(w, bld)
-				if err != nil {
-					return err
-				}
-				popts.AffinityGraph = g
-				if strategy == core.StrategySLOSearch {
-					// slo-search bakes the measured search winner: one
-					// searched order per workload (memoized), rebuilt here
-					// with this build's seed like any other strategy.
-					sr, err := h.SearchLayout(w, DefaultSearchConfig())
-					if err != nil {
-						return err
-					}
-					popts.CodeOrder = sr.Order
-				}
-			}
-			res, err := image.BuildOptimized(p, popts)
-			if err != nil {
-				return fmt.Errorf("eval: serve %s/%s: %w", w.Name, strategy, err)
-			}
-			img = res.Optimized
+			return img, nil
 		}
-		h.mu.Lock()
-		h.serveImgs[key] = img
-		h.mu.Unlock()
-		return nil
+		popts := image.PipelineOptions{
+			Compiler:         h.Cfg.Compiler,
+			Strategy:         strategy,
+			InstrumentedSeed: instrumentedSeed(bld),
+			OptimizedSeed:    optimizedSeed(bld),
+			// Serve workloads are services: durable buffers (Sec. 6.1).
+			Mode:    profiler.MemoryMapped,
+			Args:    w.Args,
+			Service: true,
+		}
+		if core.IsGraphStrategy(strategy) {
+			// Graph strategies optimize burst residency, so they bake from
+			// the baseline *serve* recording rather than letting the
+			// pipeline record a cold start.
+			g, err := h.serveAffinityGraph(w, bld)
+			if err != nil {
+				return nil, err
+			}
+			popts.AffinityGraph = g
+			if strategy == core.StrategySLOSearch {
+				// slo-search bakes the measured search winner: one searched
+				// order per workload (memoized), rebuilt here with this
+				// build's seed like any other strategy.
+				sr, err := h.SearchLayout(w, DefaultSearchConfig())
+				if err != nil {
+					return nil, err
+				}
+				popts.CodeOrder = sr.Order
+			}
+		}
+		res, err := image.BuildOptimized(p, popts)
+		if err != nil {
+			return nil, fmt.Errorf("eval: serve %s/%s: %w", w.Name, strategy, err)
+		}
+		return res.Optimized, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return h.cachedServeImg(key), nil
-}
-
-func (h *Harness) cachedServeImg(key string) *image.Image {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.serveImgs[key]
 }
 
 // serveAffinityGraph records — once per workload/build, shared by every
@@ -384,61 +334,116 @@ func (h *Harness) cachedServeImg(key string) *image.Image {
 // (sweeping pressure rebuilds nothing).
 func (h *Harness) serveAffinityGraph(w workloads.Workload, bld int) (*affinity.Graph, error) {
 	key := fmt.Sprintf("sgraph\x00%s\x00%d", w.Name, bld)
-	if g := h.cachedServeGraph(key); g != nil {
-		return g, nil
-	}
-	err := h.once(key, func() error {
-		if h.cachedServeGraph(key) != nil {
-			return nil
-		}
+	return memo(h, h.serveGraphs, key, func() (*affinity.Graph, error) {
 		img, err := h.serveImage(w, LayoutBaseline, bld)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		o, err := h.serveRun(img, w, LayoutBaseline, DefaultServeConfig(), true)
+		o, err := h.runServe(img, w, LayoutBaseline, DefaultServeConfig(), true)
 		if err != nil {
-			return fmt.Errorf("eval: serve affinity recording of %s: %w", w.Name, err)
+			return nil, fmt.Errorf("eval: serve affinity recording of %s: %w", w.Name, err)
 		}
 		if o.Affinity == nil {
-			return fmt.Errorf("eval: serve affinity recording of %s produced no graph", w.Name)
+			return nil, fmt.Errorf("eval: serve affinity recording of %s produced no graph", w.Name)
 		}
-		h.mu.Lock()
-		h.serveGraphs[key] = o.Affinity
-		h.mu.Unlock()
-		return nil
+		return o.Affinity, nil
 	})
+}
+
+// runServe executes one serve scenario — a one-tenant run of the serve
+// engine — and projects it to the serve outcome, scoring the recorded
+// affinity graph (if any) against the run's own layout. trackAffinity
+// forces the co-access recorder on regardless of the harness config — the
+// serve affinity recording needs a graph even on detached harnesses.
+func (h *Harness) runServe(img *image.Image, w workloads.Workload, strategy string, scfg ServeConfig, trackAffinity bool) (*ServeOutcome, error) {
+	scfg = scfg.withDefaults() // direct callers may pass a sparse config
+	run, err := h.runEngine([]engineTenant{{
+		spec: TenantSpec{Workload: w.Name, Strategy: strategy}, img: img, w: w,
+	}}, scfg, false, trackAffinity)
 	if err != nil {
 		return nil, err
 	}
-	return h.cachedServeGraph(key), nil
+	tn := run.fo.Tenants[0]
+	out := &ServeOutcome{
+		Workload:      w.Name,
+		Strategy:      strategy,
+		Config:        scfg,
+		StartupNanos:  tn.StartupNanos,
+		Bursts:        tn.Bursts,
+		WarmMeanNanos: tn.WarmMeanNanos,
+		WarmP99Nanos:  tn.WarmP99Nanos,
+		EvictedPages:  tn.EvictedPages,
+		RefaultPages:  tn.RefaultPages,
+		Attrib:        run.attrib,
+		Report:        run.fo.Report,
+		Affinity:      run.affinity,
+		Requests:      run.fo.Requests,
+	}
+	if run.affinity != nil {
+		out.Scorecard, err = affinity.Score(run.affinity,
+			affinity.NewPlacement(img.AttributionIndex().Symbols()),
+			strategy, scfg.PressurePct, scfg.CacheBudget)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-func (h *Harness) cachedServeGraph(key string) *affinity.Graph {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.serveGraphs[key]
+// engineTenant is one tenant of an engine run: a serve image with its
+// workload and its spec (layout label and residency quota).
+type engineTenant struct {
+	spec TenantSpec
+	img  *image.Image
+	w    workloads.Workload
 }
 
-// serveRun executes one serve scenario: cold startup to the first
-// response, then the request bursts with inter-burst pressure. One request
-// is one RunMethod call on the dispatch entry (StopOnRespond stops the
-// machine at the request's respond intrinsic); its latency is the
-// simulated CPU delta plus the fault I/O it incurred.
-// trackAffinity forces the co-access recorder on regardless of the
-// harness config — the serve affinity recording needs a graph even on
-// detached harnesses.
-func (h *Harness) serveRun(img *image.Image, w workloads.Workload, strategy string, scfg ServeConfig, trackAffinity bool) (*ServeOutcome, error) {
-	scfg = scfg.withDefaults() // direct callers may pass a sparse config
-	cls := img.Program.Class(w.Serve.DispatchClass)
-	if cls == nil {
-		return nil, fmt.Errorf("eval: serve %s: dispatch class %s missing", w.Name, w.Serve.DispatchClass)
-	}
-	meth := cls.LookupMethod(w.Serve.DispatchMethod)
-	if meth == nil || !meth.Static || meth.NParams != 1 {
-		return nil, fmt.Errorf("eval: serve %s: dispatch method %s.%s must be static with one parameter",
-			w.Name, w.Serve.DispatchClass, w.Serve.DispatchMethod)
-	}
+// engineRun is one run of the serve engine: the fleet-shaped outcome
+// (Config and the solo comparison are the caller's) plus, for serve runs,
+// the tenant's attribution table and affinity graph when the OS records
+// them.
+type engineRun struct {
+	fo       *FleetOutcome
+	attrib   *attrib.Table
+	affinity *affinity.Graph
+}
 
+// faultCounts is a snapshot of a mapping's fault counters, for deltas.
+type faultCounts struct {
+	faults, major, refaults int64
+	io                      time.Duration
+}
+
+func countsOf(m *osim.Mapping) faultCounts {
+	return faultCounts{m.Faults, m.MajorFaults, m.Refaults, m.IOTime}
+}
+
+func (c faultCounts) minus(d faultCounts) faultCounts {
+	return faultCounts{c.faults - d.faults, c.major - d.major, c.refaults - d.refaults, c.io - d.io}
+}
+
+// runEngine is the one serve engine: T tenants, each serving scfg.Streams
+// closed-loop request streams, on one simulated OS under one page-cache
+// budget. Startups run sequentially in tenant order (later startups
+// already press on earlier tenants' pages); then every burst is the union
+// of all streams' BurstSize requests, drained by a single simulated CPU in
+// the seeded pickStream interleave over the T×S slots (slot tenant*S +
+// stream, so one tenant is the serve schedule and one stream per tenant
+// the fleet schedule). One request is one RunMethod call on the tenant's
+// dispatch entry (StopOnRespond stops the machine at the request's respond
+// intrinsic); its latency is queue wait plus the simulated CPU and fault
+// I/O of its service.
+//
+// fleet selects the telemetry naming: serve runs (one tenant) record
+// serve.latency_nanos, the serve.burst timeline and one histogram per
+// stream, and return the tenant's attribution and affinity results;
+// fleet runs record fleet.tenantNN.* per tenant. trackAffinity forces the
+// co-access recorder on.
+func (h *Harness) runEngine(ts []engineTenant, scfg ServeConfig, fleet, trackAffinity bool) (*engineRun, error) {
+	label := "serve"
+	if fleet {
+		label = "fleet"
+	}
 	o := h.newOS()
 	o.CacheBudget = scfg.CacheBudget
 	o.Policy = scfg.Policy
@@ -448,199 +453,279 @@ func (h *Harness) serveRun(img *image.Image, w workloads.Workload, strategy stri
 	if h.Cfg.Observe {
 		o.Obs = obs.NewRegistry()
 	}
-	proc, err := img.NewProcess(o, vm.Hooks{})
-	if err != nil {
-		return nil, err
+	type tenant struct {
+		engineTenant
+		out  *TenantOutcome
+		proc *image.Process
+		meth *ir.Method
+		file *osim.File
+		// Every request latency in burst order (each burst's span sorted),
+		// and the length of the cold burst's span.
+		lats []float64
+		cold int
+		// Per-burst state (start indexes the burst's span of lats).
+		start              int
+		evict0             int64
+		counts0            faultCounts
+		queueSum, queueMax float64
 	}
-	proc.Machine.StopOnRespond = true
-	if err := proc.Run(w.Args...); err != nil {
-		proc.Close()
-		return nil, fmt.Errorf("eval: serve startup of %s: %w", w.Name, err)
-	}
-	st := proc.Stats()
-	if st.TimeToResponse <= 0 {
-		proc.Close()
-		return nil, fmt.Errorf("eval: serve %s never responded during startup", w.Name)
-	}
-	f, err := img.File(o)
-	if err != nil {
-		proc.Close()
-		return nil, err
-	}
-
-	var latHist *obs.Histogram
-	var streamHists []*obs.Histogram
-	var burstTl *obs.Timeline
-	if o.Obs.Enabled() {
-		latHist = o.Obs.Histogram("serve.latency_nanos", obs.LatencyBuckets())
-		burstTl = o.Obs.Timeline("serve.burst",
-			"requests", "p50_nanos", "p99_nanos", "major", "minor",
-			"refaults", "evicted", "resident_text", "resident_heap")
-		if scfg.Streams > 1 {
-			streamHists = make([]*obs.Histogram, scfg.Streams)
-			for s := range streamHists {
-				streamHists[s] = o.Obs.Histogram(
-					fmt.Sprintf("serve.stream%02d.latency_nanos", s), obs.LatencyBuckets())
+	tenants := make([]tenant, len(ts))
+	// Close is idempotent: the deferred call releases the processes on
+	// error paths, the explicit one below before the final snapshot.
+	closeAll := func() {
+		for _, tn := range tenants {
+			if tn.proc != nil {
+				tn.proc.Close()
 			}
 		}
 	}
+	defer closeAll()
+	for i, t := range ts {
+		tn := &tenants[i]
+		tn.engineTenant = t
+		w := t.w
+		cls := t.img.Program.Class(w.Serve.DispatchClass)
+		if cls == nil {
+			return nil, fmt.Errorf("eval: %s %s: dispatch class %s missing", label, w.Name, w.Serve.DispatchClass)
+		}
+		tn.meth = cls.LookupMethod(w.Serve.DispatchMethod)
+		if tn.meth == nil || !tn.meth.Static || tn.meth.NParams != 1 {
+			return nil, fmt.Errorf("eval: %s %s: dispatch method %s.%s must be static with one parameter",
+				label, w.Name, w.Serve.DispatchClass, w.Serve.DispatchMethod)
+		}
+		// Ownership must be set at file-registration time (NewProcess
+		// touches pages while constructing the mapping), so the tenant id
+		// is installed as the OS default around process construction.
+		tn.out = &TenantOutcome{Spec: t.spec, Tenant: i}
+		if scfg.CacheBudget > 0 {
+			// A quota is a share of the budget; unlimited caches have none.
+			tn.out.QuotaPages = scfg.CacheBudget * t.spec.QuotaPct / 100
+		}
+		o.DefaultTenant = i
+		if tn.out.QuotaPages > 0 {
+			o.SetTenantQuota(i, tn.out.QuotaPages)
+		}
+		proc, err := t.img.NewProcess(o, vm.Hooks{})
+		if err != nil {
+			return nil, err
+		}
+		tn.proc = proc
+		if tn.file, err = t.img.File(o); err != nil {
+			return nil, err
+		}
+		o.DefaultTenant = -1
+		proc.Machine.StopOnRespond = true
+		if err := proc.Run(w.Args...); err != nil {
+			return nil, fmt.Errorf("eval: %s startup of %s: %w", label, w.Name, err)
+		}
+		st := proc.Stats()
+		if st.TimeToResponse <= 0 {
+			return nil, fmt.Errorf("eval: %s %s never responded during startup", label, w.Name)
+		}
+		tn.out.StartupNanos = float64(st.TimeToResponse.Nanoseconds())
+	}
 
-	out := &ServeOutcome{
-		Workload:     w.Name,
-		Strategy:     strategy,
-		Config:       scfg,
-		StartupNanos: float64(st.TimeToResponse.Nanoseconds()),
+	streams := scfg.Streams
+	slots := len(tenants) * streams
+	// slotHists is indexed by slot: per stream in serve runs (only when
+	// there are several), per tenant in fleet runs (one stream each).
+	var allHist *obs.Histogram
+	var slotHists []*obs.Histogram
+	var burstTls []*obs.Timeline
+	if o.Obs.Enabled() {
+		cols := []string{"requests", "p50_nanos", "p99_nanos", "major", "minor", "refaults", "evicted"}
+		if fleet {
+			for i := range tenants {
+				name := fmt.Sprintf("fleet.tenant%02d", i)
+				slotHists = append(slotHists, o.Obs.Histogram(name+".latency_nanos", obs.LatencyBuckets()))
+				burstTls = append(burstTls, o.Obs.Timeline(name+".burst", append(cols, "resident")...))
+			}
+		} else {
+			allHist = o.Obs.Histogram("serve.latency_nanos", obs.LatencyBuckets())
+			burstTls = append(burstTls, o.Obs.Timeline("serve.burst", append(cols, "resident_text", "resident_heap")...))
+			for s := 0; streams > 1 && s < streams; s++ {
+				slotHists = append(slotHists, o.Obs.Histogram(
+					fmt.Sprintf("serve.stream%02d.latency_nanos", s), obs.LatencyBuckets()))
+			}
+		}
 	}
 	var trace *obs.RequestTrace
 	if scfg.RecordRequests {
-		trace = obs.NewRequestTrace(scfg.Streams, scfg.Bursts*scfg.BurstSize*scfg.Streams)
-		trace.Workload = w.Name
-		trace.Layout = strategy
+		trace = obs.NewRequestTrace(slots, scfg.Bursts*scfg.BurstSize*slots)
+		var names, layouts []string
+		for _, t := range ts {
+			names, layouts = append(names, t.spec.Workload), append(layouts, t.spec.Strategy)
+		}
+		trace.Workload = strings.Join(names, "+")
+		trace.Layout = strings.Join(layouts, "+")
 	}
-	// The server clock: one simulated CPU executing requests back to back,
-	// so elapsed server time is the machine's CPU nanos plus all fault I/O
-	// it has waited on.
+	// The server clock: one simulated CPU serving every tenant back to
+	// back, so elapsed server time is every machine's CPU nanos plus all
+	// the fault I/O any of them waited on.
 	clock := func() float64 {
-		return proc.Machine.SimTimeNanos() + float64(proc.Mapping.IOTime.Nanoseconds())
+		t := 0.0
+		for _, tn := range tenants {
+			t += tn.proc.Machine.SimTimeNanos() + float64(tn.proc.Mapping.IOTime.Nanoseconds())
+		}
+		return t
 	}
-	var warm, all []float64
-	reqByStream := make([]int, scfg.Streams) // per-stream request ordinal, for routes
+
+	reqBySlot := make([]int, slots) // per-slot request ordinal, for routes
+	arrival := make([]float64, slots)
+	remaining := make([]int, slots)
 	reqID := 0
 	for b := 0; b < scfg.Bursts; b++ {
-		evict0 := f.EvictedPages()
+		// The burst inherits the evictions of the pressure before it; the
+		// reclaim itself takes no faults.
+		for i := range tenants {
+			tn := &tenants[i]
+			tn.start, tn.evict0, tn.counts0 = len(tn.lats), tn.file.EvictedPages(), countsOf(tn.proc.Mapping)
+			tn.queueSum, tn.queueMax = 0, 0
+		}
 		if b > 0 && scfg.PressurePct > 0 {
 			o.ReclaimFraction(scfg.PressurePct)
 			trace.Mark(obs.MarkReclaim, b, clock())
 		}
 		trace.Mark(obs.MarkBurst, b, clock())
-		faults0 := proc.Mapping.Faults
-		major0 := proc.Mapping.MajorFaults
-		refault0 := proc.Mapping.Refaults
-		io0 := proc.Mapping.IOTime
 		// Closed-loop clients: every stream submits its first request at
 		// the burst start and its next one the instant the previous
 		// response returns. The single-CPU server drains the burst in the
 		// seeded interleave order; the gap between a request's arrival and
 		// its service start is queue wait.
 		burstStart := clock()
-		arrival := make([]float64, scfg.Streams)
-		remaining := make([]int, scfg.Streams)
 		for s := range remaining {
 			arrival[s] = burstStart
 			remaining[s] = scfg.BurstSize
 		}
-		total := scfg.Streams * scfg.BurstSize
-		lats := make([]float64, 0, total)
-		var queueSum, queueMax float64
-		for t := 0; t < total; t++ {
-			s := pickStream(scfg, b, t, remaining)
-			remaining[s]--
-			k := reqByStream[s]
-			reqByStream[s]++
-			route := routeForStream(s, k, scfg, w.Serve.Routes)
-			if scfg.Streams > 1 {
-				proc.Mapping.SetStream(s)
-			}
+		for t := 0; t < slots*scfg.BurstSize; t++ {
+			slot := pickStream(scfg, b, t, remaining)
+			remaining[slot]--
+			tn := &tenants[slot/streams]
+			route := routeForStream(slot, reqBySlot[slot], scfg, tn.w.Serve.Routes)
+			reqBySlot[slot]++
 			serviceStart := clock()
-			rFaults0 := proc.Mapping.Faults
-			rMajor0 := proc.Mapping.MajorFaults
-			rRefault0 := proc.Mapping.Refaults
-			rIO0 := proc.Mapping.IOTime
-			steps0 := proc.Machine.Steps
-			if _, err := proc.Machine.RunMethod(meth, heap.IntVal(int64(route))); err != nil {
-				proc.Close()
-				return nil, fmt.Errorf("eval: serve %s burst %d request %d: %w", w.Name, b, t, err)
+			c0 := countsOf(tn.proc.Mapping)
+			steps0 := tn.proc.Machine.Steps
+			if _, err := tn.proc.Machine.RunMethod(tn.meth, heap.IntVal(int64(route))); err != nil {
+				return nil, fmt.Errorf("eval: %s %s burst %d request %d: %w", label, tn.w.Name, b, t, err)
 			}
 			end := clock()
 			service := end - serviceStart
-			queue := serviceStart - arrival[s]
+			queue := serviceStart - arrival[slot]
 			lat := queue + service
-			arrival[s] = end
-			queueSum += queue
-			if queue > queueMax {
-				queueMax = queue
+			arrival[slot] = end
+			tn.queueSum += queue
+			tn.queueMax = max(tn.queueMax, queue)
+			tn.lats = append(tn.lats, lat)
+			allHist.Observe(lat)
+			if slotHists != nil {
+				slotHists[slot].Observe(lat)
 			}
-			lats = append(lats, lat)
-			latHist.Observe(lat)
-			if streamHists != nil {
-				streamHists[s].Observe(lat)
-			}
+			d := countsOf(tn.proc.Mapping).minus(c0)
 			trace.Record(obs.RequestRecord{
-				ID: reqID, Stream: s, Burst: b, Route: route,
+				ID: reqID, Stream: slot, Burst: b, Route: route,
 				StartNanos: serviceStart - queue, QueueNanos: queue,
 				ServiceNanos: service, LatencyNanos: lat,
-				Steps:       proc.Machine.Steps - steps0,
-				Faults:      proc.Mapping.Faults - rFaults0,
-				MajorFaults: proc.Mapping.MajorFaults - rMajor0,
-				Refaults:    proc.Mapping.Refaults - rRefault0,
-				IONanos:     (proc.Mapping.IOTime - rIO0).Nanoseconds(),
+				Steps:  tn.proc.Machine.Steps - steps0,
+				Faults: d.faults, MajorFaults: d.major, Refaults: d.refaults,
+				IONanos: d.io.Nanoseconds(),
 			})
 			reqID++
 		}
-		sort.Float64s(lats)
-		major := proc.Mapping.MajorFaults - major0
-		bm := BurstMeasure{
-			Burst:         b,
-			Requests:      len(lats),
-			P50Nanos:      obs.QuantileExact(lats, 0.50),
-			P90Nanos:      obs.QuantileExact(lats, 0.90),
-			P99Nanos:      obs.QuantileExact(lats, 0.99),
-			MeanNanos:     Mean(lats),
-			MajorFaults:   major,
-			MinorFaults:   (proc.Mapping.Faults - faults0) - major,
-			Refaults:      proc.Mapping.Refaults - refault0,
-			IONanos:       (proc.Mapping.IOTime - io0).Nanoseconds(),
-			EvictedPages:  f.EvictedPages() - evict0,
-			ResidentText:  f.ResidentInSection(image.SectionText),
-			ResidentHeap:  f.ResidentInSection(image.SectionHeap),
-			MaxQueueNanos: queueMax,
-		}
-		if len(lats) > 0 {
-			bm.MeanQueueNanos = queueSum / float64(len(lats))
-		}
-		out.Bursts = append(out.Bursts, bm)
-		if burstTl != nil {
-			burstTl.Record(fmt.Sprintf("burst-%d", b),
-				int64(bm.Requests), int64(bm.P50Nanos), int64(bm.P99Nanos),
-				bm.MajorFaults, bm.MinorFaults, bm.Refaults, bm.EvictedPages,
-				int64(bm.ResidentText), int64(bm.ResidentHeap))
-		}
-		all = append(all, lats...)
-		if b >= 1 {
-			warm = append(warm, lats...)
+		for i := range tenants {
+			tn := &tenants[i]
+			lats := tn.lats[tn.start:]
+			sort.Float64s(lats)
+			d := countsOf(tn.proc.Mapping).minus(tn.counts0)
+			bm := BurstMeasure{
+				Burst:         b,
+				Requests:      len(lats),
+				P50Nanos:      obs.QuantileExact(lats, 0.50),
+				P90Nanos:      obs.QuantileExact(lats, 0.90),
+				P99Nanos:      obs.QuantileExact(lats, 0.99),
+				MeanNanos:     Mean(lats),
+				MajorFaults:   d.major,
+				MinorFaults:   d.faults - d.major,
+				Refaults:      d.refaults,
+				IONanos:       d.io.Nanoseconds(),
+				EvictedPages:  tn.file.EvictedPages() - tn.evict0,
+				ResidentText:  tn.file.ResidentInSection(image.SectionText),
+				ResidentHeap:  tn.file.ResidentInSection(image.SectionHeap),
+				MaxQueueNanos: tn.queueMax,
+			}
+			if len(lats) > 0 {
+				bm.MeanQueueNanos = tn.queueSum / float64(len(lats))
+			}
+			resident := int64(o.TenantResidentPages(i))
+			tn.out.Bursts = append(tn.out.Bursts, bm)
+			tn.out.Resident = append(tn.out.Resident, resident)
+			if b == 0 {
+				tn.cold = len(tn.lats)
+			}
+			if burstTls != nil {
+				vals := []int64{int64(bm.Requests), int64(bm.P50Nanos), int64(bm.P99Nanos),
+					bm.MajorFaults, bm.MinorFaults, bm.Refaults, bm.EvictedPages}
+				if fleet {
+					vals = append(vals, resident)
+				} else {
+					vals = append(vals, int64(bm.ResidentText), int64(bm.ResidentHeap))
+				}
+				burstTls[i].Record(fmt.Sprintf("burst-%d", b), vals...)
+			}
 		}
 	}
-	if len(warm) == 0 {
-		// Single-burst configs: the cold burst is all there is.
-		warm = all
-	}
-	sort.Float64s(warm)
-	out.WarmMeanNanos = Mean(warm)
-	out.WarmP99Nanos = obs.QuantileExact(warm, 0.99)
-	out.Requests = trace
-	out.EvictedPages = f.EvictedPages()
-	out.RefaultPages = f.RefaultedPages()
-	if tab := proc.AttributionTable(); tab != nil {
-		tab.Layout = strategy
-		out.Attrib = tab
-	}
-	if g := proc.AffinityGraph(); g != nil {
-		g.Layout = strategy
-		out.Affinity = g
-		sc, err := affinity.Score(g,
-			affinity.NewPlacement(img.AttributionIndex().Symbols()),
-			strategy, scfg.PressurePct, scfg.CacheBudget)
-		if err != nil {
-			proc.Close()
-			return nil, err
+
+	fo := &FleetOutcome{}
+	counters := o.TenantCounters()
+	for i := range tenants {
+		tn := &tenants[i]
+		warm := tn.lats[tn.cold:]
+		if len(warm) == 0 {
+			// Single-burst configs: the cold burst is all there is.
+			warm = tn.lats
 		}
-		out.Scorecard = sc
+		sort.Float64s(warm)
+		to := tn.out
+		to.WarmMeanNanos = Mean(warm)
+		to.WarmP99Nanos = obs.QuantileExact(warm, 0.99)
+		to.EvictedPages = o.TenantEvictions(i)
+		to.RefaultPages = o.TenantRefaults(i)
+		to.ResidentPages = int64(o.TenantResidentPages(i))
+		to.Attainment = obs.Attainment(warm, obs.DefaultSLOTargets())
+		if i < len(counters) {
+			to.Counters = counters[i]
+		}
+		fo.Tenants = append(fo.Tenants, to)
+		fo.TotalFaults += tn.proc.Mapping.Faults
+		fo.TotalMajorFaults += tn.proc.Mapping.MajorFaults
+		fo.TotalRefaults += tn.proc.Mapping.Refaults
+		fo.TotalIONanos += tn.proc.Mapping.IOTime.Nanoseconds()
 	}
-	proc.Close()
+	fo.EvictedBy = normalizeMatrix(o.InterferenceMatrix(), len(tenants))
+	for _, row := range fo.EvictedBy {
+		for _, v := range row {
+			fo.TotalEvictions += v
+		}
+	}
+	fo.ResidentPages = o.ResidentPages()
+	fo.Requests = trace
+	run := &engineRun{fo: fo}
+	if !fleet {
+		tn := tenants[0]
+		if tab := tn.proc.AttributionTable(); tab != nil {
+			tab.Layout = tn.spec.Strategy
+			run.attrib = tab
+		}
+		if g := tn.proc.AffinityGraph(); g != nil {
+			g.Layout = tn.spec.Strategy
+			run.affinity = g
+		}
+	}
+	closeAll()
 	if o.Obs != nil {
-		out.Report = o.Obs.Snapshot()
+		fo.Report = o.Obs.Snapshot()
 	}
-	return out, nil
+	return run, nil
 }
 
 // ServeStrategies are the layouts the serve figures compare, from the

@@ -424,8 +424,8 @@ func TestServeSingleStreamBackCompat(t *testing.T) {
 }
 
 // TestServeStreamTraceReconciliation drives a multi-stream recorded run
-// and reconciles the trace against the burst measures, the per-stream
-// osim fault counters, and the per-stream latency histograms.
+// and reconciles the trace against the burst measures, the burst fault
+// deltas, and the per-stream latency histograms.
 func TestServeStreamTraceReconciliation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1

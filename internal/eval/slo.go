@@ -149,7 +149,7 @@ func (h *Harness) ServeTelemetryOverhead(w workloads.Workload, strategy string, 
 		var last *ServeOutcome
 		start := time.Now()
 		for i := 0; i < repeats; i++ {
-			o, err := hh.serveRun(img, w, strategy, rcfg, false)
+			o, err := hh.runServe(img, w, strategy, rcfg, false)
 			if err != nil {
 				return nil, 0, err
 			}

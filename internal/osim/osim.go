@@ -257,32 +257,12 @@ type SectionFaults struct {
 // Total returns major+minor faults — what `perf` reports as page-faults.
 func (s SectionFaults) Total() int64 { return s.Major + s.Minor }
 
-// StreamFaults is the fault traffic one request stream incurred through a
-// mapping — the shared-budget contention accounting of serve mode, where
-// several concurrent streams multiplex over one mapping and compete for
-// one page-cache budget. The per-stream counters partition the mapping
-// totals exactly (enforced by test): every fault is charged to the stream
-// tagged at the time it was taken.
-type StreamFaults struct {
-	Stream      int   `json:"stream"`
-	Faults      int64 `json:"faults"`
-	MajorFaults int64 `json:"major_faults"`
-	Refaults    int64 `json:"refaults"`
-	IONanos     int64 `json:"io_nanos"`
-}
-
 // Mapping is one process's memory map of a file. It tracks which pages are
 // mapped, which faulted, per-section fault counts, and accumulated I/O time.
 type Mapping struct {
 	file    *File
 	mapped  []bool
 	faulted []bool
-
-	// stream is the request stream subsequent faults are charged to;
-	// perStream holds the per-stream counters, nil until SetStream is
-	// first called so untagged mappings pay nothing for the accounting.
-	stream    int
-	perStream []StreamFaults
 
 	// tenant is the tenant subsequent faults are charged to (-1 when
 	// untenanted): set by SetTenant, inherited from OS.DefaultTenant at
@@ -387,52 +367,6 @@ func (m *Mapping) Release() {
 	}
 }
 
-// SetStream tags the mapping with the request stream that owns the
-// accesses until the next SetStream: faults taken while the tag is s are
-// charged to stream s's StreamFaults. The first call enables per-stream
-// accounting; ids must be non-negative and are expected to stay small
-// (the serve harness uses 0..Streams-1).
-func (m *Mapping) SetStream(s int) {
-	if s < 0 {
-		panic(fmt.Sprintf("osim: negative stream id %d", s))
-	}
-	m.stream = s
-	m.growStreams(s)
-}
-
-// growStreams ensures perStream covers stream id s.
-func (m *Mapping) growStreams(s int) {
-	for len(m.perStream) <= s {
-		m.perStream = append(m.perStream, StreamFaults{Stream: len(m.perStream)})
-	}
-}
-
-// StreamCounters returns a copy of the per-stream fault counters, one
-// entry per stream id seen by SetStream (nil when accounting was never
-// enabled).
-func (m *Mapping) StreamCounters() []StreamFaults {
-	if m.perStream == nil {
-		return nil
-	}
-	return append([]StreamFaults(nil), m.perStream...)
-}
-
-// chargeStream attributes one fault to the currently tagged stream.
-func (m *Mapping) chargeStream(major, refault bool, faultIO time.Duration) {
-	if m.perStream == nil {
-		return
-	}
-	sf := &m.perStream[m.stream]
-	sf.Faults++
-	if major {
-		sf.MajorFaults++
-		sf.IONanos += faultIO.Nanoseconds()
-	}
-	if refault {
-		sf.Refaults++
-	}
-}
-
 // Touch accesses one byte offset, faulting the page in if necessary.
 func (m *Mapping) Touch(off int64) {
 	if off < 0 || off >= m.file.Size {
@@ -528,7 +462,6 @@ func (m *Mapping) Touch(off int64) {
 		m.file.os.enforceBudget(m.file, p, m.tenant)
 		m.file.os.enforceQuota(m.tenant, m.file, p)
 	}
-	m.chargeStream(major, refault, faultIO)
 	m.chargeTenant(major, refault, faultIO)
 	m.file.noteUse(p)
 	if m.tl != nil {

@@ -421,75 +421,3 @@ func TestAdaptiveReadaheadWindowCapped(t *testing.T) {
 		t.Errorf("major faults %d: cap not respected", m.MajorFaults)
 	}
 }
-
-func TestStreamCountersDisabledByDefault(t *testing.T) {
-	o := NewOS(SSD())
-	f := newTestFile(t, o, 16)
-	m := f.Map()
-	m.Touch(0)
-	m.Touch(PageSize * 4)
-	if got := m.StreamCounters(); got != nil {
-		t.Fatalf("untagged mapping tracks streams: %+v", got)
-	}
-}
-
-func TestStreamCountersPartitionTotals(t *testing.T) {
-	o := NewOS(SSD())
-	o.FaultAround = 1
-	o.CacheBudget = 2 // tight budget so later faults evict and re-fault
-	f := newTestFile(t, o, 8)
-	m := f.Map()
-	// Interleave two streams over pages that alternate between them; with
-	// a 2-page budget the second pass re-faults what the first evicted.
-	for pass := 0; pass < 2; pass++ {
-		for p := 0; p < 8; p++ {
-			m.SetStream(p % 2)
-			m.Touch(int64(p) * PageSize)
-		}
-	}
-	cs := m.StreamCounters()
-	if len(cs) != 2 {
-		t.Fatalf("got %d stream counters, want 2", len(cs))
-	}
-	var faults, major, refaults, ioNanos int64
-	for i, c := range cs {
-		if c.Stream != i {
-			t.Errorf("counter %d carries stream id %d", i, c.Stream)
-		}
-		if c.Faults == 0 || c.MajorFaults == 0 {
-			t.Errorf("stream %d took no faults: %+v", i, c)
-		}
-		faults += c.Faults
-		major += c.MajorFaults
-		refaults += c.Refaults
-		ioNanos += c.IONanos
-	}
-	// Per-stream counters partition the mapping totals exactly.
-	if faults != m.Faults || major != m.MajorFaults || refaults != m.Refaults {
-		t.Errorf("stream sums faults/major/refaults = %d/%d/%d, mapping totals %d/%d/%d",
-			faults, major, refaults, m.Faults, m.MajorFaults, m.Refaults)
-	}
-	if ioNanos != m.IOTime.Nanoseconds() {
-		t.Errorf("stream I/O sum %dns != mapping IOTime %v", ioNanos, m.IOTime)
-	}
-	if m.Refaults == 0 {
-		t.Error("tight budget produced no re-faults; the partition check is vacuous")
-	}
-	// The copy is detached from live counters.
-	cs[0].Faults = -99
-	if m.StreamCounters()[0].Faults == -99 {
-		t.Error("StreamCounters returned a live reference")
-	}
-}
-
-func TestSetStreamRejectsNegative(t *testing.T) {
-	o := NewOS(SSD())
-	f := newTestFile(t, o, 4)
-	m := f.Map()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetStream accepted a negative id")
-		}
-	}()
-	m.SetStream(-1)
-}

@@ -4,8 +4,7 @@ package osim
 // tenants (one long-lived image each) from a single OS with one shared
 // CacheBudget, and needs every fault, eviction and re-fault charged to a
 // tenant so cross-tenant interference is attributable: which tenant's
-// faults pushed whose pages out, and who paid the re-fault bill. Tenancy
-// mirrors the per-stream accounting of serve mode (SetStream): tagging is
+// faults pushed whose pages out, and who paid the re-fault bill. Tagging is
 // explicit, the counters partition the shared totals exactly (enforced by
 // test), and an OS that never tags a tenant pays nothing.
 //
@@ -97,9 +96,7 @@ func (o *OS) noteEviction(evictor, owner int) {
 	o.evictedBy[evictor+1][owner+1]++
 }
 
-// chargeTenant attributes one fault to the mapping's tenant, beside the
-// per-stream charge — tenancy and streams are orthogonal partitions of
-// the same fault totals.
+// chargeTenant attributes one fault to the mapping's tenant.
 func (m *Mapping) chargeTenant(major, refault bool, faultIO time.Duration) {
 	if m.tenant < 0 {
 		return
