@@ -12,6 +12,7 @@ package nimage_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"nimage"
@@ -407,6 +408,7 @@ func BenchmarkAblationPerTypeCounters(b *testing.B) {
 func BenchmarkImageBuild(b *testing.B) {
 	w, _ := workloads.ByName("Bounce")
 	p := w.Build()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := image.Build(p, image.Options{
@@ -428,6 +430,7 @@ func BenchmarkColdRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	o := osim.NewOS(osim.SSD())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.DropCaches()
@@ -439,6 +442,41 @@ func BenchmarkColdRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		proc.Close()
+	}
+}
+
+// BenchmarkServeRequest measures one request on a warm serve-api process:
+// a dispatch RunMethod after startup ran to the first response.
+func BenchmarkServeRequest(b *testing.B) {
+	w, err := workloads.ByName("serve-api")
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := image.Build(w.Build(), image.Options{
+		Kind: image.KindRegular, Compiler: graal.DefaultConfig(), BuildSeed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	proc, err := img.NewProcess(osim.NewOS(osim.SSD()), nimage.Hooks{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer proc.Close()
+	proc.Machine.StopOnRespond = true
+	if err := proc.Run(w.Args...); err != nil {
+		b.Fatal(err)
+	}
+	dispatch := img.Program.Class(w.Serve.DispatchClass).LookupMethod(w.Serve.DispatchMethod)
+	// The step budget spans the process's lifetime, and b.N requests may
+	// outrun the default.
+	proc.Machine.MaxSteps = math.MaxInt64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := proc.Machine.RunMethod(dispatch, heap.IntVal(int64(i%w.Serve.Routes))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

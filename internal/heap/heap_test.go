@@ -34,6 +34,40 @@ func TestNewObjectZeroed(t *testing.T) {
 	}
 }
 
+func TestNewZeroedByKind(t *testing.T) {
+	b := ir.NewBuilder("zero")
+	b.Class(ir.StringClass)
+	b.Class("Z").Field("i", ir.Int()).Field("f", ir.Float()).
+		Field("r", ir.Ref("Z")).Field("a", ir.Array(ir.Int()))
+	p, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	z := p.Class("Z")
+	o := NewObject(z)
+	cases := []struct {
+		field string
+		typ   ir.TypeRef
+		want  Value
+	}{
+		{"i", ir.Int(), IntVal(0)},
+		{"f", ir.Float(), FloatVal(0)},
+		{"r", ir.Ref("Z"), Null()},
+		{"a", ir.Array(ir.Int()), Null()},
+	}
+	for _, c := range cases {
+		if got := o.GetField(z.LookupField(c.field)); got != c.want {
+			t.Errorf("field %s = %+v, want %+v", c.field, got, c.want)
+		}
+		arr := NewArray(c.typ, 3)
+		for i := 0; i < arr.Len(); i++ {
+			if got := arr.GetElem(i); got != c.want {
+				t.Errorf("%s array elem %d = %+v, want %+v", c.typ.FullyQualifiedName(), i, got, c.want)
+			}
+		}
+	}
+}
+
 func TestFieldAndElemAccess(t *testing.T) {
 	p := testClasses(t)
 	n := NewObject(p.Class("Node"))

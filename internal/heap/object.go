@@ -63,38 +63,40 @@ const objectHeader = 16 // mark word + class pointer
 const slotSize = 8
 
 // NewObject allocates an instance of class with zeroed fields (integers 0,
-// floats 0.0, references null).
+// floats 0.0, references null). Integer fields need no store: IntVal(0) is
+// Go's zero Value.
 func NewObject(class *ir.Class) *Object {
 	o := &Object{Class: class, Fields: make([]Value, len(class.AllFields))}
 	for i, f := range class.AllFields {
-		switch f.Type.Kind {
-		case ir.KFloat:
-			o.Fields[i] = FloatVal(0)
-		case ir.KRef, ir.KArray:
-			o.Fields[i] = Null()
-		default:
-			o.Fields[i] = IntVal(0)
+		if z := zeroOf(f.Type.Kind); z != (Value{}) {
+			o.Fields[i] = z
 		}
 	}
 	return o
 }
 
 // NewArray allocates an array of n elements of the given type, zeroed.
+// Integer arrays need no fill: IntVal(0) is Go's zero Value.
 func NewArray(elem ir.TypeRef, n int) *Object {
 	o := &Object{IsArray: true, Elem: elem, ElemBytes: slotSize, Elems: make([]Value, n)}
-	var zero Value
-	switch elem.Kind {
-	case ir.KFloat:
-		zero = FloatVal(0)
-	case ir.KRef, ir.KArray:
-		zero = Null()
-	default:
-		zero = IntVal(0)
-	}
-	for i := range o.Elems {
-		o.Elems[i] = zero
+	if z := zeroOf(elem.Kind); z != (Value{}) {
+		for i := range o.Elems {
+			o.Elems[i] = z
+		}
 	}
 	return o
+}
+
+// zeroOf returns the zero value of a slot of kind k.
+func zeroOf(k ir.TypeKind) Value {
+	switch k {
+	case ir.KFloat:
+		return FloatVal(0)
+	case ir.KRef, ir.KArray:
+		return Null()
+	default:
+		return IntVal(0)
+	}
 }
 
 // NewByteArray allocates a packed byte array of n bytes. Its elements are
@@ -207,14 +209,7 @@ func (s *Statics) Get(f *ir.Field) Value {
 	if v, ok := s.vals[f]; ok {
 		return v
 	}
-	switch f.Type.Kind {
-	case ir.KFloat:
-		return FloatVal(0)
-	case ir.KRef, ir.KArray:
-		return Null()
-	default:
-		return IntVal(0)
-	}
+	return zeroOf(f.Type.Kind)
 }
 
 // Set writes a static field.

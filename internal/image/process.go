@@ -55,7 +55,9 @@ type Process struct {
 	// reports that AWFY accesses ~4% of them).
 	AccessedObjects int
 
-	accessed map[*heap.Object]bool
+	// accessed marks the touched snapshot objects by SeqID, which
+	// BuildSnapshot assigns as the object's index in Snapshot.Objects.
+	accessed []bool
 	obs      *obs.Registry
 	closed   bool
 }
@@ -70,7 +72,7 @@ func (img *Image) NewProcess(o *osim.OS, extra vm.Hooks) (*Process, error) {
 	p := &Process{
 		Img:      img,
 		Mapping:  f.Map(),
-		accessed: make(map[*heap.Object]bool),
+		accessed: make([]bool, len(img.Snapshot.Objects)),
 		obs:      o.Obs,
 	}
 	m := vm.New(img.Program)
@@ -159,8 +161,8 @@ func (p *Process) hooks() vm.Hooks {
 			if !o.InSnapshot {
 				return
 			}
-			if !p.accessed[o] {
-				p.accessed[o] = true
+			if !p.accessed[o.SeqID] {
+				p.accessed[o.SeqID] = true
 				p.AccessedObjects++
 			}
 			p.Mapping.TouchRange(img.HeapSection.Off+o.Offset, o.Size)

@@ -167,14 +167,14 @@ func (m *Machine) terminate(t *thread, f *frame, blk *ir.Block) error {
 			m.Hooks.OnMethodExit(t.id, f.m)
 		}
 		t.frames = t.frames[:len(t.frames)-1]
+		m.freeFrames = append(m.freeFrames, f)
 		if len(t.frames) == 0 {
 			m.lastResult = ret
 			t.done = true
 			return nil
 		}
-		caller := t.frames[len(t.frames)-1]
 		if f.retReg >= 0 {
-			caller.regs[f.retReg] = ret
+			t.frames[len(t.frames)-1].regs[f.retReg] = ret
 		}
 	default:
 		return m.trapf(f, "invalid terminator %d", blk.Term.Op)
@@ -215,15 +215,7 @@ func (m *Machine) call(t *thread, f *frame, in *ir.Instr) error {
 	if inlined {
 		ctx = f.ctx
 	}
-	nf := &frame{
-		m:      callee,
-		ctx:    ctx,
-		regs:   make([]heap.Value, callee.NumRegs),
-		retReg: in.A,
-	}
-	for i := range nf.regs {
-		nf.regs[i] = heap.Null()
-	}
+	nf := m.newFrame(callee, ctx, in.A)
 	for i, a := range in.Args {
 		nf.regs[i] = f.regs[a]
 	}

@@ -69,6 +69,14 @@ const (
 const CycleNanos = 0.4
 
 // Machine executes one program. Zero-value fields get defaults in New.
+//
+// Frames and threads are recycled per Machine, so a warm machine's call
+// path does not allocate: a returning frame goes back to a free list, and
+// the end of a scheduling round hands back its threads together with any
+// frames a stop left on their stacks. A reused frame keeps its register
+// slice when it is large enough. Registers are reset to null when a frame
+// is taken again, not when it returns, so a free frame may hold object
+// references until it is reused or the machine dies.
 type Machine struct {
 	Prog    *ir.Program
 	Statics *heap.Statics
@@ -116,6 +124,11 @@ type Machine struct {
 	journal     *journal
 	lastResult  heap.Value
 
+	// freeFrames and freeThreads are the machine's recycled frames and
+	// threads (see newFrame and newThread).
+	freeFrames  []*frame
+	freeThreads []*thread
+
 	// mix accumulates per-opcode execution counts between finish() flushes;
 	// mixOn caches Obs != nil for the duration of one schedule() run.
 	mix   [ir.NumOps]int64
@@ -159,16 +172,7 @@ func (m *Machine) ensureInit(t *thread, c *ir.Class) bool {
 	// Push subclass initializers first so superclass initializers end up
 	// on top of the stack and run first.
 	for _, cl := range pending {
-		nf := &frame{
-			m:      cl,
-			ctx:    cl,
-			regs:   make([]heap.Value, cl.NumRegs),
-			retReg: int(ir.NoReg),
-		}
-		for i := range nf.regs {
-			nf.regs[i] = heap.Null()
-		}
-		t.frames = append(t.frames, nf)
+		t.frames = append(t.frames, m.newFrame(cl, cl, int(ir.NoReg)))
 		if m.Hooks.OnMethodEnter != nil {
 			m.Hooks.OnMethodEnter(t.id, cl)
 		}
@@ -183,8 +187,9 @@ func (m *Machine) ensureInit(t *thread, c *ir.Class) bool {
 // superclasses) unless it already ran; used by the image builder for the
 // explicit build-time initialization sequence.
 func (m *Machine) RunClassInit(c *ir.Class) error {
-	t := &thread{id: -1}
+	t := m.newThread(-1)
 	if !m.ensureInit(t, c) {
+		m.freeThreads = append(m.freeThreads, t)
 		return nil
 	}
 	m.threads = append(m.threads, t)
@@ -210,6 +215,43 @@ type thread struct {
 	id     int
 	frames []*frame
 	done   bool
+}
+
+// newFrame returns a frame executing meth from its entry block, with every
+// register null. It reuses a free frame, and that frame's register slice
+// when the slice is large enough.
+func (m *Machine) newFrame(meth, ctx *ir.Method, retReg int) *frame {
+	var f *frame
+	if n := len(m.freeFrames); n > 0 {
+		f = m.freeFrames[n-1]
+		m.freeFrames = m.freeFrames[:n-1]
+	} else {
+		f = new(frame)
+	}
+	regs := f.regs
+	if cap(regs) < meth.NumRegs {
+		regs = make([]heap.Value, meth.NumRegs)
+	}
+	regs = regs[:meth.NumRegs]
+	for i := range regs {
+		regs[i] = heap.Null()
+	}
+	*f = frame{m: meth, ctx: ctx, regs: regs, retReg: retReg}
+	return f
+}
+
+// newThread returns an empty, live thread with the given id, reusing a
+// free one when there is one.
+func (m *Machine) newThread(id int) *thread {
+	var t *thread
+	if n := len(m.freeThreads); n > 0 {
+		t = m.freeThreads[n-1]
+		m.freeThreads = m.freeThreads[:n-1]
+	} else {
+		t = new(thread)
+	}
+	*t = thread{id: id, frames: t.frames[:0]}
+	return t
 }
 
 // trap is an execution error with location context.
@@ -247,26 +289,18 @@ func (m *Machine) RunMethod(target *ir.Method, args ...heap.Value) (heap.Value, 
 	if !target.Static {
 		return heap.Null(), fmt.Errorf("vm: RunMethod target %s is not static", target.Signature())
 	}
-	t := m.spawnThread(target, args)
+	m.spawnThread(target, args)
 	if err := m.schedule(); err != nil {
 		return heap.Null(), err
 	}
-	_ = t
 	return m.lastResult, nil
 }
 
-func (m *Machine) spawnThread(entry *ir.Method, args []heap.Value) *thread {
-	f := &frame{
-		m:      entry,
-		ctx:    entry,
-		regs:   make([]heap.Value, entry.NumRegs),
-		retReg: int(ir.NoReg),
-	}
-	for i := range f.regs {
-		f.regs[i] = heap.Null()
-	}
+func (m *Machine) spawnThread(entry *ir.Method, args []heap.Value) {
+	f := m.newFrame(entry, entry, int(ir.NoReg))
 	copy(f.regs, args)
-	t := &thread{id: m.nextTID, frames: []*frame{f}}
+	t := m.newThread(m.nextTID)
+	t.frames = append(t.frames, f)
 	m.nextTID++
 	m.threads = append(m.threads, t)
 	if m.Hooks.OnEnterCU != nil {
@@ -278,7 +312,6 @@ func (m *Machine) spawnThread(entry *ir.Method, args []heap.Value) *thread {
 	if m.Hooks.OnBlock != nil {
 		m.Hooks.OnBlock(t.id, entry, 0)
 	}
-	return t
 }
 
 // schedule runs all threads round-robin until completion or stop.
@@ -315,8 +348,13 @@ func (m *Machine) schedule() error {
 }
 
 func (m *Machine) finish() {
-	// Drop finished thread bookkeeping; the machine can be reused for a
-	// further RunMethod (build-time clinit sequences do this).
+	// Recycle the round's threads and the frames a stop left on their
+	// stacks; the machine can be reused for a further RunMethod (build-time
+	// clinit sequences and serve requests do this).
+	for _, t := range m.threads {
+		m.freeFrames = append(m.freeFrames, t.frames...)
+		m.freeThreads = append(m.freeThreads, t)
+	}
 	m.threads = m.threads[:0]
 	m.stop = false
 	if m.mixOn {
