@@ -7,8 +7,8 @@
 // additionally collected into a benchmark-baseline document
 // (BENCH_baseline.json), the "serve" experiment writes its own slice —
 // warm-burst latency, re-fault, and layout-scorecard geomeans — to
-// output/BENCH_serve.json, and the "report" experiment writes the
-// consolidated observability document (output/report.json).
+// output/BENCH_serve.json, and the "report" experiment regenerates the
+// consolidated observability document (output/report.json, not committed).
 //
 // The "slo" experiment is the serve SLO observatory: concurrent request
 // streams at several pressure levels, per-strategy SLO attainment and
@@ -37,7 +37,7 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -69,16 +69,35 @@ type benchDoc struct {
 	Figures    map[string]map[string]float64 `json:"figures"`
 }
 
-// geomean is the geometric mean of a set of positive factors.
-func geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// slice returns the document restricted to the figures whose key starts
+// with prefix, labelled with the protocol size they were measured at.
+func (d benchDoc) slice(prefix string, builds, iters int) benchDoc {
+	out := benchDoc{Schema: d.Schema, Device: d.Device, Builds: builds, Iterations: iters,
+		Figures: map[string]map[string]float64{}}
+	for key, geo := range d.Figures {
+		if strings.HasPrefix(key, prefix) {
+			out.Figures[key] = geo
+		}
 	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += math.Log(x)
+	return out
+}
+
+// writeDoc writes v to path as one JSON document (obs.WriteDoc).
+func writeDoc(path string, v any) error {
+	var buf bytes.Buffer
+	if err := obs.WriteDoc(&buf, v); err != nil {
+		return err
 	}
-	return math.Exp(sum / float64(len(xs)))
+	return os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+// writeBench writes a benchmark document to path and reports it.
+func writeBench(path string, d benchDoc) error {
+	if err := writeDoc(path, d); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d figures)\n", path, len(d.Figures))
+	return nil
 }
 
 // parseWorkloadFilter resolves a comma-separated -workloads value; an empty
@@ -421,7 +440,7 @@ func run(args []string) error {
 			fmt.Printf("wrote %s\n\n", path)
 			geo := map[string]float64{}
 			for s, fs := range factors {
-				geo[s] = geomean(fs)
+				geo[s] = eval.GeoMean(fs)
 			}
 			if len(geo) > 0 {
 				baseline.Figures[fmt.Sprintf("serve-scorecards-p%d", p)] = geo
@@ -431,25 +450,11 @@ func run(args []string) error {
 		// per-strategy warm-burst latency, measured re-fault, and predicted
 		// scorecard geomeans per pressure — written unconditionally so the
 		// nightly job and local runs get the serve baseline without -bench.
-		serve := benchDoc{
-			Schema: benchSchema, Device: cfg.Device.Name,
-			Builds: cfg.Builds, Iterations: cfg.Iterations,
-			Figures: map[string]map[string]float64{},
-		}
-		for key, geo := range baseline.Figures {
-			if strings.HasPrefix(key, "serve-") {
-				serve.Figures[key] = geo
-			}
-		}
-		data, err := json.MarshalIndent(serve, "", "  ")
-		if err != nil {
+		if err := writeBench(filepath.Join(*out, "BENCH_serve.json"),
+			baseline.slice("serve-", cfg.Builds, cfg.Iterations)); err != nil {
 			return err
 		}
-		path := filepath.Join(*out, "BENCH_serve.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d figures)\n\n", path, len(serve.Figures))
+		fmt.Println()
 		return nil
 	})
 	run("slo", func() error {
@@ -475,32 +480,9 @@ func run(args []string) error {
 		for _, t := range rep.Targets {
 			labels = append(labels, t.String())
 		}
-		rows := make([]textviz.SLORow, 0, len(rep.Entries)*len(rep.Targets))
-		for _, e := range rep.Entries {
-			for _, a := range e.Attainments {
-				rows = append(rows, textviz.SLORow{
-					Workload: e.Workload, Strategy: e.Strategy,
-					PressurePct: e.PressurePct,
-					Quantile:    a.Quantile, BudgetNanos: a.BudgetNanos,
-					MeasuredNanos: a.MeasuredNanos,
-					Violations:    a.Violations, Requests: a.Requests,
-					BudgetBurn: a.BudgetBurn, Attained: a.Attained,
-				})
-			}
-		}
 		fmt.Println(textviz.SLOTable(fmt.Sprintf("SLO attainment (%d streams, targets %s)",
-			rep.Streams, strings.Join(labels, " ")), rows))
-		orows := make([]textviz.SLOOverheadRow, 0, len(rep.Overhead))
-		for _, o := range rep.Overhead {
-			orows = append(orows, textviz.SLOOverheadRow{
-				Workload: o.Workload, Strategy: o.Strategy,
-				OnWallNanosPerReq:  o.OnWallNanosPerReq,
-				OffWallNanosPerReq: o.OffWallNanosPerReq,
-				OverheadFrac:       o.OverheadFrac,
-				SimIdentical:       o.SimIdentical,
-			})
-		}
-		fmt.Println(textviz.SLOOverheadTable(orows))
+			rep.Streams, strings.Join(labels, " ")), rep))
+		fmt.Println(textviz.SLOOverheadTable(rep))
 		// One attainment CSV per pressure level, mirroring the serve CSVs.
 		for _, p := range pressures {
 			var sb strings.Builder
@@ -525,15 +507,7 @@ func run(args []string) error {
 		}
 		// BENCH_slo.json is the nimage.slo/v1 document itself.
 		path := filepath.Join(*out, "BENCH_slo.json")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteSLOReport(f, rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeDoc(path, rep); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (%d entries, %d overhead controls)\n\n", path, len(rep.Entries), len(rep.Overhead))
@@ -569,17 +543,8 @@ func run(args []string) error {
 				return err
 			}
 			rep := res.Journal
-			rows := make([]textviz.SearchRow, 0, len(rep.Iterations))
 			for _, it := range rep.Iterations {
 				for _, c := range it.Candidates {
-					rows = append(rows, textviz.SearchRow{
-						Iter: it.Iter, Candidate: c.ID, Op: c.Op,
-						PredictedRefaults: c.PredictedRefaults,
-						Promoted:          c.Promoted,
-						Attained:          c.Attained, Targets: c.Targets,
-						RefaultGeomean: c.RefaultGeomean,
-						Accepted:       c.Accepted, Reason: c.Reason,
-					})
 					fmt.Fprintf(&csv, "%s,%d,%s,%s,%s,%d,%.4f,%t,%d,%d,%.4f,%.4f,%t,%s\n",
 						w.Name, it.Iter, c.ID, c.Op, c.OrderDigest,
 						c.PredictedRefaults, c.PredictedLocality, c.Promoted,
@@ -589,17 +554,9 @@ func run(args []string) error {
 			}
 			fmt.Println(textviz.SearchTable(fmt.Sprintf(
 				"Layout search (%s, %d iterations, top-%d, pressures %v)",
-				w.Name, rep.BudgetIters, rep.TopK, rep.Pressures), rows))
+				w.Name, rep.BudgetIters, rep.TopK, rep.Pressures), rep))
 			jpath := filepath.Join(*out, fmt.Sprintf("search-%s.json", w.Name))
-			jf, err := os.Create(jpath)
-			if err != nil {
-				return err
-			}
-			if err := obs.WriteSearchReport(jf, rep); err != nil {
-				jf.Close()
-				return err
-			}
-			if err := jf.Close(); err != nil {
+			if err := writeDoc(jpath, rep); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s (winner %s, attained %d/%d)\n\n",
@@ -640,40 +597,21 @@ func run(args []string) error {
 		for p, byStrat := range attained {
 			geo := map[string]float64{}
 			for s, fs := range byStrat {
-				sum := 0.0
-				for _, f := range fs {
-					sum += f
-				}
-				geo[s] = sum / float64(len(fs))
+				geo[s] = eval.Mean(fs)
 			}
 			baseline.Figures[fmt.Sprintf("search-attained-p%d", p)] = geo
 		}
 		for p, byStrat := range factors {
 			geo := map[string]float64{}
 			for s, fs := range byStrat {
-				geo[s] = geomean(fs)
+				geo[s] = eval.GeoMean(fs)
 			}
 			baseline.Figures[fmt.Sprintf("search-refault-factor-p%d", p)] = geo
 		}
-		search := benchDoc{
-			Schema: benchSchema, Device: cfg.Device.Name,
-			Builds: 1, Iterations: 1,
-			Figures: map[string]map[string]float64{},
-		}
-		for key, geo := range baseline.Figures {
-			if strings.HasPrefix(key, "search-") {
-				search.Figures[key] = geo
-			}
-		}
-		data, err := json.MarshalIndent(search, "", "  ")
-		if err != nil {
+		if err := writeBench(filepath.Join(*out, "BENCH_search.json"), baseline.slice("search-", 1, 1)); err != nil {
 			return err
 		}
-		path := filepath.Join(*out, "BENCH_search.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d figures)\n\n", path, len(search.Figures))
+		fmt.Println()
 		return nil
 	})
 	run("fleet", func() error {
@@ -722,38 +660,20 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			fo := fos[0]
-			rows := make([]textviz.FleetRow, 0, len(fo.Tenants))
-			for _, t := range fo.Tenants {
-				att := 0
-				for _, a := range t.Attainment {
-					if a.Attained {
-						att++
-					}
-				}
-				rows = append(rows, textviz.FleetRow{
-					Tenant: t.Tenant, Workload: t.Spec.Workload, Strategy: t.Spec.Strategy,
-					QuotaPages: t.QuotaPages, StartupNanos: t.StartupNanos,
-					WarmMeanNanos: t.WarmMeanNanos, WarmP99Nanos: t.WarmP99Nanos,
-					MajorFaults: t.Counters.MajorFaults, Refaults: t.Counters.Refaults,
-					EvictedPages: t.EvictedPages, ResidentPages: int64(t.ResidentPages),
-					SLOAttained: att, SLOTargets: len(t.Attainment),
-					IsolationLatency: t.IsolationLatency, IsolationRefault: t.IsolationRefault,
-				})
-			}
+			rep := fos[0].FleetReport()
 			fmt.Print(textviz.FleetTable(fmt.Sprintf(
 				"Fleet scorecard (%d tenants, budget %d pages, quota %d%%)",
-				n, *fleetBudget, *fleetQuota), rows))
+				n, *fleetBudget, *fleetQuota), rep))
 			fmt.Println()
-			fmt.Println(textviz.FleetMatrix(fo.EvictedBy, fo.TotalEvictions))
+			fmt.Println(textviz.FleetMatrix(rep.EvictedBy, rep.TotalEvictions))
 			label := func(i int) string {
 				if i == 0 {
 					return "ext"
 				}
-				t := fo.Tenants[i-1]
-				return fmt.Sprintf("t%02d:%s/%s", t.Tenant, t.Spec.Workload, t.Spec.Strategy)
+				t := rep.Tenants[i-1]
+				return fmt.Sprintf("t%02d:%s/%s", t.Tenant, t.Workload, t.Strategy)
 			}
-			for i, row := range fo.EvictedBy {
+			for i, row := range rep.EvictedBy {
 				for j := 1; j < len(row); j++ {
 					fmt.Fprintf(&csv, "%d,%s,%s,%d\n", n, label(i), label(j), row[j])
 				}
@@ -761,7 +681,7 @@ func run(args []string) error {
 			attained := map[string][]float64{}
 			isolation := map[string][]float64{}
 			isoMin, isoMax := math.Inf(1), 0.0
-			for _, t := range fo.Tenants {
+			for _, t := range rep.Tenants {
 				att := 0
 				for _, a := range t.Attainment {
 					if a.Attained {
@@ -769,27 +689,23 @@ func run(args []string) error {
 					}
 				}
 				if len(t.Attainment) > 0 {
-					attained[t.Spec.Strategy] = append(attained[t.Spec.Strategy],
+					attained[t.Strategy] = append(attained[t.Strategy],
 						float64(att)/float64(len(t.Attainment)))
 				}
 				if t.IsolationLatency > 0 {
-					isolation[t.Spec.Strategy] = append(isolation[t.Spec.Strategy], t.IsolationLatency)
+					isolation[t.Strategy] = append(isolation[t.Strategy], t.IsolationLatency)
 					isoMin = math.Min(isoMin, t.IsolationLatency)
 					isoMax = math.Max(isoMax, t.IsolationLatency)
 				}
 			}
 			geoAtt := map[string]float64{}
 			for s, fs := range attained {
-				sum := 0.0
-				for _, f := range fs {
-					sum += f
-				}
-				geoAtt[s] = sum / float64(len(fs))
+				geoAtt[s] = eval.Mean(fs)
 			}
 			baseline.Figures[fmt.Sprintf("fleet-attained-t%d", n)] = geoAtt
 			geoIso := map[string]float64{}
 			for s, fs := range isolation {
-				geoIso[s] = geomean(fs)
+				geoIso[s] = eval.GeoMean(fs)
 			}
 			if len(geoIso) > 0 {
 				baseline.Figures[fmt.Sprintf("fleet-isolation-t%d", n)] = geoIso
@@ -807,25 +723,10 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote %s\n", cpath)
 		// BENCH_fleet.json is the fleet slice of the bench doc.
-		fleet := benchDoc{
-			Schema: benchSchema, Device: cfg.Device.Name,
-			Builds: 1, Iterations: 1,
-			Figures: map[string]map[string]float64{},
-		}
-		for key, geo := range baseline.Figures {
-			if strings.HasPrefix(key, "fleet-") {
-				fleet.Figures[key] = geo
-			}
-		}
-		data, err := json.MarshalIndent(fleet, "", "  ")
-		if err != nil {
+		if err := writeBench(filepath.Join(*out, "BENCH_fleet.json"), baseline.slice("fleet-", 1, 1)); err != nil {
 			return err
 		}
-		path := filepath.Join(*out, "BENCH_fleet.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d figures)\n\n", path, len(fleet.Figures))
+		fmt.Println()
 		return nil
 	})
 	run("report", func() error {
@@ -862,15 +763,7 @@ func run(args []string) error {
 			return err
 		}
 		path := filepath.Join(*out, "report.json")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeDoc(path, rep); err != nil {
 			return err
 		}
 		fmt.Printf("Observability report: %d entries over %d workloads\n", len(rep.Entries), len(ws))
@@ -900,14 +793,9 @@ func run(args []string) error {
 	}
 
 	if *bench != "" && len(baseline.Figures) > 0 {
-		data, err := json.MarshalIndent(baseline, "", "  ")
-		if err != nil {
+		if err := writeBench(*bench, baseline); err != nil {
 			return err
 		}
-		if err := os.WriteFile(*bench, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d figures)\n", *bench, len(baseline.Figures))
 	}
 
 	wall := time.Since(start)

@@ -134,28 +134,18 @@ func cmdFleet(args []string) error {
 
 	title := fmt.Sprintf("Fleet scorecard (%d tenants, budget %d pages, %s, %d%% pressure)",
 		len(rep.Tenants), rep.CacheBudget, rep.Policy, rep.PressurePct)
-	fmt.Print(nimage.FleetTableText(title, nimage.FleetRows(rep)))
+	fmt.Print(nimage.FleetTableText(title, rep))
 	fmt.Println()
 	fmt.Print(nimage.FleetMatrixText(rep.EvictedBy, rep.TotalEvictions))
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := nimage.WriteFleetReport(f, rep); err != nil {
+		if err := writeWith(*out, func(f *os.File) error { return nimage.WriteFleetReport(f, rep) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote fleet report to %s\n", *out)
 	}
 	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := nimage.WriteFleetChromeTrace(f, rep, fo.Requests); err != nil {
+		if err := writeWith(*trace, func(f *os.File) error { return nimage.WriteFleetChromeTrace(f, rep, fo.Requests) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote fleet Chrome trace to %s\n", *trace)
@@ -165,12 +155,7 @@ func cmdFleet(args []string) error {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*report)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := doc.WriteJSON(f); err != nil {
+		if err := writeWith(*report, func(f *os.File) error { return doc.WriteJSON(f) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote fleet report document to %s\n", *report)

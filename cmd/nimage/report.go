@@ -18,12 +18,7 @@ import (
 
 // writeSnapshot writes a registry's snapshot as indented JSON to path.
 func writeSnapshot(path string, r *nimage.ObsRegistry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return nimage.ObsJSONSink{W: f, Indent: true}.Write(r.Snapshot())
+	return writeWith(path, func(f *os.File) error { return nimage.ObsJSONSink{W: f, Indent: true}.Write(r.Snapshot()) })
 }
 
 // validateHarnessFlags rejects out-of-range harness sizing up front
@@ -87,15 +82,7 @@ func cmdReport(args []string) error {
 		return err
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeWith(*out, func(f *os.File) error { return rep.WriteJSON(f) }); err != nil {
 		return err
 	}
 

@@ -109,17 +109,7 @@ func cmdServe(args []string) error {
 	}
 	fmt.Println(")")
 	fmt.Printf("  startup (time to first response): %.3fms\n", o.StartupNanos/1e6)
-	rows := make([]nimage.BurstRowText, 0, len(o.Bursts))
-	for _, b := range o.Bursts {
-		rows = append(rows, nimage.BurstRowText{
-			Burst: b.Burst, Requests: b.Requests,
-			P50Nanos: b.P50Nanos, P99Nanos: b.P99Nanos,
-			MajorFaults: b.MajorFaults, MinorFaults: b.MinorFaults,
-			Refaults: b.Refaults, EvictedPages: b.EvictedPages,
-			ResidentText: b.ResidentText, ResidentHeap: b.ResidentHeap,
-		})
-	}
-	fmt.Print(nimage.BurstTableText("per-burst telemetry:", rows))
+	fmt.Print(nimage.BurstTableText("per-burst telemetry:", o.Bursts))
 	fmt.Printf("  warm bursts: mean %.3fµs, p99 %.3fµs; run totals: %d pages evicted, %d re-faulted\n",
 		o.WarmMeanNanos/1e3, o.WarmP99Nanos/1e3, o.EvictedPages, o.RefaultPages)
 
@@ -132,12 +122,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*report)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
+		if err := writeWith(*report, func(f *os.File) error { return rep.WriteJSON(f) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote serve report to %s\n", *report)

@@ -116,17 +116,12 @@ func cmdSlo(args []string) error {
 	}
 	title := fmt.Sprintf("SLO attainment (%d streams, targets %s)",
 		rep.Streams, strings.Join(labels, " "))
-	fmt.Print(nimage.SLOTableText(title, nimage.SLORows(rep)))
+	fmt.Print(nimage.SLOTableText(title, rep))
 	fmt.Println()
-	fmt.Print(nimage.SLOOverheadTableText(nimage.SLOOverheadRows(rep)))
+	fmt.Print(nimage.SLOOverheadTableText(rep))
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := nimage.WriteSLOReport(f, rep); err != nil {
+		if err := writeWith(*out, func(f *os.File) error { return nimage.WriteSLOReport(f, rep) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote SLO report to %s\n", *out)
@@ -155,10 +150,5 @@ func writeSLOChromeTrace(path string, ws []nimage.Workload, h *nimage.Harness, s
 	if outs[0].Requests == nil {
 		return fmt.Errorf("serve run recorded no request trace")
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return nimage.WriteRequestChromeTrace(f, outs[0].Requests)
+	return writeWith(path, func(f *os.File) error { return nimage.WriteRequestChromeTrace(f, outs[0].Requests) })
 }

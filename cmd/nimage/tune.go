@@ -92,7 +92,7 @@ func cmdTune(args []string) error {
 	rep := res.Journal
 	title := fmt.Sprintf("Layout search (%s, seed %#x, %d iterations, top-%d, pressures %v)",
 		rep.Workload, rep.Seed, rep.BudgetIters, rep.TopK, rep.Pressures)
-	fmt.Print(nimage.SearchTableText(title, nimage.SearchRows(rep)))
+	fmt.Print(nimage.SearchTableText(title, rep))
 	fmt.Println()
 	fmt.Printf("winner: %s (%d symbols, digest %s)\n",
 		rep.Final.Candidate, rep.Final.Symbols, rep.Final.OrderDigest)
@@ -100,12 +100,7 @@ func cmdTune(args []string) error {
 		rep.Final.Attained, rep.Final.Targets, rep.Final.RefaultGeomean, rep.Final.BudgetBurn)
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := nimage.WriteSearchReport(f, rep); err != nil {
+		if err := writeWith(*out, func(f *os.File) error { return nimage.WriteSearchReport(f, rep) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote search journal to %s\n", *out)

@@ -1,13 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"nimage"
+	"nimage/internal/obs"
 )
 
 // cmdVerify runs the end-to-end equivalence verifier: differential builds
@@ -49,17 +49,7 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeWith(*out, func(f *os.File) error { return obs.WriteDoc(f, rep) }); err != nil {
 			return err
 		}
 	}

@@ -227,8 +227,8 @@ func (h *Harness) measureImage(img *image.Image, w workloads.Workload, layout st
 
 // accessedFraction returns the fraction of snapshot objects accessed, 0
 // for images with an empty snapshot — a plain division would yield NaN,
-// which encoding/json refuses to marshal when the measures reach
-// output/report.json.
+// which encoding/json refuses to marshal when the measures reach the
+// report document (`nimage-eval -figure report`).
 func accessedFraction(accessed, snapshot int) float64 {
 	if snapshot <= 0 {
 		return 0

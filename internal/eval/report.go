@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"time"
@@ -313,11 +311,4 @@ func mergedAffinity(ms []RunMeasure) *affinity.Graph {
 }
 
 // WriteJSON writes the report as an indented JSON document.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("eval: encoding report: %w", err)
-	}
-	return nil
-}
+func (r *Report) WriteJSON(w io.Writer) error { return obs.WriteDoc(w, r) }

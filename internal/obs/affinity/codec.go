@@ -8,10 +8,11 @@ package affinity
 // fixed point, and no input panics the decoder.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+
+	"nimage/internal/obs"
 )
 
 // Decode-side hard bounds: documents beyond these are rejected rather
@@ -25,28 +26,11 @@ const (
 )
 
 // WriteGraph serializes the graph as indented JSON.
-func WriteGraph(w io.Writer, g *Graph) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(g); err != nil {
-		return fmt.Errorf("affinity: encoding graph: %w", err)
-	}
-	return nil
-}
+func WriteGraph(w io.Writer, g *Graph) error { return obs.WriteDoc(w, g) }
 
 // ReadGraph deserializes and validates a graph written by WriteGraph.
 func ReadGraph(r io.Reader) (*Graph, error) {
-	var g Graph
-	if err := json.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("affinity: decoding graph: %w", err)
-	}
-	if g.Schema != GraphSchema {
-		return nil, fmt.Errorf("affinity: unsupported schema %q (want %q)", g.Schema, GraphSchema)
-	}
-	if err := g.validate(); err != nil {
-		return nil, fmt.Errorf("affinity: invalid graph: %w", err)
-	}
-	return &g, nil
+	return obs.ReadDoc(r, "affinity", "graph", GraphSchema, func(g *Graph) string { return g.Schema }, (*Graph).validate)
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

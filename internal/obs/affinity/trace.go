@@ -9,47 +9,26 @@ package affinity
 // window's symbol count.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"nimage/internal/obs"
 )
 
-type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Cat  string         `json:"cat,omitempty"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
 const (
-	tracePid   = 1
-	counterTid = 1
-	laneTid0   = 2
+	counterTid = obs.ChromeTid0
+	laneTid0   = counterTid + 1
 )
 
 // WriteChromeTrace writes the graph's window log as Chrome trace-event
 // JSON: a "window symbols" counter track plus co-residency lanes.
 func WriteChromeTrace(w io.Writer, g *Graph) error {
-	tf := traceFile{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{}}
 	proc := "nimage affinity"
 	if g.Workload != "" {
 		proc = fmt.Sprintf("nimage affinity %s (%s)", g.Workload, g.Layout)
 	}
-	tf.TraceEvents = append(tf.TraceEvents,
-		traceEvent{Name: "process_name", Ph: "M", Pid: tracePid, Tid: counterTid,
-			Args: map[string]any{"name": proc}},
-		traceEvent{Name: "thread_name", Ph: "M", Pid: tracePid, Tid: counterTid,
-			Args: map[string]any{"name": "window symbols"}},
-	)
+	tr := obs.NewChromeTrace(proc)
+	tr.Thread(counterTid, "window symbols")
 	maxDepth := 0
 	for wi, win := range g.WindowLog {
 		ts := float64(win.Start)
@@ -57,9 +36,9 @@ func WriteChromeTrace(w io.Writer, g *Graph) error {
 		if wi+1 < len(g.WindowLog) && float64(g.WindowLog[wi+1].Start) > ts {
 			end = float64(g.WindowLog[wi+1].Start)
 		}
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
+		tr.Add(obs.ChromeEvent{
 			Name: "window symbols", Ph: "C", Cat: "coresidency",
-			Ts: ts, Pid: tracePid, Tid: counterTid,
+			Ts: ts, Tid: counterTid,
 			Args: map[string]any{"symbols": len(win.Nodes)},
 		})
 		for depth, id := range win.Nodes {
@@ -70,23 +49,15 @@ func WriteChromeTrace(w io.Writer, g *Graph) error {
 			if depth+1 > maxDepth {
 				maxDepth = depth + 1
 			}
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
+			tr.Add(obs.ChromeEvent{
 				Name: n.Name, Ph: "X", Cat: "coresidency",
-				Ts: ts, Dur: end - ts, Pid: tracePid, Tid: laneTid0 + depth,
+				Ts: ts, Dur: end - ts, Tid: laneTid0 + depth,
 				Args: map[string]any{"kind": n.Kind, "section": n.Section},
 			})
 		}
 	}
 	for d := 0; d < maxDepth; d++ {
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: laneTid0 + d,
-			Args: map[string]any{"name": fmt.Sprintf("co-resident %02d", d)},
-		})
+		tr.Thread(laneTid0+d, fmt.Sprintf("co-resident %02d", d))
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(&tf); err != nil {
-		return fmt.Errorf("affinity: writing chrome trace: %w", err)
-	}
-	return nil
+	return tr.Write(w)
 }

@@ -16,11 +16,10 @@
 package attrib
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 
+	"nimage/internal/obs"
 	"nimage/internal/osim"
 )
 
@@ -479,23 +478,9 @@ func Merge(tables ...*Table) *Table {
 }
 
 // WriteTable serializes the table as indented JSON.
-func WriteTable(w io.Writer, t *Table) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(t); err != nil {
-		return fmt.Errorf("attrib: encoding table: %w", err)
-	}
-	return nil
-}
+func WriteTable(w io.Writer, t *Table) error { return obs.WriteDoc(w, t) }
 
 // ReadTable deserializes a table written by WriteTable.
 func ReadTable(r io.Reader) (*Table, error) {
-	var t Table
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("attrib: decoding table: %w", err)
-	}
-	if t.Schema != TableSchema {
-		return nil, fmt.Errorf("attrib: unsupported schema %q (want %q)", t.Schema, TableSchema)
-	}
-	return &t, nil
+	return obs.ReadDoc(r, "attrib", "table", TableSchema, func(t *Table) string { return t.Schema }, nil)
 }

@@ -12,7 +12,6 @@ package attrib
 // simulation actually models.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -23,112 +22,73 @@ import (
 // events from (written by osim.Mapping).
 const FaultTimeline = "osim.faults"
 
-type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Cat  string         `json:"cat,omitempty"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
 const (
-	tracePid     = 1
-	spanTid      = 1
-	sectionTid0  = 2 // per-section fault tracks start here
+	spanTid      = obs.ChromeTid0
+	sectionTid0  = spanTid + 1 // per-section fault tracks start here
 	nanosPerTick = 1e3
 )
-
-func threadName(tid int, name string) traceEvent {
-	return traceEvent{
-		Name: "thread_name", Ph: "M", Pid: tracePid, Tid: tid,
-		Args: map[string]any{"name": name},
-	}
-}
 
 // WriteChromeTrace writes snap's spans and fault timeline as Chrome
 // trace-event JSON. t supplies the workload/layout names for the process
 // title and may be nil.
 func WriteChromeTrace(w io.Writer, snap *obs.Snapshot, t *Table) error {
-	tf := traceFile{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{}}
-
 	proc := "nimage"
 	if t != nil && t.Workload != "" {
 		proc = fmt.Sprintf("nimage %s (%s)", t.Workload, t.Layout)
 	}
-	tf.TraceEvents = append(tf.TraceEvents,
-		traceEvent{Name: "process_name", Ph: "M", Pid: tracePid, Tid: spanTid,
-			Args: map[string]any{"name": proc}},
-		threadName(spanTid, "spans"),
-	)
+	tr := obs.NewChromeTrace(proc)
+	tr.Thread(spanTid, "spans")
+	if snap == nil {
+		return tr.Write(w)
+	}
 
 	// Spans back to back in sequence order (Snapshot sorts them by seq).
 	var cursor float64
-	if snap != nil {
-		for _, sp := range snap.Spans {
-			dur := float64(sp.DurationNanos) / nanosPerTick
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-				Name: sp.Name, Ph: "X", Cat: "span",
-				Ts: cursor, Dur: dur, Pid: tracePid, Tid: spanTid,
-			})
-			cursor += dur
-		}
+	for _, sp := range snap.Spans {
+		dur := float64(sp.DurationNanos) / nanosPerTick
+		tr.Add(obs.ChromeEvent{Name: sp.Name, Ph: "X", Cat: "span", Ts: cursor, Dur: dur, Tid: spanTid})
+		cursor += dur
 	}
 
 	// Fault instants on per-section tracks. The timeline label is the
 	// section name; tracks are assigned in first-encounter order.
-	if snap != nil {
-		if tl := snap.Timeline(FaultTimeline); tl != nil {
-			col := map[string]int{}
-			for i, f := range tl.Fields {
-				col[f] = i
-			}
-			val := func(ev obs.TimelineEvent, field string) int64 {
-				if i, ok := col[field]; ok && i < len(ev.Values) {
-					return ev.Values[i]
-				}
-				return 0
-			}
-			tids := map[string]int{}
-			var ioCursor int64
-			for _, ev := range tl.Events {
-				tid, ok := tids[ev.Label]
-				if !ok {
-					tid = sectionTid0 + len(tids)
-					tids[ev.Label] = tid
-					tf.TraceEvents = append(tf.TraceEvents,
-						threadName(tid, "faults "+ev.Label))
-				}
-				ioCursor += val(ev, "io_nanos")
-				name := "minor fault"
-				if val(ev, "major") != 0 {
-					name = "major fault"
-				}
-				tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-					Name: name, Ph: "i", Cat: "fault", S: "t",
-					Ts: float64(ioCursor) / nanosPerTick, Pid: tracePid, Tid: tid,
-					Args: map[string]any{
-						"offset":   val(ev, "offset"),
-						"page":     val(ev, "page"),
-						"io_nanos": val(ev, "io_nanos"),
-					},
-				})
-			}
+	tl := snap.Timeline(FaultTimeline)
+	if tl == nil {
+		return tr.Write(w)
+	}
+	col := map[string]int{}
+	for i, f := range tl.Fields {
+		col[f] = i
+	}
+	val := func(ev obs.TimelineEvent, field string) int64 {
+		if i, ok := col[field]; ok && i < len(ev.Values) {
+			return ev.Values[i]
 		}
+		return 0
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(&tf); err != nil {
-		return fmt.Errorf("attrib: writing chrome trace: %w", err)
+	tids := map[string]int{}
+	var ioCursor int64
+	for _, ev := range tl.Events {
+		tid, ok := tids[ev.Label]
+		if !ok {
+			tid = sectionTid0 + len(tids)
+			tids[ev.Label] = tid
+			tr.Thread(tid, "faults "+ev.Label)
+		}
+		ioCursor += val(ev, "io_nanos")
+		name := "minor fault"
+		if val(ev, "major") != 0 {
+			name = "major fault"
+		}
+		tr.Add(obs.ChromeEvent{
+			Name: name, Ph: "i", Cat: "fault", S: "t",
+			Ts: float64(ioCursor) / nanosPerTick, Tid: tid,
+			Args: map[string]any{
+				"offset":   val(ev, "offset"),
+				"page":     val(ev, "page"),
+				"io_nanos": val(ev, "io_nanos"),
+			},
+		})
 	}
-	return nil
+	return tr.Write(w)
 }

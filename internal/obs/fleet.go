@@ -12,7 +12,6 @@ package obs
 // sum to the totals, so every consumer can trust the partition.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -100,31 +99,14 @@ type FleetReport struct {
 }
 
 // WriteFleetReport serializes the report as indented JSON.
-func WriteFleetReport(w io.Writer, r *FleetReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("obs: encoding fleet report: %w", err)
-	}
-	return nil
-}
+func WriteFleetReport(w io.Writer, r *FleetReport) error { return WriteDoc(w, r) }
 
 // ReadFleetReport deserializes and validates a report written by
 // WriteFleetReport: hostile or truncated documents fail loudly instead
 // of producing matrices whose indices crash the renderers — the contract
 // FuzzFleetCodec exercises.
 func ReadFleetReport(r io.Reader) (*FleetReport, error) {
-	var rep FleetReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("obs: decoding fleet report: %w", err)
-	}
-	if rep.Schema != FleetSchema {
-		return nil, fmt.Errorf("obs: unsupported fleet schema %q (want %q)", rep.Schema, FleetSchema)
-	}
-	if err := rep.validate(); err != nil {
-		return nil, fmt.Errorf("obs: invalid fleet report: %w", err)
-	}
-	return &rep, nil
+	return ReadDoc(r, "obs", "fleet report", FleetSchema, func(r *FleetReport) string { return r.Schema }, (*FleetReport).validate)
 }
 
 // validAttainments shares the attainment invariants between the SLO and
@@ -237,111 +219,6 @@ func (r *FleetReport) validate() error {
 		if colSums[j+1] != tn.EvictedPages {
 			return fmt.Errorf("tenant %d column sums to %d evictions, tenant reports %d", j, colSums[j+1], tn.EvictedPages)
 		}
-	}
-	return nil
-}
-
-// Chrome trace export: one track per tenant (each request a duration
-// event over its service time), the burst/reclaim instants track, and an
-// eviction-pressure counter track sampling each tenant's per-burst
-// evictions — the contention picture at a glance.
-
-// WriteFleetChromeTrace writes the fleet run as Chrome trace-event JSON
-// loadable by chrome://tracing and Perfetto. t carries the per-request
-// records (streams are tenant ids); a nil trace still renders the
-// eviction-pressure track on a synthetic per-burst time axis.
-func WriteFleetChromeTrace(w io.Writer, rep *FleetReport, t *RequestTrace) error {
-	type traceEvent struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Cat  string         `json:"cat,omitempty"`
-		S    string         `json:"s,omitempty"`
-		Ts   float64        `json:"ts"`
-		Dur  float64        `json:"dur,omitempty"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		Args map[string]any `json:"args,omitempty"`
-	}
-	type traceFile struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}
-	const (
-		pid        = 1
-		markTid    = 1
-		tenantTid0 = 2
-	)
-	evictTid := tenantTid0 + len(rep.Tenants)
-	tf := traceFile{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{
-		{Name: "process_name", Ph: "M", Pid: pid, Tid: markTid,
-			Args: map[string]any{"name": fmt.Sprintf("nimage fleet (%d tenants)", len(rep.Tenants))}},
-		{Name: "thread_name", Ph: "M", Pid: pid, Tid: markTid,
-			Args: map[string]any{"name": "bursts + reclaims"}},
-		{Name: "thread_name", Ph: "M", Pid: pid, Tid: evictTid,
-			Args: map[string]any{"name": "eviction pressure"}},
-	}}
-	for i, tn := range rep.Tenants {
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tenantTid0 + i,
-			Args: map[string]any{"name": fmt.Sprintf("tenant %02d %s/%s", i, tn.Workload, tn.Strategy)},
-		})
-	}
-	const toMicros = 1e-3 // trace Ts/Dur are microseconds; records are nanos
-	// Burst start instants on the server clock, for the eviction counter
-	// track. Without a request trace, fall back to the burst index (one
-	// tick per burst).
-	burstTs := make(map[int]float64)
-	if t != nil {
-		for _, m := range t.Marks {
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-				Name: fmt.Sprintf("%s %d", m.Kind, m.Burst), Ph: "i", Cat: "fleet", S: "g",
-				Ts: m.AtNanos * toMicros, Pid: pid, Tid: markTid,
-			})
-			if m.Kind == MarkBurst {
-				burstTs[m.Burst] = m.AtNanos * toMicros
-			}
-		}
-		for _, r := range t.Records {
-			if r.Stream < 0 || r.Stream >= len(rep.Tenants) {
-				continue
-			}
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-				Name: fmt.Sprintf("route %d", r.Route), Ph: "X", Cat: "fleet",
-				Ts:  (r.StartNanos + r.QueueNanos) * toMicros,
-				Dur: r.ServiceNanos * toMicros,
-				Pid: pid, Tid: tenantTid0 + r.Stream,
-				Args: map[string]any{
-					"id": r.ID, "burst": r.Burst,
-					"queue_nanos":  r.QueueNanos,
-					"major_faults": r.MajorFaults, "refaults": r.Refaults,
-					"io_nanos": r.IONanos, "steps": r.Steps,
-				},
-			})
-		}
-	}
-	for b := 0; b < rep.Bursts; b++ {
-		args := map[string]any{}
-		for i, tn := range rep.Tenants {
-			if b < len(tn.Timeline) {
-				args[fmt.Sprintf("tenant %02d", i)] = tn.Timeline[b].EvictedPages
-			}
-		}
-		if len(args) == 0 {
-			continue
-		}
-		ts, ok := burstTs[b]
-		if !ok {
-			ts = float64(b)
-		}
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-			Name: "evicted_pages", Ph: "C", Cat: "fleet",
-			Ts: ts, Pid: pid, Tid: evictTid, Args: args,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(&tf); err != nil {
-		return fmt.Errorf("obs: writing fleet chrome trace: %w", err)
 	}
 	return nil
 }

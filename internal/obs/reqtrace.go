@@ -10,7 +10,6 @@ package obs
 // to summary statistics rather than unbounded memory.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -123,31 +122,14 @@ func (t *RequestTrace) Mark(kind string, burst int, atNanos float64) {
 }
 
 // WriteRequestTrace serializes the trace as indented JSON.
-func WriteRequestTrace(w io.Writer, t *RequestTrace) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(t); err != nil {
-		return fmt.Errorf("obs: encoding request trace: %w", err)
-	}
-	return nil
-}
+func WriteRequestTrace(w io.Writer, t *RequestTrace) error { return WriteDoc(w, t) }
 
 // ReadRequestTrace deserializes and validates a trace written by
 // WriteRequestTrace: hostile or truncated documents fail loudly instead
 // of producing records whose indices crash the exporters — the contract
 // FuzzSLOCodec exercises.
 func ReadRequestTrace(r io.Reader) (*RequestTrace, error) {
-	var t RequestTrace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("obs: decoding request trace: %w", err)
-	}
-	if t.Schema != RequestTraceSchema {
-		return nil, fmt.Errorf("obs: unsupported request-trace schema %q (want %q)", t.Schema, RequestTraceSchema)
-	}
-	if err := t.validate(); err != nil {
-		return nil, fmt.Errorf("obs: invalid request trace: %w", err)
-	}
-	return &t, nil
+	return ReadDoc(r, "obs", "request trace", RequestTraceSchema, func(t *RequestTrace) string { return t.Schema }, (*RequestTrace).validate)
 }
 
 // validate enforces the structural invariants a decoded trace must hold
@@ -188,83 +170,6 @@ func (t *RequestTrace) validate() error {
 		if m.Burst < 0 || !finiteNonNeg(m.AtNanos) {
 			return fmt.Errorf("mark %d: negative burst or bad instant", i)
 		}
-	}
-	return nil
-}
-
-// Chrome trace-event export: one track per stream, each request a
-// duration event covering its service time (queue wait in the args),
-// plus an instants track for burst boundaries and pressure reclaims.
-// The time axis is the simulated server clock rendered as microseconds.
-
-const (
-	reqTracePid   = 1
-	reqMarkTid    = 1
-	reqStreamTid0 = 2
-)
-
-// WriteRequestChromeTrace writes the trace as Chrome trace-event JSON
-// loadable by chrome://tracing and Perfetto.
-func WriteRequestChromeTrace(w io.Writer, t *RequestTrace) error {
-	type traceEvent struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Cat  string         `json:"cat,omitempty"`
-		S    string         `json:"s,omitempty"`
-		Ts   float64        `json:"ts"`
-		Dur  float64        `json:"dur,omitempty"`
-		Pid  int            `json:"pid"`
-		Tid  int            `json:"tid"`
-		Args map[string]any `json:"args,omitempty"`
-	}
-	type traceFile struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}
-	proc := "nimage serve"
-	if t.Workload != "" {
-		proc = fmt.Sprintf("nimage serve %s (%s)", t.Workload, t.Layout)
-	}
-	tf := traceFile{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{
-		{Name: "process_name", Ph: "M", Pid: reqTracePid, Tid: reqMarkTid,
-			Args: map[string]any{"name": proc}},
-		{Name: "thread_name", Ph: "M", Pid: reqTracePid, Tid: reqMarkTid,
-			Args: map[string]any{"name": "bursts + reclaims"}},
-	}}
-	for s := 0; s < t.Streams; s++ {
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: reqTracePid, Tid: reqStreamTid0 + s,
-			Args: map[string]any{"name": fmt.Sprintf("stream %02d", s)},
-		})
-	}
-	const toMicros = 1e-3 // trace Ts/Dur are microseconds; records are nanos
-	for _, m := range t.Marks {
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-			Name: fmt.Sprintf("%s %d", m.Kind, m.Burst), Ph: "i", Cat: "serve", S: "g",
-			Ts: m.AtNanos * toMicros, Pid: reqTracePid, Tid: reqMarkTid,
-		})
-	}
-	for _, r := range t.Records {
-		if r.Stream < 0 || r.Stream >= t.Streams {
-			continue
-		}
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
-			Name: fmt.Sprintf("route %d", r.Route), Ph: "X", Cat: "serve",
-			Ts:  (r.StartNanos + r.QueueNanos) * toMicros,
-			Dur: r.ServiceNanos * toMicros,
-			Pid: reqTracePid, Tid: reqStreamTid0 + r.Stream,
-			Args: map[string]any{
-				"id": r.ID, "burst": r.Burst,
-				"queue_nanos":  r.QueueNanos,
-				"major_faults": r.MajorFaults, "refaults": r.Refaults,
-				"io_nanos": r.IONanos, "steps": r.Steps,
-			},
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(&tf); err != nil {
-		return fmt.Errorf("obs: writing request chrome trace: %w", err)
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ package obs
 // renders it, and hardened by FuzzSearchCodec.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -96,29 +95,12 @@ type SearchReport struct {
 }
 
 // WriteSearchReport serializes the journal as indented JSON.
-func WriteSearchReport(w io.Writer, r *SearchReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("obs: encoding search report: %w", err)
-	}
-	return nil
-}
+func WriteSearchReport(w io.Writer, r *SearchReport) error { return WriteDoc(w, r) }
 
 // ReadSearchReport deserializes and validates a journal written by
 // WriteSearchReport.
 func ReadSearchReport(r io.Reader) (*SearchReport, error) {
-	var rep SearchReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("obs: decoding search report: %w", err)
-	}
-	if rep.Schema != SearchSchema {
-		return nil, fmt.Errorf("obs: unsupported search schema %q (want %q)", rep.Schema, SearchSchema)
-	}
-	if err := rep.validate(); err != nil {
-		return nil, fmt.Errorf("obs: invalid search report: %w", err)
-	}
-	return &rep, nil
+	return ReadDoc(r, "obs", "search report", SearchSchema, func(r *SearchReport) string { return r.Schema }, (*SearchReport).validate)
 }
 
 // validDigest accepts the hex rendering OrderDigest emits: 1-16 lowercase

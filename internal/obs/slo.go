@@ -11,7 +11,6 @@ package obs
 // over.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -197,29 +196,12 @@ type SLOReport struct {
 }
 
 // WriteSLOReport serializes the report as indented JSON.
-func WriteSLOReport(w io.Writer, r *SLOReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("obs: encoding slo report: %w", err)
-	}
-	return nil
-}
+func WriteSLOReport(w io.Writer, r *SLOReport) error { return WriteDoc(w, r) }
 
 // ReadSLOReport deserializes and validates a report written by
 // WriteSLOReport.
 func ReadSLOReport(r io.Reader) (*SLOReport, error) {
-	var rep SLOReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("obs: decoding slo report: %w", err)
-	}
-	if rep.Schema != SLOSchema {
-		return nil, fmt.Errorf("obs: unsupported slo schema %q (want %q)", rep.Schema, SLOSchema)
-	}
-	if err := rep.validate(); err != nil {
-		return nil, fmt.Errorf("obs: invalid slo report: %w", err)
-	}
-	return &rep, nil
+	return ReadDoc(r, "obs", "slo report", SLOSchema, func(r *SLOReport) string { return r.Schema }, (*SLOReport).validate)
 }
 
 func finiteNonNeg(v float64) bool {

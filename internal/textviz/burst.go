@@ -1,36 +1,17 @@
 package textviz
 
 // Terminal rendering of serve-mode burst telemetry (`nimage serve`).
-// BurstRow mirrors the fields of eval.BurstMeasure without importing the
-// eval package — textviz stays a leaf rendering layer.
 
 import (
 	"fmt"
 	"strings"
 	"time"
+
+	"nimage/internal/eval"
 )
 
-// BurstRow is one request burst's telemetry for rendering.
-type BurstRow struct {
-	Burst    int
-	Requests int
-	// Latency quantiles in simulated nanoseconds.
-	P50Nanos float64
-	P99Nanos float64
-	// Fault traffic of the burst.
-	MajorFaults int64
-	MinorFaults int64
-	Refaults    int64
-	// EvictedPages counts evictions since the previous burst (inter-burst
-	// pressure plus budget churn).
-	EvictedPages int64
-	// Resident page counts at the end of the burst.
-	ResidentText int
-	ResidentHeap int
-}
-
 // BurstTable renders the per-burst telemetry of one serve run.
-func BurstTable(title string, rows []BurstRow) string {
+func BurstTable(title string, rows []eval.BurstMeasure) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%5s %5s %10s %10s %6s %6s %8s %8s %9s %9s\n",

@@ -3,10 +3,12 @@ package textviz
 import (
 	"strings"
 	"testing"
+
+	"nimage/internal/eval"
 )
 
 func TestBurstTable(t *testing.T) {
-	rows := []BurstRow{
+	rows := []eval.BurstMeasure{
 		{Burst: 0, Requests: 8, P50Nanos: 1500, P99Nanos: 90000, MajorFaults: 12, MinorFaults: 30, ResidentText: 40, ResidentHeap: 10},
 		{Burst: 1, Requests: 8, P50Nanos: 1200, P99Nanos: 45000, MajorFaults: 3, MinorFaults: 2, Refaults: 3, EvictedPages: 25, ResidentText: 30, ResidentHeap: 8},
 	}

@@ -1,66 +1,50 @@
 package textviz
 
-// Terminal rendering of the fleet observatory (`nimage fleet`). FleetRow
-// mirrors one obs.FleetTenant without importing the obs package —
-// textviz stays a leaf rendering layer — and the interference matrix is
-// rendered as a who-evicted-whom grid with its partition totals.
+// Terminal rendering of the fleet observatory (`nimage fleet`,
+// `nimage-eval -figure fleet`): the per-tenant scorecard straight from
+// the nimage.fleet/v1 document, and the interference matrix as a
+// who-evicted-whom grid with its partition totals.
 
 import (
 	"fmt"
 	"strings"
 	"time"
+
+	"nimage/internal/obs"
 )
 
-// FleetRow is one tenant line of the fleet scorecard.
-type FleetRow struct {
-	Tenant     int
-	Workload   string
-	Strategy   string
-	QuotaPages int
-	// Latency aggregates in simulated nanoseconds.
-	StartupNanos  float64
-	WarmMeanNanos float64
-	WarmP99Nanos  float64
-	// Fault traffic charged to the tenant and owner-side page churn.
-	MajorFaults   int64
-	Refaults      int64
-	EvictedPages  int64
-	ResidentPages int64
-	// SLO attainment over the warm requests: cells attained of cells
-	// scored.
-	SLOAttained int
-	SLOTargets  int
-	// Isolation factors vs the tenant's solo run (>1: the fleet made it
-	// worse); zero when no solo baseline was measured.
-	IsolationLatency float64
-	IsolationRefault float64
-}
-
 // FleetTable renders the per-tenant scorecard: identity, latency, fault
-// and residency telemetry, SLO attainment and isolation factors.
-func FleetTable(title string, rows []FleetRow) string {
+// and residency telemetry, SLO attainment (cells attained of cells
+// scored) and isolation factors ("-" when no solo baseline was measured).
+func FleetTable(title string, rep *obs.FleetReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-3s %-12s %-14s %6s %10s %10s %10s %6s %8s %8s %9s %5s %9s %9s\n",
 		"id", "workload", "strategy", "quota", "startup", "warm mean", "warm p99",
 		"major", "refaults", "evicted", "resident", "slo", "iso(lat)", "iso(ref)")
-	for _, r := range rows {
+	iso := func(v float64) string {
+		if v <= 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.2fx", v)
+	}
+	for _, r := range rep.Tenants {
 		quota := "-"
 		if r.QuotaPages > 0 {
 			quota = fmt.Sprintf("%dp", r.QuotaPages)
 		}
-		iso := func(v float64) string {
-			if v <= 0 {
-				return "-"
+		attained := 0
+		for _, a := range r.Attainment {
+			if a.Attained {
+				attained++
 			}
-			return fmt.Sprintf("%.2fx", v)
 		}
 		fmt.Fprintf(&b, "%-3d %-12s %-14s %6s %10v %10v %10v %6d %8d %8d %9d %2d/%-2d %9s %9s\n",
 			r.Tenant, r.Workload, r.Strategy, quota,
 			time.Duration(r.StartupNanos), time.Duration(r.WarmMeanNanos),
 			time.Duration(r.WarmP99Nanos),
 			r.MajorFaults, r.Refaults, r.EvictedPages, r.ResidentPages,
-			r.SLOAttained, r.SLOTargets,
+			attained, len(r.Attainment),
 			iso(r.IsolationLatency), iso(r.IsolationRefault))
 	}
 	return b.String()

@@ -1,45 +1,16 @@
 package textviz
 
 // Terminal rendering of the serve SLO scorecards (`nimage slo`,
-// `nimage-eval -figure slo`). SLORow mirrors the fields of one
-// obs.SLOEntry attainment without importing the obs package — textviz
-// stays a leaf rendering layer.
+// `nimage-eval -figure slo`), straight from the nimage.slo/v1 document.
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
+
+	"nimage/internal/obs"
 )
-
-// SLORow is one (workload, strategy, pressure, target) attainment cell.
-type SLORow struct {
-	Workload    string
-	Strategy    string
-	PressurePct int
-	// Quantile in (0, 1); budget and measured latency in nanoseconds.
-	Quantile      float64
-	BudgetNanos   float64
-	MeasuredNanos float64
-	// Violations over Requests; BudgetBurn is the violation fraction over
-	// the target's error budget (<= 1 attains).
-	Violations int
-	Requests   int
-	BudgetBurn float64
-	Attained   bool
-}
-
-// SLOOverheadRow is one telemetry-on/off control run for rendering.
-type SLOOverheadRow struct {
-	Workload string
-	Strategy string
-	// Wall nanoseconds per request with telemetry on and off, the relative
-	// overhead, and whether the simulated outcomes were bit-identical.
-	OnWallNanosPerReq  float64
-	OffWallNanosPerReq float64
-	OverheadFrac       float64
-	SimIdentical       bool
-}
 
 // sloTargetLabel renders "p99" or "p99.9" from a (0,1) quantile.
 func sloTargetLabel(q float64) string {
@@ -49,20 +20,22 @@ func sloTargetLabel(q float64) string {
 // SLOTable renders the attainment scorecard: one line per (workload,
 // strategy, pressure, target) with the measured quantile against its
 // budget and the error-budget burn.
-func SLOTable(title string, rows []SLORow) string {
+func SLOTable(title string, rep *obs.SLOReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-12s %-14s %9s %7s %10s %10s %11s %7s %s\n",
 		"workload", "strategy", "pressure", "target", "budget", "measured", "violations", "burn", "slo")
-	for _, r := range rows {
-		verdict := "MISS"
-		if r.Attained {
-			verdict = "ok"
+	for _, e := range rep.Entries {
+		for _, a := range e.Attainments {
+			verdict := "MISS"
+			if a.Attained {
+				verdict = "ok"
+			}
+			fmt.Fprintf(&b, "%-12s %-14s %8d%% %7s %10v %10v %5d/%-5d %7.2f %s\n",
+				e.Workload, e.Strategy, e.PressurePct, sloTargetLabel(a.Quantile),
+				time.Duration(a.BudgetNanos), time.Duration(a.MeasuredNanos),
+				a.Violations, a.Requests, a.BudgetBurn, verdict)
 		}
-		fmt.Fprintf(&b, "%-12s %-14s %8d%% %7s %10v %10v %5d/%-5d %7.2f %s\n",
-			r.Workload, r.Strategy, r.PressurePct, sloTargetLabel(r.Quantile),
-			time.Duration(r.BudgetNanos), time.Duration(r.MeasuredNanos),
-			r.Violations, r.Requests, r.BudgetBurn, verdict)
 	}
 	return b.String()
 }
@@ -70,12 +43,12 @@ func SLOTable(title string, rows []SLORow) string {
 // SLOOverheadTable renders the observatory's own cost: the wall-clock
 // per-request delta between the telemetry-on and telemetry-off control
 // runs of the identical scenario.
-func SLOOverheadTable(rows []SLOOverheadRow) string {
+func SLOOverheadTable(rep *obs.SLOReport) string {
 	var b strings.Builder
 	b.WriteString("Telemetry overhead (identical scenario, recorder on vs off; wall clock)\n")
 	fmt.Fprintf(&b, "%-12s %-14s %12s %12s %9s %s\n",
 		"workload", "strategy", "on ns/req", "off ns/req", "overhead", "sim")
-	for _, r := range rows {
+	for _, r := range rep.Overhead {
 		sim := "DIVERGED"
 		if r.SimIdentical {
 			sim = "identical"

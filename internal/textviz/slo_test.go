@@ -3,17 +3,19 @@ package textviz
 import (
 	"strings"
 	"testing"
+
+	"nimage/internal/obs"
 )
 
 func TestSLOTable(t *testing.T) {
-	out := SLOTable("SLO attainment (2 streams)", []SLORow{
+	out := SLOTable("SLO attainment (2 streams)", &obs.SLOReport{Entries: []obs.SLOEntry{
 		{Workload: "serve-api", Strategy: "identity", PressurePct: 30,
-			Quantile: 0.99, BudgetNanos: 2e6, MeasuredNanos: 1.5e6,
-			Violations: 0, Requests: 96, BudgetBurn: 0.4, Attained: true},
+			Attainments: []obs.SLOAttainment{{Quantile: 0.99, BudgetNanos: 2e6, MeasuredNanos: 1.5e6,
+				Violations: 0, Requests: 96, BudgetBurn: 0.4, Attained: true}}},
 		{Workload: "serve-api", Strategy: "cu", PressurePct: 70,
-			Quantile: 0.999, BudgetNanos: 10e6, MeasuredNanos: 14e6,
-			Violations: 3, Requests: 96, BudgetBurn: 31.25, Attained: false},
-	})
+			Attainments: []obs.SLOAttainment{{Quantile: 0.999, BudgetNanos: 10e6, MeasuredNanos: 14e6,
+				Violations: 3, Requests: 96, BudgetBurn: 31.25, Attained: false}}},
+	}})
 	for _, want := range []string{
 		"SLO attainment (2 streams)",
 		"p99", "p99.9", "2ms", "10ms", "30%", "70%",
@@ -26,21 +28,21 @@ func TestSLOTable(t *testing.T) {
 }
 
 func TestSLOTableEmpty(t *testing.T) {
-	out := SLOTable("empty", nil)
+	out := SLOTable("empty", &obs.SLOReport{})
 	if !strings.Contains(out, "empty") || !strings.Contains(out, "workload") {
 		t.Errorf("empty table lost title or header:\n%s", out)
 	}
 }
 
 func TestSLOOverheadTable(t *testing.T) {
-	out := SLOOverheadTable([]SLOOverheadRow{
+	out := SLOOverheadTable(&obs.SLOReport{Overhead: []obs.SLOOverhead{
 		{Workload: "serve-api", Strategy: "identity",
 			OnWallNanosPerReq: 1200, OffWallNanosPerReq: 1000,
 			OverheadFrac: 0.2, SimIdentical: true},
 		{Workload: "serve-cache", Strategy: "identity",
 			OnWallNanosPerReq: 900, OffWallNanosPerReq: 1000,
 			OverheadFrac: -0.1, SimIdentical: false},
-	})
+	}})
 	for _, want := range []string{
 		"Telemetry overhead", "20.0%", "-10.0%", "identical", "DIVERGED",
 	} {

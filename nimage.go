@@ -325,7 +325,8 @@ func AffinityDiffText(base, opt *AffinityGraph, limit int) string {
 func ScorecardTableText(cards []*AffinityScorecard) string { return textviz.ScorecardTable(cards) }
 
 // EvalReport is the consolidated observability document of an evaluation
-// (see Harness.Report and `nimage-eval`'s output/report.json).
+// (see Harness.Report; `nimage-eval -figure report` regenerates it as
+// output/report.json).
 type EvalReport = eval.Report
 
 // Image recipes (.nimg container).
@@ -482,12 +483,9 @@ func ServeStrategies() []string { return eval.ServeStrategies() }
 // attribution tables, affinity graphs, and serve outcomes.
 const LayoutBaseline = eval.LayoutBaseline
 
-// BurstRowText is one row of the rendered burst table.
-type BurstRowText = textviz.BurstRow
-
 // BurstTableText renders per-burst serve telemetry as a text table.
-func BurstTableText(title string, rows []BurstRowText) string {
-	return textviz.BurstTable(title, rows)
+func BurstTableText(title string, bursts []BurstMeasure) string {
+	return textviz.BurstTable(title, bursts)
 }
 
 // Serve SLO observatory (Harness.SLOReport / `nimage slo`): concurrent
@@ -543,55 +541,13 @@ var (
 	WriteRequestChromeTrace = obs.WriteRequestChromeTrace
 )
 
-// SLORowText is one attainment row of the rendered SLO table, and
-// SLOOverheadRowText one overhead-control row.
-type SLORowText = textviz.SLORow
+// SLOTableText renders an SLO report's attainment scorecard as a text
+// table.
+func SLOTableText(title string, rep *SLOReport) string { return textviz.SLOTable(title, rep) }
 
-type SLOOverheadRowText = textviz.SLOOverheadRow
-
-// SLOTableText renders the SLO attainment scorecard as a text table.
-func SLOTableText(title string, rows []SLORowText) string {
-	return textviz.SLOTable(title, rows)
-}
-
-// SLOOverheadTableText renders the telemetry-overhead control table.
-func SLOOverheadTableText(rows []SLOOverheadRowText) string {
-	return textviz.SLOOverheadTable(rows)
-}
-
-// SLORows flattens an SLO report's entries into renderable table rows.
-func SLORows(rep *SLOReport) []SLORowText {
-	var rows []SLORowText
-	for _, e := range rep.Entries {
-		for _, a := range e.Attainments {
-			rows = append(rows, SLORowText{
-				Workload: e.Workload, Strategy: e.Strategy,
-				PressurePct: e.PressurePct,
-				Quantile:    a.Quantile, BudgetNanos: a.BudgetNanos,
-				MeasuredNanos: a.MeasuredNanos,
-				Violations:    a.Violations, Requests: a.Requests,
-				BudgetBurn: a.BudgetBurn, Attained: a.Attained,
-			})
-		}
-	}
-	return rows
-}
-
-// SLOOverheadRows flattens an SLO report's overhead controls into
-// renderable table rows.
-func SLOOverheadRows(rep *SLOReport) []SLOOverheadRowText {
-	var rows []SLOOverheadRowText
-	for _, o := range rep.Overhead {
-		rows = append(rows, SLOOverheadRowText{
-			Workload: o.Workload, Strategy: o.Strategy,
-			OnWallNanosPerReq:  o.OnWallNanosPerReq,
-			OffWallNanosPerReq: o.OffWallNanosPerReq,
-			OverheadFrac:       o.OverheadFrac,
-			SimIdentical:       o.SimIdentical,
-		})
-	}
-	return rows
-}
+// SLOOverheadTableText renders an SLO report's telemetry-overhead
+// control table.
+func SLOOverheadTableText(rep *SLOReport) string { return textviz.SLOOverheadTable(rep) }
 
 // SLO-driven layout search (Harness.SearchLayout / `nimage tune`): a
 // budget-bounded rebake loop that measures the c3 and ext-tsp seed
@@ -628,31 +584,8 @@ var (
 	ReadSearchReport  = obs.ReadSearchReport
 )
 
-// SearchRowText is one candidate row of the rendered search table.
-type SearchRowText = textviz.SearchRow
-
-// SearchTableText renders a search trajectory as a text table.
-func SearchTableText(title string, rows []SearchRowText) string {
-	return textviz.SearchTable(title, rows)
-}
-
-// SearchRows flattens a search journal into renderable table rows.
-func SearchRows(rep *SearchReport) []SearchRowText {
-	var rows []SearchRowText
-	for _, it := range rep.Iterations {
-		for _, c := range it.Candidates {
-			rows = append(rows, SearchRowText{
-				Iter: it.Iter, Candidate: c.ID, Op: c.Op,
-				PredictedRefaults: c.PredictedRefaults,
-				Promoted:          c.Promoted,
-				Attained:          c.Attained, Targets: c.Targets,
-				RefaultGeomean: c.RefaultGeomean,
-				Accepted:       c.Accepted, Reason: c.Reason,
-			})
-		}
-	}
-	return rows
-}
+// SearchTableText renders a search journal's trajectory as a text table.
+func SearchTableText(title string, rep *SearchReport) string { return textviz.SearchTable(title, rep) }
 
 // Fleet observatory (Harness.MeasureFleet / `nimage fleet`): N tenants
 // (serve workload × strategy pairs) served concurrently from one
@@ -692,43 +625,13 @@ var (
 	WriteFleetChromeTrace = obs.WriteFleetChromeTrace
 )
 
-// FleetRowText is one tenant row of the rendered fleet table.
-type FleetRowText = textviz.FleetRow
-
-// FleetTableText renders the per-tenant fleet scorecard as a text table.
-func FleetTableText(title string, rows []FleetRowText) string {
-	return textviz.FleetTable(title, rows)
-}
+// FleetTableText renders a fleet report's per-tenant scorecard as a text
+// table.
+func FleetTableText(title string, rep *FleetReport) string { return textviz.FleetTable(title, rep) }
 
 // FleetMatrixText renders the interference matrix as a text grid.
 func FleetMatrixText(evictedBy [][]int64, total int64) string {
 	return textviz.FleetMatrix(evictedBy, total)
-}
-
-// FleetRows flattens a fleet report's tenants into renderable table rows.
-func FleetRows(rep *FleetReport) []FleetRowText {
-	var rows []FleetRowText
-	for _, tn := range rep.Tenants {
-		r := FleetRowText{
-			Tenant: tn.Tenant, Workload: tn.Workload, Strategy: tn.Strategy,
-			QuotaPages:    tn.QuotaPages,
-			StartupNanos:  tn.StartupNanos,
-			WarmMeanNanos: tn.WarmMeanNanos,
-			WarmP99Nanos:  tn.WarmP99Nanos,
-			MajorFaults:   tn.MajorFaults, Refaults: tn.Refaults,
-			EvictedPages: tn.EvictedPages, ResidentPages: tn.ResidentPages,
-			SLOTargets:       len(tn.Attainment),
-			IsolationLatency: tn.IsolationLatency,
-			IsolationRefault: tn.IsolationRefault,
-		}
-		for _, a := range tn.Attainment {
-			if a.Attained {
-				r.SLOAttained++
-			}
-		}
-		rows = append(rows, r)
-	}
-	return rows
 }
 
 // Visualization (Fig. 6).
