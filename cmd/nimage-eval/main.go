@@ -238,14 +238,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	dev, err := osim.DeviceByName(*device)
+	if err != nil {
+		return err
+	}
 
 	cfg := eval.DefaultConfig()
 	cfg.Builds = *builds
 	cfg.Iterations = *iters
 	cfg.Workers = *workers
-	if *device == "nfs" {
-		cfg.Device = osim.NFS()
-	}
+	cfg.Device = dev
 	h := eval.NewHarness(cfg)
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {

@@ -413,6 +413,7 @@ func TestRunRejectsBadSizing(t *testing.T) {
 		"search-iters-big": {"-search-iters", "99999"},
 		"search-topk-0":    {"-search-topk", "0"},
 		"search-topk-big":  {"-search-topk", "99999"},
+		"device-typo":      {"-device", "tape"},
 	}
 	for name, extra := range cases {
 		args := append([]string{"-figure", "2", "-workloads", "Bounce", "-out", t.TempDir(), "-bench", ""}, extra...)

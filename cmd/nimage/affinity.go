@@ -41,14 +41,16 @@ func cmdAffinity(args []string) error {
 	if err := validateServeFlags(*pressure, *hotPct, *bursts, *burst, *budget); err != nil {
 		return err
 	}
+	dev, err := nimage.DeviceByName(*device)
+	if err != nil {
+		return err
+	}
 
 	cfg := nimage.DefaultEvalConfig()
 	cfg.Builds = 1
 	cfg.Iterations = 1
 	cfg.TrackAffinity = true
-	if *device == "nfs" {
-		cfg.Device = nimage.NFS()
-	}
+	cfg.Device = dev
 	scfg := nimage.ServeConfig{
 		Bursts:      *bursts,
 		BurstSize:   *burst,

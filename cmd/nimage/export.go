@@ -98,6 +98,10 @@ func cmdExec(args []string) error {
 	if *path == "" {
 		return fmt.Errorf("exec: -image is required")
 	}
+	dev, err := nimage.DeviceByName(*device)
+	if err != nil {
+		return err
+	}
 	f, err := os.Open(*path)
 	if err != nil {
 		return err
@@ -119,10 +123,6 @@ func cmdExec(args []string) error {
 		service = w.Service
 	}
 
-	dev := nimage.SSD()
-	if *device == "nfs" {
-		dev = nimage.NFS()
-	}
 	o := nimage.NewOS(dev)
 	var reg *nimage.ObsRegistry
 	if *report != "" {

@@ -43,6 +43,10 @@ func cmdFaults(args []string) error {
 		return faultsDiff(rest[0], rest[1], *top)
 	}
 
+	dev, err := nimage.DeviceByName(*device)
+	if err != nil {
+		return err
+	}
 	w, err := nimage.WorkloadByName(*name)
 	if err != nil {
 		return err
@@ -77,10 +81,6 @@ func cmdFaults(args []string) error {
 		return err
 	}
 
-	dev := nimage.SSD()
-	if *device == "nfs" {
-		dev = nimage.NFS()
-	}
 	o := nimage.NewOS(dev)
 	o.Obs = reg
 	o.DropCaches()

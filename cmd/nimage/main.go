@@ -232,6 +232,10 @@ func cmdRun(args []string) error {
 	if *iters < 1 {
 		return fmt.Errorf("-iters must be >= 1, got %d", *iters)
 	}
+	dev, err := nimage.DeviceByName(*device)
+	if err != nil {
+		return err
+	}
 	w, err := nimage.WorkloadByName(*name)
 	if err != nil {
 		return err
@@ -268,10 +272,6 @@ func cmdRun(args []string) error {
 		return err
 	}
 
-	dev := nimage.SSD()
-	if *device == "nfs" {
-		dev = nimage.NFS()
-	}
 	o := nimage.NewOS(dev)
 	o.Obs = reg
 	layout := "regular"

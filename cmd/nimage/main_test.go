@@ -344,6 +344,12 @@ func TestCmdsRejectBadFlags(t *testing.T) {
 		"report-iters-zero":       {cmdReport, []string{"-workloads", "Sieve", "-iters", "0"}},
 		"report-workers-negative": {cmdReport, []string{"-workloads", "Sieve", "-workers", "-1"}},
 		"affinity-budget-neg":     {cmdAffinity, []string{"-workload", "serve-api", "-budget", "-4"}},
+		// A mistyped device is an error, not a silent SSD run.
+		"run-device-typo":      {cmdRun, []string{"-workload", "Sieve", "-device", "tape"}},
+		"exec-device-typo":     {cmdExec, []string{"-image", "x.nimg", "-device", "tape"}},
+		"faults-device-typo":   {cmdFaults, []string{"-workload", "Sieve", "-device", "tape"}},
+		"affinity-device-typo": {cmdAffinity, []string{"-workload", "serve-api", "-device", "tape"}},
+		"serve-device-typo":    {cmdServe, []string{"-workload", "serve-api", "-device", "tape"}},
 	}
 	for name, tc := range cases {
 		err := tc.cmd(tc.args)

@@ -18,7 +18,7 @@ import (
 
 // writeSnapshot writes a registry's snapshot as indented JSON to path.
 func writeSnapshot(path string, r *nimage.ObsRegistry) error {
-	return writeWith(path, func(f *os.File) error { return nimage.ObsJSONSink{W: f, Indent: true}.Write(r.Snapshot()) })
+	return writeWith(path, func(f *os.File) error { return obs.WriteDoc(f, r.Snapshot()) })
 }
 
 // validateHarnessFlags rejects out-of-range harness sizing up front

@@ -63,14 +63,16 @@ func cmdServe(args []string) error {
 	if *streams < 1 {
 		return fmt.Errorf("-streams must be >= 1 (concurrent request streams), got %d", *streams)
 	}
+	dev, err := nimage.DeviceByName(*device)
+	if err != nil {
+		return err
+	}
 
 	cfg := nimage.DefaultEvalConfig()
 	cfg.Builds = 1
 	cfg.Iterations = 1
 	cfg.Observe = *report != ""
-	if *device == "nfs" {
-		cfg.Device = nimage.NFS()
-	}
+	cfg.Device = dev
 	scfg := nimage.ServeConfig{
 		Bursts:      *bursts,
 		BurstSize:   *burst,

@@ -13,7 +13,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"nimage/internal/murmur"
 	"nimage/internal/obs/affinity"
@@ -273,16 +272,4 @@ func SLOSearchOrderParams(g *affinity.Graph, params SearchParams) ([]string, str
 		return nil, ""
 	}
 	return best.cand.Order, best.cand.ID
-}
-
-// SearchCandidateIDs renders the deterministic ID universe of one
-// iteration's generation (sweeps plus perturbations), sorted — journal
-// consumers use it to sanity-check coverage.
-func SearchCandidateIDs(cands []SearchCandidate) []string {
-	ids := make([]string, 0, len(cands))
-	for _, c := range cands {
-		ids = append(ids, c.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

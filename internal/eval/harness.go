@@ -250,12 +250,6 @@ type BaselineOutcome struct {
 	Pipeline []*obs.Snapshot
 }
 
-// MergedPipeline aggregates the per-build pipeline snapshots in build
-// order (obs.MergeSnapshots); empty when the harness ran detached.
-func (o *BaselineOutcome) MergedPipeline() *obs.Snapshot {
-	return obs.MergeSnapshots(o.Pipeline...)
-}
-
 // MeasureBaseline builds and measures the unmodified images of a workload.
 // Results are memoized per workload.
 func (h *Harness) MeasureBaseline(w workloads.Workload) ([]RunMeasure, error) {
@@ -345,12 +339,6 @@ type StrategyOutcome struct {
 	// whole pipeline — instrumented build, profiling run, post-processing,
 	// optimized build; nil unless Config.Observe.
 	Pipeline []*obs.Snapshot
-}
-
-// MergedPipeline aggregates the per-build pipeline snapshots in build
-// order (obs.MergeSnapshots); empty when the harness ran detached.
-func (o *StrategyOutcome) MergedPipeline() *obs.Snapshot {
-	return obs.MergeSnapshots(o.Pipeline...)
 }
 
 // MeasureStrategy runs the full pipeline for one strategy on one workload.

@@ -10,7 +10,6 @@ package eval
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"nimage/internal/core"
@@ -56,9 +55,7 @@ func TestSearchDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res.Journal); err != nil {
+		if err := obs.WriteDoc(&buf, res.Journal); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String(), res.Order

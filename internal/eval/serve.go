@@ -676,7 +676,6 @@ func (h *Harness) runEngine(ts []engineTenant, scfg ServeConfig, fleet, trackAff
 	}
 
 	fo := &FleetOutcome{}
-	counters := o.TenantCounters()
 	for i := range tenants {
 		tn := &tenants[i]
 		warm := tn.lats[tn.cold:]
@@ -692,14 +691,18 @@ func (h *Harness) runEngine(ts []engineTenant, scfg ServeConfig, fleet, trackAff
 		to.RefaultPages = o.TenantRefaults(i)
 		to.ResidentPages = int64(o.TenantResidentPages(i))
 		to.Attainment = obs.Attainment(warm, obs.DefaultSLOTargets())
-		if i < len(counters) {
-			to.Counters = counters[i]
+		// Each tenant owns exactly one mapping: its counters are the
+		// tenant's charge-side partition.
+		m := tn.proc.Mapping
+		to.Counters = osim.TenantFaults{
+			Tenant: i, Faults: m.Faults, MajorFaults: m.MajorFaults,
+			Refaults: m.Refaults, IONanos: m.IOTime.Nanoseconds(),
 		}
 		fo.Tenants = append(fo.Tenants, to)
-		fo.TotalFaults += tn.proc.Mapping.Faults
-		fo.TotalMajorFaults += tn.proc.Mapping.MajorFaults
-		fo.TotalRefaults += tn.proc.Mapping.Refaults
-		fo.TotalIONanos += tn.proc.Mapping.IOTime.Nanoseconds()
+		fo.TotalFaults += m.Faults
+		fo.TotalMajorFaults += m.MajorFaults
+		fo.TotalRefaults += m.Refaults
+		fo.TotalIONanos += m.IOTime.Nanoseconds()
 	}
 	fo.EvictedBy = normalizeMatrix(o.InterferenceMatrix(), len(tenants))
 	for _, row := range fo.EvictedBy {

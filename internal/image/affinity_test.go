@@ -5,7 +5,7 @@ import (
 )
 
 // TestAffinityReconcilesWithMapping: with both attribution and affinity
-// attached (the fan-out path), the affinity graph's totals reconcile
+// observing the mapping, the affinity graph's totals reconcile
 // exactly with the mapping's fault counters and the file's eviction
 // counters — the graph is a refinement of osim's metrics, not a
 // parallel bookkeeping that can drift.
@@ -54,10 +54,11 @@ func TestAffinityReconcilesWithMapping(t *testing.T) {
 			g.AccessEvents, len(g.Edges), g.Windows)
 	}
 
-	// The fan-out did not starve attribution: the table still reconciles.
+	// The second observer did not starve attribution: the table still
+	// reconciles.
 	tab := proc.AttributionTable()
 	if tab == nil {
-		t.Fatal("fan-out lost the attribution recorder")
+		t.Fatal("attribution recorder missing next to affinity")
 	}
 	if tab.TotalFaults() != proc.Mapping.Faults {
 		t.Errorf("attribution total %d != mapping faults %d",
@@ -66,7 +67,7 @@ func TestAffinityReconcilesWithMapping(t *testing.T) {
 }
 
 // TestAffinityDisabledByDefault: no registry and no flag means no
-// recorder and no access-observer overhead.
+// recorder.
 func TestAffinityDisabledByDefault(t *testing.T) {
 	p := buildApp(t)
 	img, err := Build(p, regularOpts())
@@ -81,14 +82,11 @@ func TestAffinityDisabledByDefault(t *testing.T) {
 	if proc.Affinity != nil || proc.AffinityGraph() != nil {
 		t.Error("affinity recorder attached without registry or flag")
 	}
-	if proc.Mapping.AccessObserver != nil {
-		t.Error("access observer attached without registry or flag")
-	}
 }
 
 // TestAffinityAloneWithoutAttribution: TrackAffinity without
-// AttributeFaults wires the affinity recorder directly into the
-// observer slots (no fan-out partner) and still reconciles.
+// AttributeFaults attaches the affinity recorder as the mapping's only
+// observer, and it still reconciles.
 func TestAffinityAloneWithoutAttribution(t *testing.T) {
 	p := buildApp(t)
 	img, err := Build(p, regularOpts())

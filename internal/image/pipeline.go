@@ -90,18 +90,10 @@ type PipelineResult struct {
 	HeapProfile []uint64
 }
 
-// InstrumentationFor maps a strategy name to the instrumentation its
-// profiling build needs (the mapping the pipeline applies internally);
-// the verifier uses it to rebuild the pipeline's instrumented image.
-// Strategies without exactly one probe kind — the combined strategy (two
-// kinds) and the graph strategies (none) — are an error; enumerate their
-// kinds via core.StrategyByName instead.
-func InstrumentationFor(strategy string) (graal.Instrumentation, error) {
-	return strategyInstr(strategy)
-}
-
-// strategyInstr maps a strategy name to the instrumentation it needs,
-// resolved through the strategy registry.
+// strategyInstr maps a strategy name to the instrumentation its profiling
+// build needs, resolved through the strategy registry. Strategies without
+// exactly one probe kind — the combined strategy (two kinds) and the
+// graph strategies (none) — are an error.
 func strategyInstr(strategy string) (graal.Instrumentation, error) {
 	info, ok := core.StrategyByName(strategy)
 	if !ok {

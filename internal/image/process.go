@@ -46,9 +46,8 @@ type Process struct {
 	Attrib *attrib.Recorder
 
 	// Affinity, when non-nil, is the temporal co-access recorder observing
-	// the mapping's access, fault and eviction streams (attached when the
-	// OS has an obs registry or sets TrackAffinity). Read results via
-	// AffinityGraph.
+	// the mapping's page-event stream (attached when the OS has an obs
+	// registry or sets TrackAffinity). Read results via AffinityGraph.
 	Affinity *affinity.Recorder
 
 	// AccessedObjects counts distinct snapshot objects touched (Sec. 7.2
@@ -86,26 +85,15 @@ func (img *Image) NewProcess(o *osim.OS, extra vm.Hooks) (*Process, error) {
 	m.Hooks = vm.ComposeHooks(p.hooks(), extra)
 	p.Machine = m
 
-	// Attach the fault-attribution recorder before the first touch below,
-	// so the header and native startup faults are attributed too.
+	// Attach the recorders before the first touch below, so the header
+	// and native startup faults are attributed too.
 	if o.Obs.Enabled() || o.AttributeFaults {
 		p.Attrib = attrib.NewRecorder(img.AttributionIndex())
-		p.Mapping.Observer = p.Attrib
-		p.Mapping.EvictObserver = p.Attrib
+		p.Mapping.Observe(p.Attrib)
 	}
-	// Attach the temporal co-access recorder; both recorders observe the
-	// same fault/eviction streams, so the single observer slots fan out
-	// when attribution is active too.
 	if o.Obs.Enabled() || o.TrackAffinity {
 		p.Affinity = affinity.NewRecorder(img.AttributionIndex(), affinity.Config{})
-		p.Mapping.AccessObserver = p.Affinity
-		if p.Attrib != nil {
-			p.Mapping.Observer = faultFan{p.Attrib, p.Affinity}
-			p.Mapping.EvictObserver = evictFan{p.Attrib, p.Affinity}
-		} else {
-			p.Mapping.Observer = p.Affinity
-			p.Mapping.EvictObserver = p.Affinity
-		}
+		p.Mapping.Observe(p.Affinity)
 	}
 
 	// Program startup maps the binary, reads the header page, and runs the
@@ -122,24 +110,6 @@ func (img *Image) NewProcess(o *osim.OS, extra vm.Hooks) (*Process, error) {
 		p.Mapping.Touch(img.NativeOff + page*osim.PageSize)
 	}
 	return p, nil
-}
-
-// faultFan / evictFan broadcast one mapping's observer slot to several
-// recorders (attribution and affinity observe the same streams).
-type faultFan []osim.FaultObserver
-
-func (f faultFan) OnFault(ev osim.FaultEvent) {
-	for _, o := range f {
-		o.OnFault(ev)
-	}
-}
-
-type evictFan []osim.EvictionObserver
-
-func (f evictFan) OnEvict(ev osim.EvictionEvent) {
-	for _, o := range f {
-		o.OnEvict(ev)
-	}
 }
 
 // hooks wires the interpreter's events to page touches.

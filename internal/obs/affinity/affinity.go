@@ -7,11 +7,11 @@
 // (Newell & Pupyrev) — and any latency-SLO rebake loop need an affinity
 // signal: edge weights between symbols that share working-set windows.
 //
-// The pieces: a Recorder attaches to one osim mapping as FaultObserver,
-// EvictionObserver and AccessObserver, folding the coarse page-access
-// stream into a sliding co-residency window and a weighted symbol×symbol
-// graph (co-occurrence edges within a window, transition edges between
-// consecutive accesses, per-window decay, bounded edge budget); a Graph
+// The pieces: a Recorder observes one osim mapping's page-event stream,
+// folding the coarse page accesses into a sliding co-residency window and
+// a weighted symbol×symbol graph (co-occurrence edges within a window,
+// transition edges between consecutive accesses, per-window decay,
+// bounded edge budget); a Graph
 // is the serializable result; Score (score.go) turns graph × layout into
 // a per-strategy scorecard — the static proxy for MeasureServe. Codecs
 // live in codec.go (JSON), dot.go (GraphViz), trace.go (Chrome trace).
@@ -238,10 +238,9 @@ type edgeCount struct {
 	trans  int64
 }
 
-// Recorder folds one mapping's access, fault and eviction streams into an
-// affinity graph. It implements osim.AccessObserver, osim.FaultObserver
-// and osim.EvictionObserver; attach it to a Mapping before the first
-// touch. Not safe for concurrent use (one recorder per mapping).
+// Recorder folds one mapping's page-event stream into an affinity graph.
+// It is an osim.PageObserver; attach it with Mapping.Observe before the
+// first touch. Not safe for concurrent use (one recorder per mapping).
 type Recorder struct {
 	ix  *attrib.Index
 	cfg Config
@@ -250,11 +249,8 @@ type Recorder struct {
 	pageRep []int32 // page -> node id of the page's first symbol, -1 if none
 	pseudo  map[int]int32
 
-	edges     map[edgeKey]*edgeCount
-	bySection map[int]*attrib.SectionTotal
-	// evictedPage mirrors osim's re-fault arming: set by pressure/budget
-	// evictions, cleared by DropCaches.
-	evictedPage []bool
+	edges    map[edgeKey]*edgeCount
+	sections *attrib.SectionTally
 
 	accessEvents, faults, major, refaults, evictions int64
 	transitions, cooccur, windows                    int64
@@ -279,16 +275,15 @@ type Recorder struct {
 // config (zero value = defaults).
 func NewRecorder(ix *attrib.Index, cfg Config) *Recorder {
 	r := &Recorder{
-		ix:          ix,
-		cfg:         cfg.withDefaults(),
-		nodes:       make([]Node, len(ix.Symbols())),
-		pageRep:     make([]int32, ix.Pages()),
-		pseudo:      make(map[int]int32),
-		edges:       make(map[edgeKey]*edgeCount),
-		bySection:   make(map[int]*attrib.SectionTotal),
-		evictedPage: make([]bool, ix.Pages()),
-		winSeen:     make(map[int32]bool),
-		prevNode:    -1,
+		ix:       ix,
+		cfg:      cfg.withDefaults(),
+		nodes:    make([]Node, len(ix.Symbols())),
+		pageRep:  make([]int32, ix.Pages()),
+		pseudo:   make(map[int]int32),
+		edges:    make(map[edgeKey]*edgeCount),
+		sections: attrib.NewSectionTally(ix),
+		winSeen:  make(map[int32]bool),
+		prevNode: -1,
 	}
 	for i, s := range ix.Symbols() {
 		r.nodes[i] = Node{Name: s.Name, Type: s.Type, Kind: s.Kind, Section: s.Section, Off: s.Off, Len: s.Len}
@@ -329,18 +324,23 @@ func (r *Recorder) nodeFor(off int64, page, section int) int32 {
 	return id
 }
 
-func (r *Recorder) section(idx int) *attrib.SectionTotal {
-	st := r.bySection[idx]
-	if st == nil {
-		st = &attrib.SectionTotal{Section: r.ix.SectionName(idx)}
-		r.bySection[idx] = st
+// OnPageEvent charges the event to the single node it resolves to.
+// Faults and evictions also go to the section totals.
+func (r *Recorder) OnPageEvent(ev osim.PageEvent) {
+	r.sections.Add(ev)
+	switch ev.Kind {
+	case osim.PageAccess:
+		r.access(ev)
+	case osim.PageFault:
+		r.fault(ev)
+	case osim.PageEvict:
+		r.evict(ev)
 	}
-	return st
 }
 
-// OnAccess folds one coarse page access into the window and the
-// transition edges.
-func (r *Recorder) OnAccess(ev osim.AccessEvent) {
+// access folds one coarse page access into the window and the transition
+// edges.
+func (r *Recorder) access(ev osim.PageEvent) {
 	id := r.nodeFor(ev.Off, ev.Page, ev.Section)
 	n := &r.nodes[id]
 	n.Accesses++
@@ -372,43 +372,26 @@ func (r *Recorder) OnAccess(ev osim.AccessEvent) {
 	}
 }
 
-// OnFault charges one fault to the faulting page's node and its section
-// total (the event's own classification, so the totals reconcile with
-// osim's counters by construction).
-func (r *Recorder) OnFault(ev osim.FaultEvent) {
-	st := r.section(ev.Section)
-	if ev.Major {
-		st.Major++
-		r.major++
-	} else {
-		st.Minor++
-	}
-	st.IONanos += ev.IONanos
+// fault charges one fault to the faulting offset's node.
+func (r *Recorder) fault(ev osim.PageEvent) {
 	r.faults++
-	id := r.nodeFor(ev.Off, ev.Page, ev.Section)
-	n := &r.nodes[id]
+	n := &r.nodes[r.nodeFor(ev.Off, ev.Page, ev.Section)]
 	n.Faults++
 	if ev.Major {
+		r.major++
 		n.Major++
-		if ev.Page >= 0 && ev.Page < len(r.evictedPage) && r.evictedPage[ev.Page] {
-			st.Refaults++
-			n.Refaults++
-			r.refaults++
-		}
+	}
+	if ev.Refault {
+		r.refaults++
+		n.Refaults++
 	}
 }
 
-// OnEvict charges one eviction and arms (or, for DropCaches, disarms)
-// the page's re-fault tracking. A pressure eviction also closes the
-// window in progress and flags the next one, so the window log carries
-// the run's reclaim boundaries for the scorecard replay.
-func (r *Recorder) OnEvict(ev osim.EvictionEvent) {
-	st := r.section(ev.Section)
-	st.Evicted++
+// evict charges one eviction. A pressure eviction also closes the window
+// in progress and flags the next one, so the window log carries the run's
+// reclaim boundaries for the scorecard replay.
+func (r *Recorder) evict(ev osim.PageEvent) {
 	r.evictions++
-	if ev.Page >= 0 && ev.Page < len(r.evictedPage) {
-		r.evictedPage[ev.Page] = ev.Cause != osim.EvictDrop
-	}
 	r.nodes[r.nodeFor(ev.Off, ev.Page, ev.Section)].Evictions++
 	if ev.Cause == osim.EvictPressure {
 		r.rotate()
@@ -535,14 +518,7 @@ func (r *Recorder) Graph() *Graph {
 		PrunedWeight:   r.prunedWeight,
 		DroppedWindows: r.droppedWindows,
 		OverflowEvents: r.overflowEvents,
-	}
-	var secIdxs []int
-	for i := range r.bySection {
-		secIdxs = append(secIdxs, i)
-	}
-	sort.Ints(secIdxs)
-	for _, i := range secIdxs {
-		g.Sections = append(g.Sections, *r.bySection[i])
+		Sections:       r.sections.Totals(),
 	}
 	remap := make([]int32, len(r.nodes))
 	for i, n := range r.nodes {

@@ -31,7 +31,7 @@ func access(r *Recorder, page int, clock int64) {
 	if page >= 2 {
 		sec = 1
 	}
-	r.OnAccess(osim.AccessEvent{Off: int64(page) * osim.PageSize, Page: page, Section: sec, Clock: clock})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageAccess, Off: int64(page) * osim.PageSize, Page: page, Section: sec, Clock: clock})
 }
 
 // TestRecorderWindowsAndEdges drives a hand-built access sequence and
@@ -112,9 +112,9 @@ func TestRecorderChargesOffsetSymbol(t *testing.T) {
 	r := NewRecorder(testIndex(), Config{WindowEvents: 4})
 	// Page 1 spans [4096, 8192): A.run(0) covers [64, 6064), B.run(0)
 	// covers [6064, 8192). Touch B's bytes, then A's, on the same page.
-	r.OnAccess(osim.AccessEvent{Off: 6100, Page: 1, Section: 0, Clock: 1})
-	r.OnAccess(osim.AccessEvent{Off: 5000, Page: 1, Section: 0, Clock: 2})
-	r.OnFault(osim.FaultEvent{Off: 6100, Page: 1, Section: 0, Major: true})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageAccess, Off: 6100, Page: 1, Section: 0, Clock: 1})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageAccess, Off: 5000, Page: 1, Section: 0, Clock: 2})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Off: 6100, Page: 1, Section: 0, Major: true})
 	g := r.Graph()
 	b, ok := g.Node("B.run(0)")
 	if !ok || b.Accesses != 1 || b.Faults != 1 || b.FirstClock != 1 {
@@ -179,8 +179,8 @@ func TestRecorderWindowLogBound(t *testing.T) {
 
 // TestRecorderReconcilesWithFile is the end-to-end reconciliation
 // contract, mirroring the attribution recorder's test: driving a real
-// osim mapping under budget pressure with the recorder attached as all
-// three observers, the graph's totals and node sums must equal the
+// osim mapping under budget pressure with the recorder observing it, the
+// graph's totals and node sums must equal the
 // mapping's and file's own counters exactly.
 func TestRecorderReconcilesWithFile(t *testing.T) {
 	o := osim.NewOS(osim.SSD())
@@ -196,9 +196,7 @@ func TestRecorderReconcilesWithFile(t *testing.T) {
 	}
 	r := NewRecorder(testIndex(), Config{WindowEvents: 3})
 	m := f.Map()
-	m.Observer = r
-	m.EvictObserver = r
-	m.AccessObserver = r
+	m.Observe(r)
 	for _, p := range []int64{0, 1, 2, 3, 0, 3, 1, 2, 0} {
 		m.Touch(p * osim.PageSize)
 	}
@@ -255,6 +253,41 @@ func TestRecorderReconcilesWithFile(t *testing.T) {
 	}
 }
 
+// TestRecorderRefaultsMatchMapping: re-faults are osim's decision. A page
+// evicted under pressure and then dropped while not resident faults back
+// as a first fault (DropCaches emits no event for it); only the later
+// pressure eviction and fault is a re-fault. Node, section and graph
+// re-fault totals all equal Mapping.Refaults.
+func TestRecorderRefaultsMatchMapping(t *testing.T) {
+	o := osim.NewOS(osim.SSD())
+	o.FaultAround = 1
+	ix := testIndex()
+	f, err := o.NewFile("bin", ix.FileSize, ix.Sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRecorder(ix, Config{})
+	m := f.Map()
+	m.Observe(r)
+	m.Touch(0)
+	m.Touch(osim.PageSize)
+	o.Reclaim(1)   // pressure evicts page 0
+	o.DropCaches() // drops page 1; page 0 is not resident
+	m.Touch(0)     // first fault after the reset
+	m.Touch(osim.PageSize)
+	o.Reclaim(1) // pressure evicts page 0 again
+	m.Touch(0)   // re-fault
+	g := r.Graph()
+	var nodes int64
+	for _, n := range g.Nodes {
+		nodes += n.Refaults
+	}
+	if m.Refaults != 1 || g.Refaults != m.Refaults || nodes != m.Refaults || g.Section(".text").Refaults != m.Refaults {
+		t.Fatalf("refaults: graph %d, nodes %d, .text %d, mapping %d (want 1)",
+			g.Refaults, nodes, g.Section(".text").Refaults, m.Refaults)
+	}
+}
+
 // TestRecorderDeterministic runs the same event stream twice and expects
 // bit-identical graphs (the single-recorder half of the determinism
 // contract; the cross-worker half lives in the eval tests).
@@ -272,9 +305,7 @@ func TestRecorderDeterministic(t *testing.T) {
 		}
 		r := NewRecorder(testIndex(), Config{WindowEvents: 2, MaxEdges: 2})
 		m := f.Map()
-		m.Observer = r
-		m.EvictObserver = r
-		m.AccessObserver = r
+		m.Observe(r)
 		for _, p := range []int64{0, 3, 1, 2, 0, 2, 3, 1, 0, 3} {
 			m.Touch(p * osim.PageSize)
 		}
@@ -333,7 +364,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	for i, p := range []int{0, 1, 2, 3, 0, 2} {
 		access(r, p, int64(i+1))
 	}
-	r.OnFault(osim.FaultEvent{Off: 0, Page: 0, Section: 0, Major: true, IONanos: 1000})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Off: 0, Page: 0, Section: 0, Major: true, IONanos: 1000})
 	g := r.Graph()
 	g.Workload, g.Layout = "w", "identity"
 	var buf bytes.Buffer

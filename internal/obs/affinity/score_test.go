@@ -18,7 +18,7 @@ func scoreGraph(t *testing.T) *Graph {
 	clock := int64(0)
 	for w := 0; w < 8; w++ {
 		if w > 0 {
-			r.OnEvict(osim.EvictionEvent{Off: 0, Page: 0, Section: 0, Cause: osim.EvictPressure})
+			r.OnPageEvent(osim.PageEvent{Kind: osim.PageEvict, Off: 0, Page: 0, Section: 0, Cause: osim.EvictPressure})
 		}
 		for _, p := range []int{0, 2, 0, 2} {
 			clock++

@@ -8,11 +8,13 @@
 // how many bytes the fault-around windows dragged in for nothing.
 //
 // The pieces: an Index resolves pages to the symbols overlapping them; a
-// Recorder implements osim.FaultObserver and folds every fault into a
-// per-symbol table plus a per-page heat map; a Table is the serializable
-// result; Diff compares two tables (baseline vs optimized layout) into
-// eliminated / survived / new cold symbols. Exporters for the table live
-// in pprof.go (pprof protobuf) and trace.go (Chrome trace-event JSON).
+// Recorder observes a mapping's osim page-event stream and folds every
+// fault and eviction into a per-symbol table plus a per-page heat map; a
+// SectionTally keeps the per-section totals (shared with the affinity
+// recorder); a Table is the serializable result; Diff compares two
+// tables (baseline vs optimized layout) into eliminated / survived / new
+// cold symbols. Exporters for the table live in pprof.go (pprof
+// protobuf) and trace.go (Chrome trace-event JSON).
 package attrib
 
 import (
@@ -127,7 +129,7 @@ func (ix *Index) SymbolAt(off int64) int {
 }
 
 // SectionName returns the name the index uses for a section index of an
-// osim.FaultEvent ("<other>" past the table, matching osim's catch-all).
+// osim.PageEvent ("<other>" past the table, matching osim's catch-all).
 func (ix *Index) SectionName(idx int) string {
 	if idx >= 0 && idx < len(ix.Sections) {
 		return ix.Sections[idx].Name
@@ -179,6 +181,59 @@ type SectionTotal struct {
 // Total returns major+minor.
 func (s SectionTotal) Total() int64 { return s.Major + s.Minor }
 
+// SectionTally folds the fault and evict events of a page-event stream
+// into per-section totals. It uses each event's own section
+// classification, so the totals reconcile with osim's counters by
+// construction (asserted by tests, not assumed).
+type SectionTally struct {
+	ix *Index
+	by map[int]*SectionTotal
+}
+
+// NewSectionTally creates an empty tally naming sections by the index.
+func NewSectionTally(ix *Index) *SectionTally {
+	return &SectionTally{ix: ix, by: make(map[int]*SectionTotal)}
+}
+
+// Add folds one event; access events leave the tally unchanged.
+func (t *SectionTally) Add(ev osim.PageEvent) {
+	if ev.Kind == osim.PageAccess {
+		return
+	}
+	st := t.by[ev.Section]
+	if st == nil {
+		st = &SectionTotal{Section: t.ix.SectionName(ev.Section)}
+		t.by[ev.Section] = st
+	}
+	if ev.Kind == osim.PageEvict {
+		st.Evicted++
+		return
+	}
+	if ev.Major {
+		st.Major++
+	} else {
+		st.Minor++
+	}
+	if ev.Refault {
+		st.Refaults++
+	}
+	st.IONanos += ev.IONanos
+}
+
+// Totals returns the sections with any event, in section order.
+func (t *SectionTally) Totals() []SectionTotal {
+	idxs := make([]int, 0, len(t.by))
+	for i := range t.by {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	var out []SectionTotal
+	for _, i := range idxs {
+		out = append(out, *t.by[i])
+	}
+	return out
+}
+
 // PageHeat is one faulted page of the heat map.
 type PageHeat struct {
 	Page    int64  `json:"page"`
@@ -227,29 +282,26 @@ func (t *Table) TotalFaults() int64 {
 	return n
 }
 
-// Recorder folds a mapping's fault stream into an attribution table. It
-// implements osim.FaultObserver; attach it to a Mapping before the first
-// touch. Not safe for concurrent use (one recorder per mapping).
+// Recorder folds a mapping's page-event stream into an attribution
+// table. It is an osim.PageObserver; attach it with Mapping.Observe
+// before the first touch. Not safe for concurrent use (one recorder per
+// mapping).
 type Recorder struct {
-	ix        *Index
-	counts    []SymbolFaults // parallel to ix.syms
-	bySection map[int]*SectionTotal
-	heat      []PageHeat // indexed by page; Count==0 means never faulted
-	// evictedPage mirrors osim's per-page re-fault tracking: set when a
-	// page is evicted under pressure or budget, cleared by DropCaches.
-	evictedPage []bool
-	ordinal     int64
-	finished    bool
+	ix       *Index
+	counts   []SymbolFaults // parallel to ix.syms
+	sections *SectionTally
+	heat     []PageHeat // indexed by page; Count==0 means never faulted
+	ordinal  int64
+	finished bool
 }
 
 // NewRecorder creates a recorder over the index.
 func NewRecorder(ix *Index) *Recorder {
 	r := &Recorder{
-		ix:          ix,
-		counts:      make([]SymbolFaults, len(ix.syms)),
-		bySection:   make(map[int]*SectionTotal),
-		heat:        make([]PageHeat, ix.Pages()),
-		evictedPage: make([]bool, ix.Pages()),
+		ix:       ix,
+		counts:   make([]SymbolFaults, len(ix.syms)),
+		sections: NewSectionTally(ix),
+		heat:     make([]PageHeat, ix.Pages()),
 	}
 	for i := range r.counts {
 		r.counts[i].Symbol = ix.syms[i]
@@ -257,23 +309,24 @@ func NewRecorder(ix *Index) *Recorder {
 	return r
 }
 
-// OnFault attributes one fault: the per-section totals use the event's own
-// section classification (so they reconcile with osim's counters by
-// construction — asserted by tests, not assumed), and the faulted page's
-// counts and I/O charge every symbol overlapping it.
-func (r *Recorder) OnFault(ev osim.FaultEvent) {
+// OnPageEvent folds one event into the section totals and charges every
+// symbol overlapping the event's page: a fault adds to the symbols'
+// counts, I/O and re-faults (osim decides which faults re-fault) and to
+// the page's heat; an eviction adds to their eviction counts.
+func (r *Recorder) OnPageEvent(ev osim.PageEvent) {
+	r.sections.Add(ev)
+	switch ev.Kind {
+	case osim.PageFault:
+		r.fault(ev)
+	case osim.PageEvict:
+		for _, si := range r.ix.SymbolsOnPage(ev.Page) {
+			r.counts[si].Evicted++
+		}
+	}
+}
+
+func (r *Recorder) fault(ev osim.PageEvent) {
 	r.ordinal++
-	st := r.bySection[ev.Section]
-	if st == nil {
-		st = &SectionTotal{Section: r.ix.SectionName(ev.Section)}
-		r.bySection[ev.Section] = st
-	}
-	if ev.Major {
-		st.Major++
-	} else {
-		st.Minor++
-	}
-	st.IONanos += ev.IONanos
 	if ev.Page >= 0 && ev.Page < len(r.heat) {
 		h := &r.heat[ev.Page]
 		h.Page = int64(ev.Page)
@@ -281,11 +334,7 @@ func (r *Recorder) OnFault(ev osim.FaultEvent) {
 		if ev.Major {
 			h.Major++
 		}
-		h.Section = st.Section
-	}
-	refault := ev.Major && ev.Page >= 0 && ev.Page < len(r.evictedPage) && r.evictedPage[ev.Page]
-	if refault {
-		st.Refaults++
+		h.Section = r.ix.SectionName(ev.Section)
 	}
 	for _, si := range r.ix.SymbolsOnPage(ev.Page) {
 		c := &r.counts[si]
@@ -295,35 +344,13 @@ func (r *Recorder) OnFault(ev osim.FaultEvent) {
 		} else {
 			c.Minor++
 		}
-		if refault {
+		if ev.Refault {
 			c.Refaults++
 		}
 		c.IONanos += ev.IONanos
 		if c.FirstOrdinal == 0 {
 			c.FirstOrdinal = r.ordinal
 		}
-	}
-}
-
-// OnEvict attributes one page eviction (the Recorder also implements
-// osim.EvictionObserver; attach it as the mapping's EvictObserver). The
-// per-section eviction totals reconcile with the file's counters by
-// construction; per-symbol counts charge every symbol on the page.
-// Pressure and budget evictions arm the page's re-fault tracking;
-// DropCaches (the deliberate cold-start reset) disarms it, mirroring the
-// osim model.
-func (r *Recorder) OnEvict(ev osim.EvictionEvent) {
-	st := r.bySection[ev.Section]
-	if st == nil {
-		st = &SectionTotal{Section: r.ix.SectionName(ev.Section)}
-		r.bySection[ev.Section] = st
-	}
-	st.Evicted++
-	if ev.Page >= 0 && ev.Page < len(r.evictedPage) {
-		r.evictedPage[ev.Page] = ev.Cause != osim.EvictDrop
-	}
-	for _, si := range r.ix.SymbolsOnPage(ev.Page) {
-		r.counts[si].Evicted++
 	}
 }
 
@@ -366,14 +393,7 @@ func (r *Recorder) Table() *Table {
 		FileSize: r.ix.FileSize,
 		Pages:    r.ix.Pages(),
 		Runs:     1,
-	}
-	var secIdxs []int
-	for i := range r.bySection {
-		secIdxs = append(secIdxs, i)
-	}
-	sort.Ints(secIdxs)
-	for _, i := range secIdxs {
-		t.Sections = append(t.Sections, *r.bySection[i])
+		Sections: r.sections.Totals(),
 	}
 	for i := range r.counts {
 		c := r.counts[i]

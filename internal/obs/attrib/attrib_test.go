@@ -71,9 +71,9 @@ func TestIndexSymbolsOnPage(t *testing.T) {
 func TestRecorderAttribution(t *testing.T) {
 	ix := testIndex()
 	r := NewRecorder(ix)
-	r.OnFault(osim.FaultEvent{Off: 0, Page: 0, Section: 0, Major: true, IONanos: 1000})
-	r.OnFault(osim.FaultEvent{Off: 4096, Page: 1, Section: 0, Major: false})
-	r.OnFault(osim.FaultEvent{Off: 8192, Page: 2, Section: 1, Major: true, IONanos: 500})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Off: 0, Page: 0, Section: 0, Major: true, IONanos: 1000})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Off: 4096, Page: 1, Section: 0, Major: false})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Off: 8192, Page: 2, Section: 1, Major: true, IONanos: 500})
 	states := make([]osim.PageState, 4)
 	states[0] = osim.PageFaulted
 	states[1] = osim.PageFaulted
@@ -143,7 +143,7 @@ func TestRecorderSectionReconciliation(t *testing.T) {
 		if p >= 2 {
 			sec = 1
 		}
-		r.OnFault(osim.FaultEvent{Off: int64(p) * osim.PageSize, Page: p, Section: sec, Major: p%2 == 0, IONanos: 10})
+		r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Off: int64(p) * osim.PageSize, Page: p, Section: sec, Major: p%2 == 0, IONanos: 10})
 	}
 	tab := r.Table()
 	if got := tab.Section(".text").Total(); got != 2 {
@@ -165,7 +165,7 @@ func TestMergeTables(t *testing.T) {
 	mk := func(first int64) *Table {
 		ix := testIndex()
 		r := NewRecorder(ix)
-		r.OnFault(osim.FaultEvent{Page: 0, Section: 0, Major: true, IONanos: 100})
+		r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Page: 0, Section: 0, Major: true, IONanos: 100})
 		tab := r.Table()
 		tab.Workload, tab.Layout = "Bounce", "cu"
 		for i := range tab.Symbols {
@@ -245,7 +245,7 @@ func TestDiffTables(t *testing.T) {
 func TestTableRoundTrip(t *testing.T) {
 	ix := testIndex()
 	r := NewRecorder(ix)
-	r.OnFault(osim.FaultEvent{Page: 1, Section: 0, Major: true, IONanos: 42})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Page: 1, Section: 0, Major: true, IONanos: 42})
 	tab := r.Table()
 	tab.Workload = "Bounce"
 

@@ -12,9 +12,9 @@ func TestRecorderEvictionAttribution(t *testing.T) {
 	// Page 1 (.text, shared by CUs A and B) is evicted under pressure,
 	// then major-faults back in: both CUs are charged the eviction and
 	// the re-fault.
-	r.OnFault(osim.FaultEvent{Off: 4096, Page: 1, Section: 0, Major: true, IONanos: 1000})
-	r.OnEvict(osim.EvictionEvent{Off: 4096, Page: 1, Section: 0, Cause: osim.EvictPressure, Mapped: true})
-	r.OnFault(osim.FaultEvent{Off: 4096, Page: 1, Section: 0, Major: true, IONanos: 1000})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Off: 4096, Page: 1, Section: 0, Major: true, IONanos: 1000})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageEvict, Off: 4096, Page: 1, Section: 0, Cause: osim.EvictPressure})
+	r.OnPageEvent(osim.PageEvent{Kind: osim.PageFault, Off: 4096, Page: 1, Section: 0, Major: true, Refault: true, IONanos: 1000})
 	tb := r.Table()
 	sec := tb.Section(".text")
 	if sec.Evicted != 1 || sec.Refaults != 1 {
@@ -36,38 +36,65 @@ func TestRecorderEvictionAttribution(t *testing.T) {
 	}
 }
 
-func TestRecorderDropDisarmsRefault(t *testing.T) {
+// observedMapping maps a file laid out like testIndex, one page per
+// fault and no budget, with the recorder observing it.
+func observedMapping(t *testing.T, r *Recorder) (*osim.OS, *osim.File, *osim.Mapping) {
+	t.Helper()
+	o := osim.NewOS(osim.SSD())
+	o.FaultAround = 1
 	ix := testIndex()
-	r := NewRecorder(ix)
-	r.OnFault(osim.FaultEvent{Off: 0, Page: 0, Section: 0, Major: true})
-	r.OnEvict(osim.EvictionEvent{Off: 0, Page: 0, Section: 0, Cause: osim.EvictPressure, Mapped: true})
-	// DropCaches evicts nothing here (already out), but a drop event on
-	// the page must disarm re-fault tracking.
-	r.OnEvict(osim.EvictionEvent{Off: 0, Page: 0, Section: 0, Cause: osim.EvictDrop})
-	r.OnFault(osim.FaultEvent{Off: 0, Page: 0, Section: 0, Major: true})
-	tb := r.Table()
-	if got := tb.Section(".text").Refaults; got != 0 {
-		t.Fatalf("refaults after drop = %d, want 0", got)
+	f, err := o.NewFile("bin", ix.FileSize, ix.Sections)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := tb.Section(".text").Evicted; got != 2 {
-		t.Fatalf("evicted = %d, want 2 (pressure + drop both counted)", got)
+	m := f.Map()
+	m.Observe(r)
+	return o, f, m
+}
+
+// TestRecorderDropDisarmsRefault: a page evicted under pressure and then
+// dropped while not resident faults back as a first fault — DropCaches
+// emits no event for it, so only osim knows the reset disarmed it. A
+// later pressure eviction and fault is a real re-fault.
+func TestRecorderDropDisarmsRefault(t *testing.T) {
+	r := NewRecorder(testIndex())
+	o, _, m := observedMapping(t, r)
+	m.Touch(0)
+	m.Touch(osim.PageSize)
+	o.Reclaim(1)   // pressure evicts page 0
+	o.DropCaches() // drops page 1; page 0 is not resident
+	m.Touch(0)     // first fault after the reset
+	m.Touch(osim.PageSize)
+	o.Reclaim(1) // pressure evicts page 0 again
+	m.Touch(0)   // re-fault
+	tb := r.Table()
+	if got := tb.Section(".text").Refaults; got != m.Refaults || got != 1 {
+		t.Fatalf("section refaults = %d, mapping %d, want 1", got, m.Refaults)
+	}
+	if got := tb.Section(".text").Evicted; got != 3 {
+		t.Fatalf("evicted = %d, want 3 (two pressure + one drop)", got)
 	}
 }
 
+// TestRecorderMinorFaultOnEvictedPageNotRefault: a page evicted under
+// pressure and read back by another mapping is a minor fault here, not
+// a re-fault.
 func TestRecorderMinorFaultOnEvictedPageNotRefault(t *testing.T) {
-	ix := testIndex()
-	r := NewRecorder(ix)
-	r.OnEvict(osim.EvictionEvent{Off: 8192, Page: 2, Section: 1, Cause: osim.EvictBudget})
-	// A minor fault (page came back via readahead) is not a re-fault.
-	r.OnFault(osim.FaultEvent{Off: 8192, Page: 2, Section: 1, Major: false})
-	if got := r.Table().Section(".svm_heap").Refaults; got != 0 {
-		t.Fatalf("minor fault counted as refault: %d", got)
+	r := NewRecorder(testIndex())
+	o, f, m := observedMapping(t, r)
+	m.Touch(8192)       // page 2, major
+	o.Reclaim(1)        // pressure evicts it and unmaps it here
+	f.Map().Touch(8192) // another process reads it back (its re-fault)
+	m.Touch(8192)       // resident again: a minor fault here
+	st := r.Table().Section(".svm_heap")
+	if st.Minor != 1 || st.Refaults != 0 || m.Refaults != 0 {
+		t.Fatalf(".svm_heap minor=%d refaults=%d (mapping %d), want 1/0/0", st.Minor, st.Refaults, m.Refaults)
 	}
 }
 
 // TestRecorderReconcilesWithFile is the end-to-end reconciliation
 // contract: driving a real osim mapping under budget pressure with the
-// recorder attached as both observers, the recorder's per-section
+// recorder observing it, the recorder's per-section
 // eviction and re-fault totals must equal the file's own counters, and
 // its fault totals must still match the mapping's per-section counts.
 func TestRecorderReconcilesWithFile(t *testing.T) {
@@ -85,8 +112,7 @@ func TestRecorderReconcilesWithFile(t *testing.T) {
 	ix := testIndex()
 	r := NewRecorder(ix)
 	m := f.Map()
-	m.Observer = r
-	m.EvictObserver = r
+	m.Observe(r)
 	for _, p := range []int64{0, 1, 2, 3, 0, 3, 1, 2, 0} {
 		m.Touch(p * osim.PageSize)
 	}

@@ -185,5 +185,5 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// Guard: the recorder really does plug into osim as a FaultObserver.
-var _ osim.FaultObserver = (*Recorder)(nil)
+// Guard: the recorder really does plug into osim as a PageObserver.
+var _ osim.PageObserver = (*Recorder)(nil)

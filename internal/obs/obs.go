@@ -1,7 +1,8 @@
 // Package obs is the toolchain's observability layer: a lightweight,
 // allocation-conscious metrics registry (counters, gauges, histograms with
 // fixed bucket layouts), span-style scoped timers, and labelled event
-// timelines, with pluggable output sinks (JSON, CSV, in-memory).
+// timelines. A registry's Snapshot is written with WriteDoc like every
+// other document.
 //
 // The paper's entire argument rests on measurement — page faults per
 // section, profiling overhead, cross-build match rates (Secs. 5 and 7) — so
@@ -10,8 +11,8 @@
 // profiler counts probes and dumped bytes, the matcher reports per-strategy
 // match/collision rates, and the interpreter reports its instruction mix.
 //
-// Detached operation is free by design: a nil *Registry is the "no sink
-// attached" state. Every constructor and recording method is nil-safe and
+// Detached operation is free by design: a nil *Registry is the "nothing
+// observed" state. Every constructor and recording method is nil-safe and
 // returns/accepts nil handles, so instrumentation sites compile down to a
 // nil check when observability is off — the Tier-1 benchmarks run with a
 // nil registry and measure no difference (see TestDetachedPathAllocates-
@@ -40,7 +41,6 @@ type Registry struct {
 	hists     map[string]*Histogram
 	timelines map[string]*Timeline
 	spans     []SpanPoint
-	sinks     []Sink
 	seq       atomic.Int64
 }
 
@@ -499,45 +499,10 @@ func (r *Registry) Snapshot() *Snapshot {
 	return snap
 }
 
-// Attach adds a sink that Flush writes snapshots to. No-op when detached.
-func (r *Registry) Attach(s Sink) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.sinks = append(r.sinks, s)
-	r.mu.Unlock()
-}
-
-// Flush snapshots the registry and writes the snapshot to every attached
-// sink, returning the first error. No-op when detached.
-func (r *Registry) Flush() error {
-	if r == nil {
-		return nil
-	}
-	snap := r.Snapshot()
-	r.mu.Lock()
-	sinks := append([]Sink(nil), r.sinks...)
-	r.mu.Unlock()
-	var first error
-	for _, s := range sinks {
-		if err := s.Write(snap); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // DurationBuckets is the fixed bucket layout for durations, in nanoseconds
 // (1µs … 10s, decades).
 func DurationBuckets() []float64 {
 	return []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
-}
-
-// SizeBuckets is the fixed bucket layout for byte/word sizes (64 … 4Mi,
-// powers of four).
-func SizeBuckets() []float64 {
-	return []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
 }
 
 // LatencyBuckets is the fine-grained bucket layout for request latencies

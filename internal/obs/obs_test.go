@@ -118,15 +118,15 @@ func testSnapshot() *Snapshot {
 	return r.Snapshot()
 }
 
-// TestJSONSinkRoundTrip writes a snapshot through the JSON sink and reads
-// it back unchanged.
+// TestJSONSinkRoundTrip writes a snapshot with WriteDoc, the one JSON
+// document writer, and reads it back unchanged.
 func TestJSONSinkRoundTrip(t *testing.T) {
 	snap := testSnapshot()
 	var buf bytes.Buffer
-	if err := (JSONSink{W: &buf, Indent: true}).Write(snap); err != nil {
+	if err := WriteDoc(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
+	got, err := ReadDoc(&buf, "obs", "snapshot", SchemaVersion, func(s *Snapshot) string { return s.Schema }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,46 +135,7 @@ func TestJSONSinkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCSVSinkRoundTrip writes a snapshot through the CSV sink and reads it
-// back unchanged.
-func TestCSVSinkRoundTrip(t *testing.T) {
-	snap := testSnapshot()
-	var buf bytes.Buffer
-	if err := (CSVSink{W: &buf}).Write(snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Errorf("csv round trip mismatch:\ngot  %+v\nwant %+v", got, snap)
-	}
-}
-
-// TestFlushWritesAllSinks checks Flush fan-out and the MemorySink.
-func TestFlushWritesAllSinks(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Inc()
-	mem := &MemorySink{}
-	var buf bytes.Buffer
-	r.Attach(mem)
-	r.Attach(JSONSink{W: &buf})
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(mem.Snapshots()); n != 1 {
-		t.Fatalf("memory sink snapshots = %d, want 1", n)
-	}
-	if mem.Snapshots()[0].Counter("c") != 1 {
-		t.Error("memory sink snapshot missing counter")
-	}
-	if buf.Len() == 0 {
-		t.Error("json sink received nothing")
-	}
-}
-
-// TestDetachedPathAllocatesNothing is the regression test for the no-sink
+// TestDetachedPathAllocatesNothing is the regression test for the detached
 // fast path: with a nil registry, every instrumentation-site operation must
 // be allocation-free (and hence effectively free), so Tier-1 benchmarks are
 // unaffected when observability is off.

@@ -7,9 +7,9 @@ package osim
 // kernel reclaims them under a resident budget, or because other tenants
 // push them out between bursts. This file models both: a resident-page
 // budget enforced with an LRU or clock replacement policy, an explicit
-// Reclaim API for inter-burst pressure, and an EvictionObserver hook
-// symmetric to FaultObserver so attribution can name which symbols' pages
-// fell out of cache and came back (re-faults).
+// Reclaim API for inter-burst pressure, and evict events on the page-event
+// stream (event.go) so attribution can name which symbols' pages fell out
+// of cache and came back (re-faults).
 //
 // Evicting a resident page also unmaps it from every live mapping of the
 // file (the kernel's rmap walk): the next access takes a major re-fault,
@@ -63,30 +63,6 @@ func (c EvictCause) String() string {
 		return "drop"
 	}
 	return "unknown"
-}
-
-// EvictionEvent describes one page evicted from the page cache, for
-// EvictionObserver implementations — the mirror image of FaultEvent.
-type EvictionEvent struct {
-	// Off is the page's byte offset; Page its index.
-	Off  int64
-	Page int
-	// Section indexes File.Sections for the section containing the page
-	// start, or len(Sections) when the page lies outside every section
-	// (same convention as FaultEvent.Section).
-	Section int
-	// Cause says why the page was evicted.
-	Cause EvictCause
-	// Mapped reports whether the observing mapping had the page mapped
-	// (and therefore lost a live translation, not just cache warmth).
-	Mapped bool
-}
-
-// EvictionObserver receives every eviction affecting a mapping's file as
-// it happens, symmetric to FaultObserver. Observers must not touch the
-// mapping they observe.
-type EvictionObserver interface {
-	OnEvict(EvictionEvent)
 }
 
 // SectionPages pairs a section name with a page count — the unit of the
@@ -216,7 +192,7 @@ func (o *OS) pageAt(pos int) (*File, int) {
 }
 
 // evictPage removes one resident page from the cache: accounting, rmap
-// unmap from every live mapping, and observer notification. evictor is
+// unmap from every live mapping, and an evict event to each. evictor is
 // the tenant whose fault forced the eviction (-1 for external pressure
 // or DropCaches), charged against the file's owning tenant in the
 // interference matrix.
@@ -234,32 +210,16 @@ func (o *OS) evictPage(f *File, p int, cause EvictCause, evictor int) {
 	} else {
 		f.everEvicted[p] = true
 	}
-	off := int64(p) * PageSize
+	ev := PageEvent{Kind: PageEvict, Off: int64(p) * PageSize, Page: p, Section: sec, Clock: o.clock, Cause: cause}
 	for _, m := range f.mappings {
-		wasMapped := m.mapped[p]
-		if wasMapped {
-			m.mapped[p] = false
-		}
-		if m.EvictObserver != nil {
-			m.EvictObserver.OnEvict(EvictionEvent{
-				Off: off, Page: p, Section: sec, Cause: cause, Mapped: wasMapped,
-			})
-		}
+		m.mapped[p] = false
+		m.emit(ev)
 	}
 }
 
 // pageSection classifies a page by its start offset, the same way faults
-// are classified by their fault offset: the index into Sections, or
-// len(Sections) for pages outside every section.
-func (f *File) pageSection(p int) int {
-	off := int64(p) * PageSize
-	for i := range f.Sections {
-		if f.Sections[i].Contains(off) {
-			return i
-		}
-	}
-	return len(f.Sections)
-}
+// are classified by their fault offset.
+func (f *File) pageSection(p int) int { return f.offSection(int64(p) * PageSize) }
 
 // noteUse stamps a page's access recency for the replacement policies.
 func (f *File) noteUse(p int) {
@@ -289,7 +249,7 @@ func (f *File) EvictionsBySection() []SectionPages {
 	for i, s := range f.Sections {
 		out = append(out, SectionPages{Section: s.Name, Pages: f.evictBySec[i]})
 	}
-	return append(out, SectionPages{Section: "<other>", Pages: f.evictBySec[len(f.Sections)]})
+	return append(out, SectionPages{Section: otherSection, Pages: f.evictBySec[len(f.Sections)]})
 }
 
 // ResidencyBySection returns the current resident page counts per section
@@ -305,7 +265,7 @@ func (f *File) ResidencyBySection() []SectionPages {
 	for i, s := range f.Sections {
 		out = append(out, SectionPages{Section: s.Name, Pages: counts[i]})
 	}
-	return append(out, SectionPages{Section: "<other>", Pages: counts[len(f.Sections)]})
+	return append(out, SectionPages{Section: otherSection, Pages: counts[len(f.Sections)]})
 }
 
 // ResidentInSection returns how many pages of the named section are

@@ -5,13 +5,6 @@ import (
 	"testing/quick"
 )
 
-// evictLog records eviction events for observer-contract tests.
-type evictLog struct {
-	events []EvictionEvent
-}
-
-func (l *evictLog) OnEvict(ev EvictionEvent) { l.events = append(l.events, ev) }
-
 func newBudgetOS(t *testing.T, pages int64, budget int, policy EvictionPolicy) (*OS, *File, *Mapping) {
 	t.Helper()
 	o := NewOS(SSD())
@@ -237,44 +230,45 @@ func TestReconciliationQuick(t *testing.T) {
 
 func TestEvictionObserverSeesEveryEviction(t *testing.T) {
 	_, f, m := newBudgetOS(t, 8, 2, EvictLRU)
-	lg := &evictLog{}
-	m.EvictObserver = lg
+	lg := &pageLog{}
+	m.Observe(lg)
 	m.Touch(0 * PageSize)
 	m.Touch(1 * PageSize)
 	m.Touch(2 * PageSize) // budget eviction of page 0
-	if len(lg.events) != 1 {
-		t.Fatalf("events = %d, want 1", len(lg.events))
+	evs := lg.of(PageEvict)
+	if len(evs) != 1 {
+		t.Fatalf("events = %d, want 1", len(evs))
 	}
-	ev := lg.events[0]
-	if ev.Page != 0 || ev.Cause != EvictBudget || !ev.Mapped || ev.Section != 0 {
+	ev := evs[0]
+	if ev.Page != 0 || ev.Cause != EvictBudget || ev.Section != 0 {
 		t.Fatalf("unexpected event %+v", ev)
 	}
 	if ev.Off != 0 {
 		t.Fatalf("event offset = %d", ev.Off)
 	}
 	f.os.Reclaim(1) // pressure eviction of page 1
-	if len(lg.events) != 2 || lg.events[1].Cause != EvictPressure {
-		t.Fatalf("expected pressure event, got %+v", lg.events)
+	if evs = lg.of(PageEvict); len(evs) != 2 || evs[1].Cause != EvictPressure {
+		t.Fatalf("expected pressure event, got %+v", evs)
 	}
 	f.os.DropCaches() // drop eviction of the last resident page
-	last := lg.events[len(lg.events)-1]
-	if last.Cause != EvictDrop {
+	evs = lg.of(PageEvict)
+	if last := evs[len(evs)-1]; last.Cause != EvictDrop {
 		t.Fatalf("expected drop event, got %+v", last)
 	}
-	if int64(len(lg.events)) != f.EvictedPages() {
-		t.Fatalf("observer saw %d events, file evicted %d", len(lg.events), f.EvictedPages())
+	if int64(len(evs)) != f.EvictedPages() {
+		t.Fatalf("observer saw %d evictions, file evicted %d", len(evs), f.EvictedPages())
 	}
 }
 
 func TestReleaseStopsUnmapAndEvents(t *testing.T) {
 	_, f, m := newBudgetOS(t, 8, 0, EvictLRU)
-	lg := &evictLog{}
-	m.EvictObserver = lg
+	lg := &pageLog{}
+	m.Observe(lg)
 	m.Touch(0 * PageSize)
 	m.Release()
 	f.os.DropCaches()
-	if len(lg.events) != 0 {
-		t.Fatalf("released mapping still observed %d events", len(lg.events))
+	if evs := lg.of(PageEvict); len(evs) != 0 {
+		t.Fatalf("released mapping still observed %d evictions", len(evs))
 	}
 	// The released mapping's view is frozen: page 0 stays mapped there.
 	if !m.mapped[0] {

@@ -41,6 +41,17 @@ func NFS() Device {
 	return Device{Name: "nfs", SeekLatency: 450 * time.Microsecond, PerPage: 18 * time.Microsecond}
 }
 
+// DeviceByName returns the device named ssd or nfs; any other name is an
+// error, so a mistyped device never silently measures the default.
+func DeviceByName(name string) (Device, error) {
+	for _, d := range []Device{SSD(), NFS()} {
+		if d.Name == name {
+			return d, nil
+		}
+	}
+	return Device{}, fmt.Errorf("osim: device must be ssd or nfs, got %q", name)
+}
+
 // OS owns the page cache shared by all processes until caches are dropped.
 type OS struct {
 	Device Device
@@ -58,8 +69,9 @@ type OS struct {
 	MaxReadahead int
 
 	// Obs, when non-nil, receives per-fault timeline events and fault
-	// counters from every mapping created after it is set. A nil registry
-	// keeps the fault path free of instrumentation cost.
+	// counters from every mapping created after it is set (Map attaches a
+	// fault-metrics observer). A nil registry keeps the fault path free of
+	// instrumentation cost.
 	Obs *obs.Registry
 
 	// AttributeFaults asks higher layers (the image runtime) to attach a
@@ -92,10 +104,9 @@ type OS struct {
 
 	files []*File
 
-	// Tenant accounting state (tenant.go): per-tenant fault counters, the
-	// eviction interference matrix, and per-tenant residency quotas. All
-	// nil until tenancy is first enabled, so untenanted runs pay nothing.
-	perTenant   []TenantFaults
+	// Tenant accounting state (tenant.go): the eviction interference
+	// matrix and per-tenant residency quotas. Both nil until tenancy is
+	// first enabled, so untenanted runs pay nothing.
 	evictedBy   [][]int64
 	tenantQuota map[int]int
 
@@ -105,33 +116,6 @@ type OS struct {
 	clock         int64
 	residentTotal int
 	hand          int
-}
-
-// FaultEvent describes one page fault as it is taken, for FaultObserver
-// implementations (e.g. the attribution recorder of internal/obs/attrib).
-type FaultEvent struct {
-	// Off is the faulting byte offset; Page the faulting page index.
-	Off  int64
-	Page int
-	// Section indexes File.Sections for the section containing Off, or
-	// len(Sections) when the offset lies outside every section.
-	Section int
-	// Major reports whether the fault required device I/O; IONanos is the
-	// simulated device time charged to it (0 for minor faults).
-	Major   bool
-	IONanos int64
-	// ReadPages counts the pages the fault's read window brought into the
-	// page cache (0 for minor faults).
-	ReadPages int
-	// MappedStart/MappedEnd delimit the page range [MappedStart, MappedEnd)
-	// the fault-around window mapped into the process around the fault.
-	MappedStart, MappedEnd int
-}
-
-// FaultObserver receives every page fault of a mapping as it happens.
-// Observers must not touch the mapping they observe.
-type FaultObserver interface {
-	OnFault(FaultEvent)
 }
 
 // DefaultFaultAround is the default fault-around cluster size in pages.
@@ -218,7 +202,7 @@ func (o *OS) NewFile(name string, size int64, sections []Section) (*File, error)
 // DropCaches evicts every clean page, like writing to
 // /proc/sys/vm/drop_caches between benchmark iterations (Sec. 7.1). It
 // goes through the regular eviction path (unmapping pages from live
-// mappings and notifying EvictionObservers with EvictDrop), and resets
+// mappings and emitting EvictDrop events), and resets
 // re-fault tracking: a deliberate cold-start reset is not memory
 // pressure, so faults after it are first faults, not re-faults.
 func (o *OS) DropCaches() {
@@ -254,6 +238,10 @@ type SectionFaults struct {
 	Minor   int64 // faults satisfied from the page cache
 }
 
+// otherSection names the catch-all bucket for offsets outside every
+// section.
+const otherSection = "<other>"
+
 // Total returns major+minor faults — what `perf` reports as page-faults.
 func (s SectionFaults) Total() int64 { return s.Major + s.Minor }
 
@@ -283,22 +271,11 @@ type Mapping struct {
 	bySection []SectionFaults
 	other     SectionFaults
 
-	// Observer, when non-nil, receives every fault of the mapping. Set it
-	// before the first Touch; the startup faults of a process are part of
-	// the attribution stream too.
-	Observer FaultObserver
-
-	// EvictObserver, when non-nil, receives every eviction of a page of
-	// the mapped file (whether or not this mapping had it mapped).
-	EvictObserver EvictionObserver
-
-	// AccessObserver, when non-nil, receives the coarse page-access
-	// stream of the mapping (see AccessEvent): one event per page
-	// transition, faults included. Set it before the first Touch.
-	AccessObserver AccessObserver
+	// observers receive the mapping's page-event stream (event.go).
+	observers []PageObserver
 
 	// lastAccessPage is the page of the mapping's previous Touch, for the
-	// page-transition coarsening of the access stream (-1 before the
+	// page-transition coarsening of the access events (-1 before the
 	// first touch).
 	lastAccessPage int
 
@@ -306,17 +283,11 @@ type Mapping struct {
 	// index just past the previous read window; window the current size.
 	lastEnd int
 	window  int
-
-	// Observability handles, resolved once at Map() time so the fault path
-	// does no registry lookups. All are nil when the OS has no registry.
-	tl       *obs.Timeline
-	majorCtr []*obs.Counter // parallel to bySection, + catch-all at the end
-	minorCtr []*obs.Counter
-	readHist *obs.Histogram
 }
 
 // Map establishes a new mapping of the file (fresh virtual address space;
-// nothing mapped yet).
+// nothing mapped yet). When the OS has an obs registry, the mapping's
+// first observer records its faults there.
 func (f *File) Map() *Mapping {
 	m := &Mapping{
 		file:      f,
@@ -327,7 +298,7 @@ func (f *File) Map() *Mapping {
 	for i, s := range f.Sections {
 		m.bySection[i].Section = s.Name
 	}
-	m.other.Section = "<other>"
+	m.other.Section = otherSection
 	m.lastEnd = -1
 	m.lastAccessPage = -1
 	m.tenant = f.os.DefaultTenant
@@ -335,28 +306,15 @@ func (f *File) Map() *Mapping {
 		f.os.enableTenants(m.tenant)
 	}
 	if r := f.os.Obs; r.Enabled() {
-		// The trailing "section" column carries the section *index* (stable
-		// across builds of the same program, unlike event order), so merged
-		// snapshots from parallel builds remain attributable even after
-		// MergeSnapshots rebases the event sequence numbers.
-		m.tl = r.Timeline("osim.faults", "offset", "page", "major", "io_nanos", "section")
-		m.majorCtr = make([]*obs.Counter, len(f.Sections)+1)
-		m.minorCtr = make([]*obs.Counter, len(f.Sections)+1)
-		for i := range m.bySection {
-			m.majorCtr[i] = r.Counter("osim.fault.major." + m.bySection[i].Section)
-			m.minorCtr[i] = r.Counter("osim.fault.minor." + m.bySection[i].Section)
-		}
-		m.majorCtr[len(f.Sections)] = r.Counter("osim.fault.major.<other>")
-		m.minorCtr[len(f.Sections)] = r.Counter("osim.fault.minor.<other>")
-		m.readHist = r.Histogram("osim.read_pages", []float64{1, 2, 4, 8, 16, 32})
+		m.Observe(newFaultMetrics(r, f))
 	}
 	f.mappings = append(f.mappings, m)
 	return m
 }
 
 // Release unregisters the mapping from its file, like munmap at process
-// exit: later evictions no longer unmap its pages or notify its
-// EvictObserver. The mapping's counters stay readable.
+// exit: later evictions no longer unmap its pages or reach its
+// observers. The mapping's counters stay readable.
 func (m *Mapping) Release() {
 	f := m.file
 	for i, mm := range f.mappings {
@@ -377,20 +335,16 @@ func (m *Mapping) Touch(off int64) {
 		// Plain memory access: no fault, but the page's recency still
 		// advances for the replacement policies.
 		m.file.noteUse(p)
-		m.noteAccess(off, p, false)
+		m.noteAccess(off, p)
 		return
 	}
 	// Page fault. Attribute it to the section containing the offset, the
 	// way the evaluation filters perf fault traces by section offsets.
 	m.Faults++
+	secIdx := m.file.offSection(off)
 	sf := &m.other
-	secIdx := len(m.bySection)
-	for i := range m.file.Sections {
-		if m.file.Sections[i].Contains(off) {
-			sf = &m.bySection[i]
-			secIdx = i
-			break
-		}
+	if secIdx < len(m.bySection) {
+		sf = &m.bySection[secIdx]
 	}
 	m.faulted[p] = true
 	fa := m.file.os.FaultAround
@@ -453,27 +407,13 @@ func (m *Mapping) Touch(off int64) {
 		dev := m.file.os.Device
 		faultIO = dev.SeekLatency + time.Duration(read)*dev.PerPage
 		m.IOTime += faultIO
-		if m.readHist != nil {
-			m.readHist.Observe(float64(read))
-		}
 		// The read may have overflowed the resident budget: reclaim down
 		// to it, never evicting the page this fault needs. Evictions are
 		// charged to this mapping's tenant in the interference matrix.
 		m.file.os.enforceBudget(m.file, p, m.tenant)
 		m.file.os.enforceQuota(m.tenant, m.file, p)
 	}
-	m.chargeTenant(major, refault, faultIO)
 	m.file.noteUse(p)
-	if m.tl != nil {
-		var mj int64
-		if major {
-			mj = 1
-			m.majorCtr[secIdx].Inc()
-		} else {
-			m.minorCtr[secIdx].Inc()
-		}
-		m.tl.Record(sf.Section, off, int64(p), mj, faultIO.Nanoseconds(), int64(secIdx))
-	}
 	// Fault-around: map the resident pages of the surrounding window
 	// without further faults (the red cells of Fig. 6).
 	around := fa
@@ -491,14 +431,13 @@ func (m *Mapping) Touch(off int64) {
 		}
 	}
 	m.mapped[p] = true
-	if m.Observer != nil {
-		m.Observer.OnFault(FaultEvent{
-			Off: off, Page: p, Section: secIdx,
-			Major: major, IONanos: faultIO.Nanoseconds(), ReadPages: read,
-			MappedStart: start, MappedEnd: end,
+	if len(m.observers) > 0 {
+		m.emit(PageEvent{
+			Kind: PageFault, Off: off, Page: p, Section: secIdx, Clock: m.file.os.clock,
+			Major: major, Refault: refault, IONanos: faultIO.Nanoseconds(), ReadPages: read,
 		})
 	}
-	m.noteAccess(off, p, true)
+	m.noteAccess(off, p)
 }
 
 // TouchRange accesses [off, off+n), faulting each covered page. Each

@@ -250,11 +250,6 @@ func TestTouchOutOfRangePanics(t *testing.T) {
 	m.Touch(f.Size)
 }
 
-// faultLog collects observed fault events for the tests below.
-type faultLog struct{ events []FaultEvent }
-
-func (l *faultLog) OnFault(ev FaultEvent) { l.events = append(l.events, ev) }
-
 // TestFaultAroundTailClamped is the regression test for window clamping at
 // the end of the file: a fault inside the last, partial fault-around
 // cluster must never attribute counts past the section table or read/map
@@ -273,8 +268,8 @@ func TestFaultAroundTailClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := f.Map()
-	log := &faultLog{}
-	m.Observer = log
+	log := &pageLog{}
+	m.Observe(log)
 	m.Touch(size - 1) // last byte: page 12, cluster [8, 16) clamped to [8, 13)
 	if m.Faults != 1 || m.MajorFaults != 1 {
 		t.Fatalf("faults = %d major = %d", m.Faults, m.MajorFaults)
@@ -290,19 +285,22 @@ func TestFaultAroundTailClamped(t *testing.T) {
 	if all[1].Major != 1 || all[0].Total() != 0 || all[2].Total() != 0 {
 		t.Errorf("tail fault misattributed: %+v", all)
 	}
-	// The observed event's window is clamped to the file's page count.
-	if len(log.events) != 1 {
-		t.Fatalf("observed %d events", len(log.events))
+	// The observed fault and the mapped window are clamped to the file.
+	faults := log.of(PageFault)
+	if len(faults) != 1 {
+		t.Fatalf("observed %d faults", len(faults))
 	}
-	ev := log.events[0]
+	ev := faults[0]
 	if ev.Section != 1 {
 		t.Errorf("event section = %d, want 1 (.svm_heap)", ev.Section)
 	}
-	if ev.MappedEnd > pages || ev.ReadPages > pages {
-		t.Errorf("window past file end: %+v", ev)
+	if ev.ReadPages != 5 {
+		t.Errorf("read %d pages, want the clamped cluster of 5", ev.ReadPages)
 	}
-	if ev.MappedStart != 8 || ev.MappedEnd != pages {
-		t.Errorf("window = [%d,%d), want [8,%d)", ev.MappedStart, ev.MappedEnd, pages)
+	for p, st := range m.PageClasses() {
+		if mapped := st != PageUntouched; mapped != (p >= 8) {
+			t.Errorf("page %d state %d, want window [8,%d)", p, st, pages)
+		}
 	}
 	// Same at the tail under adaptive readahead with an escalated window.
 	o2 := NewOS(SSD())
@@ -314,15 +312,15 @@ func TestFaultAroundTailClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := f2.Map()
-	log2 := &faultLog{}
-	m2.Observer = log2
+	log2 := &pageLog{}
+	m2.Observe(log2)
 	for p := 0; p < pages; p++ {
 		m2.Touch(int64(p) * PageSize)
 	}
-	for _, ev := range log2.events {
-		if ev.MappedEnd > pages {
-			t.Errorf("adaptive window past file end: %+v", ev)
-		}
+	if got := f2.ResidentPages(); got != pages {
+		t.Errorf("resident pages = %d, want %d", got, pages)
+	}
+	for _, ev := range log2.of(PageFault) {
 		if ev.Section != 0 {
 			t.Errorf("event outside section table: %+v", ev)
 		}
@@ -339,20 +337,21 @@ func TestFaultObserverSeesEveryFault(t *testing.T) {
 	m1 := f.Map()
 	m1.Touch(0) // warm pages 0-1
 	m2 := f.Map()
-	log := &faultLog{}
-	m2.Observer = log
+	log := &pageLog{}
+	m2.Observe(log)
 	m2.Touch(0)            // minor (.text)
 	m2.Touch(4 * PageSize) // major (.text)
 	m2.Touch(8 * PageSize) // major (.svm_heap)
-	if int64(len(log.events)) != m2.Faults {
-		t.Fatalf("observed %d events, mapping counted %d faults", len(log.events), m2.Faults)
+	faults := log.of(PageFault)
+	if int64(len(faults)) != m2.Faults {
+		t.Fatalf("observed %d faults, mapping counted %d", len(faults), m2.Faults)
 	}
 	want := []struct {
 		major   bool
 		section int
 	}{{false, 0}, {true, 0}, {true, 1}}
 	for i, w := range want {
-		ev := log.events[i]
+		ev := faults[i]
 		if ev.Major != w.major || ev.Section != w.section {
 			t.Errorf("event %d = %+v, want major=%v section=%d", i, ev, w.major, w.section)
 		}

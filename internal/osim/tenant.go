@@ -2,11 +2,11 @@ package osim
 
 // Multi-tenant page-cache accounting. The fleet observatory serves N
 // tenants (one long-lived image each) from a single OS with one shared
-// CacheBudget, and needs every fault, eviction and re-fault charged to a
-// tenant so cross-tenant interference is attributable: which tenant's
-// faults pushed whose pages out, and who paid the re-fault bill. Tagging is
-// explicit, the counters partition the shared totals exactly (enforced by
-// test), and an OS that never tags a tenant pays nothing.
+// CacheBudget, and needs every eviction charged to a tenant so cross-
+// tenant interference is attributable: which tenant's faults pushed whose
+// pages out, and who paid the re-fault bill. Tagging is explicit, the
+// interference matrix partitions the evictions exactly (enforced by test),
+// and an OS that never tags a tenant pays nothing.
 //
 // Ownership versus charge: files are *owned* by the tenant that created
 // them (OS.DefaultTenant at NewFile time), while faults are *charged* to
@@ -15,16 +15,12 @@ package osim
 // tenant i-1's faults evicted, with row 0 for external pressure (Reclaim,
 // DropCaches) and column 0 for untenanted files.
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
-// TenantFaults is the fault traffic one tenant incurred across every
-// mapping of the OS — the fleet-mode contention accounting, where several
-// tenants' processes compete for one page-cache budget. The per-tenant
-// counters partition the fault totals exactly (enforced by test): every
-// fault is charged to the tenant tagged on the mapping that took it.
+// TenantFaults is the fault traffic one tenant incurred — the fleet-mode
+// contention accounting, where several tenants' processes compete for one
+// page-cache budget. Each fleet tenant owns exactly one mapping, so its
+// counters are that mapping's.
 type TenantFaults struct {
 	Tenant      int   `json:"tenant"`
 	Faults      int64 `json:"faults"`
@@ -34,10 +30,9 @@ type TenantFaults struct {
 }
 
 // SetTenant tags the mapping with the tenant that owns the accesses until
-// the next SetTenant: faults taken while the tag is t are charged to
-// tenant t's TenantFaults and evictions those faults force are attributed
-// to t in the interference matrix. The first call enables tenant
-// accounting on the OS; ids must be non-negative and are expected to stay
+// the next SetTenant: evictions that faults taken while the tag is t force
+// are attributed to t in the interference matrix. The first call enables
+// tenant accounting on the OS; ids must be non-negative and are expected to stay
 // small (the fleet harness uses 0..Tenants-1).
 func (m *Mapping) SetTenant(t int) {
 	if t < 0 {
@@ -56,11 +51,8 @@ func (m *Mapping) Tenant() int { return m.tenant }
 func (f *File) Tenant() int { return f.tenant }
 
 // enableTenants turns tenant accounting on (idempotent) and grows the
-// per-tenant counters and the interference matrix to cover tenant t.
+// interference matrix to cover tenant t.
 func (o *OS) enableTenants(t int) {
-	for len(o.perTenant) <= t {
-		o.perTenant = append(o.perTenant, TenantFaults{Tenant: len(o.perTenant)})
-	}
 	if o.evictedBy == nil {
 		o.evictedBy = [][]int64{{0}}
 	}
@@ -94,31 +86,6 @@ func (o *OS) noteEviction(evictor, owner int) {
 	}
 	o.growMatrix(evictor, owner)
 	o.evictedBy[evictor+1][owner+1]++
-}
-
-// chargeTenant attributes one fault to the mapping's tenant.
-func (m *Mapping) chargeTenant(major, refault bool, faultIO time.Duration) {
-	if m.tenant < 0 {
-		return
-	}
-	tf := &m.file.os.perTenant[m.tenant]
-	tf.Faults++
-	if major {
-		tf.MajorFaults++
-		tf.IONanos += faultIO.Nanoseconds()
-	}
-	if refault {
-		tf.Refaults++
-	}
-}
-
-// TenantCounters returns a copy of the per-tenant fault counters, one
-// entry per tenant id seen (nil when tenancy was never enabled).
-func (o *OS) TenantCounters() []TenantFaults {
-	if o.perTenant == nil {
-		return nil
-	}
-	return append([]TenantFaults(nil), o.perTenant...)
 }
 
 // InterferenceMatrix returns a copy of the eviction interference matrix:

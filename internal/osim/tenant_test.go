@@ -25,68 +25,11 @@ func TestTenantCountersDisabledByDefault(t *testing.T) {
 	m := f.Map()
 	m.Touch(0)
 	m.Touch(PageSize * 4)
-	if got := o.TenantCounters(); got != nil {
-		t.Fatalf("untenanted OS tracks tenants: %+v", got)
-	}
 	if got := o.InterferenceMatrix(); got != nil {
 		t.Fatalf("untenanted OS tracks evictions: %+v", got)
 	}
 	if m.Tenant() != -1 || f.Tenant() != -1 {
 		t.Fatalf("untenanted mapping/file carry tenant %d/%d", m.Tenant(), f.Tenant())
-	}
-}
-
-func TestTenantCountersPartitionTotals(t *testing.T) {
-	o := NewOS(SSD())
-	o.FaultAround = 1
-	o.CacheBudget = 3 // tight budget so tenants evict each other and re-fault
-	_, m0 := tenantFile(t, o, 0, 8)
-	_, m1 := tenantFile(t, o, 1, 8)
-	maps := []*Mapping{m0, m1}
-	// Interleave the two tenants over their own files; the shared budget
-	// forces cross-tenant evictions and re-faults on the second pass.
-	for pass := 0; pass < 2; pass++ {
-		for p := 0; p < 8; p++ {
-			maps[p%2].Touch(int64(p) * PageSize)
-			maps[(p+1)%2].Touch(int64(p) * PageSize)
-		}
-	}
-	cs := o.TenantCounters()
-	if len(cs) != 2 {
-		t.Fatalf("got %d tenant counters, want 2", len(cs))
-	}
-	var faults, major, refaults, ioNanos int64
-	for i, c := range cs {
-		if c.Tenant != i {
-			t.Errorf("counter %d carries tenant id %d", i, c.Tenant)
-		}
-		if c.Faults == 0 || c.MajorFaults == 0 {
-			t.Errorf("tenant %d took no faults: %+v", i, c)
-		}
-		faults += c.Faults
-		major += c.MajorFaults
-		refaults += c.Refaults
-		ioNanos += c.IONanos
-	}
-	// Per-tenant counters partition the mapping totals exactly.
-	wantFaults := m0.Faults + m1.Faults
-	wantMajor := m0.MajorFaults + m1.MajorFaults
-	wantRefaults := m0.Refaults + m1.Refaults
-	wantIO := (m0.IOTime + m1.IOTime).Nanoseconds()
-	if faults != wantFaults || major != wantMajor || refaults != wantRefaults {
-		t.Errorf("tenant sums faults/major/refaults = %d/%d/%d, mapping totals %d/%d/%d",
-			faults, major, refaults, wantFaults, wantMajor, wantRefaults)
-	}
-	if ioNanos != wantIO {
-		t.Errorf("tenant I/O sum %dns != mapping total %dns", ioNanos, wantIO)
-	}
-	if refaults == 0 {
-		t.Error("tight budget produced no re-faults; the partition check is vacuous")
-	}
-	// The copy is detached from live counters.
-	cs[0].Faults = -99
-	if o.TenantCounters()[0].Faults == -99 {
-		t.Error("TenantCounters returned a live reference")
 	}
 }
 

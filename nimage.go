@@ -220,14 +220,6 @@ type ObsRegistry = obs.Registry
 // ObsSnapshot is a deterministic point-in-time copy of a registry.
 type ObsSnapshot = obs.Snapshot
 
-// ObsSink consumes snapshots (JSON, CSV, or in-memory).
-type (
-	ObsSink       = obs.Sink
-	ObsJSONSink   = obs.JSONSink
-	ObsCSVSink    = obs.CSVSink
-	ObsMemorySink = obs.MemorySink
-)
-
 // NewObsRegistry creates an empty metrics registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 
@@ -361,6 +353,9 @@ func SSD() Device { return osim.SSD() }
 
 // NFS returns the network-file-system device.
 func NFS() Device { return osim.NFS() }
+
+// DeviceByName resolves "ssd" or "nfs"; any other name is an error.
+func DeviceByName(name string) (Device, error) { return osim.DeviceByName(name) }
 
 // Page-cache pressure (serve mode).
 //
