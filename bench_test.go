@@ -419,6 +419,32 @@ func BenchmarkImageBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildOptimized measures one profile-guided bake of micronaut
+// under the combined strategy: two instrumented builds with memory-mapped
+// profiling runs, post-processing, and the optimized build.
+func BenchmarkBuildOptimized(b *testing.B) {
+	w, err := workloads.ByName("micronaut")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := w.Build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := image.BuildOptimized(p, image.PipelineOptions{
+			Compiler:         graal.DefaultConfig(),
+			Strategy:         core.StrategyCombined,
+			InstrumentedSeed: uint64(2 * i),
+			OptimizedSeed:    uint64(2*i + 1),
+			Mode:             profiler.MemoryMapped,
+			Args:             w.Args,
+			Service:          w.Service,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkColdRun measures one cold start of a prebuilt Bounce image.
 func BenchmarkColdRun(b *testing.B) {
 	w, _ := workloads.ByName("Bounce")

@@ -1,8 +1,6 @@
 package graal
 
 import (
-	"sort"
-
 	"nimage/internal/ir"
 )
 
@@ -150,9 +148,9 @@ func BuildCUs(reach *Reachability, cfg Config, instr Instrumentation, pgo bool) 
 	}
 	methods := reach.CompiledMethods()
 	cus := make([]*CompilationUnit, 0, len(methods))
+	// CompiledMethods is sorted by signature, so the CUs already are.
 	for _, m := range methods {
 		cus = append(cus, il.build(m))
 	}
-	sort.Slice(cus, func(i, j int) bool { return cus[i].Signature() < cus[j].Signature() })
 	return cus
 }

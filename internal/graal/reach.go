@@ -2,6 +2,7 @@ package graal
 
 import (
 	"sort"
+	"sync"
 
 	"nimage/internal/ir"
 )
@@ -23,6 +24,9 @@ type Reachability struct {
 	// SaturatedSites counts virtual call sites whose target set exceeded
 	// the saturation threshold.
 	SaturatedSites int
+
+	compiledOnce sync.Once
+	compiled     []*ir.Method
 }
 
 // Analyze runs the reachability analysis from the program entry point.
@@ -128,13 +132,20 @@ func spawnTarget(p *ir.Program, target string) *ir.Method {
 // .text section: every reachable method except class initializers, which
 // execute at build time only (Sec. 2), sorted by signature for a stable
 // baseline.
+//
+// The list is computed once per Reachability and shared by every caller
+// (the builds of one pipeline share their analysis); callers must treat it
+// as read-only and copy it before reordering.
 func (r *Reachability) CompiledMethods() []*ir.Method {
-	var out []*ir.Method
-	for _, m := range r.MethodOrder {
-		if !m.Clinit {
-			out = append(out, m)
+	r.compiledOnce.Do(func() {
+		var out []*ir.Method
+		for _, m := range r.MethodOrder {
+			if !m.Clinit {
+				out = append(out, m)
+			}
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Signature() < out[j].Signature() })
-	return out
+		sort.Slice(out, func(i, j int) bool { return out[i].Signature() < out[j].Signature() })
+		r.compiled = out
+	})
+	return r.compiled
 }

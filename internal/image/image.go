@@ -145,12 +145,27 @@ type Image struct {
 }
 
 // Build constructs an image of the program.
-func Build(p *ir.Program, opts Options) (*Image, error) {
+func Build(p *ir.Program, opts Options) (*Image, error) { return build(p, opts, nil) }
+
+// checkBuildable rejects programs no image can be built from.
+func checkBuildable(p *ir.Program) error {
 	if !p.Resolved() {
-		return nil, fmt.Errorf("image: program %s not resolved", p.Name)
+		return fmt.Errorf("image: program %s not resolved", p.Name)
 	}
 	if p.Entry() == nil {
-		return nil, fmt.Errorf("image: program %s has no entry point", p.Name)
+		return fmt.Errorf("image: program %s has no entry point", p.Name)
+	}
+	return nil
+}
+
+// build constructs an image of the program from reach, the program's
+// reachability analysis under opts.Compiler, or runs the analysis itself
+// when reach is nil. The builds of one pipeline share one analysis: it
+// depends only on the program and the compiler configuration, and it is
+// read-only once computed.
+func build(p *ir.Program, opts Options, reach *graal.Reachability) (*Image, error) {
+	if err := checkBuildable(p); err != nil {
+		return nil, err
 	}
 	instr := graal.InstrNone
 	if opts.Kind == KindInstrumented {
@@ -162,10 +177,12 @@ func Build(p *ir.Program, opts Options) (*Image, error) {
 		prefix = "image." + opts.Kind.String() + "."
 	}
 
-	sp := r.StartSpan(prefix + "reachability")
-	reach := graal.Analyze(p, opts.Compiler)
-	sp.End()
-	sp = r.StartSpan(prefix + "inlining")
+	if reach == nil {
+		sp := r.StartSpan(prefix + "reachability")
+		reach = graal.Analyze(p, opts.Compiler)
+		sp.End()
+	}
+	sp := r.StartSpan(prefix + "inlining")
 	img := &Image{
 		Program: p,
 		Opts:    opts,

@@ -123,15 +123,23 @@ func heapStrategyByName(name string) core.HeapStrategy {
 // BuildOptimized runs the full pipeline for one strategy and returns the
 // optimized image. The combined "cu+heap path" strategy performs two
 // profiling runs — one CU-instrumented, one heap-instrumented — and feeds
-// both profiles to the optimizing build (Sec. 7.1).
+// both profiles to the optimizing build (Sec. 7.1). Every build of the
+// pipeline shares one reachability analysis of the program.
 func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error) {
+	if err := checkBuildable(p); err != nil {
+		return nil, err
+	}
+	sp := opts.Obs.StartSpan("pipeline." + opts.Strategy + ".reachability")
+	reach := graal.Analyze(p, opts.Compiler)
+	sp.End()
+
 	res := &PipelineResult{}
 	collect := func(strategy string) error {
 		instr, err := strategyInstr(strategy)
 		if err != nil {
 			return err
 		}
-		run, code, heapProf, err := profileOnce(p, opts, instr, strategy)
+		run, code, heapProf, err := profileOnce(p, opts, reach, instr, strategy)
 		if err != nil {
 			return err
 		}
@@ -162,7 +170,7 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 		}
 		optOpts.HeapStrategy = heapStrategyByName(core.StrategyHeapPath)
 	case core.IsGraphStrategy(opts.Strategy):
-		run, code, err := profileGraph(p, opts)
+		run, code, err := profileGraph(p, opts, reach)
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +187,7 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 	optOpts.CodeProfile = res.CodeProfile
 	optOpts.HeapProfile = res.HeapProfile
 
-	opt, err := Build(p, optOpts)
+	opt, err := build(p, optOpts, reach)
 	if err != nil {
 		return nil, err
 	}
@@ -196,17 +204,17 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 // exactly like the trace strategies. The resulting profile is plain CU
 // signatures, so the optimized build and the .nimg recipe treat graph
 // strategies identically to "cu".
-func profileGraph(p *ir.Program, opts PipelineOptions) (*ProfilingRun, []string, error) {
+func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability) (*ProfilingRun, []string, error) {
 	g := opts.AffinityGraph
 	var run *ProfilingRun
 	if g == nil {
-		img, err := Build(p, Options{
+		img, err := build(p, Options{
 			Kind:      KindRegular,
 			Compiler:  opts.Compiler,
 			BuildSeed: opts.InstrumentedSeed,
 			MaxPaths:  opts.MaxPaths,
 			Obs:       opts.Obs,
-		})
+		}, reach)
 		if err != nil {
 			return nil, nil, fmt.Errorf("image: recording build: %w", err)
 		}
@@ -267,9 +275,9 @@ func profileGraph(p *ir.Program, opts PipelineOptions) (*ProfilingRun, []string,
 // post-processes the traces into profiles. It returns the code profile
 // (for InstrCU/InstrMethod) or the heap profile (for InstrHeap, translated
 // by the named strategy).
-func profileOnce(p *ir.Program, opts PipelineOptions, instr graal.Instrumentation, strategy string) (ProfilingRun, []string, []uint64, error) {
+func profileOnce(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, instr graal.Instrumentation, strategy string) (ProfilingRun, []string, []uint64, error) {
 	run := ProfilingRun{Instr: instr, Mode: opts.Mode}
-	img, err := Build(p, Options{
+	img, err := build(p, Options{
 		Kind:      KindInstrumented,
 		Compiler:  opts.Compiler,
 		Instr:     instr,
@@ -277,7 +285,7 @@ func profileOnce(p *ir.Program, opts PipelineOptions, instr graal.Instrumentatio
 		BuildSeed: opts.InstrumentedSeed,
 		MaxPaths:  opts.MaxPaths,
 		Obs:       opts.Obs,
-	})
+	}, reach)
 	if err != nil {
 		return run, nil, nil, fmt.Errorf("image: instrumented build: %w", err)
 	}

@@ -59,13 +59,25 @@ type Method struct {
 	// builds of the same program (the eval scheduler) race to fill it; all
 	// writers compute the same value, so any winner is correct.
 	size atomic.Int64
+	// sig caches Signature, atomic for the same reason as size.
+	sig atomic.Pointer[string]
 }
 
 // Signature renders the globally unique method signature,
 // "Class.name(n)" with n the parameter count. Signatures are stable across
 // builds and are the keys of the code-ordering profiles (Sec. 4).
+//
+// The signature is computed once and cached on the method: the identity
+// fields it reads (Class.Name, Name, NParams) are set before the program
+// is resolved and never change afterwards, so the cache needs no
+// invalidation. Calls after the first allocate nothing.
 func (m *Method) Signature() string {
-	return m.Class.Name + "." + m.Name + "(" + strconv.Itoa(m.NParams) + ")"
+	if s := m.sig.Load(); s != nil {
+		return *s
+	}
+	s := m.Class.Name + "." + m.Name + "(" + strconv.Itoa(m.NParams) + ")"
+	m.sig.Store(&s)
+	return s
 }
 
 // CodeSize returns the estimated compiled size of the method body in bytes,
