@@ -445,6 +445,24 @@ func BenchmarkBuildOptimized(b *testing.B) {
 	}
 }
 
+// BenchmarkGraalAssemble measures the compiler back end alone on
+// micronaut under heap instrumentation: inlining, constant collection and
+// partial escape analysis over one reachability analysis made up front.
+func BenchmarkGraalAssemble(b *testing.B) {
+	w, err := workloads.ByName("micronaut")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := w.Build()
+	cfg := graal.DefaultConfig()
+	reach := graal.Analyze(p, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graal.Assemble(p, cfg, graal.InstrHeap, false, reach)
+	}
+}
+
 // BenchmarkColdRun measures one cold start of a prebuilt Bounce image.
 func BenchmarkColdRun(b *testing.B) {
 	w, _ := workloads.ByName("Bounce")

@@ -50,11 +50,12 @@ func cmdProfile(args []string) error {
 	}
 
 	img, err := image.Build(p, image.Options{
-		Kind:      image.KindInstrumented,
-		Compiler:  graal.DefaultConfig(),
-		Instr:     instr,
-		Mode:      mode,
-		BuildSeed: *seed,
+		Kind:         image.KindInstrumented,
+		Compiler:     graal.DefaultConfig(),
+		Instr:        instr,
+		Mode:         mode,
+		BuildSeed:    *seed,
+		HeapStrategy: core.HeapStrategyByName(*strategy),
 	})
 	if err != nil {
 		return err
@@ -98,6 +99,29 @@ func cmdProfile(args []string) error {
 		fmt.Printf("wrote raw trace to %s\n", *tracePath)
 	}
 
+	// Post-process before creating the output file, so a failure leaves
+	// no empty profile behind.
+	var code []string
+	var heapProf []uint64
+	switch instr {
+	case graal.InstrCU:
+		a := postproc.NewCUOrderAnalysis()
+		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
+			return err
+		}
+		code = a.Profile()
+	case graal.InstrMethod:
+		a := postproc.NewMethodOrderAnalysis()
+		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
+			return err
+		}
+		code = a.Profile()
+	default:
+		if heapProf, err = img.HeapProfile(traces, *strategy); err != nil {
+			return err
+		}
+	}
+
 	path := *out
 	if path == "" {
 		path = fmt.Sprintf("%s-%s.csv", w.Name, instr)
@@ -107,39 +131,17 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	defer f.Close()
-
-	switch instr {
-	case graal.InstrCU:
-		a := postproc.NewCUOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
+	if instr == graal.InstrHeap {
+		if err := postproc.WriteHeapProfile(f, heapProf); err != nil {
 			return err
 		}
-		if err := postproc.WriteCodeProfile(f, a.Profile()); err != nil {
-			return err
-		}
-		fmt.Printf("wrote cu-ordering profile (%d entries) to %s\n", len(a.Profile()), path)
-	case graal.InstrMethod:
-		a := postproc.NewMethodOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return err
-		}
-		if err := postproc.WriteCodeProfile(f, a.Profile()); err != nil {
-			return err
-		}
-		fmt.Printf("wrote method-ordering profile (%d entries) to %s\n", len(a.Profile()), path)
-	default:
-		a := postproc.NewHeapOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return err
-		}
-		prof := a.Profile(func(h uint64) (uint64, bool) {
-			return img.StrategyIDOfHandle(*strategy, h)
-		})
-		if err := postproc.WriteHeapProfile(f, prof); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s heap-ordering profile (%d IDs) to %s\n", *strategy, len(prof), path)
+		fmt.Printf("wrote %s heap-ordering profile (%d IDs) to %s\n", *strategy, len(heapProf), path)
+		return nil
 	}
+	if err := postproc.WriteCodeProfile(f, code); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s-ordering profile (%d entries) to %s\n", instr, len(code), path)
 	return nil
 }
 

@@ -38,6 +38,17 @@ func HeapStrategies() []HeapStrategy {
 	}
 }
 
+// HeapStrategyByName returns the registered identity strategy with the
+// given name, or nil.
+func HeapStrategyByName(name string) HeapStrategy {
+	for _, s := range HeapStrategies() {
+		if s.Name() == name {
+			return s
+		}
+	}
+	return nil
+}
+
 // typeID32 derives the stable 32-bit type identifier stored in the upper
 // half of incremental IDs. Types are uniquely identified by fully qualified
 // name across compilations (Sec. 5.1), so a name hash is stable.

@@ -43,12 +43,13 @@ func Assemble(p *ir.Program, cfg Config, instr Instrumentation, pgo bool, reach 
 		PGO:     pgo,
 		Reach:   reach,
 	}
-	c.CUs = BuildCUs(c.Reach, cfg, instr, pgo)
+	facts := scanMethods(reach.MethodOrder, cfg, instr)
+	c.CUs = buildCUs(reach, facts, cfg, instr, pgo)
 	c.CUBySig = make(map[string]*CompilationUnit, len(c.CUs))
 	for _, cu := range c.CUs {
 		c.CUBySig[cu.Signature()] = cu
-		collectConstants(cu, cfg)
-		cu.ScalarReplaced = peaCount(cu)
+		collectConstants(cu, cfg, facts)
+		cu.ScalarReplaced = peaCount(cu, facts)
 	}
 	return c
 }
@@ -68,31 +69,43 @@ func (c *Compilation) TextSize() int {
 // function of the CU *composition* and the literal, so two builds fold the
 // same constant differently when their inlining differs — reproducing the
 // heap-snapshot divergence of Sec. 2.
-func collectConstants(cu *CompilationUnit, cfg Config) {
-	comp := compositionHash(cu)
-	seen := make(map[string]bool)
-	members := append([]*ir.Method{cu.Root}, cu.Inlined...)
-	for _, m := range members {
-		for _, b := range m.Blocks {
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				if in.Op != ir.OpConstStr || seen[in.Sym] {
-					continue
-				}
-				seen[in.Sym] = true
-				folded := false
-				if cfg.FoldPercent > 0 {
-					h := murmur.Sum64Seed([]byte(in.Sym), comp)
-					folded = int(h%100) < cfg.FoldPercent
-				}
-				cu.Constants = append(cu.Constants, Constant{
-					Literal: in.Sym,
-					Source:  m,
-					Folded:  folded,
-				})
+func collectConstants(cu *CompilationUnit, cfg Config, facts factTable) {
+	var comp uint64
+	hashed := false
+	for i := -1; i < len(cu.Inlined); i++ {
+		m := cu.Root
+		if i >= 0 {
+			m = cu.Inlined[i]
+		}
+		for _, lit := range facts[m].literals {
+			if cu.hasConstant(lit) {
+				continue
 			}
+			folded := false
+			if cfg.FoldPercent > 0 {
+				if !hashed {
+					comp, hashed = compositionHash(cu), true
+				}
+				h := murmur.Sum64Seed([]byte(lit), comp)
+				folded = int(h%100) < cfg.FoldPercent
+			}
+			cu.Constants = append(cu.Constants, Constant{
+				Literal: lit,
+				Source:  m,
+				Folded:  folded,
+			})
 		}
 	}
+}
+
+// hasConstant reports whether lit is already among the CU's constants.
+func (cu *CompilationUnit) hasConstant(lit string) bool {
+	for i := range cu.Constants {
+		if cu.Constants[i].Literal == lit {
+			return true
+		}
+	}
+	return false
 }
 
 // compositionHash hashes the member set of a CU.
@@ -105,61 +118,13 @@ func compositionHash(cu *CompilationUnit) uint64 {
 	return murmur.Sum64([]byte(strings.Join(sigs, ";")))
 }
 
-// peaCount runs a method-local partial escape analysis over every member of
-// the CU and counts allocations that do not escape (and would therefore be
-// scalar-replaced by Graal's PEA [51]).
-func peaCount(cu *CompilationUnit) int {
+// peaCount sums, over the distinct members of the CU, the allocations a
+// method-local partial escape analysis finds non-escaping (and that Graal's
+// PEA [51] would therefore scalar-replace).
+func peaCount(cu *CompilationUnit, facts factTable) int {
 	n := 0
-	counted := make(map[*ir.Method]bool)
-	for _, m := range append([]*ir.Method{cu.Root}, cu.Inlined...) {
-		if counted[m] {
-			continue
-		}
-		counted[m] = true
-		n += nonEscapingAllocs(m)
-	}
-	return n
-}
-
-// nonEscapingAllocs counts OpNew results that never escape the method:
-// never stored into another object/array/static, never passed to a call,
-// never returned, and never copied. Writes into the fresh object's own
-// fields do not count as escapes.
-func nonEscapingAllocs(m *ir.Method) int {
-	escaped := make(map[int]bool) // register -> escapes
-	allocs := make(map[int]bool)  // register -> fresh allocation
-	for _, b := range m.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			switch in.Op {
-			case ir.OpNew:
-				// A later redefinition of a register invalidates tracking;
-				// treat each New register as one allocation site.
-				allocs[in.A] = true
-			case ir.OpPutField:
-				// obj.f = val: the value escapes into obj.
-				escaped[in.B] = true
-			case ir.OpArraySet:
-				escaped[in.C] = true
-			case ir.OpPutStatic:
-				escaped[in.A] = true
-			case ir.OpMove:
-				escaped[in.B] = true
-			case ir.OpCall, ir.OpCallVirt, ir.OpIntrinsic:
-				for _, a := range in.Args {
-					escaped[a] = true
-				}
-			}
-		}
-		if b.Term.Op == ir.TermReturn && b.Term.Ret >= 0 {
-			escaped[b.Term.Ret] = true
-		}
-	}
-	n := 0
-	for r := range allocs {
-		if !escaped[r] {
-			n++
-		}
+	for m := range cu.Members {
+		n += facts[m].nonEscaping
 	}
 	return n
 }

@@ -158,7 +158,7 @@ func TestInstrumentationPerturbsInlining(t *testing.T) {
 	p := buildWorld(t)
 	cfg := DefaultConfig()
 	// Tighten the limit so the method probe pushes `small` over it.
-	cfg.InlineSmallSize = effectiveSize(p.Class("Main").DeclaredMethod("small"), cfg, InstrNone)
+	cfg.InlineSmallSize = effectiveSize(p.Class("Main").DeclaredMethod("small"), 0, cfg, InstrNone)
 	reg := Compile(p, cfg, InstrNone, false)
 	ins := Compile(p, cfg, InstrMethod, false)
 	small := p.Class("Main").DeclaredMethod("small")
@@ -190,7 +190,7 @@ func TestPGOChangesInlining(t *testing.T) {
 	small := p.Class("Main").DeclaredMethod("small")
 	// Choose the limit just below small's size: only the PGO bonus makes
 	// it inlinable.
-	cfg.InlineSmallSize = effectiveSize(small, cfg, InstrNone) - 1
+	cfg.InlineSmallSize = effectiveSize(small, 0, cfg, InstrNone) - 1
 	reg := Compile(p, cfg, InstrNone, false)
 	opt := Compile(p, cfg, InstrNone, true)
 	if reg.CUBySig["Main.main(0)"].Members[small] {
@@ -265,7 +265,7 @@ func TestPEACountsNonEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := nonEscapingAllocs(p.Class("C").DeclaredMethod("f"))
+	got := new(scanner).nonEscapingAllocs(p.Class("C").DeclaredMethod("f"))
 	// o1 does not escape; o2 escapes; box itself does not escape.
 	if got != 2 {
 		t.Errorf("nonEscapingAllocs = %d, want 2 (o1 and box)", got)

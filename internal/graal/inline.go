@@ -1,6 +1,8 @@
 package graal
 
 import (
+	"slices"
+
 	"nimage/internal/ir"
 )
 
@@ -46,37 +48,29 @@ func (cu *CompilationUnit) Signature() string { return cu.Root.Signature() }
 
 // inliner builds the CU for one root using a greedy, size-driven policy.
 type inliner struct {
-	cfg    Config
-	instr  Instrumentation
-	pgo    bool
-	reach  *Reachability
-	sizeOf func(*ir.Method) int
+	cfg   Config
+	instr Instrumentation
+	pgo   bool
+	facts factTable
+	// stack holds the methods on the current inlining path, root first
+	// (at most MaxInlineDepth+1 long); it is reused across CUs.
+	stack []*ir.Method
 }
 
 // effectiveSize returns the method's code size including the inflation its
-// probes cause under the given instrumentation kind.
-func effectiveSize(m *ir.Method, cfg Config, instr Instrumentation) int {
+// probes cause under the given instrumentation kind; accesses is the
+// method's count of traced access events (Instr.AccessCount), the events
+// the heap-ordering instrumentation records (Sec. 6.1).
+func effectiveSize(m *ir.Method, accesses int, cfg Config, instr Instrumentation) int {
 	s := m.CodeSize()
 	switch instr {
 	case InstrMethod:
 		s += cfg.ProbeMethodEntry
 	case InstrHeap:
 		s += cfg.ProbePerBlock * len(m.Blocks)
-		s += cfg.ProbePerAccess * countAccesses(m)
+		s += cfg.ProbePerAccess * accesses
 	}
 	return s
-}
-
-// countAccesses counts the traced access events of a method — the events
-// the heap-ordering instrumentation records (Sec. 6.1).
-func countAccesses(m *ir.Method) int {
-	n := 0
-	for _, b := range m.Blocks {
-		for i := range b.Instrs {
-			n += b.Instrs[i].AccessCount()
-		}
-	}
-	return n
 }
 
 func (il *inliner) smallLimit() int {
@@ -92,60 +86,44 @@ func (il *inliner) build(root *ir.Method) *CompilationUnit {
 	cu := &CompilationUnit{
 		Root:    root,
 		Members: map[*ir.Method]bool{root: true},
-		Size:    il.sizeOf(root),
+		Size:    il.facts[root].size,
 	}
 	if il.instr == InstrCU {
 		cu.Size += il.cfg.ProbeCUEntry
 	}
-	il.inlineCalls(cu, root, map[*ir.Method]bool{root: true}, 1)
+	il.stack = append(il.stack[:0], root)
+	il.inlineCalls(cu, root, 1)
 	return cu
 }
 
-// inlineCalls walks the call sites of m (already part of cu) and greedily
-// inlines eligible callees.
-func (il *inliner) inlineCalls(cu *CompilationUnit, m *ir.Method, stack map[*ir.Method]bool, depth int) {
+// inlineCalls walks the inlining candidates of m (already part of cu) in
+// call-site order and greedily inlines eligible callees.
+func (il *inliner) inlineCalls(cu *CompilationUnit, m *ir.Method, depth int) {
 	if depth > il.cfg.MaxInlineDepth {
 		return
 	}
-	for _, b := range m.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			var callee *ir.Method
-			switch in.Op {
-			case ir.OpCall:
-				callee = in.Method
-			case ir.OpCallVirt:
-				// Only monomorphic virtual calls inline (devirtualization).
-				targets := ir.Overriders(in.Method)
-				if len(targets) == 1 {
-					callee = targets[0]
-				}
-			}
-			if callee == nil || callee.Clinit || stack[callee] {
-				continue
-			}
-			cs := il.sizeOf(callee)
-			if cs > il.smallLimit() || cu.Size+cs > il.cfg.CUBudget {
-				continue
-			}
-			cu.Size += cs
-			cu.Inlined = append(cu.Inlined, callee)
-			cu.Members[callee] = true
-			stack[callee] = true
-			il.inlineCalls(cu, callee, stack, depth+1)
-			delete(stack, callee)
+	for _, callee := range il.facts[m].callees {
+		if slices.Contains(il.stack, callee) {
+			continue // recursion never inlines
 		}
+		cs := il.facts[callee].size
+		if cs > il.smallLimit() || cu.Size+cs > il.cfg.CUBudget {
+			continue
+		}
+		cu.Size += cs
+		cu.Inlined = append(cu.Inlined, callee)
+		cu.Members[callee] = true
+		il.stack = append(il.stack, callee)
+		il.inlineCalls(cu, callee, depth+1)
+		il.stack = il.stack[:len(il.stack)-1]
 	}
 }
 
-// BuildCUs forms compilation units for every compiled method. CUs are
+// buildCUs forms compilation units for every compiled method. CUs are
 // returned in the default Native-Image order: alphabetical by root signature
 // (Sec. 2).
-func BuildCUs(reach *Reachability, cfg Config, instr Instrumentation, pgo bool) []*CompilationUnit {
-	il := &inliner{
-		cfg: cfg, instr: instr, pgo: pgo, reach: reach,
-		sizeOf: func(m *ir.Method) int { return effectiveSize(m, cfg, instr) },
-	}
+func buildCUs(reach *Reachability, facts factTable, cfg Config, instr Instrumentation, pgo bool) []*CompilationUnit {
+	il := &inliner{cfg: cfg, instr: instr, pgo: pgo, facts: facts}
 	methods := reach.CompiledMethods()
 	cus := make([]*CompilationUnit, 0, len(methods))
 	// CompiledMethods is sorted by signature, so the CUs already are.

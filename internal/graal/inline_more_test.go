@@ -219,8 +219,9 @@ func TestInstrumentationHeapInflatesAccessHeavyCode(t *testing.T) {
 	cfg := DefaultConfig()
 	am := p.Class("I").DeclaredMethod("accessy")
 	cm := p.Class("I").DeclaredMethod("arithy")
-	accessGrowth := effectiveSize(am, cfg, InstrHeap) - effectiveSize(am, cfg, InstrNone)
-	calmGrowth := effectiveSize(cm, cfg, InstrHeap) - effectiveSize(cm, cfg, InstrNone)
+	heap := scanMethods([]*ir.Method{am, cm}, cfg, InstrHeap)
+	accessGrowth := heap[am].size - effectiveSize(am, 0, cfg, InstrNone)
+	calmGrowth := heap[cm].size - effectiveSize(cm, 0, cfg, InstrNone)
 	if accessGrowth <= calmGrowth {
 		t.Errorf("access-heavy growth %d <= arithmetic growth %d", accessGrowth, calmGrowth)
 	}

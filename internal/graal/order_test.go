@@ -8,17 +8,18 @@ import (
 )
 
 // TestCUOrderIsSignatureOrder pins the default .text order on every
-// workload: BuildCUs emits one CU per compiled method, in the order of
+// workload: Assemble emits one CU per compiled method, in the order of
 // CompiledMethods, and that order is strictly increasing by root signature
 // under every instrumentation, with and without PGO inlining.
 func TestCUOrderIsSignatureOrder(t *testing.T) {
 	cfg := graal.DefaultConfig()
 	for _, w := range append(workloads.All(), workloads.Serve()...) {
-		reach := graal.Analyze(w.Build(), cfg)
+		p := w.Build()
+		reach := graal.Analyze(p, cfg)
 		methods := reach.CompiledMethods()
 		for _, instr := range []graal.Instrumentation{graal.InstrNone, graal.InstrCU, graal.InstrMethod, graal.InstrHeap} {
 			for _, pgo := range []bool{false, true} {
-				cus := graal.BuildCUs(reach, cfg, instr, pgo)
+				cus := graal.Assemble(p, cfg, instr, pgo, reach).CUs
 				if len(cus) != len(methods) {
 					t.Fatalf("%s/%s/pgo=%v: %d CUs for %d compiled methods", w.Name, instr, pgo, len(cus), len(methods))
 				}

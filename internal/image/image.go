@@ -5,9 +5,10 @@
 // reordered by the profile-guided strategies of internal/core (Fig. 1).
 //
 // Three build kinds mirror the paper's pipeline: the regular build, the
-// instrumented (profiling) build — whose probes both inflate code size
-// (perturbing inlining) and attach 64-bit identities to every snapshot
-// object — and the optimized build, which consumes ordering profiles.
+// instrumented (profiling) build — whose probes inflate code size
+// (perturbing inlining) and, when they profile the heap, attach the
+// profiled identity strategy's 64-bit ID to every snapshot object — and
+// the optimized build, which consumes ordering profiles.
 package image
 
 import (
@@ -31,7 +32,8 @@ type BuildKind uint8
 const (
 	// KindRegular is an unmodified Native-Image build.
 	KindRegular BuildKind = iota
-	// KindInstrumented is the profiling build: probes plus object IDs.
+	// KindInstrumented is the profiling build: probes, plus object IDs
+	// under heap probes.
 	KindInstrumented
 	// KindOptimized is the profile-guided build consuming ordering
 	// profiles (and PGO-boosted inlining).
@@ -74,7 +76,10 @@ type Options struct {
 	// HeapProfile is the object ordering profile of an optimized build
 	// (deduplicated 64-bit IDs in first-access order).
 	HeapProfile []uint64
-	// HeapStrategy is the identity strategy that produced HeapProfile.
+	// HeapStrategy is the identity strategy that produced HeapProfile in
+	// an optimized build. In a heap-instrumented build it selects the one
+	// strategy whose object IDs the build records (Image.StrategyIDs);
+	// other instrumented builds record none.
 	HeapStrategy core.HeapStrategy
 	// MaxPaths bounds per-method path counts (path cutting).
 	MaxPaths uint64
@@ -118,9 +123,11 @@ type Image struct {
 	// builds ("meta:Class") instead of by layout position.
 	MetaBlobs map[*ir.Class]*heap.Object
 
-	// StrategyIDs records, for instrumented builds, each identity
-	// strategy's ID of every snapshot object, indexed by SeqID.
-	StrategyIDs map[string][]uint64
+	// StrategyIDs records, for a heap-instrumented build, the ID that
+	// Opts.HeapStrategy assigns each snapshot object, indexed by SeqID.
+	// It is nil for every other build, and for a heap-instrumented build
+	// without a strategy.
+	StrategyIDs []uint64
 
 	// CodeOrderStats / HeapMatchStats report profile-application quality
 	// in optimized builds.
@@ -219,7 +226,7 @@ func build(p *ir.Program, opts Options, reach *graal.Reachability) (*Image, erro
 	sp.End()
 	sp = r.StartSpan(prefix + "serialize")
 	img.finalizeFile()
-	if opts.Kind == KindInstrumented {
+	if opts.Kind == KindInstrumented && opts.Instr == graal.InstrHeap && opts.HeapStrategy != nil {
 		img.assignStrategyIDs()
 	}
 	sp.End()
@@ -442,18 +449,16 @@ func (img *Image) finalizeFile() {
 	}
 }
 
-// assignStrategyIDs computes, for every identity strategy, the ID of each
+// assignStrategyIDs computes the profiled identity strategy's ID of each
 // snapshot object — the identifiers the instrumented binary stores so that
 // the optimizing build can match trace entries against its own objects.
+// It runs at build time, before any process can mutate snapshot objects
+// (which would change structural hashes).
 func (img *Image) assignStrategyIDs() {
-	img.StrategyIDs = make(map[string][]uint64)
-	for _, s := range core.HeapStrategies() {
-		ids := s.AssignIDs(img.Snapshot)
-		bySeq := make([]uint64, len(img.Snapshot.Objects))
-		for _, o := range img.Snapshot.Objects {
-			bySeq[o.SeqID] = ids[o]
-		}
-		img.StrategyIDs[s.Name()] = bySeq
+	ids := img.Opts.HeapStrategy.AssignIDs(img.Snapshot)
+	img.StrategyIDs = make([]uint64, len(img.Snapshot.Objects))
+	for _, o := range img.Snapshot.Objects {
+		img.StrategyIDs[o.SeqID] = ids[o]
 	}
 }
 
@@ -466,14 +471,20 @@ func (img *Image) ObjectHandle(o *heap.Object) uint64 {
 	return uint64(o.SeqID) + 1
 }
 
+// recordsIDsOf reports whether the build recorded the named strategy's
+// object IDs.
+func (img *Image) recordsIDsOf(strategy string) bool {
+	return img.StrategyIDs != nil && img.Opts.HeapStrategy.Name() == strategy
+}
+
 // StrategyIDOfHandle translates a recorded handle to the given strategy's
-// 64-bit object ID (postproc profile translation).
+// 64-bit object ID (postproc profile translation). Only the strategy the
+// build recorded translates.
 func (img *Image) StrategyIDOfHandle(strategy string, handle uint64) (uint64, bool) {
-	ids := img.StrategyIDs[strategy]
-	if handle == 0 || handle > uint64(len(ids)) {
+	if !img.recordsIDsOf(strategy) || handle == 0 || handle > uint64(len(img.StrategyIDs)) {
 		return 0, false
 	}
-	return ids[handle-1], true
+	return img.StrategyIDs[handle-1], true
 }
 
 // CUOf returns the compilation unit rooted at m, or nil.

@@ -6,6 +6,7 @@ import (
 	"nimage/internal/core"
 	"nimage/internal/graal"
 	"nimage/internal/osim"
+	"nimage/internal/profiler"
 	"nimage/internal/vm"
 )
 
@@ -152,12 +153,14 @@ func TestProcessReuseRejected(t *testing.T) {
 	proc.Close() // double close is a no-op
 }
 
-// TestStrategyIDHandleBounds: out-of-range handles do not translate.
+// TestStrategyIDHandleBounds: out-of-range handles, unknown strategies and
+// strategies the build did not record do not translate.
 func TestStrategyIDHandleBounds(t *testing.T) {
 	p := buildApp(t)
 	img, err := Build(p, Options{
 		Kind: KindInstrumented, Compiler: graal.DefaultConfig(),
 		Instr: graal.InstrHeap, BuildSeed: 3,
+		HeapStrategy: core.HeapStrategyByName(core.StrategyHeapPath),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +172,41 @@ func TestStrategyIDHandleBounds(t *testing.T) {
 	if _, ok := img.StrategyIDOfHandle("no such strategy", 1); ok {
 		t.Error("unknown strategy translated")
 	}
+	if _, ok := img.StrategyIDOfHandle(core.StrategyStructural, 1); ok {
+		t.Error("unrecorded strategy translated")
+	}
 	if id, ok := img.StrategyIDOfHandle(core.StrategyHeapPath, n); !ok || id == 0 {
 		t.Error("last valid handle failed")
+	}
+}
+
+// TestHeapProfileNeedsRecordedIDs: post-processing a heap profile for a
+// strategy whose IDs the instrumented build did not record is an error,
+// not an empty profile — both directly and through the pipeline.
+func TestHeapProfileNeedsRecordedIDs(t *testing.T) {
+	p := buildApp(t)
+	for _, opts := range []Options{
+		{Instr: graal.InstrCU, HeapStrategy: core.HeapStrategyByName(core.StrategyHeapPath)},
+		{Instr: graal.InstrHeap},
+		{Instr: graal.InstrHeap, HeapStrategy: core.HeapStrategyByName(core.StrategyStructural)},
+	} {
+		opts.Kind, opts.Compiler, opts.BuildSeed = KindInstrumented, graal.DefaultConfig(), 3
+		img, err := Build(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prof, err := img.HeapProfile(nil, core.StrategyHeapPath); err == nil {
+			t.Errorf("%s build: heap path profile of %d IDs, want an error", opts.Instr, len(prof))
+		}
+	}
+
+	reach := graal.Analyze(p, graal.DefaultConfig())
+	popts := PipelineOptions{Compiler: graal.DefaultConfig(), InstrumentedSeed: 3, Mode: profiler.DumpOnFull}
+	if _, _, prof, err := profileOnce(p, popts, reach, graal.InstrHeap, core.StrategyCU); err == nil {
+		t.Errorf("heap profile for %q: %d IDs, want an error", core.StrategyCU, len(prof))
+	}
+	if _, _, prof, err := profileOnce(p, popts, reach, graal.InstrHeap, core.StrategyHeapPath); err != nil || len(prof) == 0 {
+		t.Errorf("heap path profile: %d IDs, err %v", len(prof), err)
 	}
 }
 

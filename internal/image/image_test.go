@@ -389,32 +389,49 @@ func TestPipelineCombinedStrategy(t *testing.T) {
 	}
 }
 
+// TestInstrumentedBuildHasStrategyIDs: a heap-instrumented build records
+// exactly the IDs its HeapStrategy assigns before any run; a
+// CU-instrumented build records none.
 func TestInstrumentedBuildHasStrategyIDs(t *testing.T) {
 	p := buildApp(t)
-	img, err := Build(p, Options{
+	for _, s := range core.HeapStrategies() {
+		img, err := Build(p, Options{
+			Kind: KindInstrumented, Compiler: graal.DefaultConfig(),
+			Instr: graal.InstrHeap, BuildSeed: 3, HeapStrategy: s,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img.Numberings == nil {
+			t.Fatal("heap-instrumented build lacks path numberings")
+		}
+		want := s.AssignIDs(img.Snapshot)
+		if len(img.StrategyIDs) != len(img.Snapshot.Objects) {
+			t.Fatalf("%s: %d ids for %d objects", s.Name(), len(img.StrategyIDs), len(img.Snapshot.Objects))
+		}
+		for _, o := range img.Snapshot.Objects {
+			id, ok := img.StrategyIDOfHandle(s.Name(), img.ObjectHandle(o))
+			if !ok || id != want[o] || img.StrategyIDs[o.SeqID] != want[o] {
+				t.Fatalf("%s: object %d records %#x, want %#x", s.Name(), o.SeqID, id, want[o])
+			}
+		}
+		if _, ok := img.StrategyIDOfHandle(s.Name(), 0); ok {
+			t.Errorf("%s: handle 0 translated", s.Name())
+		}
+	}
+
+	cu, err := Build(p, Options{
 		Kind: KindInstrumented, Compiler: graal.DefaultConfig(),
-		Instr: graal.InstrHeap, BuildSeed: 3,
+		Instr: graal.InstrCU, BuildSeed: 3, HeapStrategy: core.HeapStrategyByName(core.StrategyHeapPath),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Numberings == nil {
-		t.Fatal("heap-instrumented build lacks path numberings")
+	if cu.StrategyIDs != nil {
+		t.Errorf("cu-instrumented build recorded %d object IDs", len(cu.StrategyIDs))
 	}
-	for _, s := range core.HeapStrategies() {
-		ids := img.StrategyIDs[s.Name()]
-		if len(ids) != len(img.Snapshot.Objects) {
-			t.Errorf("%s: %d ids for %d objects", s.Name(), len(ids), len(img.Snapshot.Objects))
-		}
-	}
-	// Handle round trip.
-	o := img.Snapshot.Objects[5]
-	id, ok := img.StrategyIDOfHandle(core.StrategyHeapPath, img.ObjectHandle(o))
-	if !ok || id != img.StrategyIDs[core.StrategyHeapPath][5] {
-		t.Error("handle translation broken")
-	}
-	if _, ok := img.StrategyIDOfHandle(core.StrategyHeapPath, 0); ok {
-		t.Error("handle 0 translated")
+	if _, ok := cu.StrategyIDOfHandle(core.StrategyHeapPath, 1); ok {
+		t.Error("cu-instrumented build translated a handle")
 	}
 }
 

@@ -110,16 +110,6 @@ func composePH(h vmHooks, g *core.CallGraph) vmHooks {
 	return vmCompose(h, g.Collector())
 }
 
-// heapStrategyByName returns the identity strategy with the given name.
-func heapStrategyByName(name string) core.HeapStrategy {
-	for _, s := range core.HeapStrategies() {
-		if s.Name() == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // BuildOptimized runs the full pipeline for one strategy and returns the
 // optimized image. The combined "cu+heap path" strategy performs two
 // profiling runs — one CU-instrumented, one heap-instrumented — and feeds
@@ -168,7 +158,7 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 		if err := collect(core.StrategyHeapPath); err != nil {
 			return nil, err
 		}
-		optOpts.HeapStrategy = heapStrategyByName(core.StrategyHeapPath)
+		optOpts.HeapStrategy = core.HeapStrategyByName(core.StrategyHeapPath)
 	case core.IsGraphStrategy(opts.Strategy):
 		run, code, err := profileGraph(p, opts, reach)
 		if err != nil {
@@ -182,7 +172,7 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 		if err := collect(opts.Strategy); err != nil {
 			return nil, err
 		}
-		optOpts.HeapStrategy = heapStrategyByName(opts.Strategy)
+		optOpts.HeapStrategy = core.HeapStrategyByName(opts.Strategy)
 	}
 	optOpts.CodeProfile = res.CodeProfile
 	optOpts.HeapProfile = res.HeapProfile
@@ -278,13 +268,14 @@ func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability
 func profileOnce(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, instr graal.Instrumentation, strategy string) (ProfilingRun, []string, []uint64, error) {
 	run := ProfilingRun{Instr: instr, Mode: opts.Mode}
 	img, err := build(p, Options{
-		Kind:      KindInstrumented,
-		Compiler:  opts.Compiler,
-		Instr:     instr,
-		Mode:      opts.Mode,
-		BuildSeed: opts.InstrumentedSeed,
-		MaxPaths:  opts.MaxPaths,
-		Obs:       opts.Obs,
+		Kind:         KindInstrumented,
+		Compiler:     opts.Compiler,
+		Instr:        instr,
+		Mode:         opts.Mode,
+		BuildSeed:    opts.InstrumentedSeed,
+		MaxPaths:     opts.MaxPaths,
+		HeapStrategy: core.HeapStrategyByName(strategy),
+		Obs:          opts.Obs,
 	}, reach)
 	if err != nil {
 		return run, nil, nil, fmt.Errorf("image: instrumented build: %w", err)
@@ -367,13 +358,24 @@ func profileOnce(p *ir.Program, opts PipelineOptions, reach *graal.Reachability,
 		}
 		return run, a.Profile(), nil, nil
 	default:
-		a := postproc.NewHeapOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return run, nil, nil, err
-		}
-		prof := a.Profile(func(h uint64) (uint64, bool) {
-			return img.StrategyIDOfHandle(strategy, h)
-		})
-		return run, nil, prof, nil
+		prof, err := img.HeapProfile(traces, strategy)
+		return run, nil, prof, err
 	}
+}
+
+// HeapProfile post-processes the traces of a heap-instrumented run into
+// the named strategy's heap-ordering profile. It is an error when the
+// build recorded no object IDs for that strategy: the profile would
+// silently come out empty.
+func (img *Image) HeapProfile(traces []profiler.ThreadTrace, strategy string) ([]uint64, error) {
+	if !img.recordsIDsOf(strategy) {
+		return nil, fmt.Errorf("image: %s %s build recorded no %q object IDs", img.Opts.Kind, img.Opts.Instr, strategy)
+	}
+	a := postproc.NewHeapOrderAnalysis()
+	if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
+		return nil, err
+	}
+	return a.Profile(func(h uint64) (uint64, bool) {
+		return img.StrategyIDOfHandle(strategy, h)
+	}), nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"nimage/internal/core"
 	"nimage/internal/graal"
 	"nimage/internal/ir"
 	"nimage/internal/profiler"
@@ -28,7 +29,8 @@ type Recipe struct {
 	MaxPaths  uint64
 	Compiler  graal.Config
 	// CodeProfile / HeapProfile / HeapStrategyName configure optimized
-	// builds.
+	// builds; HeapStrategyName also names the strategy whose object IDs a
+	// heap-instrumented build records.
 	CodeProfile      []string
 	HeapProfile      []uint64
 	HeapStrategyName string
@@ -66,7 +68,7 @@ func (r Recipe) Bake() (*Image, error) {
 		HeapProfile: r.HeapProfile,
 	}
 	if r.HeapStrategyName != "" {
-		opts.HeapStrategy = heapStrategyByName(r.HeapStrategyName)
+		opts.HeapStrategy = core.HeapStrategyByName(r.HeapStrategyName)
 		if opts.HeapStrategy == nil {
 			return nil, fmt.Errorf("image: recipe names unknown heap strategy %q", r.HeapStrategyName)
 		}
