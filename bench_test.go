@@ -29,11 +29,10 @@ import (
 )
 
 // benchConfig is the reduced protocol used by the benchmarks (the paper
-// uses 10 builds × 10 iterations; nimage-eval exposes both knobs).
+// uses 10 builds; nimage-eval exposes the build count).
 func benchConfig() eval.Config {
 	cfg := eval.DefaultConfig()
 	cfg.Builds = 2
-	cfg.Iterations = 2
 	return cfg
 }
 
@@ -149,7 +148,7 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 func BenchmarkAccessedObjectFraction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchConfig()
-		cfg.Builds, cfg.Iterations = 1, 1
+		cfg.Builds = 1
 		h := eval.NewHarness(cfg)
 		fr, err := h.AccessedFraction(workloads.AWFY())
 		if err != nil {
@@ -278,7 +277,7 @@ func BenchmarkAblationFaultAround(b *testing.B) {
 		b.Run(fmt.Sprintf("cluster=%d", fa), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
-				cfg.Builds, cfg.Iterations = 1, 1
+				cfg.Builds = 1
 				cfg.FaultAround = fa
 				f := ablationFactor(b, cfg, "Bounce", core.StrategyCombined)
 				b.ReportMetric(f, "x-combined")
@@ -295,7 +294,7 @@ func BenchmarkAblationInlineBudget(b *testing.B) {
 		b.Run(fmt.Sprintf("inline=%d", lim), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
-				cfg.Builds, cfg.Iterations = 1, 1
+				cfg.Builds = 1
 				cfg.Compiler.InlineSmallSize = lim
 				f := ablationFactor(b, cfg, "Richards", core.StrategyCombined)
 				b.ReportMetric(f, "x-combined")
@@ -603,7 +602,7 @@ func BenchmarkBaselinePettisHansen(b *testing.B) {
 		b.Run(wname, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
-				cfg.Builds, cfg.Iterations = 1, 1
+				cfg.Builds = 1
 				h := eval.NewHarness(cfg)
 				w, err := workloads.ByName(wname)
 				if err != nil {
@@ -646,7 +645,7 @@ func BenchmarkBaselinePettisHansen(b *testing.B) {
 func BenchmarkAblationAdaptiveReadahead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchConfig()
-		cfg.Builds, cfg.Iterations = 1, 1
+		cfg.Builds = 1
 		cfg.AdaptiveReadahead = true
 		cfg.FaultAround = 2 // fine-grained windows expose ordering effects
 		h := eval.NewHarness(cfg)

@@ -30,7 +30,7 @@
 // Usage:
 //
 //	nimage-eval [-figure all|2|3|4|5|overhead|accessed|6|serve|slo|search|fleet|report] [-workloads Bounce,micronaut]
-//	            [-builds N] [-iters N] [-device ssd|nfs] [-out output]
+//	            [-builds N] [-device ssd|nfs] [-out output]
 //	            [-streams N] [-slo "p50=100us,p99=2ms"] [-slo-bursts N]
 //	            [-search-iters N] [-search-topk N]
 //	            [-tenants 2,4,8] [-budget PAGES] [-quota PCT] [-bursts N]
@@ -62,17 +62,16 @@ const benchSchema = "nimage.bench/v1"
 // means of every figure, so regressions in the headline factors are a JSON
 // diff away.
 type benchDoc struct {
-	Schema     string                        `json:"schema"`
-	Device     string                        `json:"device"`
-	Builds     int                           `json:"builds"`
-	Iterations int                           `json:"iterations"`
-	Figures    map[string]map[string]float64 `json:"figures"`
+	Schema  string                        `json:"schema"`
+	Device  string                        `json:"device"`
+	Builds  int                           `json:"builds"`
+	Figures map[string]map[string]float64 `json:"figures"`
 }
 
 // slice returns the document restricted to the figures whose key starts
-// with prefix, labelled with the protocol size they were measured at.
-func (d benchDoc) slice(prefix string, builds, iters int) benchDoc {
-	out := benchDoc{Schema: d.Schema, Device: d.Device, Builds: builds, Iterations: iters,
+// with prefix, labelled with the build count they were measured at.
+func (d benchDoc) slice(prefix string, builds int) benchDoc {
+	out := benchDoc{Schema: d.Schema, Device: d.Device, Builds: builds,
 		Figures: map[string]map[string]float64{}}
 	for key, geo := range d.Figures {
 		if strings.HasPrefix(key, prefix) {
@@ -171,7 +170,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("nimage-eval", flag.ContinueOnError)
 	figure := fs.String("figure", "all", "which experiment: all|2|3|4|5|overhead|accessed|6|serve|slo|search|fleet|report")
 	builds := fs.Int("builds", 3, "images per strategy (paper: 10)")
-	iters := fs.Int("iters", 3, "cold runs per image (paper: 10)")
 	device := fs.String("device", "ssd", "storage device: ssd|nfs")
 	out := fs.String("out", "output", "output directory for CSV/PPM files")
 	bench := fs.String("bench", "BENCH_baseline.json", "benchmark-baseline JSON path (empty = skip)")
@@ -190,14 +188,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Reject out-of-range sizing instead of clamping: zero builds or
-	// iterations would silently measure nothing, and a negative worker
-	// count is neither a cap nor the GOMAXPROCS default (that's 0).
+	// Reject out-of-range sizing instead of clamping: zero builds would
+	// silently measure nothing, and a negative worker count is neither a
+	// cap nor the GOMAXPROCS default (that's 0).
 	if *builds < 1 {
 		return fmt.Errorf("-builds must be >= 1, got %d", *builds)
-	}
-	if *iters < 1 {
-		return fmt.Errorf("-iters must be >= 1, got %d", *iters)
 	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
@@ -245,7 +240,6 @@ func run(args []string) error {
 
 	cfg := eval.DefaultConfig()
 	cfg.Builds = *builds
-	cfg.Iterations = *iters
 	cfg.Workers = *workers
 	cfg.Device = dev
 	h := eval.NewHarness(cfg)
@@ -266,7 +260,7 @@ func run(args []string) error {
 
 	baseline := benchDoc{
 		Schema: benchSchema, Device: cfg.Device.Name,
-		Builds: cfg.Builds, Iterations: cfg.Iterations,
+		Builds:  cfg.Builds,
 		Figures: map[string]map[string]float64{},
 	}
 	table := func(key, file string, make func() (*eval.Table, error)) error {
@@ -453,7 +447,7 @@ func run(args []string) error {
 		// scorecard geomeans per pressure — written unconditionally so the
 		// nightly job and local runs get the serve baseline without -bench.
 		if err := writeBench(filepath.Join(*out, "BENCH_serve.json"),
-			baseline.slice("serve-", cfg.Builds, cfg.Iterations)); err != nil {
+			baseline.slice("serve-", cfg.Builds)); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -532,7 +526,6 @@ func run(args []string) error {
 		scfg2.TopK = *searchTopK
 		scfg := cfg
 		scfg.Builds = 1
-		scfg.Iterations = 1
 		sh := eval.NewHarness(scfg)
 		strategies := []string{core.StrategyC3, core.StrategyExtTSP, core.StrategySLOSearch}
 		var csv strings.Builder
@@ -610,7 +603,7 @@ func run(args []string) error {
 			}
 			baseline.Figures[fmt.Sprintf("search-refault-factor-p%d", p)] = geo
 		}
-		if err := writeBench(filepath.Join(*out, "BENCH_search.json"), baseline.slice("search-", 1, 1)); err != nil {
+		if err := writeBench(filepath.Join(*out, "BENCH_search.json"), baseline.slice("search-", 1)); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -633,7 +626,6 @@ func run(args []string) error {
 		// the shared cache, not of build-seed noise.
 		fhcfg := cfg
 		fhcfg.Builds = 1
-		fhcfg.Iterations = 1
 		fh := eval.NewHarness(fhcfg)
 		var csv strings.Builder
 		csv.WriteString("tenants,evictor,owner,pages\n")
@@ -725,7 +717,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote %s\n", cpath)
 		// BENCH_fleet.json is the fleet slice of the bench doc.
-		if err := writeBench(filepath.Join(*out, "BENCH_fleet.json"), baseline.slice("fleet-", 1, 1)); err != nil {
+		if err := writeBench(filepath.Join(*out, "BENCH_fleet.json"), baseline.slice("fleet-", 1)); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -739,7 +731,6 @@ func run(args []string) error {
 		// the figures' build counts.
 		rcfg := cfg
 		rcfg.Builds = 1
-		rcfg.Iterations = 1
 		rcfg.Observe = true
 		rh := eval.NewHarness(rcfg)
 		var ws []workloads.Workload
@@ -801,8 +792,8 @@ func run(args []string) error {
 	}
 
 	wall := time.Since(start)
-	fmt.Printf("done in %v (builds=%d, iterations=%d, device=%s)\n",
-		wall.Round(time.Millisecond), cfg.Builds, cfg.Iterations, cfg.Device.Name)
+	fmt.Printf("done in %v (builds=%d, device=%s)\n",
+		wall.Round(time.Millisecond), cfg.Builds, cfg.Device.Name)
 	if work := h.WorkDuration(); work > 0 && wall > 0 {
 		fmt.Printf("scheduler: %d workers, %v of build+measure work in %v wall clock (%.2fx)\n",
 			h.Workers(), work.Round(time.Millisecond), wall.Round(time.Millisecond),

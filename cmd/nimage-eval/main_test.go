@@ -19,7 +19,7 @@ func TestRunFigure2Filtered(t *testing.T) {
 	bench := filepath.Join(dir, "BENCH_baseline.json")
 	err := run([]string{
 		"-figure", "2", "-workloads", "Bounce",
-		"-builds", "1", "-iters", "1",
+		"-builds", "1",
 		"-out", dir, "-bench", bench,
 	})
 	if err != nil {
@@ -97,7 +97,7 @@ func TestRunServeFiltered(t *testing.T) {
 	bench := filepath.Join(dir, "BENCH_baseline.json")
 	err := run([]string{
 		"-figure", "serve", "-workloads", "serve-api",
-		"-builds", "1", "-iters", "1",
+		"-builds", "1",
 		"-out", dir, "-bench", bench,
 	})
 	if err != nil {
@@ -169,7 +169,7 @@ func TestRunSloFiltered(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
 		"-figure", "slo", "-workloads", "serve-api",
-		"-builds", "1", "-iters", "1",
+		"-builds", "1",
 		"-streams", "2", "-slo-bursts", "2",
 		"-out", dir, "-bench", "",
 	})
@@ -230,7 +230,7 @@ func TestRunSearchFiltered(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
 		"-figure", "search", "-workloads", "serve-api",
-		"-builds", "1", "-iters", "1",
+		"-builds", "1",
 		"-search-iters", "1", "-search-topk", "1",
 		"-out", dir, "-bench", "",
 	})
@@ -299,7 +299,7 @@ func TestRunFleetFiltered(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
 		"-figure", "fleet",
-		"-builds", "1", "-iters", "1",
+		"-builds", "1",
 		"-tenants", "2,4", "-budget", "192", "-bursts", "3",
 		"-out", dir, "-bench", "",
 	})
@@ -396,14 +396,12 @@ func TestRunRejectsUnknownWorkload(t *testing.T) {
 }
 
 // TestRunRejectsBadSizing: harness sizing is rejected out of range, not
-// clamped — a zero build or iteration count would silently measure
-// nothing, and negative workers are meaningless.
+// clamped — a zero build count would silently measure nothing, and
+// negative workers are meaningless.
 func TestRunRejectsBadSizing(t *testing.T) {
 	cases := map[string][]string{
 		"builds-zero":      {"-builds", "0"},
 		"builds-negative":  {"-builds", "-3"},
-		"iters-zero":       {"-iters", "0"},
-		"iters-negative":   {"-iters", "-1"},
 		"workers-negative": {"-workers", "-2"},
 		"streams-zero":     {"-streams", "0"},
 		"streams-negative": {"-streams", "-2"},

@@ -48,7 +48,6 @@ func cmdAffinity(args []string) error {
 
 	cfg := nimage.DefaultEvalConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	cfg.TrackAffinity = true
 	cfg.Device = dev
 	scfg := nimage.ServeConfig{

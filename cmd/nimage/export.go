@@ -87,13 +87,9 @@ func cmdExec(args []string) error {
 	fs := flag.NewFlagSet("exec", flag.ExitOnError)
 	path := fs.String("image", "", ".nimg file to execute (required)")
 	device := fs.String("device", "ssd", "storage device: ssd|nfs")
-	iters := fs.Int("iters", 1, "cold iterations")
-	report := fs.String("report", "", "write the runs' observability snapshot to this JSON file")
+	report := fs.String("report", "", "write the run's observability snapshot to this JSON file")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *iters < 1 {
-		return fmt.Errorf("-iters must be >= 1, got %d", *iters)
 	}
 	if *path == "" {
 		return fmt.Errorf("exec: -image is required")
@@ -130,22 +126,19 @@ func cmdExec(args []string) error {
 		o.Obs = reg
 	}
 	fmt.Printf("%s (%s image from %s, %s)\n", img.Program.Name, img.Opts.Kind, *path, dev.Name)
-	for it := 0; it < *iters; it++ {
-		o.DropCaches()
-		proc, err := img.NewProcess(o, nimage.Hooks{})
-		if err != nil {
-			return err
-		}
-		proc.Machine.StopOnRespond = service
-		if err := proc.Run(args2...); err != nil {
-			proc.Close()
-			return err
-		}
-		st := proc.Stats()
-		fmt.Printf("  iter %d: .text faults %d, .svm_heap faults %d, total %v\n",
-			it, st.TextFaults.Total(), st.HeapFaults.Total(), st.Total)
-		proc.Close()
+	proc, err := img.NewProcess(o, nimage.Hooks{})
+	if err != nil {
+		return err
 	}
+	proc.Machine.StopOnRespond = service
+	if err := proc.Run(args2...); err != nil {
+		proc.Close()
+		return err
+	}
+	st := proc.Stats()
+	fmt.Printf("  .text faults %d, .svm_heap faults %d, total %v\n",
+		st.TextFaults.Total(), st.HeapFaults.Total(), st.Total)
+	proc.Close()
 	if reg != nil {
 		if err := writeSnapshot(*report, reg); err != nil {
 			return err

@@ -121,7 +121,6 @@ func cmdFleet(args []string) error {
 
 	cfg := nimage.DefaultEvalConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	// The report's Runs section needs the shared OS's obs snapshot.
 	cfg.Observe = *report != ""
 	h := nimage.NewHarness(cfg)

@@ -6,7 +6,7 @@
 //
 //	nimage info
 //	nimage build   -workload Bounce [-kind regular|instrumented|optimized] [-seed N] [-report out.json]
-//	nimage run     -workload Bounce [-strategy cu] [-device ssd|nfs] [-iters N] [-report out.json]
+//	nimage run     -workload Bounce [-strategy cu] [-device ssd|nfs] [-report out.json]
 //	nimage serve   -workload serve-api [-strategy cu] [-streams N] [-bursts N] [-burst N] [-pressure PCT] [-budget PAGES] [-report out.json]
 //	nimage slo     [-workload serve-api] [-streams N] [-slo "p50=100us,p99=2ms"] [-pressures 0,30,70] [-trace t.json] [-o slo.json]
 //	nimage tune    [-workload serve-api] [-budget-iters N] [-top-k N] [-seed N] [-pressures 30,70] [-slo "p99=2ms"] [-o search.json]
@@ -223,14 +223,10 @@ func cmdRun(args []string) error {
 	name := workloadFlag(fs)
 	strategy := fs.String("strategy", "", "optimize with this strategy first (empty = regular build)")
 	device := fs.String("device", "ssd", "storage device: ssd|nfs")
-	iters := fs.Int("iters", 3, "cold iterations (caches dropped in between)")
 	seed := fs.Uint64("seed", 1, "build seed")
 	report := fs.String("report", "", "write the combined build+run observability snapshot to this JSON file")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *iters < 1 {
-		return fmt.Errorf("-iters must be >= 1, got %d", *iters)
 	}
 	dev, err := nimage.DeviceByName(*device)
 	if err != nil {
@@ -278,32 +274,27 @@ func cmdRun(args []string) error {
 	if *strategy != "" {
 		layout = *strategy
 	}
-	fmt.Printf("%s (%s layout, %s, %d cold iterations)\n", w.Name, layout, dev.Name, *iters)
-	for it := 0; it < *iters; it++ {
-		o.DropCaches()
-		proc, err := img.NewProcess(o, nimage.Hooks{})
-		if err != nil {
-			return err
-		}
-		proc.Machine.StopOnRespond = w.Service
-		if err := proc.Run(w.Args...); err != nil {
-			proc.Close()
-			return err
-		}
-		st := proc.Stats()
-		line := fmt.Sprintf("  iter %d: .text faults %d, .svm_heap faults %d, total faults %d, cpu %v, io %v, total %v",
-			it, st.TextFaults.Total(), st.HeapFaults.Total(), st.TotalFaults, st.CPUTime, st.IOTime, st.Total)
-		if w.Service {
-			line += fmt.Sprintf(", time-to-first-response %v", st.TimeToResponse)
-		}
-		fmt.Println(line)
-		if it == 0 {
-			fmt.Printf("  accessed %d of %d snapshot objects (%.1f%%)\n",
-				st.AccessedObjects, st.SnapshotObjects,
-				100*float64(st.AccessedObjects)/float64(st.SnapshotObjects))
-		}
-		proc.Close()
+	fmt.Printf("%s (%s layout, %s, cold start)\n", w.Name, layout, dev.Name)
+	proc, err := img.NewProcess(o, nimage.Hooks{})
+	if err != nil {
+		return err
 	}
+	proc.Machine.StopOnRespond = w.Service
+	if err := proc.Run(w.Args...); err != nil {
+		proc.Close()
+		return err
+	}
+	st := proc.Stats()
+	line := fmt.Sprintf("  .text faults %d, .svm_heap faults %d, total faults %d, cpu %v, io %v, total %v",
+		st.TextFaults.Total(), st.HeapFaults.Total(), st.TotalFaults, st.CPUTime, st.IOTime, st.Total)
+	if w.Service {
+		line += fmt.Sprintf(", time-to-first-response %v", st.TimeToResponse)
+	}
+	fmt.Println(line)
+	fmt.Printf("  accessed %d of %d snapshot objects (%.1f%%)\n",
+		st.AccessedObjects, st.SnapshotObjects,
+		100*float64(st.AccessedObjects)/float64(st.SnapshotObjects))
+	proc.Close()
 	if reg != nil {
 		if err := writeSnapshot(*report, reg); err != nil {
 			return err

@@ -39,10 +39,10 @@ func TestCmdBuildOptimized(t *testing.T) {
 }
 
 func TestCmdRun(t *testing.T) {
-	if err := cmdRun([]string{"-workload", "Sieve", "-iters", "1"}); err != nil {
+	if err := cmdRun([]string{"-workload", "Sieve"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdRun([]string{"-workload", "Sieve", "-strategy", "heap path", "-iters", "1", "-device", "nfs"}); err != nil {
+	if err := cmdRun([]string{"-workload", "Sieve", "-strategy", "heap path", "-device", "nfs"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -337,11 +337,7 @@ func TestCmdsRejectBadFlags(t *testing.T) {
 		cmd  func([]string) error
 		args []string
 	}{
-		"run-iters-zero":          {cmdRun, []string{"-workload", "Sieve", "-iters", "0"}},
-		"run-iters-negative":      {cmdRun, []string{"-workload", "Sieve", "-iters", "-1"}},
-		"exec-iters-zero":         {cmdExec, []string{"-iters", "0"}},
 		"report-builds-zero":      {cmdReport, []string{"-workloads", "Sieve", "-builds", "0"}},
-		"report-iters-zero":       {cmdReport, []string{"-workloads", "Sieve", "-iters", "0"}},
 		"report-workers-negative": {cmdReport, []string{"-workloads", "Sieve", "-workers", "-1"}},
 		"affinity-budget-neg":     {cmdAffinity, []string{"-workload", "serve-api", "-budget", "-4"}},
 		// A mistyped device is an error, not a silent SSD run.
@@ -448,7 +444,7 @@ func TestCmdExportExecRoundTrip(t *testing.T) {
 	if err := cmdExport([]string{"-workload", "Sieve", "-strategy", "cu", "-o", img}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdExec([]string{"-image", img, "-iters", "1"}); err != nil {
+	if err := cmdExec([]string{"-image", img}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdExec(nil); err == nil || !strings.Contains(err.Error(), "-image is required") {

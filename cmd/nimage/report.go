@@ -22,15 +22,12 @@ func writeSnapshot(path string, r *nimage.ObsRegistry) error {
 }
 
 // validateHarnessFlags rejects out-of-range harness sizing up front
-// instead of letting the harness clamp or misbehave: zero builds or
-// iterations would silently measure nothing, and a negative worker count
-// is neither a concurrency cap nor the GOMAXPROCS default (that's 0).
-func validateHarnessFlags(builds, iters, workers int) error {
+// instead of letting the harness clamp or misbehave: zero builds would
+// silently measure nothing, and a negative worker count is neither a
+// concurrency cap nor the GOMAXPROCS default (that's 0).
+func validateHarnessFlags(builds, workers int) error {
 	if builds < 1 {
 		return fmt.Errorf("-builds must be >= 1, got %d", builds)
-	}
-	if iters < 1 {
-		return fmt.Errorf("-iters must be >= 1, got %d", iters)
 	}
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", workers)
@@ -45,14 +42,13 @@ func cmdReport(args []string) error {
 	names := fs.String("workloads", "Bounce,micronaut", "comma-separated workload names")
 	strategies := fs.String("strategies", "cu,heap path", "comma-separated strategies (empty = baseline only)")
 	builds := fs.Int("builds", 1, "images per strategy")
-	iters := fs.Int("iters", 1, "cold iterations per image")
 	workers := fs.Int("workers", 0, "concurrent build+measure tasks (0 = GOMAXPROCS; results are identical for every count)")
 	out := fs.String("o", "report.json", "output JSON path")
 	artifacts := fs.String("artifacts", "", "also write per-entry attribution artifacts (attrib JSON, pprof, Chrome trace) into this directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateHarnessFlags(*builds, *iters, *workers); err != nil {
+	if err := validateHarnessFlags(*builds, *workers); err != nil {
 		return err
 	}
 
@@ -73,7 +69,6 @@ func cmdReport(args []string) error {
 
 	cfg := nimage.DefaultEvalConfig()
 	cfg.Builds = *builds
-	cfg.Iterations = *iters
 	cfg.Workers = *workers
 	cfg.Observe = true
 	h := nimage.NewHarness(cfg)
@@ -86,8 +81,8 @@ func cmdReport(args []string) error {
 		return err
 	}
 
-	fmt.Printf("wrote %s (%d entries, device %s, %d builds x %d iterations)\n",
-		*out, len(rep.Entries), rep.Device, rep.Builds, rep.Iterations)
+	fmt.Printf("wrote %s (%d entries, device %s, %d builds)\n",
+		*out, len(rep.Entries), rep.Device, rep.Builds)
 	if *artifacts != "" {
 		if err := writeArtifacts(*artifacts, rep); err != nil {
 			return err

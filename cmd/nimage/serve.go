@@ -70,7 +70,6 @@ func cmdServe(args []string) error {
 
 	cfg := nimage.DefaultEvalConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	cfg.Observe = *report != ""
 	cfg.Device = dev
 	scfg := nimage.ServeConfig{

@@ -86,7 +86,6 @@ func cmdSlo(args []string) error {
 
 	cfg := nimage.DefaultEvalConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	scfg := nimage.ServeConfig{
 		Bursts:      *bursts,
 		BurstSize:   *burst,

@@ -73,7 +73,6 @@ func cmdTune(args []string) error {
 
 	cfg := nimage.DefaultEvalConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	scfg := nimage.DefaultSearchConfig()
 	scfg.BudgetIters = *budgetIters
 	scfg.TopK = *topK

@@ -12,7 +12,6 @@ import (
 func TestAffinityScorecards(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	cfg.TrackAffinity = true
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-api")
@@ -64,7 +63,6 @@ func TestAffinityScorecards(t *testing.T) {
 func TestAffinityScorecardsRequireTracking(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-api")
 	if _, _, err := h.AffinityScorecards(w, serveTestConfig(), nil); err == nil {
@@ -79,7 +77,6 @@ func TestAffinityScorecardsRequireTracking(t *testing.T) {
 func TestPredictedRefaultOrderingMatchesMeasured(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 2
-	cfg.Iterations = 1
 	cfg.TrackAffinity = true
 	h := NewHarness(cfg)
 	strategies := []string{core.StrategyCU, core.StrategyHeapPath}

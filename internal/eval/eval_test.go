@@ -2,10 +2,12 @@ package eval
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"nimage/internal/core"
+	"nimage/internal/image"
 	"nimage/internal/osim"
 	"nimage/internal/workloads"
 )
@@ -61,6 +63,10 @@ func TestStatsDegenerateInputs(t *testing.T) {
 	}
 	if ci := CI95([]float64{1, 1, 1}); ci != 0 {
 		t.Errorf("CI95 of constant samples = %v", ci)
+	}
+	// Three builds: Student's t at 2 degrees of freedom, not z = 1.96.
+	if ci, want := CI95([]float64{1, 2, 3}), 4.303/math.Sqrt(3); math.Abs(ci-want) > 1e-9 {
+		t.Errorf("CI95(1,2,3) = %v, want %v", ci, want)
 	}
 	// Zero-valued sides of a ratio.
 	if !math.IsNaN(RatioCI(1, 1, 0, 1)) {
@@ -156,31 +162,55 @@ func TestTableHelpers(t *testing.T) {
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 2
 	return cfg
 }
 
-func TestHarnessBaselineDeterministicIterations(t *testing.T) {
-	h := NewHarness(smallConfig())
+// TestRepeatedColdStartIdentical is why each build is measured once: a
+// second cold start of the same image repeats the first exactly, down to
+// the per-symbol fault attribution, so extra runs would only replicate
+// samples.
+func TestRepeatedColdStartIdentical(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Builds = 2
+	cfg.Observe = true
+	h := NewHarness(cfg)
 	w, err := workloads.ByName("Sieve")
 	if err != nil {
 		t.Fatal(err)
+	}
+	img, err := image.Build(h.Program(w), image.Options{
+		Kind: image.KindRegular, Compiler: cfg.Compiler, BuildSeed: baselineSeed(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := h.measureImage(img, w, LayoutBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.measureImage(img, w, LayoutBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, sb := scalarMeasures([]RunMeasure{a}), scalarMeasures([]RunMeasure{b})
+	if !reflect.DeepEqual(sa, sb) {
+		t.Errorf("cold starts of one image differ: %+v vs %+v", sa[0], sb[0])
+	}
+	if a.Attrib == nil || !reflect.DeepEqual(a.Attrib, b.Attrib) {
+		t.Error("attribution tables of two cold starts differ")
+	}
+	if a.TextFaults == 0 || a.HeapFaults == 0 || a.Time <= 0 {
+		t.Errorf("implausible measurement: %+v", sa[0])
+	}
+	if a.AccessedFrac <= 0 || a.AccessedFrac > 0.5 {
+		t.Errorf("accessed fraction = %v", a.AccessedFrac)
 	}
 	ms, err := h.MeasureBaseline(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 2 {
-		t.Fatalf("measures = %d", len(ms))
-	}
-	if ms[0] != ms[1] {
-		t.Errorf("iterations of the same build differ: %+v vs %+v", ms[0], ms[1])
-	}
-	if ms[0].TextFaults == 0 || ms[0].HeapFaults == 0 || ms[0].Time <= 0 {
-		t.Errorf("implausible measurement: %+v", ms[0])
-	}
-	if ms[0].AccessedFrac <= 0 || ms[0].AccessedFrac > 0.5 {
-		t.Errorf("accessed fraction = %v", ms[0].AccessedFrac)
+	if len(ms) != cfg.Builds {
+		t.Errorf("measures = %d, want one per build (%d)", len(ms), cfg.Builds)
 	}
 }
 

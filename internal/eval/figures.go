@@ -13,15 +13,16 @@ import (
 	"nimage/internal/workloads"
 )
 
-// pageFaultTable measures the page-fault reduction of every strategy on a
-// workload set (Figures 2 and 3). The full (workload, strategy, build)
-// matrix is prefetched through the scheduler; assembly afterwards is pure
-// cache reads in deterministic order.
-func (h *Harness) pageFaultTable(title string, ws []workloads.Workload) (*Table, error) {
+// factorTable measures every strategy against the baseline on a workload
+// set: one factor cell per (workload, strategy) over the per-build values
+// value selects. The full (workload, strategy, build) matrix is prefetched
+// through the scheduler; assembly afterwards is pure cache reads in
+// deterministic order.
+func (h *Harness) factorTable(title, metric string, ws []workloads.Workload, value func(strategy string, m RunMeasure) float64) (*Table, error) {
 	if err := h.Prefetch(ws, Strategies()); err != nil {
 		return nil, err
 	}
-	t := &Table{Title: title, Metric: "page-fault reduction", Strategies: Strategies()}
+	t := &Table{Title: title, Metric: metric, Strategies: Strategies()}
 	for _, w := range ws {
 		base, err := h.MeasureBaseline(w)
 		if err != nil {
@@ -34,42 +35,10 @@ func (h *Harness) pageFaultTable(title string, ws []workloads.Workload) (*Table,
 			}
 			var bs, os []float64
 			for _, m := range base {
-				bs = append(bs, metricOf(s, m))
+				bs = append(bs, value(s, m))
 			}
 			for _, m := range opt.Measures {
-				os = append(os, metricOf(s, m))
-			}
-			t.Cells = append(t.Cells, FactorCell(w.Name, s, bs, os))
-		}
-	}
-	t.AddGeoMean()
-	t.SortCells()
-	return t, nil
-}
-
-// speedupTable measures the execution-time speedup of every strategy
-// (Figures 4 and 5).
-func (h *Harness) speedupTable(title string, ws []workloads.Workload) (*Table, error) {
-	if err := h.Prefetch(ws, Strategies()); err != nil {
-		return nil, err
-	}
-	t := &Table{Title: title, Metric: "execution-time speedup", Strategies: Strategies()}
-	for _, w := range ws {
-		base, err := h.MeasureBaseline(w)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range Strategies() {
-			opt, err := h.MeasureStrategy(w, s)
-			if err != nil {
-				return nil, err
-			}
-			var bs, os []float64
-			for _, m := range base {
-				bs = append(bs, m.Time)
-			}
-			for _, m := range opt.Measures {
-				os = append(os, m.Time)
+				os = append(os, value(s, m))
 			}
 			t.Cells = append(t.Cells, FactorCell(w.Name, s, bs, os))
 		}
@@ -82,33 +51,35 @@ func (h *Harness) speedupTable(title string, ws []workloads.Workload) (*Table, e
 // PageFaultTable builds a page-fault reduction table over an arbitrary
 // workload set (the shape of Figures 2 and 3).
 func (h *Harness) PageFaultTable(title string, ws []workloads.Workload) (*Table, error) {
-	return h.pageFaultTable(title, ws)
+	return h.factorTable(title, "page-fault reduction", ws, metricOf)
 }
 
 // SpeedupTable builds an execution-time speedup table over an arbitrary
-// workload set (the shape of Figures 4 and 5).
+// workload set (the shape of Figures 4 and 5). Its means are in µs, so
+// the CSV's two-decimal mean columns keep their digits.
 func (h *Harness) SpeedupTable(title string, ws []workloads.Workload) (*Table, error) {
-	return h.speedupTable(title, ws)
+	return h.factorTable(title, "execution-time speedup; means in µs", ws,
+		func(_ string, m RunMeasure) float64 { return m.Time * 1e6 })
 }
 
 // Figure2 reproduces the AWFY page-fault reductions.
 func (h *Harness) Figure2() (*Table, error) {
-	return h.pageFaultTable("Figure 2: page-fault reduction on AWFY", workloads.AWFY())
+	return h.PageFaultTable("Figure 2: page-fault reduction on AWFY", workloads.AWFY())
 }
 
 // Figure3 reproduces the microservice page-fault reductions.
 func (h *Harness) Figure3() (*Table, error) {
-	return h.pageFaultTable("Figure 3: page-fault reduction on microservices", workloads.Microservices())
+	return h.PageFaultTable("Figure 3: page-fault reduction on microservices", workloads.Microservices())
 }
 
 // Figure4 reproduces the microservice execution-time speedups.
 func (h *Harness) Figure4() (*Table, error) {
-	return h.speedupTable("Figure 4: execution-time speedup on microservices", workloads.Microservices())
+	return h.SpeedupTable("Figure 4: execution-time speedup on microservices", workloads.Microservices())
 }
 
 // Figure5 reproduces the AWFY execution-time speedups.
 func (h *Harness) Figure5() (*Table, error) {
-	return h.speedupTable("Figure 5: execution-time speedup on AWFY", workloads.AWFY())
+	return h.SpeedupTable("Figure 5: execution-time speedup on AWFY", workloads.AWFY())
 }
 
 // OverheadGroup names the three instrumentation kinds of the overhead
@@ -117,9 +88,10 @@ func (h *Harness) Figure5() (*Table, error) {
 var OverheadGroups = []string{"cu", "method", "heap"}
 
 // Overhead measures the profiling overhead (Sec. 7.4): instrumented run
-// time divided by regular run time, per instrumentation kind.
+// time divided by regular run time, per instrumentation kind. Its means
+// are compute times in µs.
 func (h *Harness) Overhead(ws []workloads.Workload) (*Table, error) {
-	t := &Table{Title: "Profiling overhead (Sec. 7.4)", Metric: "instrumented/regular compute time (lower is better)", Strategies: OverheadGroups}
+	t := &Table{Title: "Profiling overhead (Sec. 7.4)", Metric: "instrumented/regular compute time (lower is better); means in µs", Strategies: OverheadGroups}
 	groupStrategy := map[string]string{
 		"cu":     core.StrategyCU,
 		"method": core.StrategyMethod,
@@ -135,7 +107,7 @@ func (h *Harness) Overhead(ws []workloads.Workload) (*Table, error) {
 		}
 		var bt []float64
 		for _, m := range base {
-			bt = append(bt, m.CPUSeconds)
+			bt = append(bt, m.CPUSeconds*1e6)
 		}
 		for _, g := range OverheadGroups {
 			opt, err := h.MeasureStrategy(w, groupStrategy[g])
@@ -144,7 +116,7 @@ func (h *Harness) Overhead(ws []workloads.Workload) (*Table, error) {
 			}
 			var pt []float64
 			for _, r := range opt.Profiling {
-				pt = append(pt, r.CPUTime.Seconds())
+				pt = append(pt, r.CPUTime.Seconds()*1e6)
 			}
 			pm, bm := Mean(pt), Mean(bt)
 			c := Cell{Workload: w.Name, Strategy: g, BaselineMean: bm, OptimizedMean: pm}

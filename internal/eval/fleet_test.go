@@ -28,7 +28,6 @@ func fleetTestConfig() FleetConfig {
 func TestMeasureFleetPartition(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	outs, err := h.MeasureFleet(fleetTestConfig())
 	if err != nil {
@@ -143,7 +142,6 @@ func TestMeasureFleetPartition(t *testing.T) {
 func TestFleetSingleTenantMatchesServe(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	fcfg := FleetConfig{
 		Tenants: []TenantSpec{{Workload: "serve-api"}},
@@ -208,7 +206,6 @@ func TestFleetDeterministic(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		cfg.Builds = 2
-		cfg.Iterations = 1
 		cfg.Workers = tc.workers
 		h := NewHarness(cfg)
 		outs, err := h.MeasureFleet(tc.fcfg)
@@ -232,7 +229,6 @@ func TestFleetDeterministic(t *testing.T) {
 func TestFleetQuotaCapsTenant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	fcfg := fleetTestConfig()
 	fcfg.Tenants[0].QuotaPct = 25
@@ -306,7 +302,6 @@ func TestMeasureFleetRejects(t *testing.T) {
 func TestFleetMemoized(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	fcfg := fleetTestConfig()
 	a, err := h.MeasureFleet(fcfg)
@@ -331,7 +326,6 @@ func TestFleetMemoized(t *testing.T) {
 func TestFleetGraphTenantsAttain(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	fcfg := FleetConfig{
 		Tenants: []TenantSpec{
@@ -383,7 +377,6 @@ func TestFleetGraphTenantsAttain(t *testing.T) {
 func TestFleetServeReport(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	cfg.Observe = true
 	h := NewHarness(cfg)
 	rep, err := h.FleetServeReport(fleetTestConfig())

@@ -36,7 +36,6 @@ func goldenHarness(t *testing.T) *Harness {
 	}
 	cfg := DefaultConfig()
 	cfg.Builds = 2
-	cfg.Iterations = 1
 	return NewHarness(cfg)
 }
 

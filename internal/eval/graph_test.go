@@ -34,7 +34,6 @@ func graphServeConfig(pressure int) ServeConfig {
 func TestGraphStrategyBeatsCombinedOnServeRefaults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 2
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	ws := workloads.Serve()
 	strategies := []string{core.StrategyCombined, core.StrategyC3, core.StrategyExtTSP}
@@ -89,7 +88,6 @@ func measuredGapDecisive(a, b float64) bool {
 func TestPredictedOrderingMatchesMeasuredGraphStrategies(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 2
-	cfg.Iterations = 1
 	cfg.TrackAffinity = true
 	h := NewHarness(cfg)
 	strategies := []string{core.StrategyCombined, core.StrategyC3, core.StrategyExtTSP}
@@ -141,7 +139,6 @@ func TestPredictedOrderingMatchesMeasuredGraphStrategies(t *testing.T) {
 func TestServeTablesCoverRegisteredServeStrategies(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	ws := workloads.Serve()
 	tab, err := h.ServeRefaultTable(ws, serveTestConfig(), nil)

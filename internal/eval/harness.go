@@ -19,14 +19,14 @@ import (
 )
 
 // Config tunes the evaluation protocol (Sec. 7.1). The paper uses 10
-// builds × 10 iterations; the defaults are smaller for tractable runtimes
-// but follow the same protocol.
+// builds × 10 cold iterations; here every cold start of one image is
+// bit-identical, so each build is measured once and builds are the only
+// source of variance. The default build count is smaller for tractable
+// runtimes.
 type Config struct {
-	// Builds is the number of images per strategy (different build seeds).
+	// Builds is the number of images per strategy (different build seeds),
+	// each measured by one cold start.
 	Builds int
-	// Iterations is the number of runs per image; caches are dropped
-	// between iterations.
-	Iterations int
 	// Device is the storage backing the binaries (SSD by default).
 	Device osim.Device
 	// FaultAround is the OS fault-around cluster size in pages.
@@ -37,7 +37,7 @@ type Config struct {
 	// Compiler is the compiler configuration shared by all builds.
 	Compiler graal.Config
 	// Observe attaches a fresh obs registry to every build (pipeline spans,
-	// match statistics) and every benchmark iteration (fault timelines,
+	// match statistics) and every cold start (fault timelines,
 	// instruction mix), populating RunMeasure.Report and the Pipeline
 	// snapshots of the outcomes. Off by default: the measurement fast paths
 	// then carry no instrumentation cost.
@@ -58,7 +58,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Builds:      3,
-		Iterations:  3,
 		Device:      osim.SSD(),
 		FaultAround: osim.DefaultFaultAround,
 		Compiler:    graal.DefaultConfig(),
@@ -74,7 +73,7 @@ func Strategies() []string {
 // LayoutBaseline is the attribution layout label of unmodified images.
 const LayoutBaseline = "identity"
 
-// RunMeasure is one benchmark iteration's measurements.
+// RunMeasure is the measurement of one cold start of one build.
 type RunMeasure struct {
 	TextFaults float64 `json:"text_faults"`
 	HeapFaults float64 `json:"heap_faults"`
@@ -88,14 +87,14 @@ type RunMeasure struct {
 	CPUSeconds float64 `json:"cpu_seconds"`
 	// AccessedFrac is the fraction of snapshot objects accessed.
 	AccessedFrac float64 `json:"accessed_frac"`
-	// Report is the observability snapshot of this iteration (per-section
+	// Report is the observability snapshot of this run (per-section
 	// fault timelines, instruction mix, run totals); nil unless the harness
 	// runs with Config.Observe.
 	Report *obs.Snapshot `json:"report,omitempty"`
-	// Attrib is the per-symbol fault attribution of this iteration; nil
+	// Attrib is the per-symbol fault attribution of this run; nil
 	// unless the harness runs with Config.Observe.
 	Attrib *attrib.Table `json:"attrib,omitempty"`
-	// Affinity is the temporal co-access graph of this iteration and
+	// Affinity is the temporal co-access graph of this run and
 	// Scorecard its static layout score against the measured image's own
 	// layout; nil unless the harness observes or tracks affinity.
 	Affinity  *affinity.Graph     `json:"affinity,omitempty"`
@@ -103,7 +102,7 @@ type RunMeasure struct {
 }
 
 // RunReport is the structured observability record attached to a measured
-// iteration.
+// cold start.
 type RunReport = obs.Snapshot
 
 // Harness caches built programs and memoizes measurements, so figures
@@ -160,69 +159,61 @@ func (h *Harness) newOS() *osim.OS {
 	return o
 }
 
-// measureImage runs one image for the configured iterations (cold cache
-// each time) and returns the per-iteration measurements. layout labels the
-// attribution tables ("identity" for baselines, the strategy name
-// otherwise).
-func (h *Harness) measureImage(img *image.Image, w workloads.Workload, layout string) ([]RunMeasure, error) {
+// measureImage runs one image once on a cold page cache and returns its
+// measurement. layout labels the attribution tables ("identity" for
+// baselines, the strategy name otherwise).
+func (h *Harness) measureImage(img *image.Image, w workloads.Workload, layout string) (RunMeasure, error) {
 	o := h.newOS()
-	out := make([]RunMeasure, 0, h.Cfg.Iterations)
-	for it := 0; it < h.Cfg.Iterations; it++ {
-		o.DropCaches()
-		if h.Cfg.Observe {
-			// One registry per iteration: each RunMeasure.Report is a
-			// self-contained record of a single cold-cache run.
-			o.Obs = obs.NewRegistry()
-		}
-		proc, err := img.NewProcess(o, vm.Hooks{})
-		if err != nil {
-			return nil, err
-		}
-		proc.Machine.StopOnRespond = w.Service
-		if err := proc.Run(w.Args...); err != nil {
-			proc.Close()
-			return nil, fmt.Errorf("eval: running %s: %w", w.Name, err)
-		}
-		st := proc.Stats()
-		m := RunMeasure{
-			TextFaults:   float64(st.TextFaults.Total()),
-			HeapFaults:   float64(st.HeapFaults.Total()),
-			CPUSeconds:   st.CPUTime.Seconds(),
-			AccessedFrac: accessedFraction(st.AccessedObjects, st.SnapshotObjects),
-		}
-		if w.Service {
-			if st.TimeToResponse <= 0 {
-				proc.Close()
-				return nil, fmt.Errorf("eval: %s never responded", w.Name)
-			}
-			m.Time = st.TimeToResponse.Seconds()
-		} else {
-			m.Time = st.Total.Seconds()
-		}
-		if tab := proc.AttributionTable(); tab != nil {
-			tab.Layout = layout
-			m.Attrib = tab
-		}
-		if g := proc.AffinityGraph(); g != nil {
-			g.Layout = layout
-			m.Affinity = g
-			// Cold starts apply no inter-window pressure or budget; the
-			// card's value here is the locality and working-set view.
-			sc, err := affinity.Score(g,
-				affinity.NewPlacement(img.AttributionIndex().Symbols()), layout, 0, 0)
-			if err != nil {
-				proc.Close()
-				return nil, err
-			}
-			m.Scorecard = sc
-		}
-		proc.Close()
-		if o.Obs != nil {
-			m.Report = o.Obs.Snapshot()
-		}
-		out = append(out, m)
+	if h.Cfg.Observe {
+		o.Obs = obs.NewRegistry()
 	}
-	return out, nil
+	proc, err := img.NewProcess(o, vm.Hooks{})
+	if err != nil {
+		return RunMeasure{}, err
+	}
+	proc.Machine.StopOnRespond = w.Service
+	if err := proc.Run(w.Args...); err != nil {
+		proc.Close()
+		return RunMeasure{}, fmt.Errorf("eval: running %s: %w", w.Name, err)
+	}
+	st := proc.Stats()
+	m := RunMeasure{
+		TextFaults:   float64(st.TextFaults.Total()),
+		HeapFaults:   float64(st.HeapFaults.Total()),
+		CPUSeconds:   st.CPUTime.Seconds(),
+		AccessedFrac: accessedFraction(st.AccessedObjects, st.SnapshotObjects),
+	}
+	if w.Service {
+		if st.TimeToResponse <= 0 {
+			proc.Close()
+			return RunMeasure{}, fmt.Errorf("eval: %s never responded", w.Name)
+		}
+		m.Time = st.TimeToResponse.Seconds()
+	} else {
+		m.Time = st.Total.Seconds()
+	}
+	if tab := proc.AttributionTable(); tab != nil {
+		tab.Layout = layout
+		m.Attrib = tab
+	}
+	if g := proc.AffinityGraph(); g != nil {
+		g.Layout = layout
+		m.Affinity = g
+		// Cold starts apply no inter-window pressure or budget; the
+		// card's value here is the locality and working-set view.
+		sc, err := affinity.Score(g,
+			affinity.NewPlacement(img.AttributionIndex().Symbols()), layout, 0, 0)
+		if err != nil {
+			proc.Close()
+			return RunMeasure{}, err
+		}
+		m.Scorecard = sc
+	}
+	proc.Close()
+	if o.Obs != nil {
+		m.Report = o.Obs.Snapshot()
+	}
+	return m, nil
 }
 
 // accessedFraction returns the fraction of snapshot objects accessed, 0
@@ -275,8 +266,7 @@ func (h *Harness) MeasureBaselineOutcome(w workloads.Workload) (*BaselineOutcome
 // worker count and completion order.
 func (h *Harness) measureBaseline(w workloads.Workload) (*BaselineOutcome, error) {
 	p := h.Program(w)
-	iters := h.Cfg.Iterations
-	measures := make([]RunMeasure, h.Cfg.Builds*iters)
+	measures := make([]RunMeasure, h.Cfg.Builds)
 	snaps := make([]*obs.Snapshot, h.Cfg.Builds)
 	err := h.forEach(h.Cfg.Builds, func(bld int) error {
 		h.sched.buildTasks.Add(1)
@@ -293,11 +283,9 @@ func (h *Harness) measureBaseline(w workloads.Workload) (*BaselineOutcome, error
 		if err != nil {
 			return fmt.Errorf("eval: baseline build of %s: %w", w.Name, err)
 		}
-		ms, err := h.measureImage(img, w, LayoutBaseline)
-		if err != nil {
+		if measures[bld], err = h.measureImage(img, w, LayoutBaseline); err != nil {
 			return err
 		}
-		copy(measures[bld*iters:(bld+1)*iters], ms)
 		if r != nil {
 			snaps[bld] = r.Snapshot()
 		}
@@ -362,9 +350,8 @@ func (h *Harness) measureStrategy(w workloads.Workload, strategy string) (*Strat
 		// Killed workloads need durable buffers (Sec. 6.1).
 		mode = profiler.MemoryMapped
 	}
-	iters := h.Cfg.Iterations
 	out := &StrategyOutcome{Strategy: strategy}
-	measures := make([]RunMeasure, h.Cfg.Builds*iters)
+	measures := make([]RunMeasure, h.Cfg.Builds)
 	profiling := make([][]image.ProfilingRun, h.Cfg.Builds)
 	snaps := make([]*obs.Snapshot, h.Cfg.Builds)
 	err := h.forEach(h.Cfg.Builds, func(bld int) error {
@@ -386,11 +373,9 @@ func (h *Harness) measureStrategy(w workloads.Workload, strategy string) (*Strat
 		if err != nil {
 			return fmt.Errorf("eval: %s/%s: %w", w.Name, strategy, err)
 		}
-		ms, err := h.measureImage(res.Optimized, w, strategy)
-		if err != nil {
+		if measures[bld], err = h.measureImage(res.Optimized, w, strategy); err != nil {
 			return err
 		}
-		copy(measures[bld*iters:(bld+1)*iters], ms)
 		profiling[bld] = res.Runs
 		if bld == h.Cfg.Builds-1 {
 			// Match statistics report the last build (only this task

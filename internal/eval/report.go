@@ -28,13 +28,12 @@ const ReportSchema = "nimage.report/v6"
 
 // Report is the consolidated observability document the evaluation emits:
 // per workload and strategy, the build-pipeline snapshots (stage spans,
-// profiler dump statistics, match gauges) and the per-iteration run
+// profiler dump statistics, match gauges) and the per-build cold-start
 // snapshots (fault timelines, instruction mix, run totals).
 type Report struct {
-	Schema     string `json:"schema"`
-	Device     string `json:"device"`
-	Builds     int    `json:"builds"`
-	Iterations int    `json:"iterations"`
+	Schema string `json:"schema"`
+	Device string `json:"device"`
+	Builds int    `json:"builds"`
 	// Workers is the scheduler's worker-pool size while producing this
 	// document.
 	Workers int `json:"workers"`
@@ -63,18 +62,18 @@ type ReportEntry struct {
 	// image build plus, for strategies, the profiling run and
 	// post-processing phases and the profiler's buffer statistics.
 	Pipeline []*obs.Snapshot `json:"pipeline,omitempty"`
-	// Runs holds one snapshot per cold-cache benchmark iteration.
+	// Runs holds one cold-start snapshot per build.
 	Runs []*obs.Snapshot `json:"runs,omitempty"`
-	// Measures are the scalar per-iteration measurements (with Report and
+	// Measures are the scalar per-build measurements (with Report and
 	// Attrib stripped — the snapshots live in Runs, the attribution merged
 	// in Attribution).
 	Measures []RunMeasure `json:"measures"`
-	// Attribution is the per-symbol fault attribution merged over every
-	// build and iteration of the entry (schema nimage.attrib/v1); nil
+	// Attribution is the per-symbol fault attribution merged over the
+	// builds of the entry (schema nimage.attrib/v1); nil
 	// unless the harness observes.
 	Attribution *attrib.Table `json:"attribution,omitempty"`
-	// Affinity is the temporal co-access graph merged over every build and
-	// iteration of the entry (schema nimage.affinity/v1); nil unless the
+	// Affinity is the temporal co-access graph merged over the builds of
+	// the entry (schema nimage.affinity/v1); nil unless the
 	// harness observes or tracks affinity. The per-measure scorecards stay
 	// inside Measures/Serve.
 	Affinity *affinity.Graph `json:"affinity,omitempty"`
@@ -92,11 +91,10 @@ type ReportEntry struct {
 // measures only.
 func (h *Harness) Report(ws []workloads.Workload, strategies []string) (*Report, error) {
 	rep := &Report{
-		Schema:     ReportSchema,
-		Device:     h.Cfg.Device.Name,
-		Builds:     h.Cfg.Builds,
-		Iterations: h.Cfg.Iterations,
-		Workers:    h.Workers(),
+		Schema:  ReportSchema,
+		Device:  h.Cfg.Device.Name,
+		Builds:  h.Cfg.Builds,
+		Workers: h.Workers(),
 	}
 	start := time.Now()
 	workBefore := h.WorkDuration()
@@ -157,11 +155,10 @@ func (h *Harness) Report(ws []workloads.Workload, strategies []string) (*Report,
 // pressure level — the full sweep lives in Harness.SLOReport).
 func (h *Harness) ServeReport(w workloads.Workload, strategies []string, scfg ServeConfig) (*Report, error) {
 	rep := &Report{
-		Schema:     ReportSchema,
-		Device:     h.Cfg.Device.Name,
-		Builds:     h.Cfg.Builds,
-		Iterations: 1,
-		Workers:    h.Workers(),
+		Schema:  ReportSchema,
+		Device:  h.Cfg.Device.Name,
+		Builds:  h.Cfg.Builds,
+		Workers: h.Workers(),
 	}
 	dcfg := scfg.withDefaults()
 	targets := obs.DefaultSLOTargets()
@@ -231,12 +228,11 @@ func (h *Harness) FleetServeReport(fcfg FleetConfig) (*Report, error) {
 	}
 	fo := fos[0]
 	rep := &Report{
-		Schema:     ReportSchema,
-		Device:     h.Cfg.Device.Name,
-		Builds:     h.Cfg.Builds,
-		Iterations: 1,
-		Workers:    h.Workers(),
-		Fleet:      fo.FleetReport(),
+		Schema:  ReportSchema,
+		Device:  h.Cfg.Device.Name,
+		Builds:  h.Cfg.Builds,
+		Workers: h.Workers(),
+		Fleet:   fo.FleetReport(),
 	}
 	// The fleet run shares one OS, hence one snapshot; attach it to the
 	// first entry only so the document stays non-redundant.
@@ -280,7 +276,7 @@ func scalarMeasures(ms []RunMeasure) []RunMeasure {
 	return out
 }
 
-// mergedAttribution folds the per-iteration attribution tables of the
+// mergedAttribution folds the per-build attribution tables of the
 // measures into one table (nil when the harness ran detached).
 func mergedAttribution(ms []RunMeasure) *attrib.Table {
 	var tabs []*attrib.Table
@@ -295,7 +291,7 @@ func mergedAttribution(ms []RunMeasure) *attrib.Table {
 	return attrib.Merge(tabs...)
 }
 
-// mergedAffinity folds the per-iteration affinity graphs of the measures
+// mergedAffinity folds the per-build affinity graphs of the measures
 // into one graph (nil when the harness ran without affinity tracking).
 func mergedAffinity(ms []RunMeasure) *affinity.Graph {
 	var graphs []*affinity.Graph

@@ -10,12 +10,10 @@ import (
 	"nimage/internal/workloads"
 )
 
-// reportConfig keeps the observed-report test cheap: one build, one
-// iteration.
+// reportConfig keeps the observed-report test cheap: one build.
 func reportConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	cfg.Observe = true
 	return cfg
 }
@@ -161,7 +159,6 @@ func TestReportObserved(t *testing.T) {
 func TestHarnessDetachedHasNoReports(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	w, err := workloads.ByName("Bounce")
 	if err != nil {

@@ -2,7 +2,7 @@ package eval
 
 // The concurrent evaluation scheduler. The protocol's (workload, strategy,
 // build) matrix is embarrassingly parallel — every image.Build is a pure
-// function of (program, options, seed) and every benchmark iteration owns a
+// function of (program, options, seed) and every measured cold start owns a
 // private osim.OS — so the harness fans the per-build work of every
 // measurement out across a bounded worker pool and collapses duplicate
 // concurrent measurements with singleflight memoization.

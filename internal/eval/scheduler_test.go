@@ -39,10 +39,9 @@ func TestParallelDeterminism(t *testing.T) {
 	run := func(workers int) *Table {
 		cfg := DefaultConfig()
 		cfg.Builds = 2
-		cfg.Iterations = 1
 		cfg.Workers = workers
 		h := NewHarness(cfg)
-		tbl, err := h.pageFaultTable("determinism", ws)
+		tbl, err := h.PageFaultTable("determinism", ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +69,6 @@ func TestParallelDeterminism(t *testing.T) {
 func TestConcurrentHarnessStress(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	cfg.Workers = 4
 	h := NewHarness(cfg)
 	w, err := workloads.ByName("Sieve")

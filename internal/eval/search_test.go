@@ -44,7 +44,6 @@ func TestSearchDeterminism(t *testing.T) {
 	run := func(workers int) (string, []string) {
 		cfg := DefaultConfig()
 		cfg.Builds = 2
-		cfg.Iterations = 1
 		cfg.Workers = workers
 		h := NewHarness(cfg)
 		if _, err := h.MeasureServe(w, core.StrategySLOSearch, scfg.ServeAt(30)); err != nil {
@@ -85,7 +84,6 @@ func TestSearchDeterminism(t *testing.T) {
 func TestSearchJournalRoundTrips(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-api")
 	res, err := h.SearchLayout(w, searchTestConfig())
@@ -124,7 +122,6 @@ func TestSearchJournalRoundTrips(t *testing.T) {
 func TestSearchAttainmentFloor(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	scfg := searchTestConfig()
 	for _, name := range []string{"serve-api", "serve-cache"} {
@@ -171,7 +168,6 @@ func TestSearchAttainmentFloor(t *testing.T) {
 func TestSearchCandidatesArePermutations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-api")
 	res, err := h.SearchLayout(w, searchTestConfig())

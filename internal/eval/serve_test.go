@@ -30,7 +30,6 @@ func serveWorkload(t *testing.T, name string) workloads.Workload {
 func TestMeasureServeBaseline(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-api")
 	scfg := serveTestConfig()
@@ -95,7 +94,6 @@ func TestMeasureServeBaseline(t *testing.T) {
 func TestServeReconciliation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	cfg.Observe = true
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-cache")
@@ -172,7 +170,6 @@ func TestServeReconciliation(t *testing.T) {
 func TestMeasureServeMemoized(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-api")
 	scfg := serveTestConfig()
@@ -211,7 +208,6 @@ func TestServeDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := DefaultConfig()
 		cfg.Builds = 2
-		cfg.Iterations = 1
 		cfg.Workers = workers
 		// Affinity graphs and scorecards are part of the determinism
 		// contract: reflect.DeepEqual below covers their every edge
@@ -240,7 +236,6 @@ func deref(outs []*ServeOutcome) []ServeOutcome {
 func TestServeLatencyTable(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	scfg := serveTestConfig()
 	tb, err := h.ServeLatencyTable(nil, scfg, []string{core.StrategyCU})
@@ -268,7 +263,6 @@ func TestServeLatencyTable(t *testing.T) {
 func TestServeReportV6(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	cfg.Observe = true
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-api")
@@ -356,7 +350,6 @@ func TestServeStreamsDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 4, 4} {
 		cfg := DefaultConfig()
 		cfg.Builds = 2
-		cfg.Iterations = 1
 		cfg.Workers = workers
 		h := NewHarness(cfg)
 		outs, err := h.MeasureServe(w, "", scfg)
@@ -376,7 +369,6 @@ func TestServeStreamsDeterministic(t *testing.T) {
 func TestServeSingleStreamBackCompat(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-api")
 	scfg := serveTestConfig()
@@ -429,7 +421,6 @@ func TestServeSingleStreamBackCompat(t *testing.T) {
 func TestServeStreamTraceReconciliation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	cfg.Observe = true
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-cache")

@@ -11,7 +11,6 @@ import (
 func TestSLOReport(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
-	cfg.Iterations = 1
 	h := NewHarness(cfg)
 	w := serveWorkload(t, "serve-api")
 	scfg := ServeConfig{

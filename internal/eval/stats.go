@@ -1,7 +1,8 @@
 // Package eval reproduces the paper's evaluation (Sec. 7): for every
-// workload and ordering strategy it builds several images, runs each a
-// number of iterations with the page cache dropped in between, measures
-// page faults by section and simulated execution time, and reports
+// workload and ordering strategy it builds several images, runs each once
+// on a cold page cache (repeated cold starts of one image are identical,
+// so builds are the only source of variance), measures page faults by
+// section and simulated execution time, and reports
 // baseline/optimized factors with 95% confidence intervals — the data
 // behind Figures 2–5, the profiling-overhead table (Sec. 7.4), the
 // accessed-object fraction (Sec. 7.2), and the Fig. 6 page-grid
@@ -41,12 +42,25 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)-1))
 }
 
-// CI95 returns the half-width of the 95% confidence interval of the mean.
+// tQuantile975 holds Student's t quantile t(0.975, df) for df = 1..30.
+var tQuantile975 = [...]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+}
+
+// CI95 returns the half-width of the 95% confidence interval of the mean:
+// Student's t at n-1 degrees of freedom (the normal 1.96 beyond 30), since
+// the samples are a handful of builds.
 func CI95(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
+	t := 1.96
+	if df := len(xs) - 1; df <= len(tQuantile975) {
+		t = tQuantile975[df-1]
+	}
+	return t * StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
 // GeoMean returns the geometric mean of xs (0 when any value is <= 0).

@@ -223,8 +223,8 @@ type ObsSnapshot = obs.Snapshot
 // NewObsRegistry creates an empty metrics registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 
-// RunReport is the observability snapshot attached to each measured
-// iteration when the harness runs with EvalConfig.Observe.
+// RunReport is the observability snapshot attached to each measured cold
+// start (one per build) when the harness runs with EvalConfig.Observe.
 type RunReport = eval.RunReport
 
 // Fault attribution.
@@ -441,8 +441,9 @@ func GeneratedWorkload(seed uint64) Workload { return workloads.Generated(seed) 
 // EvalConfig tunes the measurement protocol.
 type EvalConfig = eval.Config
 
-// DefaultEvalConfig returns the default protocol (smaller than the paper's
-// 10 builds × 10 iterations, same structure).
+// DefaultEvalConfig returns the default protocol: 3 builds, each measured
+// by one cold start (the paper runs 10 builds × 10 cold iterations; here
+// repeated cold starts of one image are identical).
 func DefaultEvalConfig() EvalConfig { return eval.DefaultConfig() }
 
 // Harness runs the measurement protocol and produces the figures.
