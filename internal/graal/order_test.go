@@ -16,10 +16,11 @@ func TestCUOrderIsSignatureOrder(t *testing.T) {
 	for _, w := range append(workloads.All(), workloads.Serve()...) {
 		p := w.Build()
 		reach := graal.Analyze(p, cfg)
+		scan := graal.ScanMethods(reach)
 		methods := reach.CompiledMethods()
 		for _, instr := range []graal.Instrumentation{graal.InstrNone, graal.InstrCU, graal.InstrMethod, graal.InstrHeap} {
 			for _, pgo := range []bool{false, true} {
-				cus := graal.Assemble(p, cfg, instr, pgo, reach).CUs
+				cus := graal.Assemble(p, cfg, instr, pgo, reach, scan).CUs
 				if len(cus) != len(methods) {
 					t.Fatalf("%s/%s/pgo=%v: %d CUs for %d compiled methods", w.Name, instr, pgo, len(cus), len(methods))
 				}

@@ -10,9 +10,10 @@ import (
 
 // This file keeps the straightforward compiler back end as a reference:
 // the inliner, the constant collector and PEA each rescan a method's
-// instructions every time the method joins a CU. Assemble reads each
-// method once into a fact table instead; TestAssembleMatchesReference
-// checks that both form the same compilation units.
+// instructions every time the method joins a CU. Assemble consults one
+// method scan instead, which every build of a program shares;
+// TestAssembleMatchesReference checks that both form the same compilation
+// units.
 
 // refEffectiveSize is effectiveSize with the access count taken by a scan.
 func refEffectiveSize(m *ir.Method, cfg Config, instr Instrumentation) int {
@@ -173,8 +174,9 @@ func refAssemble(reach *Reachability, cfg Config, instr Instrumentation, pgo boo
 
 // TestAssembleMatchesReference compares Assemble with the reference back
 // end on every workload under every instrumentation, with and without
-// PGO: each CU must have the same root, inlining order, size, constants
-// (literal, source, folding) and scalar-replaced count. The workloads
+// PGO, all eight compilations fed by one shared scan, as the builds of a
+// pipeline are: each CU must have the same root, inlining order, size,
+// constants (literal, source, folding) and scalar-replaced count. The workloads
 // never inline a method that holds a string literal, so two small
 // programs that do are compared too.
 func TestAssembleMatchesReference(t *testing.T) {
@@ -185,9 +187,10 @@ func TestAssembleMatchesReference(t *testing.T) {
 	}
 	for _, p := range progs {
 		reach := Analyze(p, cfg)
+		scan := ScanMethods(reach)
 		for _, instr := range []Instrumentation{InstrNone, InstrCU, InstrMethod, InstrHeap} {
 			for _, pgo := range []bool{false, true} {
-				got := Assemble(p, cfg, instr, pgo, reach).CUs
+				got := Assemble(p, cfg, instr, pgo, reach, scan).CUs
 				want := refAssemble(reach, cfg, instr, pgo)
 				where := p.Name + "/" + instr.String()
 				if pgo {

@@ -6,47 +6,58 @@ import (
 	"nimage/internal/ir"
 )
 
-// methodFacts is what the compiler needs from one method's instructions:
-// its inlining candidates, string literals, probe-inflated size and PEA
-// count. A compilation reads every method once to fill them (scanMethods);
-// the inliner, the constant collector and PEA then consult the facts
-// instead of rescanning the method for every CU it joins.
+// MethodScan is what the compiler needs from each compiled method's
+// instructions: its inlining candidates, string literals, access count and
+// PEA count. None of it depends on the compiler configuration, the
+// instrumentation or PGO, so one scan serves every build of a program:
+// the inliner, the constant collector and PEA consult it instead of
+// rescanning a method for every CU it joins, and a pipeline scans once
+// next to its one Analyze. Compilations keep nothing of it.
+type MethodScan struct {
+	facts map[*ir.Method]methodFacts
+}
+
+// methodFacts is the scan of one method.
 type methodFacts struct {
-	// size is the effective code size under the compilation's
-	// instrumentation (effectiveSize).
-	size int
 	// callees lists the inlining candidates in call-site order: direct
 	// callees and monomorphic virtual-call targets, excluding class
 	// initializers (which run at build time and never inline).
 	callees []*ir.Method
 	// literals lists the distinct string literals in code order.
 	literals []string
+	// accesses counts the traced access events (Instr.AccessCount), from
+	// which effectiveSize derives the heap-probe inflation.
+	accesses int
 	// nonEscaping counts the allocations PEA scalar-replaces.
 	nonEscaping int
 }
 
-// factTable maps every compiled method of one compilation to its facts.
-// It lives only as long as Assemble: finished compilations keep nothing
-// of it.
-type factTable map[*ir.Method]methodFacts
+// ScanMethods reads each method reach found once and records its facts.
+// Class initializers are skipped: they are neither compiled nor inlined.
+func ScanMethods(reach *Reachability) *MethodScan {
+	return scanMethods(reach.MethodOrder)
+}
 
-// scanMethods reads each method once and records its facts under cfg and
-// instr. Class initializers are skipped: they are neither compiled nor
-// inlined. The callee and literal lists of all entries share two backing
-// arrays.
-func scanMethods(methods []*ir.Method, cfg Config, instr Instrumentation) factTable {
-	t := make(factTable, len(methods))
+// scanMethods scans the given methods. The callee and literal lists of
+// all entries share two backing arrays.
+func scanMethods(methods []*ir.Method) *MethodScan {
+	t := make(map[*ir.Method]methodFacts, len(methods))
 	var s scanner
 	for _, m := range methods {
 		if !m.Clinit {
-			t[m] = s.scan(m, cfg, instr)
+			t[m] = s.scan(m)
 		}
 	}
-	return t
+	return &MethodScan{facts: t}
+}
+
+// size returns m's effective code size under cfg and instr.
+func (sc *MethodScan) size(m *ir.Method, cfg Config, instr Instrumentation) int {
+	return effectiveSize(m, sc.facts[m].accesses, cfg, instr)
 }
 
 // scanner carries the backing arrays and scratch space shared by the scans
-// of one compilation.
+// of one MethodScan.
 type scanner struct {
 	callees  []*ir.Method
 	literals []string
@@ -57,17 +68,13 @@ type scanner struct {
 
 // scan records m's facts. The callee and literal slices it returns are
 // capped, so appends by later scans never write into them.
-func (s *scanner) scan(m *ir.Method, cfg Config, instr Instrumentation) methodFacts {
+func (s *scanner) scan(m *ir.Method) methodFacts {
 	c0, l0 := len(s.callees), len(s.literals)
-	// Only heap probes grow with the access count (effectiveSize).
-	heapProbes := instr == InstrHeap
 	accesses := 0
 	for _, b := range m.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if heapProbes {
-				accesses += in.AccessCount()
-			}
+			accesses += in.AccessCount()
 			var callee *ir.Method
 			switch in.Op {
 			case ir.OpCall:
@@ -89,9 +96,9 @@ func (s *scanner) scan(m *ir.Method, cfg Config, instr Instrumentation) methodFa
 	}
 	c1, l1 := len(s.callees), len(s.literals)
 	return methodFacts{
-		size:        effectiveSize(m, accesses, cfg, instr),
 		callees:     s.callees[c0:c1:c1],
 		literals:    s.literals[l0:l1:l1],
+		accesses:    accesses,
 		nonEscaping: s.nonEscapingAllocs(m),
 	}
 }

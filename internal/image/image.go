@@ -96,9 +96,10 @@ type Image struct {
 	Opts    Options
 	Comp    *graal.Compilation
 	Table   *profiler.MethodTable
-	// Numberings is the path numbering of every compiled method
-	// (instrumented heap builds).
-	Numberings map[*ir.Method]*profiler.Numbering
+	// Numberings numbers the paths of compiled methods on first use
+	// (instrumented heap builds). Like the heap state below, it serves one
+	// process at a time.
+	Numberings *profiler.Numberings
 
 	// Build-time heap state shared with runtime processes.
 	Statics  *heap.Statics
@@ -152,7 +153,7 @@ type Image struct {
 }
 
 // Build constructs an image of the program.
-func Build(p *ir.Program, opts Options) (*Image, error) { return build(p, opts, nil) }
+func Build(p *ir.Program, opts Options) (*Image, error) { return build(p, opts, nil, nil) }
 
 // checkBuildable rejects programs no image can be built from.
 func checkBuildable(p *ir.Program) error {
@@ -166,11 +167,11 @@ func checkBuildable(p *ir.Program) error {
 }
 
 // build constructs an image of the program from reach, the program's
-// reachability analysis under opts.Compiler, or runs the analysis itself
-// when reach is nil. The builds of one pipeline share one analysis: it
-// depends only on the program and the compiler configuration, and it is
-// read-only once computed.
-func build(p *ir.Program, opts Options, reach *graal.Reachability) (*Image, error) {
+// reachability analysis under opts.Compiler, and scan, the method scan of
+// reach; when reach is nil it runs both itself. The builds of one pipeline
+// share one analysis and one scan: they depend only on the program and
+// the compiler configuration, and they are read-only once computed.
+func build(p *ir.Program, opts Options, reach *graal.Reachability, scan *graal.MethodScan) (*Image, error) {
 	if err := checkBuildable(p); err != nil {
 		return nil, err
 	}
@@ -190,10 +191,13 @@ func build(p *ir.Program, opts Options, reach *graal.Reachability) (*Image, erro
 		sp.End()
 	}
 	sp := r.StartSpan(prefix + "inlining")
+	if scan == nil {
+		scan = graal.ScanMethods(reach)
+	}
 	img := &Image{
 		Program: p,
 		Opts:    opts,
-		Comp:    graal.Assemble(p, opts.Compiler, instr, opts.Kind == KindOptimized, reach),
+		Comp:    graal.Assemble(p, opts.Compiler, instr, opts.Kind == KindOptimized, reach, scan),
 		files:   make(map[*osim.OS]*osim.File),
 	}
 	img.Table = profiler.NewMethodTable(img.Comp.Reach.CompiledMethods())

@@ -202,10 +202,10 @@ func TestHeapProfileNeedsRecordedIDs(t *testing.T) {
 
 	reach := graal.Analyze(p, graal.DefaultConfig())
 	popts := PipelineOptions{Compiler: graal.DefaultConfig(), InstrumentedSeed: 3, Mode: profiler.DumpOnFull}
-	if _, _, prof, err := profileOnce(p, popts, reach, graal.InstrHeap, core.StrategyCU); err == nil {
+	if _, _, prof, err := profileOnce(p, popts, reach, graal.ScanMethods(reach), graal.InstrHeap, core.StrategyCU); err == nil {
 		t.Errorf("heap profile for %q: %d IDs, want an error", core.StrategyCU, len(prof))
 	}
-	if _, _, prof, err := profileOnce(p, popts, reach, graal.InstrHeap, core.StrategyHeapPath); err != nil || len(prof) == 0 {
+	if _, _, prof, err := profileOnce(p, popts, reach, graal.ScanMethods(reach), graal.InstrHeap, core.StrategyHeapPath); err != nil || len(prof) == 0 {
 		t.Errorf("heap path profile: %d IDs, err %v", len(prof), err)
 	}
 }

@@ -114,13 +114,17 @@ func composePH(h vmHooks, g *core.CallGraph) vmHooks {
 // optimized image. The combined "cu+heap path" strategy performs two
 // profiling runs — one CU-instrumented, one heap-instrumented — and feeds
 // both profiles to the optimizing build (Sec. 7.1). Every build of the
-// pipeline shares one reachability analysis of the program.
+// pipeline shares one reachability analysis of the program and one scan
+// of its methods; the scan lives only as long as the pipeline.
 func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error) {
 	if err := checkBuildable(p); err != nil {
 		return nil, err
 	}
 	sp := opts.Obs.StartSpan("pipeline." + opts.Strategy + ".reachability")
 	reach := graal.Analyze(p, opts.Compiler)
+	sp.End()
+	sp = opts.Obs.StartSpan("pipeline." + opts.Strategy + ".inlining")
+	scan := graal.ScanMethods(reach)
 	sp.End()
 
 	res := &PipelineResult{}
@@ -129,7 +133,7 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 		if err != nil {
 			return err
 		}
-		run, code, heapProf, err := profileOnce(p, opts, reach, instr, strategy)
+		run, code, heapProf, err := profileOnce(p, opts, reach, scan, instr, strategy)
 		if err != nil {
 			return err
 		}
@@ -160,7 +164,7 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 		}
 		optOpts.HeapStrategy = core.HeapStrategyByName(core.StrategyHeapPath)
 	case core.IsGraphStrategy(opts.Strategy):
-		run, code, err := profileGraph(p, opts, reach)
+		run, code, err := profileGraph(p, opts, reach, scan)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +181,7 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 	optOpts.CodeProfile = res.CodeProfile
 	optOpts.HeapProfile = res.HeapProfile
 
-	opt, err := build(p, optOpts, reach)
+	opt, err := build(p, optOpts, reach, scan)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +198,7 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 // exactly like the trace strategies. The resulting profile is plain CU
 // signatures, so the optimized build and the .nimg recipe treat graph
 // strategies identically to "cu".
-func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability) (*ProfilingRun, []string, error) {
+func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, scan *graal.MethodScan) (*ProfilingRun, []string, error) {
 	g := opts.AffinityGraph
 	var run *ProfilingRun
 	if g == nil {
@@ -204,7 +208,7 @@ func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability
 			BuildSeed: opts.InstrumentedSeed,
 			MaxPaths:  opts.MaxPaths,
 			Obs:       opts.Obs,
-		}, reach)
+		}, reach, scan)
 		if err != nil {
 			return nil, nil, fmt.Errorf("image: recording build: %w", err)
 		}
@@ -265,7 +269,7 @@ func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability
 // post-processes the traces into profiles. It returns the code profile
 // (for InstrCU/InstrMethod) or the heap profile (for InstrHeap, translated
 // by the named strategy).
-func profileOnce(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, instr graal.Instrumentation, strategy string) (ProfilingRun, []string, []uint64, error) {
+func profileOnce(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, scan *graal.MethodScan, instr graal.Instrumentation, strategy string) (ProfilingRun, []string, []uint64, error) {
 	run := ProfilingRun{Instr: instr, Mode: opts.Mode}
 	img, err := build(p, Options{
 		Kind:         KindInstrumented,
@@ -276,7 +280,7 @@ func profileOnce(p *ir.Program, opts PipelineOptions, reach *graal.Reachability,
 		MaxPaths:     opts.MaxPaths,
 		HeapStrategy: core.HeapStrategyByName(strategy),
 		Obs:          opts.Obs,
-	}, reach)
+	}, reach, scan)
 	if err != nil {
 		return run, nil, nil, fmt.Errorf("image: instrumented build: %w", err)
 	}

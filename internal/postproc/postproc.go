@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 
-	"nimage/internal/ir"
 	"nimage/internal/profiler"
 )
 
@@ -58,7 +57,7 @@ type Analysis interface {
 // are processed in creation (tid) order. numberings may be nil unless the
 // traces contain path records.
 func Dispatch(traces []profiler.ThreadTrace, table *profiler.MethodTable,
-	numberings map[*ir.Method]*profiler.Numbering, analyses ...Analysis) error {
+	numberings *profiler.Numberings, analyses ...Analysis) error {
 
 	emit := func(ev Event) {
 		for _, a := range analyses {
@@ -85,7 +84,7 @@ func Dispatch(traces []profiler.ThreadTrace, table *profiler.MethodTable,
 				if m == nil {
 					return fmt.Errorf("postproc: unknown method index %d in thread %d", idx, tr.TID)
 				}
-				nb := numberings[m]
+				nb := numberings.Of(m)
 				if nb == nil {
 					return fmt.Errorf("postproc: no path numbering for %s", m.Signature())
 				}

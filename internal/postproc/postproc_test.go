@@ -45,7 +45,7 @@ func buildCalls(t *testing.T) *ir.Program {
 
 // trace runs the program under a tracer and returns everything postproc
 // needs.
-func trace(t *testing.T, p *ir.Program, kind graal.Instrumentation, prep func(*vm.Machine, *profiler.Tracer)) ([]profiler.ThreadTrace, *profiler.MethodTable, map[*ir.Method]*profiler.Numbering) {
+func trace(t *testing.T, p *ir.Program, kind graal.Instrumentation, prep func(*vm.Machine, *profiler.Tracer)) ([]profiler.ThreadTrace, *profiler.MethodTable, *profiler.Numberings) {
 	t.Helper()
 	table := profiler.NewMethodTable(p.Methods())
 	nb := table.Numberings(0)

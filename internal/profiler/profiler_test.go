@@ -193,7 +193,7 @@ func TestHeapTraceDecodesToExecutedBlocks(t *testing.T) {
 		pathID := words[i+1]
 		nAcc := int(words[i+2])
 		i += 3 + nAcc
-		mm := tr.Numberings[methodAt(tr, midx)]
+		mm := tr.Numberings.Of(methodAt(tr, midx))
 		seq, err := mm.Decode(pathID)
 		if err != nil {
 			t.Fatal(err)
@@ -280,7 +280,7 @@ func TestHeapTraceRecordsObjectHandles(t *testing.T) {
 		t.Fatalf("handles = %v, want %v", handles, want)
 	}
 	// The path's static access count must agree with the recorded count.
-	nb := tr.Numberings[m]
+	nb := tr.Numberings.Of(m)
 	seq, err := nb.Decode(words[1])
 	if err != nil {
 		t.Fatal(err)

@@ -46,12 +46,50 @@ func (t *MethodTable) Method(idx int) *ir.Method {
 	return t.Methods[idx]
 }
 
-// Numberings computes the path numbering of every table method (used by
-// heap-instrumented builds).
-func (t *MethodTable) Numberings(maxPaths uint64) map[*ir.Method]*Numbering {
-	out := make(map[*ir.Method]*Numbering, len(t.Methods))
-	for _, m := range t.Methods {
-		out[m] = ComputeNumbering(m, maxPaths)
+// Numberings memoizes the path numberings of a table's methods: each
+// method is numbered on its first lookup, so a profiling run numbers only
+// the methods it enters. A numbering is a pure function of the method and
+// maxPaths, which makes lazy numbering give the same traces and profiles
+// as numbering every method up front. A memo is not safe for concurrent
+// use; like the heap state of the image that owns it, it serves one
+// process at a time.
+type Numberings struct {
+	table    *MethodTable
+	maxPaths uint64
+	memo     []*Numbering // by table index
+}
+
+// Numberings returns an empty numbering memo over the table's methods
+// (used by heap-instrumented builds).
+func (t *MethodTable) Numberings(maxPaths uint64) *Numberings {
+	return &Numberings{table: t, maxPaths: maxPaths, memo: make([]*Numbering, len(t.Methods))}
+}
+
+// Of returns the path numbering of m, computing it on first use. It
+// returns nil for methods outside the table and for a nil memo.
+func (n *Numberings) Of(m *ir.Method) *Numbering {
+	if n == nil {
+		return nil
+	}
+	i, ok := n.table.Index[m]
+	if !ok {
+		return nil
+	}
+	nb := n.memo[i]
+	if nb == nil {
+		nb = ComputeNumbering(m, n.maxPaths)
+		n.memo[i] = nb
+	}
+	return nb
+}
+
+// Computed returns the numberings computed so far, in table order.
+func (n *Numberings) Computed() []*Numbering {
+	var out []*Numbering
+	for _, nb := range n.memo {
+		if nb != nil {
+			out = append(out, nb)
+		}
 	}
 	return out
 }

@@ -76,9 +76,9 @@ type Tracer struct {
 	BufferWords int
 	// MethodIdx maps compiled methods to stable indices (see MethodTable).
 	MethodIdx map[*ir.Method]int
-	// Numberings holds the path numbering of every compiled method
-	// (required for InstrHeap).
-	Numberings map[*ir.Method]*Numbering
+	// Numberings numbers the paths of compiled methods (required for
+	// InstrHeap).
+	Numberings *Numberings
 	// ObjectHandle returns the identifier stored in an object's header by
 	// the instrumented build: 0 for objects not in the heap snapshot.
 	ObjectHandle func(o *heap.Object) uint64
@@ -256,7 +256,7 @@ func (t *Tracer) Hooks() vm.Hooks {
 	case graal.InstrHeap:
 		h.OnMethodEnter = func(tid int, m *ir.Method) {
 			ts := t.state(tid)
-			ts.stack = append(ts.stack, &pathState{m: m, nb: t.Numberings[m], prev: -1})
+			ts.stack = append(ts.stack, &pathState{m: m, nb: t.Numberings.Of(m), prev: -1})
 		}
 		h.OnMethodExit = func(tid int, m *ir.Method) {
 			ts := t.state(tid)
