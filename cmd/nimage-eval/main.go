@@ -33,7 +33,7 @@
 //	            [-builds N] [-device ssd|nfs] [-out output]
 //	            [-streams N] [-slo "p50=100us,p99=2ms"] [-slo-bursts N]
 //	            [-search-iters N] [-search-topk N]
-//	            [-tenants 2,4,8] [-budget PAGES] [-quota PCT] [-bursts N]
+//	            [-tenants 2,4] [-budget PAGES] [-quota PCT] [-bursts N]
 package main
 
 import (
@@ -185,7 +185,7 @@ func run(args []string) error {
 	sloBursts := fs.Int("slo-bursts", 0, "request bursts of the slo experiment (0 = serve default)")
 	searchIters := fs.Int("search-iters", 2, "search iterations of the search experiment")
 	searchTopK := fs.Int("search-topk", 2, "candidates promoted per iteration in the search experiment")
-	fleetTenants := fs.String("tenants", "2,4,8", "comma-separated tenant counts of the fleet experiment (each >= 2)")
+	fleetTenants := fs.String("tenants", "2,4", "comma-separated tenant counts of the fleet experiment (each >= 2)")
 	fleetBudget := fs.Int("budget", 192, "shared resident-page budget of the fleet experiment")
 	fleetQuota := fs.Int("quota", 0, "per-tenant residency quota of the fleet experiment, percent of the budget (0 = none)")
 	fleetBursts := fs.Int("bursts", 4, "request bursts per tenant in the fleet experiment")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -423,6 +424,49 @@ func TestRunRejectsBadSizing(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "must be") {
 			t.Errorf("%s: unhelpful error %v", name, err)
+		}
+	}
+}
+
+// TestCommittedColdStartColumnsDiscriminate reads the committed
+// BENCH_baseline.json: across the four cold-start figures, no two
+// strategies may carry identical geomeans on every figure — a column
+// that duplicates another everywhere measures nothing the other does not.
+func TestCommittedColdStartColumnsDiscriminate(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc benchDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{
+		"figure2-pagefaults-awfy", "figure3-pagefaults-microservices",
+		"figure4-speedup-microservices", "figure5-speedup-awfy",
+	}
+	var strategies []string
+	for s := range doc.Figures[keys[0]] {
+		strategies = append(strategies, s)
+	}
+	sort.Strings(strategies)
+	if len(strategies) < 2 {
+		t.Fatalf("%s has %d strategies", keys[0], len(strategies))
+	}
+	for i, a := range strategies {
+		for _, b := range strategies[i+1:] {
+			same := true
+			for _, k := range keys {
+				fa, okA := doc.Figures[k][a]
+				fb, okB := doc.Figures[k][b]
+				if !okA || !okB {
+					t.Fatalf("%s lacks %s or %s", k, a, b)
+				}
+				same = same && fa == fb
+			}
+			if same {
+				t.Errorf("%s and %s carry identical values on all four cold-start figures", a, b)
+			}
 		}
 	}
 }

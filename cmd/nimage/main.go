@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"nimage"
+	"nimage/internal/core"
 )
 
 func main() {
@@ -123,7 +124,9 @@ func cmdInfo(args []string) error {
 		return err
 	}
 	fmt.Print(info)
-	fmt.Println("\nstrategies:", nimage.Strategies())
+	// Every registered strategy bakes by name, including the serve-only
+	// graph layouts outside the cold-start set.
+	fmt.Println("\nstrategies:", core.StrategyNames())
 	return nil
 }
 

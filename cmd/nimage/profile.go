@@ -44,10 +44,7 @@ func cmdProfile(args []string) error {
 	default:
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
-	mode := profiler.DumpOnFull
-	if w.Service {
-		mode = profiler.MemoryMapped
-	}
+	mode := profiler.ModeFor(w.Service)
 
 	img, err := image.Build(p, image.Options{
 		Kind:         image.KindInstrumented,

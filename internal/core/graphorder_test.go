@@ -191,7 +191,8 @@ func TestRegistryWellFormed(t *testing.T) {
 		t.Error("unknown strategy resolved")
 	}
 	// The serve set is a subset of the registry and includes the graph
-	// strategies; the eval set carries the paper's six plus the graph two.
+	// strategies; the eval (cold-start) set is the paper's six and
+	// excludes them.
 	all := strings.Join(StrategyNames(), ",")
 	for _, name := range ServeStrategyNames() {
 		if !seen[name] {
@@ -206,16 +207,19 @@ func TestRegistryWellFormed(t *testing.T) {
 		}
 		return false
 	}
-	for _, name := range []string{StrategyC3, StrategyExtTSP} {
+	for _, name := range []string{StrategyC3, StrategyExtTSP, StrategySLOSearch} {
 		if !IsGraphStrategy(name) {
 			t.Errorf("IsGraphStrategy(%q) = false", name)
 		}
 		if !contains(ServeStrategyNames(), name) {
 			t.Errorf("%q missing from serve set", name)
 		}
-		if !contains(EvalStrategyNames(), name) {
-			t.Errorf("%q missing from eval set", name)
+		if contains(EvalStrategyNames(), name) {
+			t.Errorf("%q in the cold-start set %v", name, EvalStrategyNames())
 		}
+	}
+	if n := len(EvalStrategyNames()); n != 6 {
+		t.Errorf("cold-start set has %d strategies, want the paper's six: %v", n, EvalStrategyNames())
 	}
 	if IsGraphStrategy(StrategyCU) {
 		t.Error("cu misclassified as graph strategy")

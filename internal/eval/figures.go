@@ -8,7 +8,6 @@ import (
 	"nimage/internal/core"
 	"nimage/internal/image"
 	"nimage/internal/osim"
-	"nimage/internal/profiler"
 	"nimage/internal/vm"
 	"nimage/internal/workloads"
 )
@@ -175,18 +174,20 @@ func (h *Harness) Figure6Heap(workloadName string) (regular, optimized []osim.Pa
 	return h.pageStates(workloadName, image.SectionHeap, core.StrategyHeapPath)
 }
 
-// pageStates runs the workload over a regular and a strategy-optimized
-// image and returns the page-state grids of one section.
+// pageStates runs the workload over build 0 of the regular and a
+// strategy-optimized image and returns the page-state grids of one
+// section.
 func (h *Harness) pageStates(workloadName, section, strategy string) (regular, optimized []osim.PageState, err error) {
 	w, err := workloads.ByName(workloadName)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := h.Program(w)
-
-	states := func(img *image.Image) ([]osim.PageState, error) {
-		o := h.newOS()
-		proc, err := img.NewProcess(o, vm.Hooks{})
+	states := func(layout string) ([]osim.PageState, error) {
+		res, err := h.bake(w, layout, 0, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		proc, err := res.Optimized.NewProcess(h.newOS(), vm.Hooks{})
 		if err != nil {
 			return nil, err
 		}
@@ -197,36 +198,10 @@ func (h *Harness) pageStates(workloadName, section, strategy string) (regular, o
 		}
 		return proc.Mapping.PageStates(section), nil
 	}
-
-	reg, err := image.Build(p, image.Options{
-		Kind: image.KindRegular, Compiler: h.Cfg.Compiler, BuildSeed: baselineSeed(0),
-	})
-	if err != nil {
+	if regular, err = states(LayoutBaseline); err != nil {
 		return nil, nil, err
 	}
-	regular, err = states(reg)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	mode := profiler.DumpOnFull
-	if w.Service {
-		mode = profiler.MemoryMapped
-	}
-	res, err := image.BuildOptimized(p, image.PipelineOptions{
-		Compiler:         h.Cfg.Compiler,
-		Strategy:         strategy,
-		InstrumentedSeed: instrumentedSeed(0),
-		OptimizedSeed:    optimizedSeed(0),
-		Mode:             mode,
-		Args:             w.Args,
-		Service:          w.Service,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	optimized, err = states(res.Optimized)
-	if err != nil {
+	if optimized, err = states(strategy); err != nil {
 		return nil, nil, err
 	}
 	return regular, optimized, nil
@@ -239,13 +214,11 @@ func (h *Harness) CompilerInfo(ws []workloads.Workload) (string, error) {
 	fmt.Fprintf(&sb, "%-12s %8s %8s %8s %10s %12s %12s\n",
 		"workload", "classes", "methods", "CUs", "objects", "text(B)", "heap(B)")
 	for _, w := range ws {
-		p := h.Program(w)
-		img, err := image.Build(p, image.Options{
-			Kind: image.KindRegular, Compiler: h.Cfg.Compiler, BuildSeed: baselineSeed(0),
-		})
+		res, err := h.bake(w, LayoutBaseline, 0, nil, nil)
 		if err != nil {
 			return "", err
 		}
+		p, img := h.Program(w), res.Optimized
 		fmt.Fprintf(&sb, "%-12s %8d %8d %8d %10d %12d %12d\n",
 			w.Name, len(p.Classes), p.NumMethods(), len(img.CULayout),
 			len(img.Snapshot.Objects), img.TextSize(), img.HeapSize())

@@ -64,13 +64,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Strategies lists the evaluated strategies in figure order, from the
-// strategy registry: the paper's six plus the graph-based serve layouts.
+// Strategies lists the cold-start strategies in figure order, from the
+// strategy registry: the paper's six. The graph layouts are serve-only: a
+// finished cold start's faults depend on the code it executed, not on its
+// order, so they cannot separate there.
 func Strategies() []string {
 	return core.EvalStrategyNames()
 }
 
-// LayoutBaseline is the attribution layout label of unmodified images.
+// LayoutBaseline is the layout name of the unmodified (regular) images;
+// every measurement path treats it as one more layout.
 const LayoutBaseline = "identity"
 
 // RunMeasure is the measurement of one cold start of one build.
@@ -116,7 +119,6 @@ type Harness struct {
 
 	mu          sync.Mutex
 	progs       map[string]*ir.Program
-	baseCache   map[string]*BaselineOutcome
 	stratCache  map[string]*StrategyOutcome
 	serveCache  map[string][]*ServeOutcome
 	serveImgs   map[string]*image.Image
@@ -132,7 +134,6 @@ func NewHarness(cfg Config) *Harness {
 	return &Harness{
 		Cfg:         cfg,
 		progs:       make(map[string]*ir.Program),
-		baseCache:   make(map[string]*BaselineOutcome),
 		stratCache:  make(map[string]*StrategyOutcome),
 		serveCache:  make(map[string][]*ServeOutcome),
 		serveImgs:   make(map[string]*image.Image),
@@ -232,48 +233,24 @@ func baselineSeed(build int) uint64     { return 0x5eed0000 + uint64(build) }
 func instrumentedSeed(build int) uint64 { return 0x1457a000 + uint64(build)*31 }
 func optimizedSeed(build int) uint64    { return 0x0b715000 + uint64(build)*17 }
 
-// BaselineOutcome is the measurement of the unmodified images of one
-// workload.
-type BaselineOutcome struct {
-	Measures []RunMeasure
-	// Pipeline holds one build-time observability snapshot per build
-	// (stage spans, output sizes); nil unless Config.Observe.
-	Pipeline []*obs.Snapshot
-}
-
-// MeasureBaseline builds and measures the unmodified images of a workload.
-// Results are memoized per workload.
+// MeasureBaseline returns the measures of the regular builds of a
+// workload: its LayoutBaseline outcome.
 func (h *Harness) MeasureBaseline(w workloads.Workload) ([]RunMeasure, error) {
-	out, err := h.MeasureBaselineOutcome(w)
+	out, err := h.MeasureStrategy(w, LayoutBaseline)
 	if err != nil {
 		return nil, err
 	}
 	return out.Measures, nil
 }
 
-// MeasureBaselineOutcome is MeasureBaseline plus the per-build pipeline
-// snapshots. Concurrent callers for the same workload block on one
-// in-flight measurement instead of duplicating the builds.
-func (h *Harness) MeasureBaselineOutcome(w workloads.Workload) (*BaselineOutcome, error) {
-	return memo(h, h.baseCache, "base\x00"+w.Name, func() (*BaselineOutcome, error) {
-		return h.measureBaseline(w)
-	})
-}
-
-// measureBaseline builds and measures every baseline image of a workload,
-// fanning the builds out across the worker pool. All result slices are
-// pre-sized and indexed by build, so the outcome is identical for every
-// worker count and completion order.
-func (h *Harness) measureBaseline(w workloads.Workload) (*BaselineOutcome, error) {
+// bake builds image bld of a layout of w: the regular binary for
+// LayoutBaseline (no profiling runs), otherwise the layout's
+// profile-guided pipeline at the build's seeds. adjust, when non-nil,
+// edits the pipeline options first (serve graph layouts bake from a
+// serve recording).
+func (h *Harness) bake(w workloads.Workload, layout string, bld int, r *obs.Registry, adjust func(*image.PipelineOptions) error) (*image.PipelineResult, error) {
 	p := h.Program(w)
-	measures := make([]RunMeasure, h.Cfg.Builds)
-	snaps := make([]*obs.Snapshot, h.Cfg.Builds)
-	err := h.forEach(h.Cfg.Builds, func(bld int) error {
-		h.sched.buildTasks.Add(1)
-		var r *obs.Registry
-		if h.Cfg.Observe {
-			r = obs.NewRegistry()
-		}
+	if layout == LayoutBaseline {
 		img, err := image.Build(p, image.Options{
 			Kind:      image.KindRegular,
 			Compiler:  h.Cfg.Compiler,
@@ -281,20 +258,30 @@ func (h *Harness) measureBaseline(w workloads.Workload) (*BaselineOutcome, error
 			Obs:       r,
 		})
 		if err != nil {
-			return fmt.Errorf("eval: baseline build of %s: %w", w.Name, err)
+			return nil, fmt.Errorf("eval: baseline build of %s: %w", w.Name, err)
 		}
-		if measures[bld], err = h.measureImage(img, w, LayoutBaseline); err != nil {
-			return err
-		}
-		if r != nil {
-			snaps[bld] = r.Snapshot()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return &image.PipelineResult{Optimized: img}, nil
 	}
-	return &BaselineOutcome{Measures: measures, Pipeline: compactSnapshots(snaps)}, nil
+	popts := image.PipelineOptions{
+		Compiler:         h.Cfg.Compiler,
+		Strategy:         layout,
+		InstrumentedSeed: instrumentedSeed(bld),
+		OptimizedSeed:    optimizedSeed(bld),
+		Mode:             profiler.ModeFor(w.Service),
+		Args:             w.Args,
+		Service:          w.Service,
+		Obs:              r,
+	}
+	if adjust != nil {
+		if err := adjust(&popts); err != nil {
+			return nil, err
+		}
+	}
+	res, err := image.BuildOptimized(p, popts)
+	if err != nil {
+		return nil, fmt.Errorf("eval: %s/%s: %w", w.Name, layout, err)
+	}
+	return res, nil
 }
 
 // compactSnapshots drops nil entries while preserving build order: every
@@ -309,48 +296,47 @@ func compactSnapshots(snaps []*obs.Snapshot) []*obs.Snapshot {
 	return out
 }
 
-// StrategyOutcome is the measurement of one strategy on one workload.
+// StrategyOutcome is the measurement of one layout on one workload.
 type StrategyOutcome struct {
-	// Strategy is the measured strategy name.
+	// Strategy is the measured layout name (LayoutBaseline for the
+	// regular builds).
 	Strategy string
 	Measures []RunMeasure
-	// Profiling lists the instrumented runs (for the overhead table).
+	// Profiling lists the instrumented runs (for the overhead table); nil
+	// for the baseline.
 	Profiling []image.ProfilingRun
 	// CodeMatched / HeapMatched report profile-application quality of the
 	// last build.
 	CodeMatched int
 	HeapMatched int
 	// HeapMatch is the full match breakdown of the last build (zero value
-	// for pure code strategies, which apply no heap profile).
+	// for the baseline and pure code strategies, which apply no heap
+	// profile).
 	HeapMatch core.MatchBreakdown
 	// Pipeline holds one observability snapshot per build covering the
 	// whole pipeline — instrumented build, profiling run, post-processing,
-	// optimized build; nil unless Config.Observe.
+	// optimized build (the one regular build for the baseline); nil unless
+	// Config.Observe.
 	Pipeline []*obs.Snapshot
 }
 
-// MeasureStrategy runs the full pipeline for one strategy on one workload.
-// Results are memoized per (workload, strategy); concurrent callers for
+// MeasureStrategy measures one layout on one workload: the regular builds
+// for LayoutBaseline, otherwise the full pipeline of the strategy.
+// Results are memoized per (workload, layout); concurrent callers for
 // the same key block on one in-flight measurement instead of duplicating
 // the pipelines.
-func (h *Harness) MeasureStrategy(w workloads.Workload, strategy string) (*StrategyOutcome, error) {
-	return memo(h, h.stratCache, "strat\x00"+w.Name+"\x00"+strategy, func() (*StrategyOutcome, error) {
-		return h.measureStrategy(w, strategy)
+func (h *Harness) MeasureStrategy(w workloads.Workload, layout string) (*StrategyOutcome, error) {
+	return memo(h, h.stratCache, "strat\x00"+w.Name+"\x00"+layout, func() (*StrategyOutcome, error) {
+		return h.measureStrategy(w, layout)
 	})
 }
 
-// measureStrategy runs the full pipeline of one strategy over every build
-// seed, fanning the builds out across the worker pool. Like
-// measureBaseline, every result slice is indexed by build, so the outcome
-// is bit-identical for every worker count.
-func (h *Harness) measureStrategy(w workloads.Workload, strategy string) (*StrategyOutcome, error) {
-	p := h.Program(w)
-	mode := profiler.DumpOnFull
-	if w.Service {
-		// Killed workloads need durable buffers (Sec. 6.1).
-		mode = profiler.MemoryMapped
-	}
-	out := &StrategyOutcome{Strategy: strategy}
+// measureStrategy bakes and measures one layout over every build seed,
+// fanning the builds out across the worker pool. Every result slice is
+// indexed by build, so the outcome is bit-identical for every worker
+// count and completion order.
+func (h *Harness) measureStrategy(w workloads.Workload, layout string) (*StrategyOutcome, error) {
+	out := &StrategyOutcome{Strategy: layout}
 	measures := make([]RunMeasure, h.Cfg.Builds)
 	profiling := make([][]image.ProfilingRun, h.Cfg.Builds)
 	snaps := make([]*obs.Snapshot, h.Cfg.Builds)
@@ -360,20 +346,11 @@ func (h *Harness) measureStrategy(w workloads.Workload, strategy string) (*Strat
 		if h.Cfg.Observe {
 			r = obs.NewRegistry()
 		}
-		res, err := image.BuildOptimized(p, image.PipelineOptions{
-			Compiler:         h.Cfg.Compiler,
-			Strategy:         strategy,
-			InstrumentedSeed: instrumentedSeed(bld),
-			OptimizedSeed:    optimizedSeed(bld),
-			Mode:             mode,
-			Args:             w.Args,
-			Service:          w.Service,
-			Obs:              r,
-		})
+		res, err := h.bake(w, layout, bld, r, nil)
 		if err != nil {
-			return fmt.Errorf("eval: %s/%s: %w", w.Name, strategy, err)
+			return err
 		}
-		if measures[bld], err = h.measureImage(res.Optimized, w, strategy); err != nil {
+		if measures[bld], err = h.measureImage(res.Optimized, w, layout); err != nil {
 			return err
 		}
 		profiling[bld] = res.Runs

@@ -108,20 +108,7 @@ func (h *Harness) Report(ws []workloads.Workload, strategies []string) (*Report,
 		rep.ParallelSpeedup = math.Round(100*work.Seconds()/wall.Seconds()) / 100
 	}
 	for _, w := range ws {
-		base, err := h.MeasureBaselineOutcome(w)
-		if err != nil {
-			return nil, err
-		}
-		rep.Entries = append(rep.Entries, ReportEntry{
-			Workload:    w.Name,
-			Service:     w.Service,
-			Pipeline:    base.Pipeline,
-			Runs:        stripReports(base.Measures),
-			Measures:    scalarMeasures(base.Measures),
-			Attribution: mergedAttribution(base.Measures),
-			Affinity:    mergedAffinity(base.Measures),
-		})
-		for _, s := range strategies {
+		for _, s := range append([]string{LayoutBaseline}, strategies...) {
 			out, err := h.MeasureStrategy(w, s)
 			if err != nil {
 				return nil, err
@@ -129,12 +116,14 @@ func (h *Harness) Report(ws []workloads.Workload, strategies []string) (*Report,
 			e := ReportEntry{
 				Workload:    w.Name,
 				Service:     w.Service,
-				Strategy:    s,
 				Pipeline:    out.Pipeline,
 				Runs:        stripReports(out.Measures),
 				Measures:    scalarMeasures(out.Measures),
 				Attribution: mergedAttribution(out.Measures),
 				Affinity:    mergedAffinity(out.Measures),
+			}
+			if s != LayoutBaseline {
+				e.Strategy = s
 			}
 			if out.HeapMatch.Strategy != "" {
 				hm := out.HeapMatch

@@ -164,7 +164,7 @@ func TestHarnessDetachedHasNoReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := h.MeasureBaselineOutcome(w)
+	base, err := h.MeasureStrategy(w, LayoutBaseline)
 	if err != nil {
 		t.Fatal(err)
 	}

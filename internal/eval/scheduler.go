@@ -174,31 +174,26 @@ func (h *Harness) forEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Prefetch warms the baseline and per-strategy caches of every workload
-// concurrently. One lightweight coordinator goroutine per (workload,
-// strategy) pair enters the singleflight-guarded measurement, whose
-// per-build tasks are throttled by the worker pool — so the effective unit
-// of parallelism is the full (workload, strategy, build) matrix. Table
-// assembly afterwards is pure cache reads in deterministic order. The
-// returned error is the matrix-order first error.
+// Prefetch warms the measurement cache of every workload concurrently:
+// LayoutBaseline first, then the given layouts. One lightweight
+// coordinator goroutine per (workload, layout) pair enters the
+// singleflight-guarded measurement, whose per-build tasks are throttled by
+// the worker pool — so the effective unit of parallelism is the full
+// (workload, layout, build) matrix. Table assembly afterwards is pure
+// cache reads in deterministic order. The returned error is the
+// matrix-order first error.
 func (h *Harness) Prefetch(ws []workloads.Workload, strategies []string) error {
-	stride := 1 + len(strategies)
-	errs := make([]error, len(ws)*stride)
+	layouts := append([]string{LayoutBaseline}, strategies...)
+	errs := make([]error, len(ws)*len(layouts))
 	var wg sync.WaitGroup
 	for wi := range ws {
-		w := ws[wi]
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			_, errs[slot] = h.MeasureBaselineOutcome(w)
-		}(wi * stride)
-		for si := range strategies {
-			s := strategies[si]
+		for li := range layouts {
+			w, l := ws[wi], layouts[li]
 			wg.Add(1)
 			go func(slot int) {
 				defer wg.Done()
-				_, errs[slot] = h.MeasureStrategy(w, s)
-			}(wi*stride + 1 + si)
+				_, errs[slot] = h.MeasureStrategy(w, l)
+			}(wi*len(layouts) + li)
 		}
 	}
 	wg.Wait()

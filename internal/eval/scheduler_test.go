@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"nimage/internal/core"
+	"nimage/internal/image"
 	"nimage/internal/workloads"
 )
 
@@ -65,7 +67,9 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestConcurrentHarnessStress hammers one harness from many goroutines
 // (meaningful under -race): all callers must get the identical memoized
-// outcome, and singleflight must have run each measurement exactly once.
+// outcome, and singleflight must have run each measurement exactly once —
+// the identity layout included, whether reached as MeasureBaseline or as
+// MeasureStrategy(w, LayoutBaseline).
 func TestConcurrentHarnessStress(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Builds = 1
@@ -77,16 +81,18 @@ func TestConcurrentHarnessStress(t *testing.T) {
 	}
 
 	const callers = 16
-	bases := make([]*BaselineOutcome, callers)
+	bases := make([]*StrategyOutcome, callers)
+	baseMeasures := make([][]RunMeasure, callers)
 	strats := make([]*StrategyOutcome, callers)
-	errs := make([]error, 2*callers)
+	errs := make([]error, 3*callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			bases[i], errs[2*i] = h.MeasureBaselineOutcome(w)
-			strats[i], errs[2*i+1] = h.MeasureStrategy(w, core.StrategyCU)
+			bases[i], errs[3*i] = h.MeasureStrategy(w, LayoutBaseline)
+			baseMeasures[i], errs[3*i+1] = h.MeasureBaseline(w)
+			strats[i], errs[3*i+2] = h.MeasureStrategy(w, core.StrategyCU)
 		}(i)
 	}
 	wg.Wait()
@@ -99,6 +105,9 @@ func TestConcurrentHarnessStress(t *testing.T) {
 		if bases[i] != bases[0] {
 			t.Fatal("concurrent callers got distinct baseline outcomes")
 		}
+		if &baseMeasures[i][0] != &bases[0].Measures[0] {
+			t.Fatal("MeasureBaseline did not share the identity layout's measures")
+		}
 		if strats[i] != strats[0] {
 			t.Fatal("concurrent callers got distinct strategy outcomes")
 		}
@@ -110,6 +119,55 @@ func TestConcurrentHarnessStress(t *testing.T) {
 	}
 	if h.WorkDuration() <= 0 {
 		t.Error("WorkDuration not accounted")
+	}
+}
+
+// TestIdentityLayout pins the baseline as a layout: MeasureStrategy over
+// LayoutBaseline measures the regular builds — measure for measure what
+// MeasureBaseline returns and what a regular build at the baseline seed
+// measures — and runs no profiling.
+func TestIdentityLayout(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Builds = 2
+	h := NewHarness(cfg)
+	w, err := workloads.ByName("Towers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := h.MeasureStrategy(w, LayoutBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := h.MeasureBaseline(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Strategy != LayoutBaseline {
+		t.Errorf("strategy = %q, want %q", out.Strategy, LayoutBaseline)
+	}
+	if len(out.Profiling) != 0 {
+		t.Errorf("identity layout ran %d profiling runs", len(out.Profiling))
+	}
+	if len(base) != cfg.Builds || len(out.Measures) != cfg.Builds {
+		t.Fatalf("measures: %d and %d, want %d", len(base), len(out.Measures), cfg.Builds)
+	}
+	for bld := range base {
+		if !reflect.DeepEqual(base[bld], out.Measures[bld]) {
+			t.Errorf("build %d: MeasureBaseline %+v != MeasureStrategy %+v", bld, base[bld], out.Measures[bld])
+		}
+		img, err := image.Build(h.Program(w), image.Options{
+			Kind: image.KindRegular, Compiler: cfg.Compiler, BuildSeed: baselineSeed(bld),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := h.measureImage(img, w, LayoutBaseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m, base[bld]) {
+			t.Errorf("build %d: regular build measures %+v, baseline %+v", bld, m, base[bld])
+		}
 	}
 }
 

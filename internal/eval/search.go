@@ -32,7 +32,6 @@ import (
 	"nimage/internal/core"
 	"nimage/internal/image"
 	"nimage/internal/obs"
-	"nimage/internal/profiler"
 	"nimage/internal/workloads"
 )
 
@@ -225,7 +224,6 @@ func (h *Harness) searchLayout(w workloads.Workload, cfg SearchConfig) (*SearchR
 		}
 		baseRefaults[p] = o.RefaultPages
 	}
-	prog := h.Program(w)
 
 	// measure bakes a candidate order through the graph-driven pipeline
 	// path (build 0 seeds, the same options the serve images use) and
@@ -237,19 +235,13 @@ func (h *Harness) searchLayout(w workloads.Workload, cfg SearchConfig) (*SearchR
 		if sc, ok := scores[d]; ok {
 			return sc, nil
 		}
-		res, err := image.BuildOptimized(prog, image.PipelineOptions{
-			Compiler:         h.Cfg.Compiler,
-			Strategy:         core.StrategySLOSearch,
-			InstrumentedSeed: instrumentedSeed(0),
-			OptimizedSeed:    optimizedSeed(0),
-			Mode:             profiler.MemoryMapped,
-			Args:             w.Args,
-			Service:          true,
-			AffinityGraph:    g,
-			CodeOrder:        c.Order,
+		res, err := h.bake(w, core.StrategySLOSearch, 0, nil, func(popts *image.PipelineOptions) error {
+			popts.AffinityGraph = g
+			popts.CodeOrder = c.Order
+			return nil
 		})
 		if err != nil {
-			return SearchScore{}, fmt.Errorf("eval: search bake of %s candidate %s: %w", w.Name, c.ID, err)
+			return SearchScore{}, fmt.Errorf("eval: search candidate %s: %w", c.ID, err)
 		}
 		var sc SearchScore
 		var logGeo float64

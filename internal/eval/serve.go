@@ -25,7 +25,6 @@ import (
 	"nimage/internal/obs/affinity"
 	"nimage/internal/obs/attrib"
 	"nimage/internal/osim"
-	"nimage/internal/profiler"
 	"nimage/internal/vm"
 	"nimage/internal/workloads"
 )
@@ -277,49 +276,33 @@ func (h *Harness) MeasureServe(w workloads.Workload, strategy string, scfg Serve
 func (h *Harness) serveImage(w workloads.Workload, strategy string, bld int) (*image.Image, error) {
 	key := fmt.Sprintf("simg\x00%s\x00%s\x00%d", w.Name, strategy, bld)
 	return memo(h, h.serveImgs, key, func() (*image.Image, error) {
-		p := h.Program(w)
-		if strategy == LayoutBaseline {
-			img, err := image.Build(p, image.Options{
-				Kind: image.KindRegular, Compiler: h.Cfg.Compiler, BuildSeed: baselineSeed(bld),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("eval: serve baseline build of %s: %w", w.Name, err)
-			}
-			return img, nil
-		}
-		popts := image.PipelineOptions{
-			Compiler:         h.Cfg.Compiler,
-			Strategy:         strategy,
-			InstrumentedSeed: instrumentedSeed(bld),
-			OptimizedSeed:    optimizedSeed(bld),
-			// Serve workloads are services: durable buffers (Sec. 6.1).
-			Mode:    profiler.MemoryMapped,
-			Args:    w.Args,
-			Service: true,
-		}
+		var adjust func(*image.PipelineOptions) error
 		if core.IsGraphStrategy(strategy) {
 			// Graph strategies optimize burst residency, so they bake from
 			// the baseline *serve* recording rather than letting the
 			// pipeline record a cold start.
-			g, err := h.serveAffinityGraph(w, bld)
-			if err != nil {
-				return nil, err
-			}
-			popts.AffinityGraph = g
-			if strategy == core.StrategySLOSearch {
-				// slo-search bakes the measured search winner: one searched
-				// order per workload (memoized), rebuilt here with this
-				// build's seed like any other strategy.
-				sr, err := h.SearchLayout(w, DefaultSearchConfig())
+			adjust = func(popts *image.PipelineOptions) error {
+				g, err := h.serveAffinityGraph(w, bld)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				popts.CodeOrder = sr.Order
+				popts.AffinityGraph = g
+				if strategy == core.StrategySLOSearch {
+					// slo-search bakes the measured search winner: one
+					// searched order per workload (memoized), rebuilt here
+					// with this build's seed like any other strategy.
+					sr, err := h.SearchLayout(w, DefaultSearchConfig())
+					if err != nil {
+						return err
+					}
+					popts.CodeOrder = sr.Order
+				}
+				return nil
 			}
 		}
-		res, err := image.BuildOptimized(p, popts)
+		res, err := h.bake(w, strategy, bld, nil, adjust)
 		if err != nil {
-			return nil, fmt.Errorf("eval: serve %s/%s: %w", w.Name, strategy, err)
+			return nil, err
 		}
 		return res.Optimized, nil
 	})

@@ -49,10 +49,7 @@ func TestNumberingOnFirstUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := w.Build()
-		mode := profiler.DumpOnFull
-		if w.Service {
-			mode = profiler.MemoryMapped
-		}
+		mode := profiler.ModeFor(w.Service)
 		for _, strategy := range []string{core.StrategyIncremental, core.StrategyStructural, core.StrategyHeapPath} {
 			where := name + "/" + strategy
 			img, err := Build(p, Options{

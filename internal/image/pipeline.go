@@ -77,6 +77,22 @@ type ProfilingRun struct {
 	TraceWords int
 }
 
+// timeRun records the simulated times of a finished profiling run. A
+// service's Time is its time to first response (the total if it never
+// responded) and its CPUTime the compute share up to that response; a
+// batch run reports its totals.
+func (run *ProfilingRun) timeRun(proc *Process, service bool) {
+	st := proc.Stats()
+	run.Time, run.CPUTime = st.Total, st.CPUTime
+	if !service {
+		return
+	}
+	if st.TimeToResponse > 0 {
+		run.Time = st.TimeToResponse
+	}
+	run.CPUTime = time.Duration(proc.Machine.RespondTimeNanos())
+}
+
 // PipelineResult is the outcome of BuildOptimized.
 type PipelineResult struct {
 	// Optimized is the profile-guided image.
@@ -224,18 +240,8 @@ func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability
 		if err := proc.Run(opts.Args...); err != nil {
 			return nil, nil, fmt.Errorf("image: recording run: %w", err)
 		}
-		st := proc.Stats()
 		run = &ProfilingRun{Instr: graal.InstrNone, Mode: opts.Mode}
-		if opts.Service && st.TimeToResponse > 0 {
-			run.Time = st.TimeToResponse
-		} else {
-			run.Time = st.Total
-		}
-		if opts.Service {
-			run.CPUTime = time.Duration(proc.Machine.RespondTimeNanos())
-		} else {
-			run.CPUTime = st.CPUTime
-		}
+		run.timeRun(proc, opts.Service)
 		g = proc.AffinityGraph()
 		sp.End()
 		if g == nil {
@@ -315,17 +321,7 @@ func profileOnce(p *ir.Program, opts PipelineOptions, reach *graal.Reachability,
 	if err := proc.Run(opts.Args...); err != nil {
 		return run, nil, nil, fmt.Errorf("image: profiling run: %w", err)
 	}
-	st := proc.Stats()
-	if opts.Service && st.TimeToResponse > 0 {
-		run.Time = st.TimeToResponse
-	} else {
-		run.Time = st.Total
-	}
-	if opts.Service {
-		run.CPUTime = time.Duration(proc.Machine.RespondTimeNanos())
-	} else {
-		run.CPUTime = st.CPUTime
-	}
+	run.timeRun(proc, opts.Service)
 
 	traces := tr.Finish(opts.Service)
 	for _, tt := range traces {

@@ -25,6 +25,16 @@ const (
 	MemoryMapped
 )
 
+// ModeFor returns the dump mode a workload's profiling run uses: services
+// are killed after their first response, so they need memory-mapped
+// buffers (Sec. 6.1); batch runs terminate normally and dump on full.
+func ModeFor(service bool) DumpMode {
+	if service {
+		return MemoryMapped
+	}
+	return DumpOnFull
+}
+
 func (d DumpMode) String() string {
 	if d == MemoryMapped {
 		return "memory-mapped"

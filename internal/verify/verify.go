@@ -183,10 +183,7 @@ func (v *verifier) check(w, strategy, name, builds, fail string, step int, symbo
 func (v *verifier) verifyWorkload(w workloads.Workload) error {
 	p := w.Build()
 	seed := v.opts.BaseSeed
-	mode := profiler.DumpOnFull
-	if w.Service {
-		mode = profiler.MemoryMapped
-	}
+	mode := profiler.ModeFor(w.Service)
 
 	build := func(kind image.BuildKind, instr graal.Instrumentation, o image.Options) (*image.Image, error) {
 		o.Kind = kind

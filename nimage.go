@@ -172,8 +172,9 @@ const (
 	StrategySLOSearch   = core.StrategySLOSearch
 )
 
-// Strategies lists all evaluated strategies in figure order (the
-// registry's eval set: the paper's six plus the graph-based two).
+// Strategies lists the cold-start strategies in figure order (the
+// registry's eval set: the paper's six). The graph-based layouts are
+// serve-only (ServeStrategies); every strategy still bakes by name.
 func Strategies() []string { return eval.Strategies() }
 
 // HeapStrategy computes 64-bit object identities for heap-snapshot

@@ -94,17 +94,26 @@ func TestFacadeDSL(t *testing.T) {
 }
 
 func TestFacadeStrategiesAndWorkloads(t *testing.T) {
-	// The paper's six strategies, the graph-based serve layouts, and the
-	// searched layout.
-	if len(nimage.Strategies()) != 9 {
+	// The cold-start set is the paper's six strategies; the graph-based
+	// layouts and the searched layout are serve-only.
+	if len(nimage.Strategies()) != 6 {
 		t.Errorf("strategies = %v", nimage.Strategies())
 	}
-	found := map[string]bool{}
-	for _, s := range nimage.Strategies() {
-		found[s] = true
+	in := func(names []string, want string) bool {
+		for _, n := range names {
+			if n == want {
+				return true
+			}
+		}
+		return false
 	}
-	if !found[nimage.StrategyC3] || !found[nimage.StrategyExtTSP] || !found[nimage.StrategySLOSearch] {
-		t.Errorf("graph strategies missing from %v", nimage.Strategies())
+	for _, s := range []string{nimage.StrategyC3, nimage.StrategyExtTSP, nimage.StrategySLOSearch} {
+		if in(nimage.Strategies(), s) {
+			t.Errorf("graph strategy %q in the cold-start set %v", s, nimage.Strategies())
+		}
+		if !in(nimage.ServeStrategies(), s) {
+			t.Errorf("graph strategy %q missing from the serve set %v", s, nimage.ServeStrategies())
+		}
 	}
 	if len(nimage.HeapStrategies()) != 3 {
 		t.Error("heap strategies")
