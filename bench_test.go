@@ -25,6 +25,7 @@ import (
 	"nimage/internal/murmur"
 	"nimage/internal/osim"
 	"nimage/internal/profiler"
+	"nimage/internal/vm"
 	"nimage/internal/workloads"
 )
 
@@ -488,6 +489,25 @@ func BenchmarkColdRun(b *testing.B) {
 		}
 		proc.Close()
 	}
+}
+
+// BenchmarkInterpreter measures the interpreter alone: one Richards run,
+// class initializers triggered on demand, on a bare vm.Machine with no
+// image and no hooks. decoded-B is the size of the decoded code the run
+// leaves cached on the program's methods.
+func BenchmarkInterpreter(b *testing.B) {
+	w, _ := workloads.ByName("Richards")
+	p := w.Build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := vm.New(p)
+		m.AutoClinit = true
+		if err := m.RunProgram(w.Args...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(vm.DecodedBytes(p)), "decoded-B")
 }
 
 // BenchmarkServeRequest measures one request on a warm serve-api process:

@@ -42,7 +42,7 @@ func (img *Image) AttributionIndex() *attrib.Index {
 			Type:    cu.Root.Class.Name,
 			Kind:    attrib.KindCU,
 			Section: SectionText,
-			Off:     img.CUOffset[cu],
+			Off:     img.CUOffset(cu),
 			Len:     int64(cu.Size),
 		})
 	}

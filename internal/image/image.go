@@ -106,11 +106,12 @@ type Image struct {
 	Interns  *heap.Interns
 	Snapshot *heap.Snapshot
 
-	// CULayout is the final .text layout; CUOffset the absolute file
-	// offset of each CU.
+	// CULayout is the final .text layout (CUOffset gives each CU's file
+	// offset).
 	CULayout []*graal.CompilationUnit
-	CUOffset map[*graal.CompilationUnit]int64
-	cuByRoot map[*ir.Method]*graal.CompilationUnit
+	// cus maps each CU's root method to the CU and its offset: the one
+	// lookup the runtime hooks make per CU entry.
+	cus map[*ir.Method]cuEntry
 
 	// ObjLayout is the final .svm_heap layout; object Offsets are relative
 	// to the section start.
@@ -204,9 +205,9 @@ func build(p *ir.Program, opts Options, reach *graal.Reachability, scan *graal.M
 	if opts.Kind == KindInstrumented && opts.Instr == graal.InstrHeap {
 		img.Numberings = img.Table.Numberings(opts.MaxPaths)
 	}
-	img.cuByRoot = make(map[*ir.Method]*graal.CompilationUnit, len(img.Comp.CUs))
+	img.cus = make(map[*ir.Method]cuEntry, len(img.Comp.CUs))
 	for _, cu := range img.Comp.CUs {
-		img.cuByRoot[cu.Root] = cu
+		img.cus[cu.Root] = cuEntry{cu: cu}
 	}
 	sp.End()
 
@@ -328,11 +329,10 @@ func (img *Image) layoutText() {
 	} else {
 		img.CULayout = img.Comp.CUs
 	}
-	img.CUOffset = make(map[*graal.CompilationUnit]int64, len(img.CULayout))
 	off := int64(osim.PageSize) // header page
 	img.TextSection = osim.Section{Name: SectionText, Off: off}
 	for _, cu := range img.CULayout {
-		img.CUOffset[cu] = off
+		img.cus[cu.Root] = cuEntry{cu: cu, off: off}
 		off += (int64(cu.Size) + 15) / 16 * 16
 	}
 	// Statically linked native code follows the compiled CUs, page-aligned
@@ -491,8 +491,17 @@ func (img *Image) StrategyIDOfHandle(strategy string, handle uint64) (uint64, bo
 	return img.StrategyIDs[handle-1], true
 }
 
+// cuEntry is a compilation unit and its absolute file offset.
+type cuEntry struct {
+	cu  *graal.CompilationUnit
+	off int64
+}
+
 // CUOf returns the compilation unit rooted at m, or nil.
-func (img *Image) CUOf(m *ir.Method) *graal.CompilationUnit { return img.cuByRoot[m] }
+func (img *Image) CUOf(m *ir.Method) *graal.CompilationUnit { return img.cus[m].cu }
+
+// CUOffset returns the absolute file offset of cu in the .text layout.
+func (img *Image) CUOffset(cu *graal.CompilationUnit) int64 { return img.cus[cu.Root].off }
 
 // TextSize returns the .text payload size in bytes.
 func (img *Image) TextSize() int64 { return img.TextSection.Len }

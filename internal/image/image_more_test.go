@@ -122,12 +122,12 @@ func TestCUOffsetsAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.CUOffset[img.CULayout[0]] != osim.PageSize {
-		t.Errorf("first CU at %d", img.CUOffset[img.CULayout[0]])
+	if img.CUOffset(img.CULayout[0]) != osim.PageSize {
+		t.Errorf("first CU at %d", img.CUOffset(img.CULayout[0]))
 	}
 	for _, cu := range img.CULayout {
-		if img.CUOffset[cu]%16 != 0 {
-			t.Fatalf("CU %s at unaligned offset %d", cu.Signature(), img.CUOffset[cu])
+		if img.CUOffset(cu)%16 != 0 {
+			t.Fatalf("CU %s at unaligned offset %d", cu.Signature(), img.CUOffset(cu))
 		}
 	}
 }

@@ -147,7 +147,7 @@ func TestBuildRegularLayout(t *testing.T) {
 	// the .text section.
 	var prevOff int64 = -1
 	for i, cu := range img.CULayout {
-		off := img.CUOffset[cu]
+		off := img.CUOffset(cu)
 		if off <= prevOff {
 			t.Fatalf("CU %d offset %d not increasing", i, off)
 		}

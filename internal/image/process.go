@@ -117,15 +117,13 @@ func (p *Process) hooks() vm.Hooks {
 	img := p.Img
 	return vm.Hooks{
 		InlineOf: func(ctx, callee *ir.Method) bool {
-			cu := img.cuByRoot[ctx]
-			return cu != nil && cu.Members[callee]
+			e := img.cus[ctx]
+			return e.cu != nil && e.cu.Members[callee]
 		},
 		OnEnterCU: func(tid int, root *ir.Method) {
-			cu := img.cuByRoot[root]
-			if cu == nil {
-				return
+			if e := img.cus[root]; e.cu != nil {
+				p.Mapping.TouchRange(e.off, int64(e.cu.Size))
 			}
-			p.Mapping.TouchRange(img.CUOffset[cu], int64(cu.Size))
 		},
 		OnAccess: func(tid int, o *heap.Object, instr bool) {
 			if !o.InSnapshot {

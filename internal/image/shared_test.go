@@ -17,7 +17,7 @@ import (
 func layoutKey(img *Image) string {
 	s := ""
 	for _, cu := range img.CULayout {
-		s += fmt.Sprintf("%s@%d;", cu.Signature(), img.CUOffset[cu])
+		s += fmt.Sprintf("%s@%d;", cu.Signature(), img.CUOffset(cu))
 	}
 	s += "|"
 	for i, m := range img.Table.Methods {

@@ -11,6 +11,10 @@ type Reg int
 // NoReg marks an absent destination register.
 const NoReg Reg = -1
 
+// MaxRegs bounds a method's register file, so that an interpreter can
+// hold every register index, and NoReg, in 16 bits.
+const MaxRegs = 1<<16 - 1
+
 // Builder constructs a Program. Workloads use it as an embedded DSL; the
 // synthetic-library generator drives it programmatically.
 type Builder struct {

@@ -61,6 +61,25 @@ type Method struct {
 	size atomic.Int64
 	// sig caches Signature, atomic for the same reason as size.
 	sig atomic.Pointer[string]
+	// exec caches the interpreter's executable form of the body (see
+	// Exec), atomic for the same reason as size.
+	exec atomic.Value
+}
+
+// Exec returns the executable form of the body published by PublishExec,
+// or nil. The interpreter (internal/vm) owns its type; the body must not
+// change once it has been published.
+func (m *Method) Exec() any { return m.exec.Load() }
+
+// PublishExec publishes x as the executable form of the body unless one
+// was published first, and returns the published form. Concurrent
+// machines over one program race to publish; every form is equivalent, so
+// any winner is correct.
+func (m *Method) PublishExec(x any) any {
+	if m.exec.CompareAndSwap(nil, x) {
+		return x
+	}
+	return m.exec.Load()
 }
 
 // Signature renders the globally unique method signature,

@@ -111,6 +111,8 @@ const (
 )
 
 // Intrinsic names understood by the interpreter (Instr.Sym of OpIntrinsic).
+// Their argument counts and destinations are in the IntrinsicID table,
+// which Resolve enforces.
 const (
 	// IntrinsicPrint consumes one argument; models console output cost.
 	IntrinsicPrint = "print"
@@ -156,6 +158,88 @@ const (
 	IntrinsicSin = "sin"
 )
 
+// IntrinsicID is the dense code of a known intrinsic. The zero value marks
+// a name the interpreter does not know: such an intrinsic resolves, and
+// traps when it executes.
+type IntrinsicID uint8
+
+// Known intrinsics, in table order.
+const (
+	IntrUnknown IntrinsicID = iota
+	IntrPrint
+	IntrArg
+	IntrRespond
+	IntrSpawn
+	IntrYield
+	IntrBuildSalt
+	IntrIntern
+	IntrConcat
+	IntrStrLen
+	IntrStrHash
+	IntrItoa
+	IntrStrChar
+	IntrStrEq
+	IntrAbsF
+	IntrSqrt
+	IntrCos
+	IntrSin
+	numIntrinsics
+)
+
+// intrinsics is the operand shape of every known intrinsic, indexed by ID:
+// its name, its argument count (-1 accepts any), and whether it writes
+// register A.
+var intrinsics = [numIntrinsics]struct {
+	name  string
+	arity int
+	dest  bool
+}{
+	IntrPrint:     {IntrinsicPrint, 1, false},
+	IntrArg:       {IntrinsicArg, 1, true},
+	IntrRespond:   {IntrinsicRespond, 0, false},
+	IntrSpawn:     {IntrinsicSpawn, -1, false},
+	IntrYield:     {IntrinsicYield, 0, false},
+	IntrBuildSalt: {IntrinsicBuildSalt, 0, true},
+	IntrIntern:    {IntrinsicIntern, 1, true},
+	IntrConcat:    {IntrinsicConcat, 2, true},
+	IntrStrLen:    {IntrinsicStrLen, 1, true},
+	IntrStrHash:   {IntrinsicStrHash, 1, true},
+	IntrItoa:      {IntrinsicItoa, 1, true},
+	IntrStrChar:   {IntrinsicStrChar, 2, true},
+	IntrStrEq:     {IntrinsicStrEq, 2, true},
+	IntrAbsF:      {IntrinsicAbsF, 1, true},
+	IntrSqrt:      {IntrinsicSqrt, 1, true},
+	IntrCos:       {IntrinsicCos, 1, true},
+	IntrSin:       {IntrinsicSin, 1, true},
+}
+
+var intrinsicByName = func() map[string]IntrinsicID {
+	ids := make(map[string]IntrinsicID, numIntrinsics)
+	for id := IntrPrint; id < numIntrinsics; id++ {
+		ids[intrinsics[id].name] = id
+	}
+	return ids
+}()
+
+// LookupIntrinsic returns the ID of the named intrinsic, or IntrUnknown.
+func LookupIntrinsic(name string) IntrinsicID { return intrinsicByName[name] }
+
+// Name returns the intrinsic's name ("" for IntrUnknown).
+func (id IntrinsicID) Name() string { return intrinsics[id].name }
+
+// Arity returns the intrinsic's argument count, or -1 when it accepts any
+// count (spawn, and an unknown intrinsic).
+func (id IntrinsicID) Arity() int {
+	if id == IntrUnknown {
+		return -1
+	}
+	return intrinsics[id].arity
+}
+
+// HasDest reports whether the intrinsic writes register A. An unknown
+// intrinsic is assumed to, so its destination is still validated.
+func (id IntrinsicID) HasDest() bool { return id == IntrUnknown || intrinsics[id].dest }
+
 // Instr is a single three-address instruction. The meaning of the operand
 // fields depends on Op; unused fields are zero.
 type Instr struct {
@@ -193,11 +277,7 @@ func (in *Instr) HasDest() bool {
 	case OpArraySet, OpPutField, OpPutStatic:
 		return false
 	case OpIntrinsic:
-		switch in.Sym {
-		case IntrinsicPrint, IntrinsicRespond, IntrinsicSpawn, IntrinsicYield:
-			return false
-		}
-		return true
+		return LookupIntrinsic(in.Sym).HasDest()
 	case OpCall, OpCallVirt:
 		return in.A >= 0
 	}

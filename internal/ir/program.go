@@ -116,6 +116,9 @@ func (p *Program) resolveMethod(m *Method) error {
 	if len(m.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", where())
 	}
+	if m.NumRegs > MaxRegs {
+		return fmt.Errorf("%s: NumRegs %d > %d", where(), m.NumRegs, MaxRegs)
+	}
 	if m.NParams > m.NumRegs {
 		return fmt.Errorf("%s: NParams %d > NumRegs %d", where(), m.NParams, m.NumRegs)
 	}
@@ -273,6 +276,9 @@ func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) e
 	case OpIntrinsic:
 		if in.Sym == "" {
 			return fmt.Errorf("intrinsic with empty name")
+		}
+		if n := LookupIntrinsic(in.Sym).Arity(); n >= 0 && len(in.Args) != n {
+			return fmt.Errorf("intrinsic %s with %d args, want %d", in.Sym, len(in.Args), n)
 		}
 		if in.HasDest() {
 			if err := regs(in.A); err != nil {

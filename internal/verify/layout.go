@@ -161,7 +161,7 @@ func offsetChecks(img *image.Image) []layoutCheck {
 	cuFail := ""
 	prevEnd := img.TextSection.Off
 	for _, cu := range img.CULayout {
-		off := img.CUOffset[cu]
+		off := img.CUOffset(cu)
 		switch {
 		case off%16 != 0:
 			cuFail = fmt.Sprintf("CU %s at unaligned offset %d", cu.Root.Signature(), off)
@@ -293,11 +293,11 @@ func identityChecks(opt, opt2 *image.Image) []layoutCheck {
 	} else {
 		off2 := make(map[string]int64, len(opt2.CULayout))
 		for _, cu := range opt2.CULayout {
-			off2[cu.Signature()] = opt2.CUOffset[cu]
+			off2[cu.Signature()] = opt2.CUOffset(cu)
 		}
 		for _, cu := range opt.CULayout {
-			if got, ok := off2[cu.Signature()]; !ok || got != opt.CUOffset[cu] {
-				cuFail = fmt.Sprintf("CU %s moved: %d vs %d", cu.Signature(), opt.CUOffset[cu], got)
+			if got, ok := off2[cu.Signature()]; !ok || got != opt.CUOffset(cu) {
+				cuFail = fmt.Sprintf("CU %s moved: %d vs %d", cu.Signature(), opt.CUOffset(cu), got)
 				break
 			}
 		}

@@ -50,11 +50,11 @@ func recipeChecks(img *image.Image) []layoutCheck {
 	} else {
 		off2 := make(map[string]int64, len(baked.CULayout))
 		for _, cu := range baked.CULayout {
-			off2[cu.Signature()] = baked.CUOffset[cu]
+			off2[cu.Signature()] = baked.CUOffset(cu)
 		}
 		for _, cu := range img.CULayout {
-			if got, ok := off2[cu.Signature()]; !ok || got != img.CUOffset[cu] {
-				cuFail = fmt.Sprintf("CU %s moved: %d vs %d", cu.Signature(), img.CUOffset[cu], got)
+			if got, ok := off2[cu.Signature()]; !ok || got != img.CUOffset(cu) {
+				cuFail = fmt.Sprintf("CU %s moved: %d vs %d", cu.Signature(), img.CUOffset(cu), got)
 				break
 			}
 		}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strconv"
 
@@ -10,201 +11,290 @@ import (
 	"nimage/internal/murmur"
 )
 
-// step executes one instruction (or terminator) of the top frame of t.
-// It reports whether the thread voluntarily yielded its time slice.
-func (m *Machine) step(t *thread) (yielded bool, err error) {
-	f := t.frames[len(t.frames)-1]
-	blk := f.m.Blocks[f.block]
-	if f.ip >= len(blk.Instrs) {
-		return false, m.terminate(t, f, blk)
-	}
-	in := &blk.Instrs[f.ip]
-	f.ip++
-	m.Cycles += costInstr
-	if m.mixOn {
-		m.mix[in.Op]++
-	}
-
-	if m.AutoClinit {
-		var trigger *ir.Class
-		switch in.Op {
-		case ir.OpNew:
-			trigger = in.Class
-		case ir.OpGetStatic, ir.OpPutStatic:
-			trigger = in.Field.Class
-		case ir.OpCall:
-			if in.Method.Static && !in.Method.Clinit {
-				trigger = in.Method.Class
-			}
-		}
-		if trigger != nil && !m.clinitDone[trigger] && m.ensureInit(t, trigger) {
-			f.ip-- // re-execute after the initializers return
-			return false, nil
-		}
-	}
-
-	switch in.Op {
-	case ir.OpConstInt:
-		f.regs[in.A] = heap.IntVal(in.Val)
-	case ir.OpConstFloat:
-		f.regs[in.A] = heap.Value{Kind: heap.VFloat, Bits: in.Val}
-	case ir.OpConstStr:
-		if m.Interns == nil {
-			return false, m.trapf(f, "string literal without %s on classpath", ir.StringClass)
-		}
-		f.regs[in.A] = heap.RefVal(m.internString(in.Sym))
-	case ir.OpConstNull:
-		f.regs[in.A] = heap.Null()
-	case ir.OpMove:
-		f.regs[in.A] = f.regs[in.B]
-	case ir.OpArith:
-		v, e := intArith(ir.ArithOp(in.Val), f.regs[in.B].Int(), f.regs[in.C].Int())
-		if e != "" {
-			return false, m.trapf(f, "%s", e)
-		}
-		f.regs[in.A] = heap.IntVal(v)
-	case ir.OpFArith:
-		f.regs[in.A] = heap.FloatVal(floatArith(ir.ArithOp(in.Val), f.regs[in.B].Float(), f.regs[in.C].Float()))
-	case ir.OpCmp:
-		f.regs[in.A] = heap.IntVal(boolInt(compare(ir.CmpOp(in.Val), f.regs[in.B], f.regs[in.C])))
-	case ir.OpConvIF:
-		f.regs[in.A] = heap.FloatVal(float64(f.regs[in.B].Int()))
-	case ir.OpConvFI:
-		f.regs[in.A] = heap.IntVal(int64(f.regs[in.B].Float()))
-	case ir.OpNew:
-		m.Cycles += costAlloc
-		if m.Hooks.OnNew != nil {
-			m.Hooks.OnNew(t.id, in.Class)
-		}
-		f.regs[in.A] = heap.RefVal(heap.NewObject(in.Class))
-	case ir.OpNewArray:
-		n := f.regs[in.B].Int()
-		if n < 0 || n > 1<<26 {
-			return false, m.trapf(f, "array length %d out of range", n)
-		}
-		m.Cycles += costAlloc + n/8
-		f.regs[in.A] = heap.RefVal(heap.NewArray(in.Type, int(n)))
-	case ir.OpArrayGet:
-		o := f.regs[in.B].Ref
-		if o == nil {
-			return false, m.trapf(f, "null array load")
-		}
-		i := f.regs[in.C].Int()
-		if i < 0 || i >= int64(o.Len()) {
-			return false, m.trapf(f, "index %d out of bounds [0,%d)", i, o.Len())
-		}
-		m.access(t, o)
-		f.regs[in.A] = o.GetElem(int(i))
-	case ir.OpArraySet:
-		o := f.regs[in.A].Ref
-		if o == nil {
-			return false, m.trapf(f, "null array store")
-		}
-		i := f.regs[in.B].Int()
-		if i < 0 || i >= int64(o.Len()) {
-			return false, m.trapf(f, "index %d out of bounds [0,%d)", i, o.Len())
-		}
-		m.access(t, o)
-		m.recordElemWrite(o, int(i))
-		o.SetElem(int(i), f.regs[in.C])
-	case ir.OpArrayLen:
-		o := f.regs[in.B].Ref
-		if o == nil {
-			return false, m.trapf(f, "null array length")
-		}
-		m.access(t, o)
-		f.regs[in.A] = heap.IntVal(int64(o.Len()))
-	case ir.OpGetField:
-		o := f.regs[in.B].Ref
-		if o == nil {
-			return false, m.trapf(f, "null field load of %s", in.Field.Descriptor())
-		}
-		m.access(t, o)
-		f.regs[in.A] = o.GetField(in.Field)
-	case ir.OpPutField:
-		o := f.regs[in.A].Ref
-		if o == nil {
-			return false, m.trapf(f, "null field store of %s", in.Field.Descriptor())
-		}
-		m.access(t, o)
-		m.recordFieldWrite(o, in.Field)
-		o.SetField(in.Field, f.regs[in.B])
-	case ir.OpGetStatic:
-		m.Cycles += costAccess
-		f.regs[in.A] = m.Statics.Get(in.Field)
-	case ir.OpPutStatic:
-		m.Cycles += costAccess
-		m.recordStaticWrite(in.Field)
-		m.Statics.Set(in.Field, f.regs[in.A])
-	case ir.OpCall, ir.OpCallVirt:
-		return false, m.call(t, f, in)
-	case ir.OpIntrinsic:
-		return m.intrinsic(t, f, in)
-	default:
-		return false, m.trapf(f, "invalid opcode %d", in.Op)
-	}
-	return false, nil
-}
-
-// terminate executes the terminator of the current block.
-func (m *Machine) terminate(t *thread, f *frame, blk *ir.Block) error {
-	m.Cycles += costInstr
-	switch blk.Term.Op {
-	case ir.TermGoto:
-		m.enterBlock(t, f, blk.Term.Then)
-	case ir.TermIf:
-		if f.regs[blk.Term.Cond].Truthy() {
-			m.enterBlock(t, f, blk.Term.Then)
-		} else {
-			m.enterBlock(t, f, blk.Term.Else)
-		}
-	case ir.TermReturn:
-		ret := heap.Null()
-		if blk.Term.Ret >= 0 {
-			ret = f.regs[blk.Term.Ret]
-		}
-		if m.Hooks.OnMethodExit != nil {
-			m.Hooks.OnMethodExit(t.id, f.m)
-		}
-		t.frames = t.frames[:len(t.frames)-1]
-		m.freeFrames = append(m.freeFrames, f)
+// runQuantum executes up to Quantum steps on thread t: one step per IR
+// instruction or block terminator. Straight-line code — register ops,
+// constants, array, field and static accesses, and jumps — runs in the
+// inner loop over the top frame's ops, registers and pc held in locals;
+// pc is written back to the frame before any hook, trap or frame change.
+// Allocation, calls, intrinsics, returns and class-initialization
+// triggers leave the inner loop for step.
+func (m *Machine) runQuantum(t *thread) error {
+	mixOn := m.mixOn
+	for left := m.Quantum; left > 0; left-- {
 		if len(t.frames) == 0 {
-			m.lastResult = ret
 			t.done = true
 			return nil
 		}
-		if f.retReg >= 0 {
-			t.frames[len(t.frames)-1].regs[f.retReg] = ret
+		if m.stop {
+			return nil
 		}
-	default:
-		return m.trapf(f, "invalid terminator %d", blk.Term.Op)
+		f := t.frames[len(t.frames)-1]
+		c, regs, pc := f.code, f.regs, f.pc
+		var o *op
+	straight:
+		for {
+			o = &c.ops[pc]
+			pc++
+			m.Cycles += costInstr
+			if mixOn && o.code < uint8(ir.NumOps) {
+				m.mix[o.code]++
+			}
+			switch o.code {
+			case uint8(ir.OpConstInt):
+				v := int64(o.x)
+				if o.sub == flagWide {
+					v = c.wide(o.x)
+				}
+				regs[o.a] = heap.IntVal(v)
+			case uint8(ir.OpConstFloat):
+				v := int64(o.x)
+				if o.sub == flagWide {
+					v = c.wide(o.x)
+				}
+				regs[o.a] = heap.Value{Kind: heap.VFloat, Bits: v}
+			case uint8(ir.OpConstStr):
+				if m.Interns == nil {
+					f.pc = pc
+					return m.trapf(f, "string literal without %s on classpath", ir.StringClass)
+				}
+				regs[o.a] = heap.RefVal(m.internString(*c.refs[o.x].(*string)))
+			case uint8(ir.OpConstNull):
+				regs[o.a] = heap.Null()
+			case uint8(ir.OpMove):
+				regs[o.a] = regs[o.b]
+			case uint8(ir.OpArith):
+				v, e := intArith(ir.ArithOp(o.sub), regs[o.b].Int(), regs[o.c].Int())
+				if e != "" {
+					f.pc = pc
+					return m.trapf(f, "%s", e)
+				}
+				regs[o.a] = heap.IntVal(v)
+			case uint8(ir.OpFArith):
+				regs[o.a] = heap.FloatVal(floatArith(ir.ArithOp(o.sub), regs[o.b].Float(), regs[o.c].Float()))
+			case uint8(ir.OpCmp):
+				regs[o.a] = heap.IntVal(boolInt(compare(ir.CmpOp(o.sub), regs[o.b], regs[o.c])))
+			case uint8(ir.OpConvIF):
+				regs[o.a] = heap.FloatVal(float64(regs[o.b].Int()))
+			case uint8(ir.OpConvFI):
+				regs[o.a] = heap.IntVal(int64(regs[o.b].Float()))
+			case uint8(ir.OpNewArray):
+				n := regs[o.b].Int()
+				if n < 0 || n > 1<<26 {
+					f.pc = pc
+					return m.trapf(f, "array length %d out of range", n)
+				}
+				m.Cycles += costAlloc + n/8
+				regs[o.a] = heap.RefVal(heap.NewArray(*c.refs[o.x].(*ir.TypeRef), int(n)))
+			case uint8(ir.OpArrayGet):
+				a := regs[o.b].Ref
+				if a == nil {
+					f.pc = pc
+					return m.trapf(f, "null array load")
+				}
+				i := regs[o.c].Int()
+				if i < 0 || i >= int64(a.Len()) {
+					f.pc = pc
+					return m.trapf(f, "index %d out of bounds [0,%d)", i, a.Len())
+				}
+				f.pc = pc
+				m.access(t, a)
+				regs[o.a] = a.GetElem(int(i))
+			case uint8(ir.OpArraySet):
+				a := regs[o.a].Ref
+				if a == nil {
+					f.pc = pc
+					return m.trapf(f, "null array store")
+				}
+				i := regs[o.b].Int()
+				if i < 0 || i >= int64(a.Len()) {
+					f.pc = pc
+					return m.trapf(f, "index %d out of bounds [0,%d)", i, a.Len())
+				}
+				f.pc = pc
+				m.access(t, a)
+				m.recordElemWrite(a, int(i))
+				a.SetElem(int(i), regs[o.c])
+			case uint8(ir.OpArrayLen):
+				a := regs[o.b].Ref
+				if a == nil {
+					f.pc = pc
+					return m.trapf(f, "null array length")
+				}
+				f.pc = pc
+				m.access(t, a)
+				regs[o.a] = heap.IntVal(int64(a.Len()))
+			case uint8(ir.OpGetField):
+				fl := c.refs[o.x].(*ir.Field)
+				obj := regs[o.b].Ref
+				if obj == nil {
+					f.pc = pc
+					return m.trapf(f, "null field load of %s", fl.Descriptor())
+				}
+				f.pc = pc
+				m.access(t, obj)
+				regs[o.a] = obj.GetField(fl)
+			case uint8(ir.OpPutField):
+				fl := c.refs[o.x].(*ir.Field)
+				obj := regs[o.a].Ref
+				if obj == nil {
+					f.pc = pc
+					return m.trapf(f, "null field store of %s", fl.Descriptor())
+				}
+				f.pc = pc
+				m.access(t, obj)
+				m.recordFieldWrite(obj, fl)
+				obj.SetField(fl, regs[o.b])
+			case uint8(ir.OpGetStatic), uint8(ir.OpPutStatic):
+				if o.sub == flagClinit && m.AutoClinit && !m.clinitDone[c.trigger(o).ID] {
+					break straight
+				}
+				m.static(regs, c, o)
+			case opGoto:
+				pc = int(c.aux[o.x])
+				if m.Hooks.OnBlock != nil {
+					f.pc = pc
+					m.Hooks.OnBlock(t.id, f.m, int(o.x))
+				}
+			case opIf:
+				b := o.elseBlock()
+				if regs[o.a].Truthy() {
+					b = o.x
+				}
+				pc = int(c.aux[b])
+				if m.Hooks.OnBlock != nil {
+					f.pc = pc
+					m.Hooks.OnBlock(t.id, f.m, int(b))
+				}
+			default:
+				break straight
+			}
+			m.Steps++
+			if m.Steps > m.MaxSteps {
+				f.pc = pc
+				return m.budgetExhausted()
+			}
+			if left--; left == 0 {
+				f.pc = pc
+				return nil
+			}
+		}
+		f.pc = pc
+		yielded, err := m.step(t, f, o)
+		if err != nil {
+			return err
+		}
+		m.Steps++
+		if m.Steps > m.MaxSteps {
+			return m.budgetExhausted()
+		}
+		if yielded {
+			return nil
+		}
 	}
 	return nil
 }
 
-func (m *Machine) enterBlock(t *thread, f *frame, b int) {
-	f.block = b
-	f.ip = 0
-	if m.Hooks.OnBlock != nil {
-		m.Hooks.OnBlock(t.id, f.m, b)
+func (m *Machine) budgetExhausted() error {
+	return fmt.Errorf("vm: step budget %d exhausted in %s", m.MaxSteps, m.Prog.Name)
+}
+
+// step executes o, the op before f.pc, which runQuantum has charged but
+// does not run in its inner loop. It reports whether the thread
+// voluntarily yielded its time slice.
+func (m *Machine) step(t *thread, f *frame, o *op) (yielded bool, err error) {
+	c := f.code
+	switch o.code {
+	case uint8(ir.OpNew), uint8(ir.OpGetStatic), uint8(ir.OpPutStatic), uint8(ir.OpCall):
+		if o.sub == flagClinit && m.initFirst(t, f, c.trigger(o)) {
+			return false, nil
+		}
+	}
+	switch o.code {
+	case uint8(ir.OpNew):
+		cls := c.refs[o.x].(*ir.Class)
+		m.Cycles += costAlloc
+		if m.Hooks.OnNew != nil {
+			m.Hooks.OnNew(t.id, cls)
+		}
+		f.regs[o.a] = heap.RefVal(heap.NewObject(cls))
+	case uint8(ir.OpGetStatic), uint8(ir.OpPutStatic):
+		m.static(f.regs, c, o)
+	case uint8(ir.OpCall), uint8(ir.OpCallVirt):
+		return false, m.call(t, f, o)
+	case uint8(ir.OpIntrinsic):
+		return m.intrinsic(t, f, o)
+	case opReturn:
+		m.ret(t, f, o)
+	case opBadTerm:
+		f.pc--
+		return false, m.trapf(f, "invalid terminator %d", o.x)
+	default:
+		return false, m.trapf(f, "invalid opcode %d", o.code)
+	}
+	return false, nil
+}
+
+// initFirst starts the initialization of k, the class a flagged op
+// triggers: on an AutoClinit machine, it pushes the pending initializers
+// and rewinds f so the op executes again once they return.
+func (m *Machine) initFirst(t *thread, f *frame, k *ir.Class) bool {
+	if !m.AutoClinit || m.clinitDone[k.ID] || !m.ensureInit(t, k) {
+		return false
+	}
+	f.pc--
+	return true
+}
+
+// static executes a getstatic or putstatic.
+func (m *Machine) static(regs []heap.Value, c *code, o *op) {
+	m.Cycles += costAccess
+	fl := c.refs[o.x].(*ir.Field)
+	if o.code == uint8(ir.OpGetStatic) {
+		regs[o.a] = m.Statics.Get(fl)
+		return
+	}
+	m.recordStaticWrite(fl)
+	m.Statics.Set(fl, regs[o.a])
+}
+
+// ret leaves the method of the top frame f.
+func (m *Machine) ret(t *thread, f *frame, o *op) {
+	ret := heap.Null()
+	if o.a != noReg {
+		ret = f.regs[o.a]
+	}
+	if m.Hooks.OnMethodExit != nil {
+		m.Hooks.OnMethodExit(t.id, f.m)
+	}
+	t.frames = t.frames[:len(t.frames)-1]
+	m.freeFrames = append(m.freeFrames, f)
+	if len(t.frames) == 0 {
+		m.lastResult = ret
+		t.done = true
+		return
+	}
+	if f.retReg >= 0 {
+		t.frames[len(t.frames)-1].regs[f.retReg] = ret
 	}
 }
 
 // call pushes a new frame for a (possibly virtual) invocation.
-func (m *Machine) call(t *thread, f *frame, in *ir.Instr) error {
+func (m *Machine) call(t *thread, f *frame, o *op) error {
 	m.Cycles += costCall
-	callee := in.Method
-	if in.Op == ir.OpCallVirt {
-		recv := f.regs[in.Args[0]].Ref
+	target, args := f.code.siteAt(o.x)
+	callee := target.(*ir.Method)
+	if o.code == uint8(ir.OpCallVirt) {
+		recv := f.regs[args[0]].Ref
 		if recv == nil {
-			return m.trapf(f, "virtual call %s on null receiver", in.Method.Signature())
+			return m.trapf(f, "virtual call %s on null receiver", callee.Signature())
 		}
 		if recv.Class == nil {
-			return m.trapf(f, "virtual call %s on array", in.Method.Signature())
+			return m.trapf(f, "virtual call %s on array", callee.Signature())
 		}
-		callee = recv.Class.LookupMethod(in.Sym)
+		name := callee.Name
+		callee = recv.Class.LookupMethod(name)
 		if callee == nil {
-			return m.trapf(f, "no target for %s on %s", in.Sym, recv.Class.Name)
+			return m.trapf(f, "no target for %s on %s", name, recv.Class.Name)
 		}
 	}
 	if len(t.frames) >= 512 {
@@ -215,8 +305,12 @@ func (m *Machine) call(t *thread, f *frame, in *ir.Instr) error {
 	if inlined {
 		ctx = f.ctx
 	}
-	nf := m.newFrame(callee, ctx, in.A)
-	for i, a := range in.Args {
+	retReg := int(ir.NoReg)
+	if o.a != noReg {
+		retReg = int(o.a)
+	}
+	nf := m.newFrame(callee, ctx, retReg)
+	for i, a := range args {
 		nf.regs[i] = f.regs[a]
 	}
 	t.frames = append(t.frames, nf)
@@ -232,34 +326,36 @@ func (m *Machine) call(t *thread, f *frame, in *ir.Instr) error {
 	return nil
 }
 
-// intrinsic executes a built-in operation.
-func (m *Machine) intrinsic(t *thread, f *frame, in *ir.Instr) (yielded bool, err error) {
+// intrinsic executes a built-in operation. Resolve has checked its
+// argument count against the intrinsic table.
+func (m *Machine) intrinsic(t *thread, f *frame, o *op) (yielded bool, err error) {
 	m.Cycles += costIntrinsic
+	id := ir.IntrinsicID(o.sub)
+	name, args := f.code.siteAt(o.x)
+	regs := f.regs
 	argS := func(k int) (*heap.Object, error) {
-		o := f.regs[in.Args[k]].Ref
-		if o == nil || !o.IsString() {
-			return nil, m.trapf(f, "intrinsic %s: argument %d is not a string", in.Sym, k)
+		s := regs[args[k]].Ref
+		if s == nil || !s.IsString() {
+			return nil, m.trapf(f, "intrinsic %s: argument %d is not a string", id.Name(), k)
 		}
-		return o, nil
+		return s, nil
 	}
-	switch in.Sym {
-	case ir.IntrinsicPrint:
-		if len(in.Args) == 1 {
-			if o := f.regs[in.Args[0]].Ref; o != nil {
-				m.touch(t, o)
-			}
-			if m.Hooks.OnPrint != nil {
-				m.Hooks.OnPrint(t.id, f.regs[in.Args[0]])
-			}
+	switch id {
+	case ir.IntrPrint:
+		if s := regs[args[0]].Ref; s != nil {
+			m.touch(t, s)
+		}
+		if m.Hooks.OnPrint != nil {
+			m.Hooks.OnPrint(t.id, regs[args[0]])
 		}
 		m.Cycles += 20
-	case ir.IntrinsicArg:
-		idx := f.regs[in.Args[0]].Int()
+	case ir.IntrArg:
+		idx := regs[args[0]].Int()
 		if idx < 0 || idx >= int64(len(m.IntArgs)) {
 			return false, m.trapf(f, "arg index %d out of range [0,%d)", idx, len(m.IntArgs))
 		}
-		f.regs[in.A] = heap.IntVal(m.IntArgs[idx])
-	case ir.IntrinsicRespond:
+		regs[o.a] = heap.IntVal(m.IntArgs[idx])
+	case ir.IntrRespond:
 		if !m.Responded {
 			m.Responded = true
 			m.CyclesAtRespond = m.Cycles
@@ -271,33 +367,33 @@ func (m *Machine) intrinsic(t *thread, f *frame, in *ir.Instr) (yielded bool, er
 			m.stop = true
 			return true, nil
 		}
-	case ir.IntrinsicSpawn:
-		target := spawnTarget(m.Prog, in.CName)
+	case ir.IntrSpawn:
+		target := spawnTarget(m.Prog, *name.(*string))
 		if target == nil || !target.Static {
-			return false, m.trapf(f, "spawn target %q not found or not static", in.CName)
+			return false, m.trapf(f, "spawn target %q not found or not static", *name.(*string))
 		}
-		args := make([]heap.Value, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = f.regs[a]
+		vals := make([]heap.Value, len(args))
+		for i, a := range args {
+			vals[i] = regs[a]
 		}
 		m.Cycles += 200 // thread creation cost
-		m.spawnThread(target, args)
-	case ir.IntrinsicYield:
+		m.spawnThread(target, vals)
+	case ir.IntrYield:
 		return true, nil
-	case ir.IntrinsicBuildSalt:
+	case ir.IntrBuildSalt:
 		m.saltCtr++
 		var buf [16]byte
 		binary.LittleEndian.PutUint64(buf[:8], m.BuildSalt)
 		binary.LittleEndian.PutUint64(buf[8:], m.saltCtr)
-		f.regs[in.A] = heap.IntVal(int64(murmur.Sum64(buf[:])))
-	case ir.IntrinsicIntern:
+		regs[o.a] = heap.IntVal(int64(murmur.Sum64(buf[:])))
+	case ir.IntrIntern:
 		s, e := argS(0)
 		if e != nil {
 			return false, e
 		}
 		m.access(t, s)
-		f.regs[in.A] = heap.RefVal(m.internString(s.Str))
-	case ir.IntrinsicConcat:
+		regs[o.a] = heap.RefVal(m.internString(s.Str))
+	case ir.IntrConcat:
 		a, e := argS(0)
 		if e != nil {
 			return false, e
@@ -309,57 +405,57 @@ func (m *Machine) intrinsic(t *thread, f *frame, in *ir.Instr) (yielded bool, er
 		m.access(t, a)
 		m.access(t, b)
 		m.Cycles += int64(len(a.Str)+len(b.Str)) / 4
-		f.regs[in.A] = heap.RefVal(heap.NewString(m.stringClass, a.Str+b.Str))
-	case ir.IntrinsicStrLen:
+		regs[o.a] = heap.RefVal(heap.NewString(m.stringClass, a.Str+b.Str))
+	case ir.IntrStrLen:
 		s, e := argS(0)
 		if e != nil {
 			return false, e
 		}
 		m.access(t, s)
-		f.regs[in.A] = heap.IntVal(int64(len(s.Str)))
-	case ir.IntrinsicStrHash:
+		regs[o.a] = heap.IntVal(int64(len(s.Str)))
+	case ir.IntrStrHash:
 		s, e := argS(0)
 		if e != nil {
 			return false, e
 		}
 		m.access(t, s)
 		m.Cycles += int64(len(s.Str)) / 4
-		f.regs[in.A] = heap.IntVal(int64(murmur.Sum64([]byte(s.Str))))
-	case ir.IntrinsicStrChar:
-		str, e := argS(0)
+		regs[o.a] = heap.IntVal(int64(murmur.Sum64([]byte(s.Str))))
+	case ir.IntrStrChar:
+		s, e := argS(0)
 		if e != nil {
 			return false, e
 		}
-		m.access(t, str)
-		idx := f.regs[in.Args[1]].Int()
-		if idx < 0 || idx >= int64(len(str.Str)) {
-			return false, m.trapf(f, "strchar index %d out of range [0,%d)", idx, len(str.Str))
+		m.access(t, s)
+		idx := regs[args[1]].Int()
+		if idx < 0 || idx >= int64(len(s.Str)) {
+			return false, m.trapf(f, "strchar index %d out of range [0,%d)", idx, len(s.Str))
 		}
-		f.regs[in.A] = heap.IntVal(int64(str.Str[idx]))
-	case ir.IntrinsicStrEq:
-		sa, e := argS(0)
+		regs[o.a] = heap.IntVal(int64(s.Str[idx]))
+	case ir.IntrStrEq:
+		a, e := argS(0)
 		if e != nil {
 			return false, e
 		}
-		sb, e := argS(1)
+		b, e := argS(1)
 		if e != nil {
 			return false, e
 		}
-		m.access(t, sa)
-		m.access(t, sb)
-		f.regs[in.A] = heap.IntVal(boolInt(sa.Str == sb.Str))
-	case ir.IntrinsicItoa:
-		f.regs[in.A] = heap.RefVal(heap.NewString(m.stringClass, strconv.FormatInt(f.regs[in.Args[0]].Int(), 10)))
-	case ir.IntrinsicAbsF:
-		f.regs[in.A] = heap.FloatVal(math.Abs(f.regs[in.Args[0]].Float()))
-	case ir.IntrinsicSqrt:
-		f.regs[in.A] = heap.FloatVal(math.Sqrt(f.regs[in.Args[0]].Float()))
-	case ir.IntrinsicCos:
-		f.regs[in.A] = heap.FloatVal(math.Cos(f.regs[in.Args[0]].Float()))
-	case ir.IntrinsicSin:
-		f.regs[in.A] = heap.FloatVal(math.Sin(f.regs[in.Args[0]].Float()))
+		m.access(t, a)
+		m.access(t, b)
+		regs[o.a] = heap.IntVal(boolInt(a.Str == b.Str))
+	case ir.IntrItoa:
+		regs[o.a] = heap.RefVal(heap.NewString(m.stringClass, strconv.FormatInt(regs[args[0]].Int(), 10)))
+	case ir.IntrAbsF:
+		regs[o.a] = heap.FloatVal(math.Abs(regs[args[0]].Float()))
+	case ir.IntrSqrt:
+		regs[o.a] = heap.FloatVal(math.Sqrt(regs[args[0]].Float()))
+	case ir.IntrCos:
+		regs[o.a] = heap.FloatVal(math.Cos(regs[args[0]].Float()))
+	case ir.IntrSin:
+		regs[o.a] = heap.FloatVal(math.Sin(regs[args[0]].Float()))
 	default:
-		return false, m.trapf(f, "unknown intrinsic %q", in.Sym)
+		return false, m.trapf(f, "unknown intrinsic %q", *name.(*string))
 	}
 	return false, nil
 }

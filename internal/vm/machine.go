@@ -116,13 +116,15 @@ type Machine struct {
 	CyclesAtRespond int64
 
 	stringClass *ir.Class
-	clinitDone  map[*ir.Class]bool
-	saltCtr     uint64
-	stop        bool
-	threads     []*thread
-	nextTID     int
-	journal     *journal
-	lastResult  heap.Value
+	// clinitDone[c.ID] records that class c's initialization has
+	// started; Resolve numbers classes densely from 1.
+	clinitDone []bool
+	saltCtr    uint64
+	stop       bool
+	threads    []*thread
+	nextTID    int
+	journal    *journal
+	lastResult heap.Value
 
 	// freeFrames and freeThreads are the machine's recycled frames and
 	// threads (see newFrame and newThread).
@@ -148,7 +150,7 @@ func New(prog *ir.Program) *Machine {
 	}
 	m.MaxSteps = 200_000_000
 	m.Quantum = 400
-	m.clinitDone = make(map[*ir.Class]bool)
+	m.clinitDone = make([]bool, len(prog.Classes)+1)
 	return m
 }
 
@@ -158,10 +160,10 @@ func New(prog *ir.Program) *Machine {
 func (m *Machine) ensureInit(t *thread, c *ir.Class) bool {
 	var pending []*ir.Method
 	for k := c; k != nil; k = k.Super {
-		if m.clinitDone[k] {
+		if m.clinitDone[k.ID] {
 			break
 		}
-		m.clinitDone[k] = true
+		m.clinitDone[k.ID] = true
 		if cl := k.Clinit(); cl != nil {
 			pending = append(pending, cl)
 		}
@@ -204,10 +206,10 @@ func (m *Machine) RespondTimeNanos() float64 { return float64(m.CyclesAtRespond)
 
 type frame struct {
 	m      *ir.Method
+	code   *code      // m's decoded body
 	ctx    *ir.Method // root of the CU whose compiled code is executing
 	regs   []heap.Value
-	block  int
-	ip     int
+	pc     int // offset of the next op in code.ops
 	retReg int // destination register in the caller (NoReg if discarded)
 }
 
@@ -236,7 +238,7 @@ func (m *Machine) newFrame(meth, ctx *ir.Method, retReg int) *frame {
 	for i := range regs {
 		regs[i] = heap.Null()
 	}
-	*f = frame{m: meth, ctx: ctx, regs: regs, retReg: retReg}
+	*f = frame{m: meth, code: codeOf(meth), ctx: ctx, regs: regs, retReg: retReg}
 	return f
 }
 
@@ -266,8 +268,12 @@ func (t *trap) Error() string {
 	return fmt.Sprintf("vm: %s at %s block %d ip %d", t.msg, t.m.Signature(), t.blk, t.ip)
 }
 
+// trapf reports an error at f's pc: the op after the trapping instruction,
+// so ip counts the instructions of the block executed so far, or the
+// terminator when a terminator traps.
 func (m *Machine) trapf(f *frame, format string, args ...any) error {
-	return &trap{msg: fmt.Sprintf(format, args...), m: f.m, blk: f.block, ip: f.ip}
+	blk, ip := f.code.where(f.pc, len(f.m.Blocks))
+	return &trap{msg: fmt.Sprintf(format, args...), m: f.m, blk: blk, ip: ip}
 }
 
 // RunProgram executes the program entry under the deterministic scheduler
@@ -377,29 +383,4 @@ func (m *Machine) flushObs() {
 	m.Obs.Gauge("vm.cycles").Set(float64(m.Cycles))
 	m.Obs.Gauge("vm.cpu_nanos").Set(m.SimTimeNanos())
 	m.Obs.Gauge("vm.threads").Set(float64(m.nextTID))
-}
-
-// runQuantum executes up to Quantum instructions on thread t.
-func (m *Machine) runQuantum(t *thread) error {
-	for n := 0; n < m.Quantum; n++ {
-		if len(t.frames) == 0 {
-			t.done = true
-			return nil
-		}
-		if m.stop {
-			return nil
-		}
-		yielded, err := m.step(t)
-		if err != nil {
-			return err
-		}
-		m.Steps++
-		if m.Steps > m.MaxSteps {
-			return fmt.Errorf("vm: step budget %d exhausted in %s", m.MaxSteps, m.Prog.Name)
-		}
-		if yielded {
-			return nil
-		}
-	}
-	return nil
 }

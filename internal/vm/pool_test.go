@@ -40,8 +40,8 @@ func TestReusedFrameRegistersReadNull(t *testing.T) {
 				t.Errorf("%s: register %d = %v, want null", callee.Name, i, v)
 			}
 		}
-		if f.m != callee || f.block != 0 || f.ip != 0 || f.retReg != 0 {
-			t.Errorf("%s: frame state not reset: block %d ip %d retReg %d", callee.Name, f.block, f.ip, f.retReg)
+		if f.m != callee || f.pc != 0 || f.retReg != 0 {
+			t.Errorf("%s: frame state not reset: pc %d retReg %d", callee.Name, f.pc, f.retReg)
 		}
 		dirty(f)
 	}
