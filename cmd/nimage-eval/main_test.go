@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"nimage/internal/core"
 	"nimage/internal/eval"
 )
 
@@ -466,6 +468,75 @@ func TestCommittedColdStartColumnsDiscriminate(t *testing.T) {
 			}
 			if same {
 				t.Errorf("%s and %s carry identical values on all four cold-start figures", a, b)
+			}
+		}
+	}
+}
+
+// TestCommittedPaperTrends checks the paper's trends (EXPERIMENTS.md) on
+// the committed cold-start figures: the geomeans in BENCH_baseline.json
+// and the per-benchmark factors in the figure CSVs. cu+heap path is
+// compared with the code strategies only on the speedup Figures 4 and 5:
+// Figures 2 and 3 count the faults of the sections each strategy reorders,
+// so cu+heap path's text+heap sum is not comparable with cu's text count.
+func TestCommittedPaperTrends(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc benchDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	best := func(geo map[string]float64, text, heap bool) (string, float64) {
+		name, max := "", 0.0
+		for s, v := range geo {
+			if info, _ := core.StrategyByName(s); info.Text == text && info.Heap == heap && v > max {
+				name, max = s, v
+			}
+		}
+		return name, max
+	}
+	for _, key := range []string{
+		"figure2-pagefaults-awfy", "figure3-pagefaults-microservices",
+		"figure4-speedup-microservices", "figure5-speedup-awfy",
+	} {
+		geo := doc.Figures[key]
+		if len(geo) != len(eval.Strategies()) {
+			t.Fatalf("%s has %d strategies, want %d", key, len(geo), len(eval.Strategies()))
+		}
+		at := func(s string) float64 { return geo[s] }
+		if strings.Contains(key, "speedup") {
+			for _, s := range []string{core.StrategyCU, core.StrategyMethod} {
+				if at(core.StrategyCombined) < at(s) {
+					t.Errorf("%s: cu+heap path %.4f < %s %.4f", key, at(core.StrategyCombined), s, at(s))
+				}
+			}
+		}
+		code, codeBest := best(geo, true, false)
+		heap, heapBest := best(geo, false, true)
+		if codeBest < heapBest {
+			t.Errorf("%s: best code strategy %s %.4f < best heap strategy %s %.4f", key, code, codeBest, heap, heapBest)
+		}
+		if at(core.StrategyCU) < at(core.StrategyMethod) {
+			t.Errorf("%s: cu %.4f < method %.4f", key, at(core.StrategyCU), at(core.StrategyMethod))
+		}
+		if heap != core.StrategyHeapPath {
+			t.Errorf("%s: best heap strategy is %s %.4f, not heap path %.4f", key, heap, heapBest, at(core.StrategyHeapPath))
+		}
+
+		rows, err := os.ReadFile(filepath.Join("..", "..", "output", key+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(rows)), "\n")[1:] {
+			f := strings.Split(line, ",")
+			factor, err := strconv.ParseFloat(f[2], 64)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", key, line, err)
+			}
+			if factor < 0.95 {
+				t.Errorf("%s: %s/%s slows down to %.4f×", key, f[0], f[1], factor)
 			}
 		}
 	}

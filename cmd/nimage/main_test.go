@@ -4,8 +4,16 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"nimage/internal/core"
+	"nimage/internal/graal"
+	"nimage/internal/image"
+	"nimage/internal/postproc"
+	"nimage/internal/profiler"
+	"nimage/internal/workloads"
 )
 
 // The commands are plain functions over argument slices, so they can be
@@ -419,6 +427,57 @@ func TestCmdProfileWritesArtifacts(t *testing.T) {
 	}
 	if err := cmdProfile([]string{"-workload", "Sieve", "-strategy", "bogus"}); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+}
+
+// TestCmdProfileMatchesPipeline: for each cold-start strategy, the CSV
+// nimage profile writes is the profile BuildOptimized feeds its optimized
+// build at the same seed; strategies outside the cold-start set are
+// rejected.
+func TestCmdProfileMatchesPipeline(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"Bounce", "micronaut"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range core.EvalStrategyNames() {
+			csv := filepath.Join(dir, name+"-"+s+".csv")
+			if err := cmdProfile([]string{"-workload", name, "-strategy", s, "-seed", "7", "-out", csv}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := image.BuildOptimized(w.Build(), image.PipelineOptions{
+				Compiler: graal.DefaultConfig(), Strategy: s, InstrumentedSeed: 7, OptimizedSeed: 8,
+				Mode: profiler.ModeFor(w.Service), Args: w.Args, Service: w.Service,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(csv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want any
+			if info, _ := core.StrategyByName(s); info.Instr[0] == graal.InstrHeap {
+				got, err = postproc.ReadHeapProfile(f)
+				want = res.HeapProfile
+			} else {
+				got, err = postproc.ReadCodeProfile(f)
+				want = res.CodeProfile
+			}
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: profile CSV differs from the pipeline's profile", name, s)
+			}
+		}
+	}
+	for _, s := range []string{core.StrategyPettisHansen, core.StrategyC3} {
+		if err := cmdProfile([]string{"-workload", "Bounce", "-strategy", s, "-out", filepath.Join(dir, "x.csv")}); err == nil {
+			t.Errorf("strategy %q accepted", s)
+		}
 	}
 }
 

@@ -9,14 +9,14 @@ import (
 	"nimage/internal/core"
 	"nimage/internal/graal"
 	"nimage/internal/image"
-	"nimage/internal/osim"
 	"nimage/internal/postproc"
 	"nimage/internal/profiler"
 )
 
-// cmdProfile performs the profiling half of the methodology explicitly:
+// cmdProfile performs the profiling half of the methodology explicitly —
 // instrumented build → traced run → trace file → post-processing → CSV
-// ordering profile, writing both artifacts to disk (Sec. 6).
+// ordering profile — through image.RunProfile, the run BuildOptimized
+// makes, and writes both artifacts to disk (Sec. 6).
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	name := workloadFlag(fs)
@@ -31,62 +31,34 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	p := w.Build()
-
-	var instr graal.Instrumentation
-	switch *strategy {
-	case core.StrategyCU, core.StrategyCombined:
-		instr = graal.InstrCU
-	case core.StrategyMethod:
-		instr = graal.InstrMethod
-	case core.StrategyIncremental, core.StrategyStructural, core.StrategyHeapPath:
-		instr = graal.InstrHeap
-	default:
+	info, ok := core.StrategyByName(*strategy)
+	if !ok || !info.Eval {
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
-	mode := profiler.ModeFor(w.Service)
-
-	img, err := image.Build(p, image.Options{
-		Kind:         image.KindInstrumented,
-		Compiler:     graal.DefaultConfig(),
-		Instr:        instr,
-		Mode:         mode,
-		BuildSeed:    *seed,
-		HeapStrategy: core.HeapStrategyByName(*strategy),
-	})
+	// The strategy's first probe kind: the CU run for "cu+heap path". A
+	// heap run records the IDs of the named strategy only. Profiling
+	// finishes before the output file is created, so a failure leaves no
+	// empty profile behind.
+	instr := info.Instr[0]
+	prof, traces, err := image.RunProfile(w.Build(), image.PipelineOptions{
+		Compiler:         graal.DefaultConfig(),
+		InstrumentedSeed: *seed,
+		Mode:             profiler.ModeFor(w.Service),
+		Args:             w.Args,
+		Service:          w.Service,
+	}, instr, core.HeapStrategyByName(*strategy))
 	if err != nil {
 		return err
-	}
-	tr := profiler.NewTracer(instr, mode)
-	tr.MethodIdx = img.Table.Index
-	tr.Numberings = img.Numberings
-	tr.ObjectHandle = img.ObjectHandle
-
-	o := osim.NewOS(osim.SSD())
-	proc, err := img.NewProcess(o, tr.Hooks())
-	if err != nil {
-		return err
-	}
-	defer proc.Close()
-	tr.AddCycles = func(c int64) { proc.Machine.Cycles += c }
-	proc.Machine.StopOnRespond = w.Service
-	if err := proc.Run(w.Args...); err != nil {
-		return err
-	}
-	traces := tr.Finish(w.Service)
-	words := 0
-	for _, t := range traces {
-		words += len(t.Words)
 	}
 	fmt.Printf("%s: %s-instrumented run (%s buffers): %d threads, %d trace words, %v simulated\n",
-		w.Name, instr, mode, len(traces), words, proc.Stats().Total)
+		w.Name, instr, prof.Run.Mode, len(traces), prof.Run.TraceWords, prof.Run.Total)
 
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
-		if err := profiler.WriteTraces(f, instr, mode, traces); err != nil {
+		if err := profiler.WriteTraces(f, instr, prof.Run.Mode, traces); err != nil {
 			f.Close()
 			return err
 		}
@@ -94,29 +66,6 @@ func cmdProfile(args []string) error {
 			return err
 		}
 		fmt.Printf("wrote raw trace to %s\n", *tracePath)
-	}
-
-	// Post-process before creating the output file, so a failure leaves
-	// no empty profile behind.
-	var code []string
-	var heapProf []uint64
-	switch instr {
-	case graal.InstrCU:
-		a := postproc.NewCUOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return err
-		}
-		code = a.Profile()
-	case graal.InstrMethod:
-		a := postproc.NewMethodOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return err
-		}
-		code = a.Profile()
-	default:
-		if heapProf, err = img.HeapProfile(traces, *strategy); err != nil {
-			return err
-		}
 	}
 
 	path := *out
@@ -129,16 +78,17 @@ func cmdProfile(args []string) error {
 	}
 	defer f.Close()
 	if instr == graal.InstrHeap {
+		heapProf := prof.Heap[*strategy]
 		if err := postproc.WriteHeapProfile(f, heapProf); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s heap-ordering profile (%d IDs) to %s\n", *strategy, len(heapProf), path)
 		return nil
 	}
-	if err := postproc.WriteCodeProfile(f, code); err != nil {
+	if err := postproc.WriteCodeProfile(f, prof.Code); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s-ordering profile (%d entries) to %s\n", instr, len(code), path)
+	fmt.Printf("wrote %s-ordering profile (%d entries) to %s\n", instr, len(prof.Code), path)
 	return nil
 }
 

@@ -183,7 +183,7 @@ func (h *Harness) pageStates(workloadName, section, strategy string) (regular, o
 		return nil, nil, err
 	}
 	states := func(layout string) ([]osim.PageState, error) {
-		res, err := h.bake(w, layout, 0, nil, nil)
+		res, _, err := h.bake(w, layout, 0, false, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +214,7 @@ func (h *Harness) CompilerInfo(ws []workloads.Workload) (string, error) {
 	fmt.Fprintf(&sb, "%-12s %8s %8s %8s %10s %12s %12s\n",
 		"workload", "classes", "methods", "CUs", "objects", "text(B)", "heap(B)")
 	for _, w := range ws {
-		res, err := h.bake(w, LayoutBaseline, 0, nil, nil)
+		res, _, err := h.bake(w, LayoutBaseline, 0, false, nil)
 		if err != nil {
 			return "", err
 		}

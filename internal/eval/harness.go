@@ -125,6 +125,7 @@ type Harness struct {
 	serveGraphs map[string]*affinity.Graph
 	searchCache map[string]*SearchResult
 	fleetCache  map[string][]*FleetOutcome
+	profiles    map[string]*image.Profile
 
 	sched sched
 }
@@ -140,6 +141,7 @@ func NewHarness(cfg Config) *Harness {
 		serveGraphs: make(map[string]*affinity.Graph),
 		searchCache: make(map[string]*SearchResult),
 		fleetCache:  make(map[string][]*FleetOutcome),
+		profiles:    make(map[string]*image.Profile),
 	}
 }
 
@@ -244,12 +246,18 @@ func (h *Harness) MeasureBaseline(w workloads.Workload) ([]RunMeasure, error) {
 }
 
 // bake builds image bld of a layout of w: the regular binary for
-// LayoutBaseline (no profiling runs), otherwise the layout's
-// profile-guided pipeline at the build's seeds. adjust, when non-nil,
-// edits the pipeline options first (serve graph layouts bake from a
-// serve recording).
-func (h *Harness) bake(w workloads.Workload, layout string, bld int, r *obs.Registry, adjust func(*image.PipelineOptions) error) (*image.PipelineResult, error) {
+// LayoutBaseline, otherwise the layout's pipeline at the build's seeds on
+// profiles shared through Harness.profile. adjust, when non-nil, edits the
+// pipeline options first (serve graph layouts bake from a serve
+// recording). observe adds the build's snapshot, shared profiles merged.
+func (h *Harness) bake(w workloads.Workload, layout string, bld int, observe bool, adjust func(*image.PipelineOptions) error) (*image.PipelineResult, *obs.Snapshot, error) {
 	p := h.Program(w)
+	var r *obs.Registry
+	if observe {
+		r = obs.NewRegistry()
+	}
+	var res *image.PipelineResult
+	var shared []*obs.Snapshot
 	if layout == LayoutBaseline {
 		img, err := image.Build(p, image.Options{
 			Kind:      image.KindRegular,
@@ -258,30 +266,65 @@ func (h *Harness) bake(w workloads.Workload, layout string, bld int, r *obs.Regi
 			Obs:       r,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("eval: baseline build of %s: %w", w.Name, err)
+			return nil, nil, fmt.Errorf("eval: baseline build of %s: %w", w.Name, err)
 		}
-		return &image.PipelineResult{Optimized: img}, nil
-	}
-	popts := image.PipelineOptions{
-		Compiler:         h.Cfg.Compiler,
-		Strategy:         layout,
-		InstrumentedSeed: instrumentedSeed(bld),
-		OptimizedSeed:    optimizedSeed(bld),
-		Mode:             profiler.ModeFor(w.Service),
-		Args:             w.Args,
-		Service:          w.Service,
-		Obs:              r,
-	}
-	if adjust != nil {
-		if err := adjust(&popts); err != nil {
-			return nil, err
+		res = &image.PipelineResult{Optimized: img}
+	} else {
+		popts := image.PipelineOptions{
+			Compiler:         h.Cfg.Compiler,
+			Strategy:         layout,
+			InstrumentedSeed: instrumentedSeed(bld),
+			OptimizedSeed:    optimizedSeed(bld),
+			Mode:             profiler.ModeFor(w.Service),
+			Args:             w.Args,
+			Service:          w.Service,
+			Obs:              r,
+		}
+		if adjust != nil {
+			if err := adjust(&popts); err != nil {
+				return nil, nil, err
+			}
+		}
+		var err error
+		res, err = image.BuildOptimizedWith(p, popts, func(instr graal.Instrumentation, run func([]core.HeapStrategy, *obs.Registry) (*image.Profile, error)) (*image.Profile, error) {
+			prof, err := h.profile(w, bld, instr, run)
+			if err == nil {
+				shared = append(shared, prof.Obs)
+			}
+			return prof, err
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("eval: %s/%s: %w", w.Name, layout, err)
 		}
 	}
-	res, err := image.BuildOptimized(p, popts)
-	if err != nil {
-		return nil, fmt.Errorf("eval: %s/%s: %w", w.Name, layout, err)
+	if r == nil {
+		return res, nil, nil
 	}
-	return res, nil
+	return res, obs.MergeSnapshots(append(shared, r.Snapshot())...), nil
+}
+
+// profile returns the profile of probe kind instr for build bld of w,
+// computed with run on first use and shared by every strategy of the kind:
+// a heap run records all three heap strategies' IDs. bake derives every
+// profiling input from (w, bld) and the config (adjust feeds only graph
+// layouts, which make no trace profile), so no other key is needed. Only
+// the run and its profiles are kept, never the image or traces. The run
+// observes into its own registry (Profile.Obs), so every build using it
+// carries the same names whichever strategy computed it.
+func (h *Harness) profile(w workloads.Workload, bld int, instr graal.Instrumentation, run func([]core.HeapStrategy, *obs.Registry) (*image.Profile, error)) (*image.Profile, error) {
+	key := fmt.Sprintf("prof\x00%s\x00%d\x00%s", w.Name, bld, instr)
+	return memo(h, h.profiles, key, func() (*image.Profile, error) {
+		h.sched.profileRuns.Add(1)
+		var r *obs.Registry
+		if h.Cfg.Observe {
+			r = obs.NewRegistry()
+		}
+		prof, err := run(core.HeapStrategies(), r)
+		if err == nil && r != nil {
+			prof.Obs = r.Snapshot()
+		}
+		return prof, err
+	})
 }
 
 // compactSnapshots drops nil entries while preserving build order: every
@@ -342,11 +385,7 @@ func (h *Harness) measureStrategy(w workloads.Workload, layout string) (*Strateg
 	snaps := make([]*obs.Snapshot, h.Cfg.Builds)
 	err := h.forEach(h.Cfg.Builds, func(bld int) error {
 		h.sched.buildTasks.Add(1)
-		var r *obs.Registry
-		if h.Cfg.Observe {
-			r = obs.NewRegistry()
-		}
-		res, err := h.bake(w, layout, bld, r, nil)
+		res, snap, err := h.bake(w, layout, bld, h.Cfg.Observe, nil)
 		if err != nil {
 			return err
 		}
@@ -363,9 +402,7 @@ func (h *Harness) measureStrategy(w workloads.Workload, layout string) (*Strateg
 				out.HeapMatch = res.Optimized.HeapMatchStats.Breakdown(res.Optimized.Opts.HeapStrategy.Name())
 			}
 		}
-		if r != nil {
-			snaps[bld] = r.Snapshot()
-		}
+		snaps[bld] = snap
 		return nil
 	})
 	if err != nil {

@@ -3,6 +3,9 @@ package eval
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -177,6 +180,53 @@ func TestHarnessDetachedHasNoReports(t *testing.T) {
 		}
 		if m.Attrib != nil {
 			t.Error("detached harness attached an attribution table")
+		}
+	}
+}
+
+// TestReportNamesIndependentOfWorkers: a shared profile observes into its
+// own registry, merged into every build that uses it, so each entry's
+// span and gauge names do not depend on which strategy happened to
+// compute the profile — the same at 1 and at 4 workers.
+func TestReportNamesIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline runs")
+	}
+	w, err := workloads.ByName("Bounce")
+	if err != nil {
+		t.Fatal(err)
+	}
+	strategies := []string{core.StrategyCU, core.StrategyIncremental, core.StrategyHeapPath, core.StrategyCombined}
+	names := func(workers int) map[string][]string {
+		cfg := reportConfig()
+		cfg.Workers = workers
+		rep, err := NewHarness(cfg).Report([]workloads.Workload{w}, strategies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]string{}
+		for _, e := range rep.Entries {
+			var ns []string
+			for _, snap := range e.Pipeline {
+				for _, sp := range snap.Spans {
+					ns = append(ns, "span "+sp.Name)
+				}
+				for _, g := range snap.Gauges {
+					ns = append(ns, "gauge "+g.Name)
+				}
+			}
+			sort.Strings(ns)
+			out[e.Strategy] = ns
+		}
+		return out
+	}
+	serial, parallel := names(1), names(4)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("pipeline names differ between 1 and 4 workers:\n%v\n%v", serial, parallel)
+	}
+	for _, s := range []string{core.StrategyIncremental, core.StrategyCombined} {
+		if !slices.Contains(serial[s], "gauge pipeline.heap.trace_words") {
+			t.Errorf("%s: the shared heap profile's gauges are missing: %v", s, serial[s])
 		}
 	}
 }

@@ -44,6 +44,9 @@ type sched struct {
 	// buildTasks counts executed build+measure tasks (tests assert that
 	// singleflight never duplicates one).
 	buildTasks atomic.Int64
+	// profileRuns counts the profiling runs behind Harness.profile (tests
+	// assert that each (workload, build, probe kind) is profiled once).
+	profileRuns atomic.Int64
 }
 
 // Workers returns the effective worker-pool size: Config.Workers when

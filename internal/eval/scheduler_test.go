@@ -12,6 +12,7 @@ import (
 
 	"nimage/internal/core"
 	"nimage/internal/image"
+	"nimage/internal/profiler"
 	"nimage/internal/workloads"
 )
 
@@ -257,5 +258,94 @@ func TestAccessedFractionGuard(t *testing.T) {
 	m := RunMeasure{AccessedFrac: accessedFraction(3, 0)}
 	if _, err := json.Marshal(m); err != nil {
 		t.Errorf("measure with guarded fraction must marshal: %v", err)
+	}
+}
+
+// TestProfileOncePerKind: the cold-start figures profile each (workload,
+// build, probe kind) once. Their six strategies need 7 profiling runs per
+// (workload, build) — cu+heap path needs two — but only 3 are distinct
+// (cu, method, heap), and every strategy still reports all of its runs.
+// Each shared profile equals the one an uncached pipeline computes.
+func TestProfileOncePerKind(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Builds = 2
+	h := NewHarness(cfg)
+	var ws []workloads.Workload
+	for _, name := range []string{"Towers", "micronaut"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	if err := h.Prefetch(ws, Strategies()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.sched.profileRuns.Load(), int64(3*len(ws)*cfg.Builds); got != want {
+		t.Errorf("figures made %d profiling runs, want %d", got, want)
+	}
+	reported := 0
+	for _, s := range Strategies() {
+		out, err := h.MeasureStrategy(ws[1], s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reported += len(out.Profiling)
+	}
+	if want := 7 * cfg.Builds; reported != want {
+		t.Errorf("strategies report %d profiling runs, want %d", reported, want)
+	}
+
+	w, bld := ws[1], 1
+	res, _, err := h.bake(w, core.StrategyCombined, bld, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := image.BuildOptimized(h.Program(w), image.PipelineOptions{
+		Compiler: cfg.Compiler, Strategy: core.StrategyCombined,
+		InstrumentedSeed: instrumentedSeed(bld), OptimizedSeed: optimizedSeed(bld),
+		Mode: profiler.ModeFor(w.Service), Args: w.Args, Service: w.Service,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Runs, want.Runs) || !reflect.DeepEqual(res.CodeProfile, want.CodeProfile) ||
+		!reflect.DeepEqual(res.HeapProfile, want.HeapProfile) {
+		t.Error("shared profiles differ from the uncached pipeline's")
+	}
+	if got := h.sched.profileRuns.Load(); got != int64(3*len(ws)*cfg.Builds) {
+		t.Errorf("a repeated bake made %d more profiling runs", got-int64(3*len(ws)*cfg.Builds))
+	}
+}
+
+// TestConcurrentStrategiesShareProfile: cu and cu+heap path measured
+// concurrently on one build make 2 profiling runs (cu, heap), not 3.
+func TestConcurrentStrategiesShareProfile(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Builds = 1
+	cfg.Workers = 2
+	h := NewHarness(cfg)
+	w, err := workloads.ByName("Towers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	strategies := []string{core.StrategyCU, core.StrategyCombined}
+	errs := make([]error, len(strategies))
+	var wg sync.WaitGroup
+	for i, s := range strategies {
+		wg.Add(1)
+		go func(i int, s string) {
+			defer wg.Done()
+			_, errs[i] = h.MeasureStrategy(w, s)
+		}(i, s)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.sched.profileRuns.Load(); got != 2 {
+		t.Errorf("made %d profiling runs, want 2", got)
 	}
 }

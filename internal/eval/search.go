@@ -235,7 +235,7 @@ func (h *Harness) searchLayout(w workloads.Workload, cfg SearchConfig) (*SearchR
 		if sc, ok := scores[d]; ok {
 			return sc, nil
 		}
-		res, err := h.bake(w, core.StrategySLOSearch, 0, nil, func(popts *image.PipelineOptions) error {
+		res, _, err := h.bake(w, core.StrategySLOSearch, 0, false, func(popts *image.PipelineOptions) error {
 			popts.AffinityGraph = g
 			popts.CodeOrder = c.Order
 			return nil

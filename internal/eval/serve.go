@@ -300,7 +300,7 @@ func (h *Harness) serveImage(w workloads.Workload, strategy string, bld int) (*i
 				return nil
 			}
 		}
-		res, err := h.bake(w, strategy, bld, nil, adjust)
+		res, _, err := h.bake(w, strategy, bld, false, adjust)
 		if err != nil {
 			return nil, err
 		}

@@ -6,9 +6,10 @@
 //
 // Three build kinds mirror the paper's pipeline: the regular build, the
 // instrumented (profiling) build — whose probes inflate code size
-// (perturbing inlining) and, when they profile the heap, attach the
-// profiled identity strategy's 64-bit ID to every snapshot object — and
-// the optimized build, which consumes ordering profiles.
+// (perturbing inlining) and, when they profile the heap, record each
+// requested identity strategy's 64-bit ID of every snapshot object before
+// the profiling run — and the optimized build, which consumes ordering
+// profiles.
 package image
 
 import (
@@ -33,7 +34,7 @@ const (
 	// KindRegular is an unmodified Native-Image build.
 	KindRegular BuildKind = iota
 	// KindInstrumented is the profiling build: probes, plus object IDs
-	// under heap probes.
+	// recorded for the profiling run under heap probes.
 	KindInstrumented
 	// KindOptimized is the profile-guided build consuming ordering
 	// profiles (and PGO-boosted inlining).
@@ -77,9 +78,7 @@ type Options struct {
 	// (deduplicated 64-bit IDs in first-access order).
 	HeapProfile []uint64
 	// HeapStrategy is the identity strategy that produced HeapProfile in
-	// an optimized build. In a heap-instrumented build it selects the one
-	// strategy whose object IDs the build records (Image.StrategyIDs);
-	// other instrumented builds record none.
+	// an optimized build.
 	HeapStrategy core.HeapStrategy
 	// MaxPaths bounds per-method path counts (path cutting).
 	MaxPaths uint64
@@ -125,11 +124,10 @@ type Image struct {
 	// builds ("meta:Class") instead of by layout position.
 	MetaBlobs map[*ir.Class]*heap.Object
 
-	// StrategyIDs records, for a heap-instrumented build, the ID that
-	// Opts.HeapStrategy assigns each snapshot object, indexed by SeqID.
-	// It is nil for every other build, and for a heap-instrumented build
-	// without a strategy.
-	StrategyIDs []uint64
+	// StrategyIDs maps each identity strategy whose IDs a heap profiling
+	// run recorded to the ID it assigns each snapshot object, indexed by
+	// SeqID. It is nil for every image no heap profiling run used.
+	StrategyIDs map[string][]uint64
 
 	// CodeOrderStats / HeapMatchStats report profile-application quality
 	// in optimized builds.
@@ -231,9 +229,6 @@ func build(p *ir.Program, opts Options, reach *graal.Reachability, scan *graal.M
 	sp.End()
 	sp = r.StartSpan(prefix + "serialize")
 	img.finalizeFile()
-	if opts.Kind == KindInstrumented && opts.Instr == graal.InstrHeap && opts.HeapStrategy != nil {
-		img.assignStrategyIDs()
-	}
 	sp.End()
 	if r.Enabled() {
 		img.recordBuildObs(r, prefix)
@@ -453,16 +448,19 @@ func (img *Image) finalizeFile() {
 	}
 }
 
-// assignStrategyIDs computes the profiled identity strategy's ID of each
-// snapshot object — the identifiers the instrumented binary stores so that
-// the optimizing build can match trace entries against its own objects.
-// It runs at build time, before any process can mutate snapshot objects
-// (which would change structural hashes).
-func (img *Image) assignStrategyIDs() {
-	ids := img.Opts.HeapStrategy.AssignIDs(img.Snapshot)
-	img.StrategyIDs = make([]uint64, len(img.Snapshot.Objects))
-	for _, o := range img.Snapshot.Objects {
-		img.StrategyIDs[o.SeqID] = ids[o]
+// recordIDs computes each given identity strategy's ID of every snapshot
+// object, which the optimizing build matches trace entries by. It must
+// run before any process mutates snapshot objects (which would change
+// structural hashes).
+func (img *Image) recordIDs(strategies []core.HeapStrategy) {
+	img.StrategyIDs = make(map[string][]uint64, len(strategies))
+	for _, s := range strategies {
+		ids := s.AssignIDs(img.Snapshot)
+		bySeq := make([]uint64, len(img.Snapshot.Objects))
+		for _, o := range img.Snapshot.Objects {
+			bySeq[o.SeqID] = ids[o]
+		}
+		img.StrategyIDs[s.Name()] = bySeq
 	}
 }
 
@@ -475,20 +473,15 @@ func (img *Image) ObjectHandle(o *heap.Object) uint64 {
 	return uint64(o.SeqID) + 1
 }
 
-// recordsIDsOf reports whether the build recorded the named strategy's
-// object IDs.
-func (img *Image) recordsIDsOf(strategy string) bool {
-	return img.StrategyIDs != nil && img.Opts.HeapStrategy.Name() == strategy
-}
-
 // StrategyIDOfHandle translates a recorded handle to the given strategy's
-// 64-bit object ID (postproc profile translation). Only the strategy the
-// build recorded translates.
+// 64-bit object ID (postproc profile translation). Only strategies whose
+// IDs were recorded translate.
 func (img *Image) StrategyIDOfHandle(strategy string, handle uint64) (uint64, bool) {
-	if !img.recordsIDsOf(strategy) || handle == 0 || handle > uint64(len(img.StrategyIDs)) {
+	ids := img.StrategyIDs[strategy]
+	if handle == 0 || handle > uint64(len(ids)) {
 		return 0, false
 	}
-	return img.StrategyIDs[handle-1], true
+	return ids[handle-1], true
 }
 
 // cuEntry is a compilation unit and its absolute file offset.

@@ -1,10 +1,12 @@
 package image
 
 import (
+	"reflect"
 	"testing"
 
 	"nimage/internal/core"
 	"nimage/internal/graal"
+	"nimage/internal/obs"
 	"nimage/internal/osim"
 	"nimage/internal/profiler"
 	"nimage/internal/vm"
@@ -154,17 +156,17 @@ func TestProcessReuseRejected(t *testing.T) {
 }
 
 // TestStrategyIDHandleBounds: out-of-range handles, unknown strategies and
-// strategies the build did not record do not translate.
+// strategies the image did not record do not translate.
 func TestStrategyIDHandleBounds(t *testing.T) {
 	p := buildApp(t)
 	img, err := Build(p, Options{
 		Kind: KindInstrumented, Compiler: graal.DefaultConfig(),
 		Instr: graal.InstrHeap, BuildSeed: 3,
-		HeapStrategy: core.HeapStrategyByName(core.StrategyHeapPath),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	img.recordIDs([]core.HeapStrategy{core.HeapStrategyByName(core.StrategyHeapPath)})
 	n := uint64(len(img.Snapshot.Objects))
 	if _, ok := img.StrategyIDOfHandle(core.StrategyHeapPath, n+1); ok {
 		t.Error("out-of-range handle translated")
@@ -181,32 +183,51 @@ func TestStrategyIDHandleBounds(t *testing.T) {
 }
 
 // TestHeapProfileNeedsRecordedIDs: post-processing a heap profile for a
-// strategy whose IDs the instrumented build did not record is an error,
-// not an empty profile — both directly and through the pipeline.
+// strategy whose IDs were not recorded is an error, not an empty profile —
+// directly, in a profiling run and through the pipeline. A build records
+// no IDs, whatever its options: they belong to the profiling run, which
+// records and translates every strategy it is asked for.
 func TestHeapProfileNeedsRecordedIDs(t *testing.T) {
 	p := buildApp(t)
 	for _, opts := range []Options{
 		{Instr: graal.InstrCU, HeapStrategy: core.HeapStrategyByName(core.StrategyHeapPath)},
 		{Instr: graal.InstrHeap},
-		{Instr: graal.InstrHeap, HeapStrategy: core.HeapStrategyByName(core.StrategyStructural)},
+		{Instr: graal.InstrHeap, HeapStrategy: core.HeapStrategyByName(core.StrategyHeapPath)},
 	} {
 		opts.Kind, opts.Compiler, opts.BuildSeed = KindInstrumented, graal.DefaultConfig(), 3
 		img, err := Build(p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prof, err := img.HeapProfile(nil, core.StrategyHeapPath); err == nil {
-			t.Errorf("%s build: heap path profile of %d IDs, want an error", opts.Instr, len(prof))
+		if prof, err := img.HeapProfile(nil); err == nil {
+			t.Errorf("%s build: %d heap profiles, want an error", opts.Instr, len(prof))
 		}
 	}
 
-	reach := graal.Analyze(p, graal.DefaultConfig())
-	popts := PipelineOptions{Compiler: graal.DefaultConfig(), InstrumentedSeed: 3, Mode: profiler.DumpOnFull}
-	if _, _, prof, err := profileOnce(p, popts, reach, graal.ScanMethods(reach), graal.InstrHeap, core.StrategyCU); err == nil {
-		t.Errorf("heap profile for %q: %d IDs, want an error", core.StrategyCU, len(prof))
+	popts := PipelineOptions{Compiler: graal.DefaultConfig(), InstrumentedSeed: 3, OptimizedSeed: 4, Mode: profiler.DumpOnFull}
+	recorded := []core.HeapStrategy{core.HeapStrategyByName(core.StrategyStructural), core.HeapStrategyByName(core.StrategyHeapPath)}
+	both, _, err := RunProfile(p, popts, graal.InstrHeap, recorded...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, prof, err := profileOnce(p, popts, reach, graal.ScanMethods(reach), graal.InstrHeap, core.StrategyHeapPath); err != nil || len(prof) == 0 {
-		t.Errorf("heap path profile: %d IDs, err %v", len(prof), err)
+	if len(both.Heap) != len(recorded) {
+		t.Errorf("profile translated %d strategies, want %d", len(both.Heap), len(recorded))
+	}
+	for _, s := range recorded {
+		one, _, err := RunProfile(p, popts, graal.InstrHeap, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Name(); len(both.Heap[n]) == 0 || !reflect.DeepEqual(both.Heap[n], one.Heap[n]) {
+			t.Errorf("%s: shared run gives %d IDs, its own run %d", n, len(both.Heap[n]), len(one.Heap[n]))
+		}
+	}
+	shared := func(graal.Instrumentation, func([]core.HeapStrategy, *obs.Registry) (*Profile, error)) (*Profile, error) {
+		return both, nil
+	}
+	popts.Strategy = core.StrategyIncremental
+	if _, err := BuildOptimizedWith(p, popts, shared); err == nil {
+		t.Errorf("%q pipeline baked from a profile that recorded only %d other strategies", core.StrategyIncremental, len(recorded))
 	}
 }
 

@@ -390,28 +390,35 @@ func TestPipelineCombinedStrategy(t *testing.T) {
 }
 
 // TestInstrumentedBuildHasStrategyIDs: a heap-instrumented build records
-// exactly the IDs its HeapStrategy assigns before any run; a
+// no object IDs itself; recordIDs, which a heap profiling run calls before
+// the run, records exactly the IDs each given strategy assigns. A
 // CU-instrumented build records none.
 func TestInstrumentedBuildHasStrategyIDs(t *testing.T) {
 	p := buildApp(t)
+	img, err := Build(p, Options{
+		Kind: KindInstrumented, Compiler: graal.DefaultConfig(),
+		Instr: graal.InstrHeap, BuildSeed: 3,
+		HeapStrategy: core.HeapStrategyByName(core.StrategyHeapPath),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Numberings == nil {
+		t.Fatal("heap-instrumented build lacks path numberings")
+	}
+	if img.StrategyIDs != nil {
+		t.Fatalf("build recorded the IDs of %d strategies", len(img.StrategyIDs))
+	}
+	img.recordIDs(core.HeapStrategies())
 	for _, s := range core.HeapStrategies() {
-		img, err := Build(p, Options{
-			Kind: KindInstrumented, Compiler: graal.DefaultConfig(),
-			Instr: graal.InstrHeap, BuildSeed: 3, HeapStrategy: s,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if img.Numberings == nil {
-			t.Fatal("heap-instrumented build lacks path numberings")
-		}
 		want := s.AssignIDs(img.Snapshot)
-		if len(img.StrategyIDs) != len(img.Snapshot.Objects) {
-			t.Fatalf("%s: %d ids for %d objects", s.Name(), len(img.StrategyIDs), len(img.Snapshot.Objects))
+		ids := img.StrategyIDs[s.Name()]
+		if len(ids) != len(img.Snapshot.Objects) {
+			t.Fatalf("%s: %d ids for %d objects", s.Name(), len(ids), len(img.Snapshot.Objects))
 		}
 		for _, o := range img.Snapshot.Objects {
 			id, ok := img.StrategyIDOfHandle(s.Name(), img.ObjectHandle(o))
-			if !ok || id != want[o] || img.StrategyIDs[o.SeqID] != want[o] {
+			if !ok || id != want[o] || ids[o.SeqID] != want[o] {
 				t.Fatalf("%s: object %d records %#x, want %#x", s.Name(), o.SeqID, id, want[o])
 			}
 		}
@@ -428,7 +435,7 @@ func TestInstrumentedBuildHasStrategyIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cu.StrategyIDs != nil {
-		t.Errorf("cu-instrumented build recorded %d object IDs", len(cu.StrategyIDs))
+		t.Errorf("cu-instrumented build recorded the IDs of %d strategies", len(cu.StrategyIDs))
 	}
 	if _, ok := cu.StrategyIDOfHandle(core.StrategyHeapPath, 1); ok {
 		t.Error("cu-instrumented build translated a handle")

@@ -15,11 +15,6 @@ import (
 	"nimage/internal/vm"
 )
 
-// vmHooks/vmCompose keep the hook plumbing readable.
-type vmHooks = vm.Hooks
-
-var vmCompose = vm.ComposeHooks
-
 // PipelineOptions configures the full profile-guided methodology of Fig. 1:
 // instrumented build → profiling run → post-processing → optimized build.
 type PipelineOptions struct {
@@ -42,10 +37,10 @@ type PipelineOptions struct {
 	Service bool
 	// MaxPaths bounds per-method path counts.
 	MaxPaths uint64
-	// Obs, when non-nil, is threaded into both builds, the tracer, and the
-	// profiling run, and additionally receives per-phase pipeline spans
-	// ("pipeline.<strategy>.profiling_run" / ".postprocess") and trace-size
-	// gauges.
+	// Obs, when non-nil, is threaded into the builds and the tracers, and
+	// additionally receives per-phase pipeline spans
+	// ("pipeline.<probe kind>.profiling_run" / ".postprocess") and
+	// trace-size gauges.
 	Obs *obs.Registry
 	// AffinityGraph is the recorded co-access graph consumed by the graph
 	// strategies ("c3", "ext-tsp"). When nil, the pipeline records one
@@ -73,6 +68,9 @@ type ProfilingRun struct {
 	// CPUTime is the compute share of Time (the overhead table compares
 	// compute times, Sec. 7.4).
 	CPUTime time.Duration
+	// Total is the simulated time of the whole run, final trace flush
+	// included; a service's run continues a little past its response.
+	Total time.Duration
 	// TraceWords counts the 64-bit words that reached the trace files.
 	TraceWords int
 }
@@ -97,8 +95,8 @@ func (run *ProfilingRun) timeRun(proc *Process, service bool) {
 type PipelineResult struct {
 	// Optimized is the profile-guided image.
 	Optimized *Image
-	// Runs lists the profiling executions performed (one, or two for the
-	// combined strategy).
+	// Runs lists the profiling runs the strategy used, in registry probe
+	// order (for "cu+heap path": the CU run, then the heap run).
 	Runs []ProfilingRun
 	// CodeProfile / HeapProfile are the ordering profiles fed to the
 	// optimized build.
@@ -106,33 +104,53 @@ type PipelineResult struct {
 	HeapProfile []uint64
 }
 
-// strategyInstr maps a strategy name to the instrumentation its profiling
-// build needs, resolved through the strategy registry. Strategies without
-// exactly one probe kind — the combined strategy (two kinds) and the
-// graph strategies (none) — are an error.
-func strategyInstr(strategy string) (graal.Instrumentation, error) {
-	info, ok := core.StrategyByName(strategy)
-	if !ok {
-		return 0, fmt.Errorf("image: unknown strategy %q", strategy)
-	}
-	if len(info.Instr) != 1 {
-		return 0, fmt.Errorf("image: strategy %q has no single probe kind", strategy)
-	}
-	return info.Instr[0], nil
+// Profile is one finished profiling run and the ordering profiles
+// post-processed from its traces. It depends on the probe kind and the
+// seed, not on a layout strategy: the three heap strategies emit identical
+// probes and differ only in the ID each recorded handle translates to
+// (hence Sec. 7.4's one overhead factor for them).
+type Profile struct {
+	Run ProfilingRun
+	// Code is the CU or method order of a code-instrumented run.
+	Code []string
+	// Heap maps each heap strategy the run recorded IDs for to its
+	// object order.
+	Heap map[string][]uint64
+	// Obs is the run's own registry record, kept by a caller that shares
+	// the profile between pipelines.
+	Obs *obs.Snapshot
 }
 
-// composePH merges the PH call-graph collector into the tracer hooks.
-func composePH(h vmHooks, g *core.CallGraph) vmHooks {
-	return vmCompose(h, g.Collector())
+// RunProfile performs one profiling run of probe kind instr at
+// opts.InstrumentedSeed — instrumented build, traced run, Finish,
+// post-processing — and returns the profile and the raw traces. A heap run
+// records and translates the IDs of every given heap strategy.
+func RunProfile(p *ir.Program, opts PipelineOptions, instr graal.Instrumentation, heapStrategies ...core.HeapStrategy) (*Profile, []profiler.ThreadTrace, error) {
+	return runProfile(p, opts, nil, nil, instr, heapStrategies, nil)
 }
+
+// A ProfileFunc supplies a pipeline's profile of one probe kind: it calls
+// run, which profiles on the pipeline's analysis recording the IDs of the
+// given heap strategies and observing into r, or reuses an earlier run's.
+type ProfileFunc func(instr graal.Instrumentation, run func(heapStrategies []core.HeapStrategy, r *obs.Registry) (*Profile, error)) (*Profile, error)
 
 // BuildOptimized runs the full pipeline for one strategy and returns the
-// optimized image. The combined "cu+heap path" strategy performs two
-// profiling runs — one CU-instrumented, one heap-instrumented — and feeds
-// both profiles to the optimizing build (Sec. 7.1). Every build of the
-// pipeline shares one reachability analysis of the program and one scan
-// of its methods; the scan lives only as long as the pipeline.
+// optimized image: one profiling run per probe kind of the strategy's
+// registry entry — two for the combined "cu+heap path" strategy (Sec.
+// 7.1) — then the optimized build. Every build of the pipeline shares one
+// reachability analysis of the program and one scan of its methods; the
+// scan lives only as long as the pipeline.
 func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error) {
+	return BuildOptimizedWith(p, opts, nil)
+}
+
+// BuildOptimizedWith is BuildOptimized with the trace profiles supplied by
+// profileOf; nil profiles every kind afresh for this strategy alone.
+func BuildOptimizedWith(p *ir.Program, opts PipelineOptions, profileOf ProfileFunc) (*PipelineResult, error) {
+	info, ok := core.StrategyByName(opts.Strategy)
+	if !ok {
+		return nil, fmt.Errorf("image: unknown strategy %q", opts.Strategy)
+	}
 	if err := checkBuildable(p); err != nil {
 		return nil, err
 	}
@@ -143,43 +161,21 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 	scan := graal.ScanMethods(reach)
 	sp.End()
 
-	res := &PipelineResult{}
-	collect := func(strategy string) error {
-		instr, err := strategyInstr(strategy)
-		if err != nil {
-			return err
+	// The identity strategy behind the heap profile, if any.
+	heapStrategy := opts.Strategy
+	if opts.Strategy == core.StrategyCombined {
+		heapStrategy = core.StrategyHeapPath
+	}
+	hs := core.HeapStrategyByName(heapStrategy)
+	if profileOf == nil {
+		profileOf = func(_ graal.Instrumentation, run func([]core.HeapStrategy, *obs.Registry) (*Profile, error)) (*Profile, error) {
+			return run([]core.HeapStrategy{hs}, opts.Obs)
 		}
-		run, code, heapProf, err := profileOnce(p, opts, reach, scan, instr, strategy)
-		if err != nil {
-			return err
-		}
-		res.Runs = append(res.Runs, run)
-		if code != nil {
-			res.CodeProfile = code
-		}
-		if heapProf != nil {
-			res.HeapProfile = heapProf
-		}
-		return nil
 	}
 
-	optOpts := Options{
-		Kind:      KindOptimized,
-		Compiler:  opts.Compiler,
-		BuildSeed: opts.OptimizedSeed,
-		MaxPaths:  opts.MaxPaths,
-		Obs:       opts.Obs,
-	}
+	res := &PipelineResult{}
 	switch {
-	case opts.Strategy == core.StrategyCombined:
-		if err := collect(core.StrategyCU); err != nil {
-			return nil, err
-		}
-		if err := collect(core.StrategyHeapPath); err != nil {
-			return nil, err
-		}
-		optOpts.HeapStrategy = core.HeapStrategyByName(core.StrategyHeapPath)
-	case core.IsGraphStrategy(opts.Strategy):
+	case info.Graph:
 		run, code, err := profileGraph(p, opts, reach, scan)
 		if err != nil {
 			return nil, err
@@ -188,16 +184,46 @@ func BuildOptimized(p *ir.Program, opts PipelineOptions) (*PipelineResult, error
 			res.Runs = append(res.Runs, *run)
 		}
 		res.CodeProfile = code
-	default:
-		if err := collect(opts.Strategy); err != nil {
+	case opts.Strategy == core.StrategyPettisHansen:
+		// Pettis–Hansen needs edge frequencies rather than a
+		// first-execution trace: its own CU run with a call-graph collector.
+		prof, _, err := runProfile(p, opts, reach, scan, graal.InstrCU, nil, core.NewCallGraph())
+		if err != nil {
 			return nil, err
 		}
-		optOpts.HeapStrategy = core.HeapStrategyByName(opts.Strategy)
+		res.Runs, res.CodeProfile = []ProfilingRun{prof.Run}, prof.Code
+	default:
+		for _, instr := range info.Instr {
+			prof, err := profileOf(instr, func(heapStrategies []core.HeapStrategy, r *obs.Registry) (*Profile, error) {
+				o := opts
+				o.Obs = r
+				prof, _, err := runProfile(p, o, reach, scan, instr, heapStrategies, nil)
+				return prof, err
+			})
+			if err != nil {
+				return nil, err
+			}
+			res.Runs = append(res.Runs, prof.Run)
+			if instr != graal.InstrHeap {
+				res.CodeProfile = prof.Code
+				continue
+			}
+			if res.HeapProfile, ok = prof.Heap[heapStrategy]; !ok {
+				return nil, fmt.Errorf("image: heap profile recorded no %q object IDs", heapStrategy)
+			}
+		}
 	}
-	optOpts.CodeProfile = res.CodeProfile
-	optOpts.HeapProfile = res.HeapProfile
 
-	opt, err := build(p, optOpts, reach, scan)
+	opt, err := build(p, Options{
+		Kind:         KindOptimized,
+		Compiler:     opts.Compiler,
+		BuildSeed:    opts.OptimizedSeed,
+		CodeProfile:  res.CodeProfile,
+		HeapProfile:  res.HeapProfile,
+		HeapStrategy: hs,
+		MaxPaths:     opts.MaxPaths,
+		Obs:          opts.Obs,
+	}, reach, scan)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +257,7 @@ func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability
 		sp := opts.Obs.StartSpan("pipeline." + opts.Strategy + ".profiling_run")
 		scratch := osim.NewOS(osim.SSD())
 		scratch.TrackAffinity = true
-		proc, err := img.NewProcess(scratch, vmHooks{})
+		proc, err := img.NewProcess(scratch, vm.Hooks{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -271,24 +297,25 @@ func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability
 	return run, profile, nil
 }
 
-// profileOnce builds one instrumented image, executes it, and
-// post-processes the traces into profiles. It returns the code profile
-// (for InstrCU/InstrMethod) or the heap profile (for InstrHeap, translated
-// by the named strategy).
-func profileOnce(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, scan *graal.MethodScan, instr graal.Instrumentation, strategy string) (ProfilingRun, []string, []uint64, error) {
-	run := ProfilingRun{Instr: instr, Mode: opts.Mode}
+// runProfile performs one profiling run of probe kind instr (see
+// RunProfile) on reach and scan, which may be nil. A non-nil callGraph is
+// attached to the run, and the code profile is then its Pettis–Hansen
+// order instead of the first-execution order.
+func runProfile(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, scan *graal.MethodScan, instr graal.Instrumentation, heapStrategies []core.HeapStrategy, callGraph *core.CallGraph) (*Profile, []profiler.ThreadTrace, error) {
 	img, err := build(p, Options{
-		Kind:         KindInstrumented,
-		Compiler:     opts.Compiler,
-		Instr:        instr,
-		Mode:         opts.Mode,
-		BuildSeed:    opts.InstrumentedSeed,
-		MaxPaths:     opts.MaxPaths,
-		HeapStrategy: core.HeapStrategyByName(strategy),
-		Obs:          opts.Obs,
+		Kind:      KindInstrumented,
+		Compiler:  opts.Compiler,
+		Instr:     instr,
+		Mode:      opts.Mode,
+		BuildSeed: opts.InstrumentedSeed,
+		MaxPaths:  opts.MaxPaths,
+		Obs:       opts.Obs,
 	}, reach, scan)
 	if err != nil {
-		return run, nil, nil, fmt.Errorf("image: instrumented build: %w", err)
+		return nil, nil, fmt.Errorf("image: instrumented build: %w", err)
+	}
+	if instr == graal.InstrHeap {
+		img.recordIDs(heapStrategies)
 	}
 
 	tr := profiler.NewTracer(instr, opts.Mode)
@@ -296,86 +323,84 @@ func profileOnce(p *ir.Program, opts PipelineOptions, reach *graal.Reachability,
 	tr.Numberings = img.Numberings
 	tr.ObjectHandle = img.ObjectHandle
 	tr.Obs = opts.Obs
-
-	// The Pettis–Hansen baseline needs edge frequencies rather than a
-	// first-execution trace, so it attaches its own call-graph collector.
-	var callGraph *core.CallGraph
 	hooks := tr.Hooks()
-	if strategy == core.StrategyPettisHansen {
-		callGraph = core.NewCallGraph()
-		hooks = composePH(hooks, callGraph)
+	if callGraph != nil {
+		hooks = vm.ComposeHooks(hooks, callGraph.Collector())
 	}
 
 	// The profiling run executes on a scratch OS; its page faults are
 	// irrelevant, but its simulated time (with profiling overhead) is the
 	// overhead measurement of Sec. 7.4.
-	sp := opts.Obs.StartSpan("pipeline." + strategy + ".profiling_run")
-	scratch := osim.NewOS(osim.SSD())
-	proc, err := img.NewProcess(scratch, hooks)
+	prefix := "pipeline." + instr.String()
+	sp := opts.Obs.StartSpan(prefix + ".profiling_run")
+	proc, err := img.NewProcess(osim.NewOS(osim.SSD()), hooks)
 	if err != nil {
-		return run, nil, nil, err
+		return nil, nil, err
 	}
 	defer proc.Close()
 	tr.AddCycles = func(c int64) { proc.Machine.Cycles += c }
 	proc.Machine.StopOnRespond = opts.Service
 	if err := proc.Run(opts.Args...); err != nil {
-		return run, nil, nil, fmt.Errorf("image: profiling run: %w", err)
+		return nil, nil, fmt.Errorf("image: profiling run: %w", err)
 	}
-	run.timeRun(proc, opts.Service)
-
+	prof := &Profile{Run: ProfilingRun{Instr: instr, Mode: opts.Mode}}
+	prof.Run.timeRun(proc, opts.Service)
 	traces := tr.Finish(opts.Service)
+	prof.Run.Total = proc.Stats().Total
 	for _, tt := range traces {
-		run.TraceWords += len(tt.Words)
+		prof.Run.TraceWords += len(tt.Words)
 	}
 	sp.End()
 	if r := opts.Obs; r.Enabled() {
-		r.Gauge("pipeline." + strategy + ".trace_words").Set(float64(run.TraceWords))
-		r.Gauge("pipeline." + strategy + ".profiling_cpu_nanos").Set(float64(run.CPUTime.Nanoseconds()))
+		r.Gauge(prefix + ".trace_words").Set(float64(prof.Run.TraceWords))
+		r.Gauge(prefix + ".profiling_cpu_nanos").Set(float64(prof.Run.CPUTime.Nanoseconds()))
 	}
-	sp = opts.Obs.StartSpan("pipeline." + strategy + ".postprocess")
+	sp = opts.Obs.StartSpan(prefix + ".postprocess")
 	defer sp.End()
 
-	if callGraph != nil {
-		order := core.PettisHansenOrder(img.Comp.CUs, callGraph)
-		profile := make([]string, 0, len(order))
-		for _, cu := range order {
-			profile = append(profile, cu.Signature())
-		}
-		return run, profile, nil, nil
+	var code interface {
+		postproc.Analysis
+		Profile() []string
 	}
-
-	switch instr {
-	case graal.InstrCU:
-		a := postproc.NewCUOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return run, nil, nil, err
+	switch {
+	case callGraph != nil:
+		for _, cu := range core.PettisHansenOrder(img.Comp.CUs, callGraph) {
+			prof.Code = append(prof.Code, cu.Signature())
 		}
-		return run, a.Profile(), nil, nil
-	case graal.InstrMethod:
-		a := postproc.NewMethodOrderAnalysis()
-		if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
-			return run, nil, nil, err
-		}
-		return run, a.Profile(), nil, nil
+		return prof, traces, nil
+	case instr == graal.InstrHeap:
+		prof.Heap, err = img.HeapProfile(traces)
+		return prof, traces, err
+	case instr == graal.InstrMethod:
+		code = postproc.NewMethodOrderAnalysis()
 	default:
-		prof, err := img.HeapProfile(traces, strategy)
-		return run, nil, prof, err
+		code = postproc.NewCUOrderAnalysis()
 	}
+	if err := postproc.Dispatch(traces, img.Table, img.Numberings, code); err != nil {
+		return nil, nil, err
+	}
+	prof.Code = code.Profile()
+	return prof, traces, nil
 }
 
 // HeapProfile post-processes the traces of a heap-instrumented run into
-// the named strategy's heap-ordering profile. It is an error when the
-// build recorded no object IDs for that strategy: the profile would
-// silently come out empty.
-func (img *Image) HeapProfile(traces []profiler.ThreadTrace, strategy string) ([]uint64, error) {
-	if !img.recordsIDsOf(strategy) {
-		return nil, fmt.Errorf("image: %s %s build recorded no %q object IDs", img.Opts.Kind, img.Opts.Instr, strategy)
+// the heap-ordering profile of every strategy whose IDs the image
+// recorded: one pass orders the recorded handles by first access, then
+// each strategy translates them to its IDs. It is an error when the image
+// recorded no IDs: the profiles would silently come out empty.
+func (img *Image) HeapProfile(traces []profiler.ThreadTrace) (map[string][]uint64, error) {
+	if img.StrategyIDs == nil {
+		return nil, fmt.Errorf("image: %s %s build recorded no object IDs", img.Opts.Kind, img.Opts.Instr)
 	}
 	a := postproc.NewHeapOrderAnalysis()
 	if err := postproc.Dispatch(traces, img.Table, img.Numberings, a); err != nil {
 		return nil, err
 	}
-	return a.Profile(func(h uint64) (uint64, bool) {
-		return img.StrategyIDOfHandle(strategy, h)
-	}), nil
+	out := make(map[string][]uint64, len(img.StrategyIDs))
+	for s := range img.StrategyIDs {
+		out[s] = a.Profile(func(h uint64) (uint64, bool) {
+			return img.StrategyIDOfHandle(s, h)
+		})
+	}
+	return out, nil
 }

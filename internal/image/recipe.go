@@ -29,8 +29,7 @@ type Recipe struct {
 	MaxPaths  uint64
 	Compiler  graal.Config
 	// CodeProfile / HeapProfile / HeapStrategyName configure optimized
-	// builds; HeapStrategyName also names the strategy whose object IDs a
-	// heap-instrumented build records.
+	// builds.
 	CodeProfile      []string
 	HeapProfile      []uint64
 	HeapStrategyName string

@@ -111,18 +111,6 @@ func (r *Report) Summary() string {
 		len(r.Divergences), r.Checks, r.Pairs)
 }
 
-// instrKinds returns the instrumentation kinds a strategy's pipeline runs
-// with, from the registry: two for the combined strategy, none for the
-// graph strategies (their recording run is uninstrumented, so there is no
-// instrumented build to replay differentially).
-func instrKinds(strategy string) ([]graal.Instrumentation, error) {
-	info, ok := core.StrategyByName(strategy)
-	if !ok {
-		return nil, fmt.Errorf("verify: unknown strategy %q", strategy)
-	}
-	return append([]graal.Instrumentation(nil), info.Instr...), nil
-}
-
 // verifier carries the per-run state of one Run call.
 type verifier struct {
 	opts Options
@@ -216,12 +204,15 @@ func (v *verifier) verifyWorkload(w workloads.Workload) error {
 
 	instrRecs := map[graal.Instrumentation]*runRecord{}
 	for _, strategy := range v.opts.Strategies {
-		kinds, err := instrKinds(strategy)
-		if err != nil {
-			return err
+		// The registry's probe kinds: two for the combined strategy, none
+		// for the graph strategies (their recording run is
+		// uninstrumented, so there is no instrumented build to replay).
+		info, ok := core.StrategyByName(strategy)
+		if !ok {
+			return fmt.Errorf("verify: unknown strategy %q", strategy)
 		}
 		var instrs []*runRecord
-		for _, kind := range kinds {
+		for _, kind := range info.Instr {
 			rec, ok := instrRecs[kind]
 			if !ok {
 				img, err := build(image.KindInstrumented, kind, image.Options{BuildSeed: seed + 100})
