@@ -465,29 +465,37 @@ func BenchmarkGraalAssemble(b *testing.B) {
 	}
 }
 
-// BenchmarkColdRun measures one cold start of a prebuilt Bounce image.
+// BenchmarkColdRun measures one cold start of a prebuilt regular image,
+// per program: Bounce, DeltaBlue (virtual calls), Mandelbrot (float
+// arithmetic) and Storage (allocation).
 func BenchmarkColdRun(b *testing.B) {
-	w, _ := workloads.ByName("Bounce")
-	p := w.Build()
-	img, err := image.Build(p, image.Options{
-		Kind: image.KindRegular, Compiler: graal.DefaultConfig(), BuildSeed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	o := osim.NewOS(osim.SSD())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.DropCaches()
-		proc, err := img.NewProcess(o, nimage.Hooks{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := proc.Run(w.Args...); err != nil {
-			b.Fatal(err)
-		}
-		proc.Close()
+	for _, name := range []string{"Bounce", "DeltaBlue", "Mandelbrot", "Storage"} {
+		b.Run(name, func(b *testing.B) {
+			w, err := workloads.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			img, err := image.Build(w.Build(), image.Options{
+				Kind: image.KindRegular, Compiler: graal.DefaultConfig(), BuildSeed: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := osim.NewOS(osim.SSD())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.DropCaches()
+				proc, err := img.NewProcess(o, nimage.Hooks{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := proc.Run(w.Args...); err != nil {
+					b.Fatal(err)
+				}
+				proc.Close()
+			}
+		})
 	}
 }
 

@@ -368,7 +368,7 @@ func mkCUs(t *testing.T, sigs ...string) []*graal.CompilationUnit {
 	var cus []*graal.CompilationUnit
 	for _, s := range sigs {
 		m := p.Class("X").DeclaredMethod(s)
-		cus = append(cus, &graal.CompilationUnit{Root: m, Members: map[*ir.Method]bool{m: true}, Size: m.CodeSize()})
+		cus = append(cus, &graal.CompilationUnit{Root: m, Members: []*ir.Method{m}, Size: m.CodeSize()})
 	}
 	return cus
 }

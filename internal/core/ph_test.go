@@ -34,7 +34,7 @@ func cusOf(t *testing.T, ms map[string]*ir.Method, names ...string) []*graal.Com
 	for _, n := range names {
 		m := ms[n]
 		out = append(out, &graal.CompilationUnit{
-			Root: m, Members: map[*ir.Method]bool{m: true}, Size: m.CodeSize(),
+			Root: m, Members: []*ir.Method{m}, Size: m.CodeSize(),
 		})
 	}
 	return out

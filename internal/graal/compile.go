@@ -112,7 +112,7 @@ func (cu *CompilationUnit) hasConstant(lit string) bool {
 // compositionHash hashes the member set of a CU.
 func compositionHash(cu *CompilationUnit) uint64 {
 	sigs := make([]string, 0, len(cu.Members))
-	for m := range cu.Members {
+	for _, m := range cu.Members {
 		sigs = append(sigs, m.Signature())
 	}
 	sort.Strings(sigs)
@@ -124,7 +124,7 @@ func compositionHash(cu *CompilationUnit) uint64 {
 // PEA [51] would therefore scalar-replace).
 func peaCount(cu *CompilationUnit, scan *MethodScan) int {
 	n := 0
-	for m := range cu.Members {
+	for _, m := range cu.Members {
 		n += scan.facts[m].nonEscaping
 	}
 	return n

@@ -131,10 +131,10 @@ func TestInlinerInlinesSmallNotBig(t *testing.T) {
 	}
 	small := p.Class("Main").DeclaredMethod("small")
 	big := p.Class("Main").DeclaredMethod("big")
-	if !mainCU.Members[small] {
+	if !mainCU.Contains(small) {
 		t.Error("small not inlined into main")
 	}
-	if mainCU.Members[big] {
+	if mainCU.Contains(big) {
 		t.Error("big inlined into main despite size")
 	}
 	// small is still compiled as its own CU root.
@@ -148,7 +148,7 @@ func TestPolymorphicCallNotInlined(t *testing.T) {
 	c := Compile(p, DefaultConfig(), InstrNone, false)
 	mainCU := c.CUBySig["Main.main(0)"]
 	for _, n := range []string{"Circle", "Square"} {
-		if mainCU.Members[p.Class(n).DeclaredMethod("area")] {
+		if mainCU.Contains(p.Class(n).DeclaredMethod("area")) {
 			t.Errorf("polymorphic target %s.area inlined", n)
 		}
 	}
@@ -162,10 +162,10 @@ func TestInstrumentationPerturbsInlining(t *testing.T) {
 	reg := Compile(p, cfg, InstrNone, false)
 	ins := Compile(p, cfg, InstrMethod, false)
 	small := p.Class("Main").DeclaredMethod("small")
-	if !reg.CUBySig["Main.main(0)"].Members[small] {
+	if !reg.CUBySig["Main.main(0)"].Contains(small) {
 		t.Fatal("regular build should inline small")
 	}
-	if ins.CUBySig["Main.main(0)"].Members[small] {
+	if ins.CUBySig["Main.main(0)"].Contains(small) {
 		t.Error("method-instrumented build still inlines small — probes did not perturb")
 	}
 }
@@ -193,10 +193,10 @@ func TestPGOChangesInlining(t *testing.T) {
 	cfg.InlineSmallSize = effectiveSize(small, 0, cfg, InstrNone) - 1
 	reg := Compile(p, cfg, InstrNone, false)
 	opt := Compile(p, cfg, InstrNone, true)
-	if reg.CUBySig["Main.main(0)"].Members[small] {
+	if reg.CUBySig["Main.main(0)"].Contains(small) {
 		t.Fatal("regular build inlined small below limit")
 	}
-	if !opt.CUBySig["Main.main(0)"].Members[small] {
+	if !opt.CUBySig["Main.main(0)"].Contains(small) {
 		t.Error("PGO build did not get the inline bonus")
 	}
 }

@@ -17,8 +17,9 @@ type CompilationUnit struct {
 	// decision order. A method can appear more than once if several call
 	// sites inlined it.
 	Inlined []*ir.Method
-	// Members is the set of methods whose code is inside this CU.
-	Members map[*ir.Method]bool
+	// Members lists the distinct methods whose code is inside this CU (the
+	// root and every inlinee), sorted by Method.ID.
+	Members []*ir.Method
 	// Size is the estimated compiled size in bytes, including probes.
 	Size int
 	// Constants lists the distinct string literals embedded in the CU's
@@ -42,6 +43,11 @@ type Constant struct {
 	// across builds with different inlining.
 	Folded bool
 }
+
+// Contains reports whether m's code is inside the CU. The inliner only
+// inlines small methods into a size-bounded CU, so a CU has few members,
+// and a scan that compares pointers beats a search that reads their IDs.
+func (cu *CompilationUnit) Contains(m *ir.Method) bool { return slices.Contains(cu.Members, m) }
 
 // Signature returns the root-method signature that identifies the CU.
 func (cu *CompilationUnit) Signature() string { return cu.Root.Signature() }
@@ -85,15 +91,18 @@ func (il *inliner) smallLimit() int {
 // build creates the CU rooted at root.
 func (il *inliner) build(root *ir.Method) *CompilationUnit {
 	cu := &CompilationUnit{
-		Root:    root,
-		Members: map[*ir.Method]bool{root: true},
-		Size:    il.scan.size(root, il.cfg, il.instr),
+		Root: root,
+		Size: il.scan.size(root, il.cfg, il.instr),
 	}
 	if il.instr == InstrCU {
 		cu.Size += il.cfg.ProbeCUEntry
 	}
 	il.stack = append(il.stack[:0], root)
 	il.inlineCalls(cu, root, 1)
+	cu.Members = append(make([]*ir.Method, 0, len(cu.Inlined)+1), root)
+	cu.Members = append(cu.Members, cu.Inlined...)
+	slices.SortFunc(cu.Members, func(a, b *ir.Method) int { return a.ID - b.ID })
+	cu.Members = slices.Compact(cu.Members)
 	return cu
 }
 
@@ -113,7 +122,6 @@ func (il *inliner) inlineCalls(cu *CompilationUnit, m *ir.Method, depth int) {
 		}
 		cu.Size += cs
 		cu.Inlined = append(cu.Inlined, callee)
-		cu.Members[callee] = true
 		il.stack = append(il.stack, callee)
 		il.inlineCalls(cu, callee, depth+1)
 		il.stack = il.stack[:len(il.stack)-1]

@@ -1,6 +1,7 @@
 package graal
 
 import (
+	"sort"
 	"testing"
 
 	"nimage/internal/ir"
@@ -42,14 +43,22 @@ func (il *refInliner) smallLimit() int {
 
 func (il *refInliner) build(root *ir.Method) *CompilationUnit {
 	cu := &CompilationUnit{
-		Root:    root,
-		Members: map[*ir.Method]bool{root: true},
-		Size:    refEffectiveSize(root, il.cfg, il.instr),
+		Root: root,
+		Size: refEffectiveSize(root, il.cfg, il.instr),
 	}
 	if il.instr == InstrCU {
 		cu.Size += il.cfg.ProbeCUEntry
 	}
 	il.inlineCalls(cu, root, map[*ir.Method]bool{root: true}, 1)
+	// The member set, as a list sorted by method ID.
+	members := map[*ir.Method]bool{root: true}
+	for _, m := range cu.Inlined {
+		members[m] = true
+	}
+	for m := range members {
+		cu.Members = append(cu.Members, m)
+	}
+	sort.Slice(cu.Members, func(i, j int) bool { return cu.Members[i].ID < cu.Members[j].ID })
 	return cu
 }
 
@@ -79,7 +88,6 @@ func (il *refInliner) inlineCalls(cu *CompilationUnit, m *ir.Method, stack map[*
 			}
 			cu.Size += cs
 			cu.Inlined = append(cu.Inlined, callee)
-			cu.Members[callee] = true
 			stack[callee] = true
 			il.inlineCalls(cu, callee, stack, depth+1)
 			delete(stack, callee)
@@ -268,6 +276,11 @@ func compareCUs(t *testing.T, where string, got, want *CompilationUnit) {
 	}
 	if len(got.Members) != len(want.Members) {
 		t.Fatalf("%s: %d members, reference %d", where, len(got.Members), len(want.Members))
+	}
+	for i := range want.Members {
+		if got.Members[i] != want.Members[i] {
+			t.Fatalf("%s: member %d is %s, reference %s", where, i, got.Members[i].Signature(), want.Members[i].Signature())
+		}
 	}
 	if len(got.Constants) != len(want.Constants) {
 		t.Fatalf("%s: %d constants, reference %d", where, len(got.Constants), len(want.Constants))

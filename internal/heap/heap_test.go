@@ -139,16 +139,46 @@ func TestInterns(t *testing.T) {
 	}
 }
 
+// TestStaticsDefaults: an unset static reads as its kind's zero value,
+// before and after other statics of its class are written, and a written
+// static reads back.
 func TestStaticsDefaults(t *testing.T) {
-	p := testClasses(t)
-	st := NewStatics()
-	f := &ir.Field{Name: "tmp", Type: ir.Ref("Node"), Static: true}
-	f.Class = p.Class("Node")
-	if !st.Get(f).IsNull() {
-		t.Error("unset ref static not null")
+	b := ir.NewBuilder("statics")
+	b.Class(ir.StringClass)
+	b.Class("Node").Field("next", ir.Ref("Node")).
+		Static("tmp", ir.Ref("Node")).Static("count", ir.Int()).Static("ratio", ir.Float())
+	b.Class("Other").Static("x", ir.Float())
+	p, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
 	}
-	st.Set(f, IntVal(3))
-	if st.Get(f).Int() != 3 {
+	node := p.Class("Node")
+	tmp, count, ratio := node.LookupStatic("tmp"), node.LookupStatic("count"), node.LookupStatic("ratio")
+	other := p.Class("Other").LookupStatic("x")
+	st := NewStatics()
+	defaults := func(when string) {
+		t.Helper()
+		if !st.Get(tmp).IsNull() {
+			t.Errorf("%s: unset ref static not null", when)
+		}
+		if v := st.Get(count); v != IntVal(0) {
+			t.Errorf("%s: unset int static = %v, want int 0", when, v)
+		}
+		if v := st.Get(other); v != FloatVal(0) {
+			t.Errorf("%s: unset float static of another class = %v, want float 0", when, v)
+		}
+	}
+	defaults("empty storage")
+	if v := st.Get(ratio); v != FloatVal(0) {
+		t.Errorf("unset float static = %v, want float 0", v)
+	}
+	st.Set(ratio, FloatVal(2.5))
+	defaults("after writing a sibling")
+	if st.Get(ratio).Float() != 2.5 {
+		t.Error("set/get float static")
+	}
+	st.Set(tmp, IntVal(3))
+	if st.Get(tmp).Int() != 3 {
 		t.Error("set/get static")
 	}
 }

@@ -157,7 +157,7 @@ func (o *Object) SnapshotSize() int64 {
 // GetField reads the field value by resolved field.
 func (o *Object) GetField(f *ir.Field) Value {
 	if o.IsArray || f.Slot >= len(o.Fields) {
-		panic(fmt.Sprintf("heap: get field %s on %s", f.Descriptor(), o.TypeName()))
+		o.badField("get", f)
 	}
 	return o.Fields[f.Slot]
 }
@@ -165,55 +165,91 @@ func (o *Object) GetField(f *ir.Field) Value {
 // SetField writes the field value by resolved field.
 func (o *Object) SetField(f *ir.Field, v Value) {
 	if o.IsArray || f.Slot >= len(o.Fields) {
-		panic(fmt.Sprintf("heap: set field %s on %s", f.Descriptor(), o.TypeName()))
+		o.badField("set", f)
 	}
 	o.Fields[f.Slot] = v
 }
 
+// badField panics on an access to a field o does not have. It is kept out
+// of the accessors so that they stay small enough to inline.
+func (o *Object) badField(verb string, f *ir.Field) {
+	panic(fmt.Sprintf("heap: %s field %s on %s", verb, f.Descriptor(), o.TypeName()))
+}
+
 // GetElem reads array element i.
 func (o *Object) GetElem(i int) Value {
-	if o.packedLen > 0 {
-		if i < 0 || i >= o.packedLen {
-			panic(fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, o.packedLen))
-		}
-		// Packed byte arrays read as deterministic pseudo-content.
-		return IntVal(int64(byte(i*131 + 17)))
-	}
-	if i < 0 || i >= len(o.Elems) {
-		panic(fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, len(o.Elems)))
+	if o.packedLen > 0 || uint(i) >= uint(len(o.Elems)) {
+		return o.slowElem(i)
 	}
 	return o.Elems[i]
 }
 
+// slowElem reads element i of a packed byte array, whose elements are
+// deterministic pseudo-content, and panics on an index out of range. It
+// is kept out of GetElem so that GetElem stays small enough to inline.
+func (o *Object) slowElem(i int) Value {
+	if i < 0 || i >= o.Len() {
+		panic(fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, o.Len()))
+	}
+	return IntVal(int64(byte(i*131 + 17)))
+}
+
 // SetElem writes array element i.
 func (o *Object) SetElem(i int, v Value) {
-	if o.packedLen > 0 {
-		panic("heap: write to packed byte array")
-	}
-	if i < 0 || i >= len(o.Elems) {
-		panic(fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, len(o.Elems)))
+	if o.packedLen > 0 || uint(i) >= uint(len(o.Elems)) {
+		o.badStore(i)
 	}
 	o.Elems[i] = v
 }
 
-// Statics is the build-time storage of static fields.
+// badStore panics on a store SetElem cannot make.
+//
+//go:noinline
+func (o *Object) badStore(i int) {
+	if o.packedLen > 0 {
+		panic("heap: write to packed byte array")
+	}
+	panic(fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, len(o.Elems)))
+}
+
+// Statics is the build-time storage of static fields: one value slice per
+// class, indexed [Class.ID][Field.Slot]. A class's slice is allocated on its
+// first write, so the storage holds only the classes whose statics were
+// written.
 type Statics struct {
-	vals map[*ir.Field]Value
+	byClass [][]Value
 }
 
 // NewStatics creates empty static storage.
-func NewStatics() *Statics { return &Statics{vals: make(map[*ir.Field]Value)} }
+func NewStatics() *Statics { return &Statics{} }
 
-// Get reads a static field (zero value if never written).
+// Get reads a static field (zero value if never written). f must be a
+// static field its class declares.
 func (s *Statics) Get(f *ir.Field) Value {
-	if v, ok := s.vals[f]; ok {
-		return v
+	if id := f.Class.ID; id < len(s.byClass) {
+		if vals := s.byClass[id]; vals != nil {
+			return vals[f.Slot]
+		}
 	}
 	return zeroOf(f.Type.Kind)
 }
 
-// Set writes a static field.
-func (s *Statics) Set(f *ir.Field, v Value) { s.vals[f] = v }
+// Set writes a static field. f must be a static field its class declares.
+func (s *Statics) Set(f *ir.Field, v Value) {
+	c := f.Class
+	if c.ID >= len(s.byClass) {
+		s.byClass = append(s.byClass, make([][]Value, c.ID+1-len(s.byClass))...)
+	}
+	vals := s.byClass[c.ID]
+	if vals == nil {
+		vals = make([]Value, len(c.Statics))
+		for i, sf := range c.Statics {
+			vals[i] = zeroOf(sf.Type.Kind)
+		}
+		s.byClass[c.ID] = vals
+	}
+	vals[f.Slot] = v
+}
 
 // Interns is the interned-string table.
 type Interns struct {

@@ -18,7 +18,22 @@ type Snapshot struct {
 	Roots []RootRef
 	// TotalSize is the summed snapshot size of all objects in bytes.
 	TotalSize int64
+
+	// slotBase numbers the objects' fields and elements densely: field or
+	// element i of the object with SeqID k is slot slotBase[k]+i. slots
+	// is the total.
+	slotBase []int32
+	slots    int
 }
+
+// Slot returns the snapshot-wide number of field slot or element index i
+// of o, which must be one of the snapshot's objects. Numbers are dense in
+// [0, NumSlots()), so per-slot sets can be bitsets.
+func (s *Snapshot) Slot(o *Object, i int) int { return int(s.slotBase[o.SeqID]) + i }
+
+// NumSlots returns the number of field and element slots of the
+// snapshot's objects.
+func (s *Snapshot) NumSlots() int { return s.slots }
 
 // BuildSnapshot traverses the object graph from roots in a well-defined
 // (depth-first, field order, element order) order, marking every reached
@@ -86,8 +101,11 @@ func BuildSnapshot(roots []RootRef) *Snapshot {
 		s.Roots = append(s.Roots, r)
 		visit(r.Obj)
 	}
-	for _, o := range s.Objects {
+	s.slotBase = make([]int32, len(s.Objects))
+	for k, o := range s.Objects {
 		s.TotalSize += o.Size
+		s.slotBase[k] = int32(s.slots)
+		s.slots += len(o.Fields) + len(o.Elems)
 	}
 	return s
 }

@@ -108,9 +108,10 @@ type Image struct {
 	// CULayout is the final .text layout (CUOffset gives each CU's file
 	// offset).
 	CULayout []*graal.CompilationUnit
-	// cus maps each CU's root method to the CU and its offset: the one
-	// lookup the runtime hooks make per CU entry.
-	cus map[*ir.Method]cuEntry
+	// cus holds each CU and its offset at the Method.ID of its root: the
+	// one lookup the runtime hooks make per CU entry and per call. It is
+	// as long as the largest root ID needs.
+	cus []cuEntry
 
 	// ObjLayout is the final .svm_heap layout; object Offsets are relative
 	// to the section start.
@@ -118,6 +119,9 @@ type Image struct {
 
 	// Hubs maps each reachable class to its metadata object in the heap.
 	Hubs map[*ir.Class]*heap.Object
+	// hubs holds the same hubs at their class's ID, for the allocation
+	// hook; it is as long as the largest reachable class ID needs.
+	hubs []*heap.Object
 
 	// MetaBlobs maps each reachable class to its method-metadata blob —
 	// kept so fault attribution can name these objects stably across
@@ -203,9 +207,13 @@ func build(p *ir.Program, opts Options, reach *graal.Reachability, scan *graal.M
 	if opts.Kind == KindInstrumented && opts.Instr == graal.InstrHeap {
 		img.Numberings = img.Table.Numberings(opts.MaxPaths)
 	}
-	img.cus = make(map[*ir.Method]cuEntry, len(img.Comp.CUs))
+	maxID := 0
 	for _, cu := range img.Comp.CUs {
-		img.cus[cu.Root] = cuEntry{cu: cu}
+		maxID = max(maxID, cu.Root.ID)
+	}
+	img.cus = make([]cuEntry, maxID+1)
+	for _, cu := range img.Comp.CUs {
+		img.cus[cu.Root.ID] = cuEntry{cu: cu}
 	}
 	sp.End()
 
@@ -327,7 +335,7 @@ func (img *Image) layoutText() {
 	off := int64(osim.PageSize) // header page
 	img.TextSection = osim.Section{Name: SectionText, Off: off}
 	for _, cu := range img.CULayout {
-		img.cus[cu.Root] = cuEntry{cu: cu, off: off}
+		img.cus[cu.Root.ID].off = off
 		off += (int64(cu.Size) + 15) / 16 * 16
 	}
 	// Statically linked native code follows the compiled CUs, page-aligned
@@ -371,9 +379,15 @@ func (img *Image) snapshotHeap() error {
 	perturb(classes, img.Opts.BuildSeed+1)
 	img.Hubs = make(map[*ir.Class]*heap.Object, len(classes))
 	img.MetaBlobs = make(map[*ir.Class]*heap.Object, len(classes))
+	maxID := 0
+	for _, c := range classes {
+		maxID = max(maxID, c.ID)
+	}
+	img.hubs = make([]*heap.Object, maxID+1)
 	for _, c := range classes {
 		hub := heap.NewByteArray(64 + 16*len(c.AllFields) + 8*len(c.Methods))
 		img.Hubs[c] = hub
+		img.hubs[c.ID] = hub
 		roots = append(roots, heap.RootRef{Obj: hub, Reason: heap.ReasonDataSection})
 		meta := heap.NewByteArray(metaBlobSize(c))
 		img.MetaBlobs[c] = meta
@@ -490,11 +504,20 @@ type cuEntry struct {
 	off int64
 }
 
+// cuAt returns the entry of the CU rooted at m; its cu is nil when m roots
+// none.
+func (img *Image) cuAt(m *ir.Method) cuEntry {
+	if m.ID < len(img.cus) {
+		return img.cus[m.ID]
+	}
+	return cuEntry{}
+}
+
 // CUOf returns the compilation unit rooted at m, or nil.
-func (img *Image) CUOf(m *ir.Method) *graal.CompilationUnit { return img.cus[m].cu }
+func (img *Image) CUOf(m *ir.Method) *graal.CompilationUnit { return img.cuAt(m).cu }
 
 // CUOffset returns the absolute file offset of cu in the .text layout.
-func (img *Image) CUOffset(cu *graal.CompilationUnit) int64 { return img.cus[cu.Root].off }
+func (img *Image) CUOffset(cu *graal.CompilationUnit) int64 { return img.cuAt(cu.Root).off }
 
 // TextSize returns the .text payload size in bytes.
 func (img *Image) TextSize() int64 { return img.TextSection.Len }

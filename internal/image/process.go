@@ -81,7 +81,7 @@ func (img *Image) NewProcess(o *osim.OS, extra vm.Hooks) (*Process, error) {
 	m.Interns = img.Interns
 	m.BuildSalt = img.Opts.BuildSeed
 	m.Obs = o.Obs
-	m.EnableJournal()
+	m.EnableJournal(img.Snapshot)
 	m.Hooks = vm.ComposeHooks(p.hooks(), extra)
 	p.Machine = m
 
@@ -117,11 +117,11 @@ func (p *Process) hooks() vm.Hooks {
 	img := p.Img
 	return vm.Hooks{
 		InlineOf: func(ctx, callee *ir.Method) bool {
-			e := img.cus[ctx]
-			return e.cu != nil && e.cu.Members[callee]
+			cu := img.cuAt(ctx).cu
+			return cu != nil && cu.Contains(callee)
 		},
 		OnEnterCU: func(tid int, root *ir.Method) {
-			if e := img.cus[root]; e.cu != nil {
+			if e := img.cuAt(root); e.cu != nil {
 				p.Mapping.TouchRange(e.off, int64(e.cu.Size))
 			}
 		},
@@ -136,10 +136,10 @@ func (p *Process) hooks() vm.Hooks {
 			p.Mapping.TouchRange(img.HeapSection.Off+o.Offset, o.Size)
 		},
 		OnNew: func(tid int, c *ir.Class) {
-			hub := img.Hubs[c]
-			if hub == nil {
+			if c.ID >= len(img.hubs) || img.hubs[c.ID] == nil {
 				return
 			}
+			hub := img.hubs[c.ID]
 			p.Mapping.TouchRange(img.HeapSection.Off+hub.Offset, hub.Size)
 		},
 	}

@@ -55,6 +55,15 @@ type Method struct {
 	// image build time and populate the initial heap (Sec. 2).
 	Clinit bool
 
+	// ID numbers the program's methods densely from 1, in declaration
+	// order (classes in classpath order, then methods in source order), so
+	// per-method tables can be slices. Populated by Program.Resolve.
+	ID int
+	// Selector is the virtual selector of the method's name (from 1; see
+	// Program.Selectors), or 0 when no callvirt names it. Populated by
+	// Program.Resolve.
+	Selector int
+
 	// size caches the code-size estimate. Atomic because concurrent image
 	// builds of the same program (the eval scheduler) race to fill it; all
 	// writers compute the same value, so any winner is correct.
@@ -150,6 +159,10 @@ type Class struct {
 
 	methodsByName map[string]*Method
 	subclasses    []*Class
+	// dispatch is the dispatch table: dispatch[s] is LookupMethod of the
+	// name of selector s (nil when c has no such method); dispatch[0] is
+	// unused.
+	dispatch []*Method
 }
 
 // Clinit returns the class initializer method, or nil.
@@ -178,6 +191,11 @@ func (c *Class) LookupMethod(name string) *Method {
 	}
 	return nil
 }
+
+// Dispatch returns the target of virtual selector sel on a receiver of
+// class c: LookupMethod of the selector's name, precomputed by Resolve. It
+// returns nil when c has no method of that name.
+func (c *Class) Dispatch(sel int) *Method { return c.dispatch[sel] }
 
 // LookupField resolves an instance field by name against c and its
 // superclasses.
@@ -266,13 +284,14 @@ func (c *Class) resolveInto(p *Program) error {
 		seen[f.Name] = true
 		f.Class = c
 	}
-	for _, f := range c.Statics {
+	for i, f := range c.Statics {
 		if seen[f.Name] {
 			return fmt.Errorf("ir: class %s: duplicate field %s", c.Name, f.Name)
 		}
 		seen[f.Name] = true
 		f.Class = c
 		f.Static = true
+		f.Slot = i
 	}
 	return nil
 }

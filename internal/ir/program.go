@@ -29,6 +29,9 @@ type Program struct {
 
 	byName   map[string]*Class
 	resolved bool
+	// selectors names the virtual selectors: selectors[s-1] is the method
+	// name of selector s.
+	selectors []string
 }
 
 // Class returns the class with the given fully qualified name, or nil.
@@ -98,6 +101,7 @@ func (p *Program) Resolve() error {
 			}
 		}
 	}
+	p.numberMethods()
 	if p.EntryClass != "" {
 		e := p.Entry()
 		if e == nil {
@@ -290,6 +294,44 @@ func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) e
 		return fmt.Errorf("invalid opcode %d", in.Op)
 	}
 }
+
+// numberMethods gives every method its dense ID, numbers the virtual
+// selectors — every method name some callvirt names, in first-use order
+// over the declaration order — and fills each class's dispatch table.
+func (p *Program) numberMethods() {
+	sel := make(map[string]int)
+	id := 0
+	for _, c := range p.Classes {
+		for _, m := range c.Methods {
+			id++
+			m.ID = id
+			for _, b := range m.Blocks {
+				for i := range b.Instrs {
+					in := &b.Instrs[i]
+					if in.Op == OpCallVirt && sel[in.Sym] == 0 {
+						p.selectors = append(p.selectors, in.Sym)
+						sel[in.Sym] = len(p.selectors)
+					}
+				}
+			}
+		}
+	}
+	n := len(p.selectors) + 1
+	tables := make([]*Method, len(p.Classes)*n)
+	for i, c := range p.Classes {
+		c.dispatch = tables[i*n : (i+1)*n : (i+1)*n]
+		for s, name := range p.selectors {
+			c.dispatch[s+1] = c.LookupMethod(name)
+		}
+		for _, m := range c.Methods {
+			m.Selector = sel[m.Name]
+		}
+	}
+}
+
+// Selectors returns the names of the virtual selectors: selector s (from
+// 1) names Selectors()[s-1].
+func (p *Program) Selectors() []string { return p.selectors }
 
 // Methods returns every method of every class, in declaration order.
 func (p *Program) Methods() []*Method {

@@ -13,20 +13,28 @@ import (
 // into 12 bytes; everything else an op needs lives in its code's side
 // tables.
 //
-// code is the ir.Op of an instruction, or a terminator pseudo-op (opGoto
-// and up), so an instruction's code indexes the opcode mix directly. sub
-// is the operator of arith, farith and cmp, the IntrinsicID of an
-// intrinsic, flagWide on a constant held in aux, and flagClinit on an op
-// that may trigger class initialization. a, b and c are registers (noReg:
-// none); x is an operand or an index into a side table:
+// code is what the interpreter's one switch dispatches on: the ir.Op of an
+// instruction, a terminator pseudo-op, or the operator-specific code of an
+// arith, farith or cmp (see the table below); mixOp maps every code back to
+// the ir.Op the opcode mix counts. sub is the IntrinsicID of an intrinsic,
+// the operator of a generic arith, farith or cmp, flagWide on a constant
+// held in aux, and flagClinit on an op that may trigger class
+// initialization. a, b and c are registers (noReg: none); x is an operand
+// or an index into a side table:
 //
 //	const.i, const.f      a, x=value (flagWide: aux offset of the value)
 //	const.s               a, x=refs (*string)
+//	arith, farith, cmp    a, b, c; sub=operator (an operator with no
+//	                      code of its own: it traps, or yields NaN or 0)
+//	add … shr             a, b, c: integer arith, one code per ArithOp
+//	fadd … frem           a, b, c: float arith, Add through Rem
+//	eq … ge               a, b, c: cmp, one code per CmpOp
 //	new                   a, x=refs (*ir.Class)
 //	newarray              a, b, x=refs (*ir.TypeRef)
 //	get/putfield          a, b, x=refs (*ir.Field)
 //	get/putstatic         a, x=refs (*ir.Field)
-//	call, callvirt        a, x=aux offset of a site (refs: *ir.Method)
+//	call, callvirt        a, x=aux offset of a site (refs: *ir.Method;
+//	                      a callvirt dispatches on its Selector)
 //	intrinsic             a, x=aux offset of a site (refs: *string, the
 //	                      name, or a spawn's target)
 //	goto                  x=target block
@@ -41,12 +49,39 @@ type op struct {
 	x       int32
 }
 
-// Terminator pseudo-ops follow the instruction opcodes.
+// Terminator pseudo-ops follow the instruction opcodes, and the
+// operator-specific codes follow them, each group in operator order.
 const (
 	opGoto uint8 = uint8(ir.NumOps) + iota
 	opIf
 	opReturn
 	opBadTerm // an invalid terminator; traps
+
+	opAdd // integer arith: ir.Add through ir.Shr
+	opSub
+	opMul
+	opDiv
+	opRem
+	opAnd
+	opOr
+	opXor
+	opShl
+	opShr
+
+	opFAdd // float arith: ir.Add through ir.Rem
+	opFSub
+	opFMul
+	opFDiv
+	opFRem
+
+	opEq // cmp: ir.Eq through ir.Ge
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+
+	numCodes
 )
 
 const (
@@ -58,10 +93,30 @@ const (
 	flagClinit = 1
 	// flagWide marks a constant too wide for x, stored in aux instead.
 	flagWide = 1
-	// badOperator stands in for an arith or cmp operator outside the
-	// known range, which the operator functions reject.
+	// badOperator stands in for an arith or cmp operator too large for
+	// sub, which the operator functions reject.
 	badOperator = 0xff
 )
+
+// mixOp maps every code to the opcode-mix index of its ir.Op. Terminators
+// map to ir.NumOps, a slot the mix never publishes.
+var mixOp = func() (t [numCodes]uint8) {
+	for c := range t {
+		switch {
+		case c < ir.NumOps:
+			t[c] = uint8(c)
+		case c >= int(opAdd) && c <= int(opShr):
+			t[c] = uint8(ir.OpArith)
+		case c >= int(opFAdd) && c <= int(opFRem):
+			t[c] = uint8(ir.OpFArith)
+		case c >= int(opEq):
+			t[c] = uint8(ir.OpCmp)
+		default:
+			t[c] = uint8(ir.NumOps)
+		}
+	}
+	return t
+}()
 
 // code is the decoded body of one method: every block's instructions
 // followed by its terminator, in block order, in one exactly sized op
@@ -120,11 +175,12 @@ func (c *code) instr(in *ir.Instr) op {
 		}
 	case ir.OpConstStr:
 		o.x = c.ref(&in.Sym)
-	case ir.OpArith, ir.OpFArith, ir.OpCmp:
-		o.sub = badOperator
-		if in.Val >= 0 && in.Val < badOperator {
-			o.sub = uint8(in.Val)
-		}
+	case ir.OpArith:
+		o.operator(in.Val, opAdd, int64(ir.Shr))
+	case ir.OpFArith:
+		o.operator(in.Val, opFAdd, int64(ir.Rem))
+	case ir.OpCmp:
+		o.operator(in.Val, opEq, int64(ir.Ge))
 	case ir.OpNew:
 		o.sub = flagClinit
 		o.x = c.ref(in.Class)
@@ -150,6 +206,20 @@ func (c *code) instr(in *ir.Instr) op {
 		o.x = c.site(name, in.Args)
 	}
 	return o
+}
+
+// operator decodes the operator v of an arith, farith or cmp: operators 0
+// through last get their own code, first+v; any other stays on the
+// generic code with the operator in sub.
+func (o *op) operator(v int64, first uint8, last int64) {
+	switch {
+	case v >= 0 && v <= last:
+		o.code = first + uint8(v)
+	case v >= 0 && v < badOperator:
+		o.sub = uint8(v)
+	default:
+		o.sub = badOperator
+	}
 }
 
 func term(t ir.Term) op {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -73,7 +74,8 @@ func TestTrapLocations(t *testing.T) {
 }
 
 // TestStepBudgetError: the step that takes Steps past MaxSteps ends the
-// run with the budget error.
+// run with the budget error, whether the budget ends inside a quantum, at
+// its boundary, or before the first step.
 func TestStepBudgetError(t *testing.T) {
 	b := ir.NewBuilder("inf")
 	b.Class(ir.StringClass)
@@ -85,14 +87,16 @@ func TestStepBudgetError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(p)
-	m.MaxSteps = 1001
-	_, err = m.RunMethod(p.Class("I").DeclaredMethod("spin"))
-	if want := "vm: step budget 1001 exhausted in inf"; err == nil || err.Error() != want {
-		t.Errorf("err = %v, want %q", err, want)
-	}
-	if m.Steps != m.MaxSteps+1 || m.Cycles != m.Steps {
-		t.Errorf("stopped at %d steps, %d cycles; want %d of each", m.Steps, m.Cycles, m.MaxSteps+1)
+	for _, budget := range []int64{1001, 399, 400, 401, 0, -5} {
+		m := New(p)
+		m.MaxSteps = budget
+		_, err = m.RunMethod(p.Class("I").DeclaredMethod("spin"))
+		if want := fmt.Sprintf("vm: step budget %d exhausted in inf", budget); err == nil || err.Error() != want {
+			t.Errorf("budget %d: err = %v, want %q", budget, err, want)
+		}
+		if want := max(budget, 0) + 1; m.Steps != want || m.Cycles != m.Steps {
+			t.Errorf("budget %d: stopped at %d steps, %d cycles; want %d of each", budget, m.Steps, m.Cycles, want)
+		}
 	}
 }
 

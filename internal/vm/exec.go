@@ -30,14 +30,23 @@ func (m *Machine) runQuantum(t *thread) error {
 		}
 		f := t.frames[len(t.frames)-1]
 		c, regs, pc := f.code, f.regs, f.pc
+		// n counts down the ops the inner loop may run: the rest of the
+		// quantum, cut where Steps would pass MaxSteps.
+		n := int64(left)
+		if m.Steps >= m.MaxSteps {
+			n = 1
+		} else if budget := m.MaxSteps - m.Steps; budget < n {
+			n = budget + 1
+		}
+		n0 := n
 		var o *op
 	straight:
 		for {
 			o = &c.ops[pc]
 			pc++
 			m.Cycles += costInstr
-			if mixOn && o.code < uint8(ir.NumOps) {
-				m.mix[o.code]++
+			if mixOn {
+				m.mix[mixOp[o.code]]++
 			}
 			switch o.code {
 			case uint8(ir.OpConstInt):
@@ -62,6 +71,94 @@ func (m *Machine) runQuantum(t *thread) error {
 				regs[o.a] = heap.Null()
 			case uint8(ir.OpMove):
 				regs[o.a] = regs[o.b]
+			case opAdd:
+				regs[o.a] = heap.IntVal(regs[o.b].Bits + regs[o.c].Bits)
+			case opSub:
+				regs[o.a] = heap.IntVal(regs[o.b].Bits - regs[o.c].Bits)
+			case opMul:
+				regs[o.a] = heap.IntVal(regs[o.b].Bits * regs[o.c].Bits)
+			case opDiv:
+				y := regs[o.c].Bits
+				if y == 0 {
+					f.pc = pc
+					return m.trapf(f, "integer division by zero")
+				}
+				regs[o.a] = heap.IntVal(regs[o.b].Bits / y)
+			case opRem:
+				y := regs[o.c].Bits
+				if y == 0 {
+					f.pc = pc
+					return m.trapf(f, "integer remainder by zero")
+				}
+				regs[o.a] = heap.IntVal(regs[o.b].Bits % y)
+			case opAnd:
+				regs[o.a] = heap.IntVal(regs[o.b].Bits & regs[o.c].Bits)
+			case opOr:
+				regs[o.a] = heap.IntVal(regs[o.b].Bits | regs[o.c].Bits)
+			case opXor:
+				regs[o.a] = heap.IntVal(regs[o.b].Bits ^ regs[o.c].Bits)
+			case opShl:
+				regs[o.a] = heap.IntVal(regs[o.b].Bits << (uint64(regs[o.c].Bits) & 63))
+			case opShr:
+				regs[o.a] = heap.IntVal(regs[o.b].Bits >> (uint64(regs[o.c].Bits) & 63))
+			case opFAdd:
+				regs[o.a] = heap.FloatVal(regs[o.b].Float() + regs[o.c].Float())
+			case opFSub:
+				regs[o.a] = heap.FloatVal(regs[o.b].Float() - regs[o.c].Float())
+			case opFMul:
+				regs[o.a] = heap.FloatVal(regs[o.b].Float() * regs[o.c].Float())
+			case opFDiv:
+				regs[o.a] = heap.FloatVal(regs[o.b].Float() / regs[o.c].Float())
+			case opFRem:
+				regs[o.a] = heap.FloatVal(math.Mod(regs[o.b].Float(), regs[o.c].Float()))
+			case opEq:
+				x, y := regs[o.b], regs[o.c]
+				switch {
+				case x.Kind|y.Kind == heap.VInt:
+					regs[o.a] = heap.IntVal(boolInt(x.Bits == y.Bits))
+				case x.Kind == heap.VRef || y.Kind == heap.VRef:
+					regs[o.a] = heap.IntVal(boolInt(x.Ref == y.Ref))
+				default:
+					regs[o.a] = heap.IntVal(boolInt(compare(ir.Eq, x, y)))
+				}
+			case opNe:
+				x, y := regs[o.b], regs[o.c]
+				switch {
+				case x.Kind|y.Kind == heap.VInt:
+					regs[o.a] = heap.IntVal(boolInt(x.Bits != y.Bits))
+				case x.Kind == heap.VRef || y.Kind == heap.VRef:
+					regs[o.a] = heap.IntVal(boolInt(x.Ref != y.Ref))
+				default:
+					regs[o.a] = heap.IntVal(boolInt(compare(ir.Ne, x, y)))
+				}
+			case opLt:
+				x, y := regs[o.b], regs[o.c]
+				if x.Kind|y.Kind == heap.VInt {
+					regs[o.a] = heap.IntVal(boolInt(x.Bits < y.Bits))
+				} else {
+					regs[o.a] = heap.IntVal(boolInt(compare(ir.Lt, x, y)))
+				}
+			case opLe:
+				x, y := regs[o.b], regs[o.c]
+				if x.Kind|y.Kind == heap.VInt {
+					regs[o.a] = heap.IntVal(boolInt(x.Bits <= y.Bits))
+				} else {
+					regs[o.a] = heap.IntVal(boolInt(compare(ir.Le, x, y)))
+				}
+			case opGt:
+				x, y := regs[o.b], regs[o.c]
+				if x.Kind|y.Kind == heap.VInt {
+					regs[o.a] = heap.IntVal(boolInt(x.Bits > y.Bits))
+				} else {
+					regs[o.a] = heap.IntVal(boolInt(compare(ir.Gt, x, y)))
+				}
+			case opGe:
+				x, y := regs[o.b], regs[o.c]
+				if x.Kind|y.Kind == heap.VInt {
+					regs[o.a] = heap.IntVal(boolInt(x.Bits >= y.Bits))
+				} else {
+					regs[o.a] = heap.IntVal(boolInt(compare(ir.Ge, x, y)))
+				}
 			case uint8(ir.OpArith):
 				v, e := intArith(ir.ArithOp(o.sub), regs[o.b].Int(), regs[o.c].Int())
 				if e != "" {
@@ -169,15 +266,15 @@ func (m *Machine) runQuantum(t *thread) error {
 				break straight
 			}
 			m.Steps++
-			if m.Steps > m.MaxSteps {
+			if n--; n == 0 {
 				f.pc = pc
-				return m.budgetExhausted()
-			}
-			if left--; left == 0 {
-				f.pc = pc
+				if m.Steps > m.MaxSteps {
+					return m.budgetExhausted()
+				}
 				return nil
 			}
 		}
+		left -= int(n0 - n)
 		f.pc = pc
 		yielded, err := m.step(t, f, o)
 		if err != nil {
@@ -204,13 +301,10 @@ func (m *Machine) budgetExhausted() error {
 func (m *Machine) step(t *thread, f *frame, o *op) (yielded bool, err error) {
 	c := f.code
 	switch o.code {
-	case uint8(ir.OpNew), uint8(ir.OpGetStatic), uint8(ir.OpPutStatic), uint8(ir.OpCall):
-		if o.sub == flagClinit && m.initFirst(t, f, c.trigger(o)) {
+	case uint8(ir.OpNew):
+		if m.initFirst(t, f, o) {
 			return false, nil
 		}
-	}
-	switch o.code {
-	case uint8(ir.OpNew):
 		cls := c.refs[o.x].(*ir.Class)
 		m.Cycles += costAlloc
 		if m.Hooks.OnNew != nil {
@@ -218,8 +312,16 @@ func (m *Machine) step(t *thread, f *frame, o *op) (yielded bool, err error) {
 		}
 		f.regs[o.a] = heap.RefVal(heap.NewObject(cls))
 	case uint8(ir.OpGetStatic), uint8(ir.OpPutStatic):
+		if m.initFirst(t, f, o) {
+			return false, nil
+		}
 		m.static(f.regs, c, o)
-	case uint8(ir.OpCall), uint8(ir.OpCallVirt):
+	case uint8(ir.OpCall):
+		if m.initFirst(t, f, o) {
+			return false, nil
+		}
+		return false, m.call(t, f, o)
+	case uint8(ir.OpCallVirt):
 		return false, m.call(t, f, o)
 	case uint8(ir.OpIntrinsic):
 		return m.intrinsic(t, f, o)
@@ -234,11 +336,16 @@ func (m *Machine) step(t *thread, f *frame, o *op) (yielded bool, err error) {
 	return false, nil
 }
 
-// initFirst starts the initialization of k, the class a flagged op
-// triggers: on an AutoClinit machine, it pushes the pending initializers
-// and rewinds f so the op executes again once they return.
-func (m *Machine) initFirst(t *thread, f *frame, k *ir.Class) bool {
-	if !m.AutoClinit || m.clinitDone[k.ID] || !m.ensureInit(t, k) {
+// initFirst starts the initialization of the class a new, static access
+// or static call o triggers (flagClinit): on an AutoClinit machine, it
+// pushes the pending initializers and rewinds f so the op executes again
+// once they return.
+func (m *Machine) initFirst(t *thread, f *frame, o *op) bool {
+	if o.sub != flagClinit || !m.AutoClinit {
+		return false
+	}
+	k := f.code.trigger(o)
+	if m.clinitDone[k.ID] || !m.ensureInit(t, k) {
 		return false
 	}
 	f.pc--
@@ -292,7 +399,7 @@ func (m *Machine) call(t *thread, f *frame, o *op) error {
 			return m.trapf(f, "virtual call %s on array", callee.Signature())
 		}
 		name := callee.Name
-		callee = recv.Class.LookupMethod(name)
+		callee = recv.Class.Dispatch(callee.Selector)
 		if callee == nil {
 			return m.trapf(f, "no target for %s on %s", name, recv.Class.Name)
 		}
@@ -309,7 +416,7 @@ func (m *Machine) call(t *thread, f *frame, o *op) error {
 	if o.a != noReg {
 		retReg = int(o.a)
 	}
-	nf := m.newFrame(callee, ctx, retReg)
+	nf := m.newFrame(callee, ctx, retReg, len(args))
 	for i, a := range args {
 		nf.regs[i] = f.regs[a]
 	}

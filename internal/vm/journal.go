@@ -15,18 +15,30 @@ type journal struct {
 	elemWrites   []elemWrite
 	staticWrites []staticWrite
 	internAdds   []string
-	seenField    map[fieldKey]bool
-	seenElem     map[elemKey]bool
-	seenStatic   map[*ir.Field]bool
+	// snap numbers the snapshot objects' fields and elements; seenSlot
+	// marks the slots already journaled, by that number, and seenStatic
+	// the static fields, by [Class.ID][Field.Slot]. Both grow on the first
+	// write they record.
+	snap       *heap.Snapshot
+	seenSlot   bitset
+	seenStatic []bitset
 }
 
-type fieldKey struct {
-	o    *heap.Object
-	slot int
-}
-type elemKey struct {
-	o   *heap.Object
-	idx int
+// bitset is a set of small non-negative integers.
+type bitset []uint64
+
+// add inserts i, growing s to hold at least n bits when it is too short,
+// and reports whether i was absent.
+func (s *bitset) add(i, n int) bool {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if w >= len(*s) {
+		*s = append(*s, make(bitset, max((n+63)>>6, w+1)-len(*s))...)
+	}
+	if (*s)[w]&bit != 0 {
+		return false
+	}
+	(*s)[w] |= bit
+	return true
 }
 
 type fieldWrite struct {
@@ -44,15 +56,13 @@ type staticWrite struct {
 	prev heap.Value
 }
 
-// EnableJournal starts recording mutations of pre-existing heap state.
-// Writes to objects allocated after this call are not journaled (they are
-// garbage after the run anyway).
-func (m *Machine) EnableJournal() {
-	m.journal = &journal{
-		seenField:  make(map[fieldKey]bool),
-		seenElem:   make(map[elemKey]bool),
-		seenStatic: make(map[*ir.Field]bool),
-	}
+// EnableJournal starts recording mutations of pre-existing heap state: the
+// statics, the intern table, and the objects of snap, which must hold every
+// object marked InSnapshot that the run writes. Writes to objects allocated
+// after this call are not journaled (they are garbage after the run
+// anyway).
+func (m *Machine) EnableJournal(snap *heap.Snapshot) {
+	m.journal = &journal{snap: snap}
 }
 
 // Rollback undoes every journaled mutation in reverse order and stops
@@ -131,11 +141,9 @@ func (m *Machine) recordFieldWrite(o *heap.Object, f *ir.Field) {
 	if j == nil || !o.InSnapshot {
 		return
 	}
-	k := fieldKey{o, f.Slot}
-	if j.seenField[k] {
+	if !j.seenSlot.add(j.snap.Slot(o, f.Slot), j.snap.NumSlots()) {
 		return
 	}
-	j.seenField[k] = true
 	j.fieldWrites = append(j.fieldWrites, fieldWrite{o: o, f: f, prev: o.GetField(f)})
 }
 
@@ -145,11 +153,9 @@ func (m *Machine) recordElemWrite(o *heap.Object, idx int) {
 	if j == nil || !o.InSnapshot {
 		return
 	}
-	k := elemKey{o, idx}
-	if j.seenElem[k] {
+	if !j.seenSlot.add(j.snap.Slot(o, idx), j.snap.NumSlots()) {
 		return
 	}
-	j.seenElem[k] = true
 	j.elemWrites = append(j.elemWrites, elemWrite{o: o, idx: idx, prev: o.GetElem(idx)})
 }
 
@@ -159,9 +165,12 @@ func (m *Machine) recordStaticWrite(f *ir.Field) {
 	if j == nil {
 		return
 	}
-	if j.seenStatic[f] {
+	id := f.Class.ID
+	if id >= len(j.seenStatic) {
+		j.seenStatic = append(j.seenStatic, make([]bitset, id+1-len(j.seenStatic))...)
+	}
+	if !j.seenStatic[id].add(f.Slot, len(f.Class.Statics)) {
 		return
 	}
-	j.seenStatic[f] = true
 	j.staticWrites = append(j.staticWrites, staticWrite{f: f, prev: m.Statics.Get(f)})
 }

@@ -131,9 +131,11 @@ type Machine struct {
 	freeFrames  []*frame
 	freeThreads []*thread
 
-	// mix accumulates per-opcode execution counts between finish() flushes;
-	// mixOn caches Obs != nil for the duration of one schedule() run.
-	mix   [ir.NumOps]int64
+	// mix accumulates per-opcode execution counts between finish() flushes,
+	// indexed by mixOp (the extra slot counts terminators, which are not
+	// published); mixOn caches Obs != nil for the duration of one
+	// schedule() run.
+	mix   [ir.NumOps + 1]int64
 	mixOn bool
 }
 
@@ -174,7 +176,7 @@ func (m *Machine) ensureInit(t *thread, c *ir.Class) bool {
 	// Push subclass initializers first so superclass initializers end up
 	// on top of the stack and run first.
 	for _, cl := range pending {
-		t.frames = append(t.frames, m.newFrame(cl, cl, int(ir.NoReg)))
+		t.frames = append(t.frames, m.newFrame(cl, cl, int(ir.NoReg), 0))
 		if m.Hooks.OnMethodEnter != nil {
 			m.Hooks.OnMethodEnter(t.id, cl)
 		}
@@ -220,9 +222,10 @@ type thread struct {
 }
 
 // newFrame returns a frame executing meth from its entry block, with every
-// register null. It reuses a free frame, and that frame's register slice
+// register from index args on null: the caller fills the argument
+// registers below. It reuses a free frame, and that frame's register slice
 // when the slice is large enough.
-func (m *Machine) newFrame(meth, ctx *ir.Method, retReg int) *frame {
+func (m *Machine) newFrame(meth, ctx *ir.Method, retReg, args int) *frame {
 	var f *frame
 	if n := len(m.freeFrames); n > 0 {
 		f = m.freeFrames[n-1]
@@ -235,7 +238,7 @@ func (m *Machine) newFrame(meth, ctx *ir.Method, retReg int) *frame {
 		regs = make([]heap.Value, meth.NumRegs)
 	}
 	regs = regs[:meth.NumRegs]
-	for i := range regs {
+	for i := min(args, len(regs)); i < len(regs); i++ {
 		regs[i] = heap.Null()
 	}
 	*f = frame{m: meth, code: codeOf(meth), ctx: ctx, regs: regs, retReg: retReg}
@@ -303,7 +306,7 @@ func (m *Machine) RunMethod(target *ir.Method, args ...heap.Value) (heap.Value, 
 }
 
 func (m *Machine) spawnThread(entry *ir.Method, args []heap.Value) {
-	f := m.newFrame(entry, entry, int(ir.NoReg))
+	f := m.newFrame(entry, entry, int(ir.NoReg), 0)
 	copy(f.regs, args)
 	t := m.newThread(m.nextTID)
 	t.frames = append(t.frames, f)

@@ -25,10 +25,10 @@ func TestReusedFrameRegistersReadNull(t *testing.T) {
 		m.freeFrames = append(m.freeFrames, f)
 	}
 
-	freed := m.newFrame(mid, mid, int(ir.NoReg))
+	freed := m.newFrame(mid, mid, int(ir.NoReg), 0)
 	dirty(freed)
 	for _, callee := range []*ir.Method{big, small, mid} {
-		f := m.newFrame(callee, callee, 0)
+		f := m.newFrame(callee, callee, 0, 0)
 		if f != freed {
 			t.Fatalf("%s: frame not taken from the free list", callee.Name)
 		}

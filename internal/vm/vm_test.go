@@ -440,16 +440,16 @@ func TestJournalRollback(t *testing.T) {
 	}
 	m := New(p)
 
-	// Pre-existing "snapshot" object and static value.
+	// Pre-existing snapshot object and static value.
 	o := heap.NewObject(p.Class("A"))
-	o.InSnapshot = true
+	snap := heap.BuildSnapshot([]heap.RootRef{{Obj: o, Reason: heap.ReasonDataSection}})
 	xf := p.Class("A").LookupField("x")
 	o.SetField(xf, heap.IntVal(7))
 	sf := p.Class("A").LookupStatic("s")
 	m.Statics.Set(sf, heap.IntVal(5))
 	baseInterns := len(m.Interns.All())
 
-	m.EnableJournal()
+	m.EnableJournal(snap)
 	if _, err := m.RunMethod(p.Class("A").DeclaredMethod("mutate"), heap.RefVal(o)); err != nil {
 		t.Fatal(err)
 	}
