@@ -190,7 +190,7 @@ func BenchmarkFigure6Visualization(b *testing.B) {
 // Ablations (DESIGN.md §6)
 // ---------------------------------------------------------------------------
 
-// ablationPipeline measures one workload/strategy pipeline under a custom
+// ablationFactor measures one workload/strategy pipeline under a custom
 // compiler config and returns the relevant fault factor.
 func ablationFactor(b *testing.B, cfg eval.Config, workload, strategy string) float64 {
 	b.Helper()
@@ -611,99 +611,5 @@ func BenchmarkMurmurSnapshotEncoding(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		murmur.Sum64(data)
-	}
-}
-
-// BenchmarkBaselinePettisHansen compares the classic Pettis–Hansen
-// call-graph ordering [44] against the paper's cu ordering for *cold
-// start*. PH optimizes steady-state locality from edge frequencies; the
-// paper argues (Sec. 8) that such orderings are not aimed at startup.
-//
-// Observed result: when the profiling run equals the measured run, both
-// strategies compact the same executed-CU set to the front of .text, so
-// their *total* cold-start fault counts coincide — the fault count of a
-// completed run depends on the hot set, not on its internal order. The
-// first-execution order the paper optimizes (Property 1, Sec. 4) matters
-// for the *progression* of paging (interrupted startups, sequential
-// readahead), which this simulator's fault accounting does not reward;
-// the bench documents that equivalence explicitly.
-func BenchmarkBaselinePettisHansen(b *testing.B) {
-	for _, wname := range []string{"Bounce", "micronaut"} {
-		b.Run(wname, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig()
-				cfg.Builds = 1
-				h := eval.NewHarness(cfg)
-				w, err := workloads.ByName(wname)
-				if err != nil {
-					b.Fatal(err)
-				}
-				base, err := h.MeasureBaseline(w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				factor := func(strategy string) float64 {
-					opt, err := h.MeasureStrategy(w, strategy)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var bm, om float64
-					for _, m := range base {
-						bm += m.TextFaults
-					}
-					for _, m := range opt.Measures {
-						om += m.TextFaults
-					}
-					return bm / om * float64(len(opt.Measures)) / float64(len(base))
-				}
-				b.ReportMetric(factor(core.StrategyCU), "x-text/cu")
-				b.ReportMetric(factor(core.StrategyPettisHansen), "x-text/pettis-hansen")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationAdaptiveReadahead re-runs the cu-vs-Pettis-Hansen
-// comparison with Linux-style readahead escalation enabled. One might
-// expect the sequential ramp-up to reward the paper's first-execution
-// ordering (Property 1) over PH's frequency chains; the measured result is
-// that they stay equal: startup interleaves .text and .svm_heap faults,
-// and the per-file readahead state resets on every section switch, so the
-// ramp never builds up — the benefit of first-execution ordering comes
-// from compaction, not from intra-region sequentiality. The bench keeps
-// this (negative) result observable.
-func BenchmarkAblationAdaptiveReadahead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig()
-		cfg.Builds = 1
-		cfg.AdaptiveReadahead = true
-		cfg.FaultAround = 2 // fine-grained windows expose ordering effects
-		h := eval.NewHarness(cfg)
-		w, err := workloads.ByName("Bounce")
-		if err != nil {
-			b.Fatal(err)
-		}
-		base, err := h.MeasureBaseline(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		time := func(strategy string) float64 {
-			opt, err := h.MeasureStrategy(w, strategy)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var s float64
-			for _, m := range opt.Measures {
-				s += m.Time
-			}
-			return s / float64(len(opt.Measures))
-		}
-		var bt float64
-		for _, m := range base {
-			bt += m.Time
-		}
-		bt /= float64(len(base))
-		b.ReportMetric(bt/time(core.StrategyCU), "x-speed/cu")
-		b.ReportMetric(bt/time(core.StrategyPettisHansen), "x-speed/pettis-hansen")
 	}
 }

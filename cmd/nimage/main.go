@@ -145,6 +145,9 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
+	if _, ok := core.StrategyByName(*strategy); !ok {
+		return fmt.Errorf("unknown strategy %q", *strategy)
+	}
 	p := w.Build()
 
 	var reg *nimage.ObsRegistry

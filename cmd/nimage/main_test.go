@@ -38,6 +38,12 @@ func TestCmdBuildRegularAndDump(t *testing.T) {
 	if err := cmdBuild([]string{"-workload", "Sieve", "-kind", "bogus"}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+	for _, kind := range []string{"regular", "optimized"} {
+		err := cmdBuild([]string{"-workload", "Sieve", "-kind", kind, "-strategy", "pettis-hansen"})
+		if err == nil || !strings.Contains(err.Error(), `unknown strategy "pettis-hansen"`) {
+			t.Errorf("-kind %s: err = %v, want the unknown-strategy error", kind, err)
+		}
+	}
 }
 
 func TestCmdBuildOptimized(t *testing.T) {
@@ -474,9 +480,13 @@ func TestCmdProfileMatchesPipeline(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range []string{core.StrategyPettisHansen, core.StrategyC3} {
-		if err := cmdProfile([]string{"-workload", "Bounce", "-strategy", s, "-out", filepath.Join(dir, "x.csv")}); err == nil {
-			t.Errorf("strategy %q accepted", s)
+	// A name outside the registry (the removed Pettis–Hansen baseline)
+	// gets the unknown-strategy error; the serve-only graph strategies
+	// have no profiling run to export.
+	for _, s := range []string{"pettis-hansen", core.StrategyC3} {
+		err := cmdProfile([]string{"-workload", "Bounce", "-strategy", s, "-out", filepath.Join(dir, "x.csv")})
+		if err == nil || !strings.Contains(err.Error(), `unknown strategy "`+s+`"`) {
+			t.Errorf("strategy %q: err = %v, want the unknown-strategy error", s, err)
 		}
 	}
 }

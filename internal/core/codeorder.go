@@ -9,12 +9,10 @@ package core
 
 import "nimage/internal/graal"
 
-// Code-ordering strategy names (Sec. 4.1, 4.2), plus the Pettis–Hansen
-// baseline of the related work (Sec. 8).
+// Code-ordering strategy names (Sec. 4.1, 4.2).
 const (
-	StrategyCU           = "cu"
-	StrategyMethod       = "method"
-	StrategyPettisHansen = "pettis-hansen"
+	StrategyCU     = "cu"
+	StrategyMethod = "method"
 )
 
 // CodeOrderResult is the outcome of applying a code-ordering profile.

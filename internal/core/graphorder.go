@@ -13,11 +13,10 @@ import (
 // traces: a C3-style call-chain clustering (Hoag, Lee, Mestre, Pupyrev —
 // "Optimizing Function Layout for Mobile Applications") and an
 // ext-TSP-style ordering (Newell & Pupyrev — "Improved Basic Block
-// Reordering"). Both generalize the Pettis–Hansen chain machinery in
-// ph.go from greedy edge coalescing over *ir.Method call edges to
-// gain-driven chain merging over symbol-affinity edges; both return CU
-// root signatures usable directly as a code profile, so the bake path and
-// the .nimg recipe are unchanged.
+// Reordering"). Both generalize Pettis–Hansen's greedy edge coalescing
+// over call edges to gain-driven chain merging over symbol-affinity
+// edges; both return CU root signatures usable directly as a code
+// profile, so the bake path and the .nimg recipe are unchanged.
 
 const (
 	// StrategyC3 lays text out by bottom-up chain merging with a locality

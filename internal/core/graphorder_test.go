@@ -225,3 +225,14 @@ func TestRegistryWellFormed(t *testing.T) {
 		t.Error("cu misclassified as graph strategy")
 	}
 }
+
+// TestEveryStrategyOnAFigure requires every registered strategy to appear
+// in the cold-start or the serve figure set: a strategy on no figure has
+// no measured result to justify its code.
+func TestEveryStrategyOnAFigure(t *testing.T) {
+	for _, s := range Registry() {
+		if !s.Eval && !s.Serve {
+			t.Errorf("%s: on neither the cold-start nor the serve figure set", s.Name)
+		}
+	}
+}

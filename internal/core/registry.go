@@ -28,17 +28,16 @@ type StrategyInfo struct {
 	Text bool
 	Heap bool
 	// Eval marks membership in the cold-start figure set and Serve in
-	// the serve-mode figure set. The graph layouts are serve-only: a
-	// finished cold start's faults depend on the executed set, not its
-	// order, so they cannot separate there. Strategies outside both
-	// (Pettis–Hansen) remain bakeable baselines reached by name.
+	// the serve-mode figure set; every registered strategy is on at least
+	// one. The graph layouts are serve-only: a finished cold start's
+	// faults depend on the executed set, not its order, so they cannot
+	// separate there.
 	Eval  bool
 	Serve bool
 }
 
-// registry lists every strategy in figure order. The paper's six
-// strategies first, then the steady-state baselines and the graph-based
-// serve layouts.
+// registry lists every strategy in figure order: the paper's six
+// strategies first, then the graph-based serve layouts.
 var registry = []StrategyInfo{
 	{Name: StrategyCU, Instr: []graal.Instrumentation{graal.InstrCU}, Text: true, Eval: true, Serve: true},
 	{Name: StrategyMethod, Instr: []graal.Instrumentation{graal.InstrMethod}, Text: true, Eval: true},
@@ -46,7 +45,6 @@ var registry = []StrategyInfo{
 	{Name: StrategyStructural, Instr: []graal.Instrumentation{graal.InstrHeap}, Heap: true, Eval: true},
 	{Name: StrategyHeapPath, Instr: []graal.Instrumentation{graal.InstrHeap}, Heap: true, Eval: true, Serve: true},
 	{Name: StrategyCombined, Instr: []graal.Instrumentation{graal.InstrCU, graal.InstrHeap}, Text: true, Heap: true, Eval: true, Serve: true},
-	{Name: StrategyPettisHansen, Instr: []graal.Instrumentation{graal.InstrCU}, Text: true},
 	{Name: StrategyC3, Graph: true, Text: true, Serve: true},
 	{Name: StrategyExtTSP, Graph: true, Text: true, Serve: true},
 	{Name: StrategySLOSearch, Graph: true, Text: true, Serve: true},

@@ -31,9 +31,6 @@ type Config struct {
 	Device osim.Device
 	// FaultAround is the OS fault-around cluster size in pages.
 	FaultAround int
-	// AdaptiveReadahead enables Linux-style readahead escalation (rewards
-	// layouts whose access order matches their layout order).
-	AdaptiveReadahead bool
 	// Compiler is the compiler configuration shared by all builds.
 	Compiler graal.Config
 	// Observe attaches a fresh obs registry to every build (pipeline spans,
@@ -157,7 +154,6 @@ func (h *Harness) Program(w workloads.Workload) *ir.Program {
 func (h *Harness) newOS() *osim.OS {
 	o := osim.NewOS(h.Cfg.Device)
 	o.FaultAround = h.Cfg.FaultAround
-	o.AdaptiveReadahead = h.Cfg.AdaptiveReadahead
 	o.TrackAffinity = h.Cfg.TrackAffinity
 	return o
 }
@@ -180,20 +176,16 @@ func (h *Harness) measureImage(img *image.Image, w workloads.Workload, layout st
 		return RunMeasure{}, fmt.Errorf("eval: running %s: %w", w.Name, err)
 	}
 	st := proc.Stats()
+	if w.Service && !proc.Machine.Responded {
+		proc.Close()
+		return RunMeasure{}, fmt.Errorf("eval: %s never responded", w.Name)
+	}
 	m := RunMeasure{
 		TextFaults:   float64(st.TextFaults.Total()),
 		HeapFaults:   float64(st.HeapFaults.Total()),
 		CPUSeconds:   st.CPUTime.Seconds(),
+		Time:         st.Judged.Seconds(),
 		AccessedFrac: accessedFraction(st.AccessedObjects, st.SnapshotObjects),
-	}
-	if w.Service {
-		if st.TimeToResponse <= 0 {
-			proc.Close()
-			return RunMeasure{}, fmt.Errorf("eval: %s never responded", w.Name)
-		}
-		m.Time = st.TimeToResponse.Seconds()
-	} else {
-		m.Time = st.Total.Seconds()
 	}
 	if tab := proc.AttributionTable(); tab != nil {
 		tab.Layout = layout

@@ -501,11 +501,10 @@ func (h *Harness) runEngine(ts []engineTenant, scfg ServeConfig, fleet, trackAff
 		if err := proc.Run(w.Args...); err != nil {
 			return nil, fmt.Errorf("eval: %s startup of %s: %w", label, w.Name, err)
 		}
-		st := proc.Stats()
-		if st.TimeToResponse <= 0 {
+		if !proc.Machine.Responded {
 			return nil, fmt.Errorf("eval: %s %s never responded during startup", label, w.Name)
 		}
-		tn.out.StartupNanos = float64(st.TimeToResponse.Nanoseconds())
+		tn.out.StartupNanos = float64(proc.Stats().Judged.Nanoseconds())
 	}
 
 	streams := scfg.Streams

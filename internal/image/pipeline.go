@@ -75,20 +75,12 @@ type ProfilingRun struct {
 	TraceWords int
 }
 
-// timeRun records the simulated times of a finished profiling run. A
-// service's Time is its time to first response (the total if it never
-// responded) and its CPUTime the compute share up to that response; a
-// batch run reports its totals.
-func (run *ProfilingRun) timeRun(proc *Process, service bool) {
+// timeRun records the simulated times of a finished profiling run: its
+// judged time and its compute time so far. A service's run stops at its
+// first response, so its compute time is the share up to that response.
+func (run *ProfilingRun) timeRun(proc *Process) {
 	st := proc.Stats()
-	run.Time, run.CPUTime = st.Total, st.CPUTime
-	if !service {
-		return
-	}
-	if st.TimeToResponse > 0 {
-		run.Time = st.TimeToResponse
-	}
-	run.CPUTime = time.Duration(proc.Machine.RespondTimeNanos())
+	run.Time, run.CPUTime = st.Judged, st.CPUTime
 }
 
 // PipelineResult is the outcome of BuildOptimized.
@@ -126,7 +118,7 @@ type Profile struct {
 // post-processing — and returns the profile and the raw traces. A heap run
 // records and translates the IDs of every given heap strategy.
 func RunProfile(p *ir.Program, opts PipelineOptions, instr graal.Instrumentation, heapStrategies ...core.HeapStrategy) (*Profile, []profiler.ThreadTrace, error) {
-	return runProfile(p, opts, nil, nil, instr, heapStrategies, nil)
+	return runProfile(p, opts, nil, nil, instr, heapStrategies)
 }
 
 // A ProfileFunc supplies a pipeline's profile of one probe kind: it calls
@@ -173,9 +165,10 @@ func BuildOptimizedWith(p *ir.Program, opts PipelineOptions, profileOf ProfileFu
 		}
 	}
 
+	// A graph strategy records no probe kinds, so exactly one of the two
+	// profile sources below runs.
 	res := &PipelineResult{}
-	switch {
-	case info.Graph:
+	if info.Graph {
 		run, code, err := profileGraph(p, opts, reach, scan)
 		if err != nil {
 			return nil, err
@@ -184,33 +177,24 @@ func BuildOptimizedWith(p *ir.Program, opts PipelineOptions, profileOf ProfileFu
 			res.Runs = append(res.Runs, *run)
 		}
 		res.CodeProfile = code
-	case opts.Strategy == core.StrategyPettisHansen:
-		// Pettis–Hansen needs edge frequencies rather than a
-		// first-execution trace: its own CU run with a call-graph collector.
-		prof, _, err := runProfile(p, opts, reach, scan, graal.InstrCU, nil, core.NewCallGraph())
+	}
+	for _, instr := range info.Instr {
+		prof, err := profileOf(instr, func(heapStrategies []core.HeapStrategy, r *obs.Registry) (*Profile, error) {
+			o := opts
+			o.Obs = r
+			prof, _, err := runProfile(p, o, reach, scan, instr, heapStrategies)
+			return prof, err
+		})
 		if err != nil {
 			return nil, err
 		}
-		res.Runs, res.CodeProfile = []ProfilingRun{prof.Run}, prof.Code
-	default:
-		for _, instr := range info.Instr {
-			prof, err := profileOf(instr, func(heapStrategies []core.HeapStrategy, r *obs.Registry) (*Profile, error) {
-				o := opts
-				o.Obs = r
-				prof, _, err := runProfile(p, o, reach, scan, instr, heapStrategies, nil)
-				return prof, err
-			})
-			if err != nil {
-				return nil, err
-			}
-			res.Runs = append(res.Runs, prof.Run)
-			if instr != graal.InstrHeap {
-				res.CodeProfile = prof.Code
-				continue
-			}
-			if res.HeapProfile, ok = prof.Heap[heapStrategy]; !ok {
-				return nil, fmt.Errorf("image: heap profile recorded no %q object IDs", heapStrategy)
-			}
+		res.Runs = append(res.Runs, prof.Run)
+		if instr != graal.InstrHeap {
+			res.CodeProfile = prof.Code
+			continue
+		}
+		if res.HeapProfile, ok = prof.Heap[heapStrategy]; !ok {
+			return nil, fmt.Errorf("image: heap profile recorded no %q object IDs", heapStrategy)
 		}
 	}
 
@@ -235,7 +219,7 @@ func BuildOptimizedWith(p *ir.Program, opts PipelineOptions, profileOf ProfileFu
 // affinity graph's text symbols with the strategy's chain-merging
 // algorithm. With no caller-provided graph it records one first — a
 // *regular* build at InstrumentedSeed run to completion (or first
-// response) with affinity tracking, the graph analogue of profileOnce
+// response) with affinity tracking, the graph analogue of runProfile
 // but without probe inflation — so graph strategies bake standalone,
 // exactly like the trace strategies. The resulting profile is plain CU
 // signatures, so the optimized build and the .nimg recipe treat graph
@@ -267,7 +251,7 @@ func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability
 			return nil, nil, fmt.Errorf("image: recording run: %w", err)
 		}
 		run = &ProfilingRun{Instr: graal.InstrNone, Mode: opts.Mode}
-		run.timeRun(proc, opts.Service)
+		run.timeRun(proc)
 		g = proc.AffinityGraph()
 		sp.End()
 		if g == nil {
@@ -298,10 +282,8 @@ func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability
 }
 
 // runProfile performs one profiling run of probe kind instr (see
-// RunProfile) on reach and scan, which may be nil. A non-nil callGraph is
-// attached to the run, and the code profile is then its Pettis–Hansen
-// order instead of the first-execution order.
-func runProfile(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, scan *graal.MethodScan, instr graal.Instrumentation, heapStrategies []core.HeapStrategy, callGraph *core.CallGraph) (*Profile, []profiler.ThreadTrace, error) {
+// RunProfile) on reach and scan, which may be nil.
+func runProfile(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, scan *graal.MethodScan, instr graal.Instrumentation, heapStrategies []core.HeapStrategy) (*Profile, []profiler.ThreadTrace, error) {
 	img, err := build(p, Options{
 		Kind:      KindInstrumented,
 		Compiler:  opts.Compiler,
@@ -323,17 +305,13 @@ func runProfile(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, 
 	tr.Numberings = img.Numberings
 	tr.ObjectHandle = img.ObjectHandle
 	tr.Obs = opts.Obs
-	hooks := tr.Hooks()
-	if callGraph != nil {
-		hooks = vm.ComposeHooks(hooks, callGraph.Collector())
-	}
 
 	// The profiling run executes on a scratch OS; its page faults are
 	// irrelevant, but its simulated time (with profiling overhead) is the
 	// overhead measurement of Sec. 7.4.
 	prefix := "pipeline." + instr.String()
 	sp := opts.Obs.StartSpan(prefix + ".profiling_run")
-	proc, err := img.NewProcess(osim.NewOS(osim.SSD()), hooks)
+	proc, err := img.NewProcess(osim.NewOS(osim.SSD()), tr.Hooks())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -344,7 +322,7 @@ func runProfile(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, 
 		return nil, nil, fmt.Errorf("image: profiling run: %w", err)
 	}
 	prof := &Profile{Run: ProfilingRun{Instr: instr, Mode: opts.Mode}}
-	prof.Run.timeRun(proc, opts.Service)
+	prof.Run.timeRun(proc)
 	traces := tr.Finish(opts.Service)
 	prof.Run.Total = proc.Stats().Total
 	for _, tt := range traces {
@@ -362,16 +340,11 @@ func runProfile(p *ir.Program, opts PipelineOptions, reach *graal.Reachability, 
 		postproc.Analysis
 		Profile() []string
 	}
-	switch {
-	case callGraph != nil:
-		for _, cu := range core.PettisHansenOrder(img.Comp.CUs, callGraph) {
-			prof.Code = append(prof.Code, cu.Signature())
-		}
-		return prof, traces, nil
-	case instr == graal.InstrHeap:
+	switch instr {
+	case graal.InstrHeap:
 		prof.Heap, err = img.HeapProfile(traces)
 		return prof, traces, err
-	case instr == graal.InstrMethod:
+	case graal.InstrMethod:
 		code = postproc.NewMethodOrderAnalysis()
 	default:
 		code = postproc.NewCUOrderAnalysis()

@@ -169,6 +169,9 @@ type Stats struct {
 	// TimeToResponse is the elapsed time until the first response for
 	// microservice workloads (0 when the workload never responded).
 	TimeToResponse time.Duration
+	// Judged is the time the run is judged by: TimeToResponse when the
+	// program responded, Total otherwise.
+	Judged time.Duration
 	// AccessedObjects / SnapshotObjects give the accessed fraction.
 	AccessedObjects int
 	SnapshotObjects int
@@ -185,6 +188,7 @@ func (p *Process) Stats() Stats {
 		CPUTime:         cpu,
 		IOTime:          io,
 		Total:           cpu + io,
+		Judged:          cpu + io,
 		AccessedObjects: p.AccessedObjects,
 		SnapshotObjects: len(p.Img.Snapshot.Objects),
 	}
@@ -194,6 +198,7 @@ func (p *Process) Stats() Stats {
 		// CPU time; the mapping's I/O up to then is approximated by the
 		// full I/O time of the (killed-at-response) run.
 		st.TimeToResponse = time.Duration(p.Machine.RespondTimeNanos()) + io
+		st.Judged = st.TimeToResponse
 	}
 	return st
 }

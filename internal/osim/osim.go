@@ -59,14 +59,6 @@ type OS struct {
 	// mapped around a faulting page, modelling Linux fault-around plus
 	// readahead. Must be a power of two.
 	FaultAround int
-	// AdaptiveReadahead enables Linux-style readahead escalation: when a
-	// mapping faults on the cluster immediately following its previous
-	// fault, the read window doubles (up to MaxReadahead pages). This
-	// rewards layouts whose access *order* matches the layout order — the
-	// Property-1 ordering of Sec. 4 — beyond mere compaction.
-	AdaptiveReadahead bool
-	// MaxReadahead caps the escalated window (pages).
-	MaxReadahead int
 
 	// Obs, when non-nil, receives per-fault timeline events and fault
 	// counters from every mapping created after it is set (Map attaches a
@@ -123,7 +115,7 @@ const DefaultFaultAround = 8
 
 // NewOS creates an OS with an empty page cache.
 func NewOS(dev Device) *OS {
-	return &OS{Device: dev, FaultAround: DefaultFaultAround, MaxReadahead: 32, DefaultTenant: -1}
+	return &OS{Device: dev, FaultAround: DefaultFaultAround, DefaultTenant: -1}
 }
 
 // Section is a named contiguous byte range of a file (e.g. ".text").
@@ -278,11 +270,6 @@ type Mapping struct {
 	// page-transition coarsening of the access events (-1 before the
 	// first touch).
 	lastAccessPage int
-
-	// Readahead escalation state (AdaptiveReadahead): lastEnd is the page
-	// index just past the previous read window; window the current size.
-	lastEnd int
-	window  int
 }
 
 // Map establishes a new mapping of the file (fresh virtual address space;
@@ -299,7 +286,6 @@ func (f *File) Map() *Mapping {
 		m.bySection[i].Section = s.Name
 	}
 	m.other.Section = otherSection
-	m.lastEnd = -1
 	m.lastAccessPage = -1
 	m.tenant = f.os.DefaultTenant
 	if m.tenant >= 0 {
@@ -347,10 +333,14 @@ func (m *Mapping) Touch(off int64) {
 		sf = &m.bySection[secIdx]
 	}
 	m.faulted[p] = true
+	// The read window and the fault-around window are both the aligned
+	// cluster around the page, clamped to the file.
 	fa := m.file.os.FaultAround
 	if fa < 1 {
 		fa = 1
 	}
+	start := p / fa * fa
+	end := min(start+fa, len(m.mapped))
 	var faultIO time.Duration
 	read := 0
 	refault := false
@@ -367,33 +357,6 @@ func (m *Mapping) Touch(off int64) {
 			m.Refaults++
 			refault = true
 		}
-		// Read window: the aligned fault-around cluster, escalated when
-		// the fault continues right after the previous read window
-		// (AdaptiveReadahead — Linux readahead ramp-up).
-		window := fa
-		if m.file.os.AdaptiveReadahead {
-			if m.window < fa {
-				m.window = fa
-			}
-			if m.lastEnd >= 0 && p >= m.lastEnd && p < m.lastEnd+fa {
-				m.window *= 2
-				maxRA := m.file.os.MaxReadahead
-				if maxRA < fa {
-					maxRA = fa
-				}
-				if m.window > maxRA {
-					m.window = maxRA
-				}
-			} else {
-				m.window = fa
-			}
-			window = m.window
-		}
-		start := p / fa * fa
-		end := start + window
-		if end > len(m.file.resident) {
-			end = len(m.file.resident)
-		}
 		for i := start; i < end; i++ {
 			if !m.file.resident[i] {
 				m.file.resident[i] = true
@@ -403,7 +366,6 @@ func (m *Mapping) Touch(off int64) {
 				read++
 			}
 		}
-		m.lastEnd = end
 		dev := m.file.os.Device
 		faultIO = dev.SeekLatency + time.Duration(read)*dev.PerPage
 		m.IOTime += faultIO
@@ -416,15 +378,6 @@ func (m *Mapping) Touch(off int64) {
 	m.file.noteUse(p)
 	// Fault-around: map the resident pages of the surrounding window
 	// without further faults (the red cells of Fig. 6).
-	around := fa
-	if m.file.os.AdaptiveReadahead && m.window > around {
-		around = m.window
-	}
-	start := p / fa * fa
-	end := start + around
-	if end > len(m.mapped) {
-		end = len(m.mapped)
-	}
 	for i := start; i < end; i++ {
 		if m.file.resident[i] {
 			m.mapped[i] = true

@@ -302,29 +302,6 @@ func TestFaultAroundTailClamped(t *testing.T) {
 			t.Errorf("page %d state %d, want window [8,%d)", p, st, pages)
 		}
 	}
-	// Same at the tail under adaptive readahead with an escalated window.
-	o2 := NewOS(SSD())
-	o2.FaultAround = 4
-	o2.AdaptiveReadahead = true
-	o2.MaxReadahead = 32
-	f2, err := o2.NewFile("bin2", size, []Section{{Name: ".text", Off: 0, Len: size}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := f2.Map()
-	log2 := &pageLog{}
-	m2.Observe(log2)
-	for p := 0; p < pages; p++ {
-		m2.Touch(int64(p) * PageSize)
-	}
-	if got := f2.ResidentPages(); got != pages {
-		t.Errorf("resident pages = %d, want %d", got, pages)
-	}
-	for _, ev := range log2.of(PageFault) {
-		if ev.Section != 0 {
-			t.Errorf("event outside section table: %+v", ev)
-		}
-	}
 }
 
 // TestFaultObserverSeesEveryFault pins the observer contract: one event per
@@ -364,59 +341,5 @@ func TestFaultObserverSeesEveryFault(t *testing.T) {
 		if !ev.Major && (ev.IONanos != 0 || ev.ReadPages != 0) {
 			t.Errorf("minor fault with I/O: %+v", ev)
 		}
-	}
-}
-
-func TestAdaptiveReadaheadEscalates(t *testing.T) {
-	// Sequential cluster-by-cluster faults escalate the window, so a long
-	// sequential scan takes far fewer major faults than with the fixed
-	// window; a strided scan gets no benefit.
-	const pages = 256
-	run := func(adaptive bool, stride int) int64 {
-		o := NewOS(SSD())
-		o.FaultAround = 2
-		o.AdaptiveReadahead = adaptive
-		o.MaxReadahead = 32
-		f, err := o.NewFile("bin", pages*PageSize, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := f.Map()
-		for p := 0; p < pages; p += stride {
-			m.Touch(int64(p) * PageSize)
-		}
-		return m.MajorFaults
-	}
-	seqFixed := run(false, 1)
-	seqAdaptive := run(true, 1)
-	if seqAdaptive*2 >= seqFixed {
-		t.Errorf("adaptive sequential faults %d not well below fixed %d", seqAdaptive, seqFixed)
-	}
-	stridedFixed := run(false, 8)
-	stridedAdaptive := run(true, 8)
-	if stridedAdaptive != stridedFixed {
-		t.Errorf("adaptive changed strided faults: %d vs %d", stridedAdaptive, stridedFixed)
-	}
-}
-
-func TestAdaptiveReadaheadWindowCapped(t *testing.T) {
-	o := NewOS(SSD())
-	o.FaultAround = 2
-	o.AdaptiveReadahead = true
-	o.MaxReadahead = 8
-	f, err := o.NewFile("bin", 512*PageSize, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := f.Map()
-	for p := 0; p < 512; p++ {
-		m.Touch(int64(p) * PageSize)
-	}
-	// With a cap of 8 pages, steady state is one major fault per 8 pages.
-	if m.MajorFaults < 512/8 {
-		t.Errorf("major faults %d below the capped-window floor", m.MajorFaults)
-	}
-	if m.MajorFaults > 512/8+16 {
-		t.Errorf("major faults %d: cap not respected", m.MajorFaults)
 	}
 }

@@ -34,9 +34,8 @@ type Options struct {
 
 // Strategies returns the strategy names the verifier exercises by
 // default: every strategy the registry knows — the evaluation's code- and
-// heap-ordering schemes, the Pettis–Hansen baseline, and the graph-based
-// serve layouts — so registering a strategy enrolls it in verification
-// automatically.
+// heap-ordering schemes and the graph-based serve layouts — so
+// registering a strategy enrolls it in verification automatically.
 func Strategies() []string {
 	return core.StrategyNames()
 }
