@@ -348,16 +348,16 @@ func BenchmarkAblationPerTypeCounters(b *testing.B) {
 		}
 		return mk(1), mk(2)
 	}
-	agreement := func(ids1, ids2 map[*heap.Object]uint64, s1, s2 *heap.Snapshot, key func(*heap.Object) string) float64 {
+	agreement := func(ids1, ids2 map[*heap.Object]uint64, s1, s2 *heap.Snapshot, key func(*heap.Snapshot, *heap.Object) string) float64 {
 		d1 := map[uint64]string{}
 		for o, id := range ids1 {
-			d1[id] = key(o)
+			d1[id] = key(s1, o)
 		}
 		agree, common := 0, 0
 		for o, id := range ids2 {
 			if k, ok := d1[id]; ok {
 				common++
-				if k == key(o) {
+				if k == key(s2, o) {
 					agree++
 				}
 			}
@@ -367,12 +367,12 @@ func BenchmarkAblationPerTypeCounters(b *testing.B) {
 		}
 		return 100 * float64(agree) / float64(common)
 	}
-	key := func(o *heap.Object) string {
+	key := func(s *heap.Snapshot, o *heap.Object) string {
 		if o.IsString() {
 			return "s:" + o.Str
 		}
-		if o.Root {
-			return "r:" + o.Reason
+		if s.IsRoot(o) {
+			return "r:" + s.Reason(o)
 		}
 		return "t:" + o.TypeName()
 	}

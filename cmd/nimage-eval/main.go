@@ -34,15 +34,22 @@
 //	            [-streams N] [-slo "p50=100us,p99=2ms"] [-slo-bursts N]
 //	            [-search-iters N] [-search-topk N]
 //	            [-tenants 2,4] [-budget PAGES] [-quota PCT] [-bursts N]
+//	            [-cpuprofile FILE] [-memprofile FILE]
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the
+// simulator itself (`go tool pprof` reads them); they change no output.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"sort"
 	"strings"
@@ -167,10 +174,43 @@ func main() {
 	}
 }
 
+// startProfiles starts a CPU profile into cpuPath and returns the function
+// that stops it and writes a heap profile into memPath. The heap profile
+// is taken after a garbage collection, so its figures are current; its
+// alloc_space and alloc_objects count every allocation of the run. An
+// empty path skips that profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			return nil, errors.Join(err, cpu.Close())
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memPath != "" {
+			runtime.GC()
+			f, err := os.Create(memPath)
+			if err != nil {
+				return errors.Join(append(errs, err)...)
+			}
+			errs = append(errs, pprof.WriteHeapProfile(f), f.Close())
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
 // figureNames are the values -figure accepts: every experiment, or all.
 var figureNames = []string{"all", "2", "3", "4", "5", "overhead", "accessed", "6", "serve", "slo", "search", "fleet", "report"}
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("nimage-eval", flag.ContinueOnError)
 	figure := fs.String("figure", "all", "which experiment: "+strings.Join(figureNames, "|"))
 	builds := fs.Int("builds", 3, "images per strategy (paper: 10)")
@@ -189,6 +229,8 @@ func run(args []string) error {
 	fleetBudget := fs.Int("budget", 192, "shared resident-page budget of the fleet experiment")
 	fleetQuota := fs.Int("quota", 0, "per-tenant residency quota of the fleet experiment, percent of the budget (0 = none)")
 	fleetBursts := fs.Int("bursts", 4, "request bursts per tenant in the fleet experiment")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (empty = none)")
+	memProfile := fs.String("memprofile", "", "write a heap profile, taken when the run ends, to this file (empty = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -245,6 +287,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	cfg := eval.DefaultConfig()
 	cfg.Builds = *builds

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"nimage/internal/core"
 	"nimage/internal/eval"
+	"nimage/internal/obs/attrib"
 )
 
 // TestRunFigure2Filtered smoke-tests the CLI end to end on a single
@@ -50,6 +52,54 @@ func TestRunFigure2Filtered(t *testing.T) {
 		if f <= 0 {
 			t.Errorf("strategy %s: non-positive geomean factor %v", s, f)
 		}
+	}
+}
+
+// TestRunProfilesChangeNoOutput: -cpuprofile and -memprofile write
+// profiles that decode as pprof with the runtime's sample types, and the
+// figure CSV and benchmark document come out byte-identical to a run
+// without them.
+func TestRunProfilesChangeNoOutput(t *testing.T) {
+	plain, profiled := t.TempDir(), t.TempDir()
+	args := []string{"-figure", "2", "-workloads", "Bounce", "-builds", "1"}
+	if err := run(append(args, "-out", plain, "-bench", filepath.Join(plain, "bench.json"))); err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.pprof"), filepath.Join(t.TempDir(), "mem.pprof")
+	if err := run(append(args, "-out", profiled, "-bench", filepath.Join(profiled, "bench.json"),
+		"-cpuprofile", cpu, "-memprofile", mem)); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"figure2-pagefaults-awfy.csv", "bench.json"} {
+		a, errA := os.ReadFile(filepath.Join(plain, f))
+		b, errB := os.ReadFile(filepath.Join(profiled, f))
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v / %v", f, errA, errB)
+		}
+		if string(a) != string(b) {
+			t.Errorf("%s differs with profiling on", f)
+		}
+	}
+	for path, want := range map[string]string{cpu: "cpu", mem: "inuse_space"} {
+		fh, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := attrib.ReadPprof(fh)
+		fh.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		var types []string
+		for _, st := range p.SampleTypes {
+			types = append(types, st.Type)
+		}
+		if !slices.Contains(types, want) {
+			t.Errorf("%s: sample types %v lack %q", filepath.Base(path), types, want)
+		}
+	}
+	if err := run(append(args, "-out", plain, "-bench", "", "-cpuprofile", filepath.Join(plain, "no", "such", "dir"))); err == nil {
+		t.Error("an uncreatable -cpuprofile path was accepted")
 	}
 }
 

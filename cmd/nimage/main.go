@@ -145,7 +145,8 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := core.StrategyByName(*strategy); !ok {
+	info, ok := core.StrategyByName(*strategy)
+	if !ok {
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
 	p := w.Build()
@@ -155,6 +156,7 @@ func cmdBuild(args []string) error {
 		reg = nimage.NewObsRegistry()
 	}
 	var img *nimage.Image
+	probes := ""
 	switch *kind {
 	case "regular", "instrumented":
 		opts := nimage.BuildOptions{
@@ -164,7 +166,15 @@ func cmdBuild(args []string) error {
 			Obs:       reg,
 		}
 		if *kind == "instrumented" {
+			// The strategy's first probe kind, as `nimage profile` runs
+			// it: the CU probes for "cu+heap path".
+			if len(info.Instr) == 0 {
+				return fmt.Errorf("strategy %q records its profile on an uninstrumented run; it has no instrumented build", *strategy)
+			}
 			opts.Kind = nimage.KindInstrumented
+			opts.Instr = info.Instr[0]
+			opts.Mode = serviceMode(w)
+			probes = fmt.Sprintf(", %s probes", opts.Instr)
 		}
 		img, err = nimage.BuildImage(p, opts)
 	case "optimized":
@@ -194,7 +204,7 @@ func cmdBuild(args []string) error {
 		}
 		fmt.Printf("wrote build report to %s\n", *report)
 	}
-	fmt.Printf("%s (%s build, seed %d)\n", w.Name, *kind, *seed)
+	fmt.Printf("%s (%s build%s, seed %d)\n", w.Name, *kind, probes, *seed)
 	fmt.Printf("  classes:           %d\n", len(p.Classes))
 	fmt.Printf("  methods:           %d\n", p.NumMethods())
 	fmt.Printf("  compilation units: %d\n", len(img.CULayout))

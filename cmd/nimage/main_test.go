@@ -46,6 +46,52 @@ func TestCmdBuildRegularAndDump(t *testing.T) {
 	}
 }
 
+// TestCmdBuildInstrumentedProbes: -kind instrumented builds with the
+// probes of -strategy, so on Bounce its .text differs from the regular
+// build's and grows with the heap probes, while a strategy with no
+// instrumented build is rejected.
+func TestCmdBuildInstrumentedProbes(t *testing.T) {
+	dir := t.TempDir()
+	textBytes := func(kind, strategy string) float64 {
+		t.Helper()
+		out := filepath.Join(dir, kind+"-"+strings.ReplaceAll(strategy, " ", "_")+".json")
+		if err := cmdBuild([]string{"-workload", "Bounce", "-kind", kind, "-strategy", strategy, "-report", out}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			Gauges []struct {
+				Name  string  `json:"name"`
+				Value float64 `json:"value"`
+			} `json:"gauges"`
+		}
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range rep.Gauges {
+			if g.Name == "image."+kind+".text_bytes" {
+				return g.Value
+			}
+		}
+		t.Fatalf("%s build report has no text_bytes gauge", kind)
+		return 0
+	}
+	regular := textBytes("regular", "cu")
+	heapPath := textBytes("instrumented", "heap path")
+	cu := textBytes("instrumented", "cu")
+	if heapPath <= regular || cu == regular || cu == heapPath {
+		t.Errorf(".text bytes: regular %v, instrumented heap path %v, instrumented cu %v; want three distinct sizes, heap probes larger than none",
+			regular, heapPath, cu)
+	}
+	err := cmdBuild([]string{"-workload", "Bounce", "-kind", "instrumented", "-strategy", "c3"})
+	if err == nil || !strings.Contains(err.Error(), "no instrumented build") {
+		t.Errorf("-strategy c3: err = %v, want the no-instrumented-build error", err)
+	}
+}
+
 func TestCmdBuildOptimized(t *testing.T) {
 	if err := cmdBuild([]string{"-workload", "Sieve", "-kind", "optimized", "-strategy", "cu"}); err != nil {
 		t.Fatal(err)

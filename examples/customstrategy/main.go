@@ -33,11 +33,11 @@ func (typeShapeStrategy) AssignIDs(snap *nimage.HeapSnapshot) map[*nimage.HeapOb
 	ids := make(map[*nimage.HeapObject]uint64, len(snap.Objects))
 	counters := make(map[string]uint64)
 	for _, o := range snap.Objects {
-		key := fmt.Sprintf("%s/%d", o.TypeName(), o.Size)
+		key := fmt.Sprintf("%s/%d", o.TypeName(), snap.Size(o))
 		if o.IsString() {
 			key += "/" + o.Str
-		} else if o.Root {
-			key += "/" + o.Reason
+		} else if snap.IsRoot(o) {
+			key += "/" + snap.Reason(o)
 		}
 		counters[key]++
 		h := fnv.New64a()
@@ -122,7 +122,7 @@ func main() {
 	o := nimage.NewOS(nimage.SSD())
 	proc, err := instrumented.NewProcess(o, nimage.Hooks{
 		OnAccess: func(tid int, obj *nimage.HeapObject, instr bool) {
-			if instr && obj.InSnapshot && !seen[obj] {
+			if instr && obj.InSnapshot() && !seen[obj] {
 				seen[obj] = true
 				accessOrder = append(accessOrder, obj)
 			}

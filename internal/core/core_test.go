@@ -95,14 +95,14 @@ func TestIncrementalIDInsensitiveToOtherTypes(t *testing.T) {
 	idsA := IncrementalID{}.AssignIDs(snapA)
 
 	// Divergent build: same graph, but one extra Config root visited first.
-	p, _, objsB := buildSnapshotProgram(t)
+	p, snapB, objsB := buildSnapshotProgram(t)
 	extra := heap.NewObject(p.Class("Config"))
 	rootsB := []heap.RootRef{{Obj: extra, Reason: "Extra.cfg"}}
 	// Reconstruct the same root list as buildSnapshotProgram; the objects
 	// were already snapshotted once, so rebuild fresh metadata.
 	for _, o := range []*heap.Object{objsB["cfg"], objsB["n1"], objsB["s1"], objsB["s2"], objsB["arr"]} {
 		o2 := o
-		rootsB = append(rootsB, heap.RootRef{Obj: o2, Reason: o2.Reason})
+		rootsB = append(rootsB, heap.RootRef{Obj: o2, Reason: snapB.Reason(o2)})
 	}
 	// The second snapshot in buildSnapshotProgram already marked objects;
 	// assigning IDs walks snapshot objects in SeqID order regardless.
@@ -126,7 +126,7 @@ func snapObjectsOf(objs map[string]*heap.Object) []*heap.Object {
 	out := []*heap.Object{objs["cfg"], objs["cfgName"], objs["n1"], objs["n2"], objs["s1"], objs["s2"], objs["arr"], objs["n3"]}
 	// Sort by SeqID to match encounter order.
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].SeqID > out[j].SeqID; j-- {
+		for j := i; j > 0 && out[j-1].SeqID() > out[j].SeqID(); j-- {
 			out[j-1], out[j] = out[j], out[j-1]
 		}
 	}
@@ -201,36 +201,36 @@ func TestStructuralHashNullIsZeroByte(t *testing.T) {
 }
 
 func TestHeapPathHashDistinguishesPaths(t *testing.T) {
-	_, _, objs := buildSnapshotProgram(t)
-	hn1 := HeapPathHash(heap.ObjEntity(objs["n1"]))
-	hn2 := HeapPathHash(heap.ObjEntity(objs["n2"]))
-	hn3 := HeapPathHash(heap.ObjEntity(objs["n3"]))
+	_, snap, objs := buildSnapshotProgram(t)
+	hn1 := HeapPathHash(snap.Entity(objs["n1"]))
+	hn2 := HeapPathHash(snap.Entity(objs["n2"]))
+	hn3 := HeapPathHash(snap.Entity(objs["n3"]))
 	if hn1 == hn2 || hn1 == hn3 || hn2 == hn3 {
 		t.Errorf("path hashes collide: %x %x %x", hn1, hn2, hn3)
 	}
 }
 
 func TestHeapPathHashStableAcrossRebuilds(t *testing.T) {
-	_, _, objsA := buildSnapshotProgram(t)
-	_, _, objsB := buildSnapshotProgram(t)
+	_, snapA, objsA := buildSnapshotProgram(t)
+	_, snapB, objsB := buildSnapshotProgram(t)
 	for name := range objsA {
-		if HeapPathHash(heap.ObjEntity(objsA[name])) != HeapPathHash(heap.ObjEntity(objsB[name])) {
+		if HeapPathHash(snapA.Entity(objsA[name])) != HeapPathHash(snapB.Entity(objsB[name])) {
 			t.Errorf("%s: heap-path hash differs across identical builds", name)
 		}
 	}
 }
 
 func TestHeapPathInternedStringsHashValue(t *testing.T) {
-	_, _, objsA := buildSnapshotProgram(t)
-	h1 := HeapPathHash(heap.ObjEntity(objsA["s1"]))
-	h2 := HeapPathHash(heap.ObjEntity(objsA["s2"]))
+	_, snapA, objsA := buildSnapshotProgram(t)
+	h1 := HeapPathHash(snapA.Entity(objsA["s1"]))
+	h2 := HeapPathHash(snapA.Entity(objsA["s2"]))
 	if h1 == h2 {
 		t.Error("distinct interned strings share hash")
 	}
 	// The hash depends only on the value, not on interning order: build a
 	// fresh snapshot with swapped intern order.
-	_, _, objsB := buildSnapshotProgram(t)
-	if HeapPathHash(heap.ObjEntity(objsB["s1"])) != h1 {
+	_, snapB, objsB := buildSnapshotProgram(t)
+	if HeapPathHash(snapB.Entity(objsB["s1"])) != h1 {
 		t.Error("interned-string hash unstable")
 	}
 }
@@ -238,11 +238,11 @@ func TestHeapPathInternedStringsHashValue(t *testing.T) {
 func TestHeapPathRobustToContentChanges(t *testing.T) {
 	// Unlike structural hash, heap path ignores primitive field values —
 	// the property that makes it robust to build-salted contents.
-	p, _, objs := buildSnapshotProgram(t)
-	before := HeapPathHash(heap.ObjEntity(objs["n2"]))
+	p, snap, objs := buildSnapshotProgram(t)
+	before := HeapPathHash(snap.Entity(objs["n2"]))
 	p.Class("Node")
 	objs["n2"].SetField(p.Class("Node").LookupField("val"), heap.IntVal(99))
-	after := HeapPathHash(heap.ObjEntity(objs["n2"]))
+	after := HeapPathHash(snap.Entity(objs["n2"]))
 	if before != after {
 		t.Error("heap-path hash changed with field value")
 	}
@@ -294,10 +294,10 @@ func TestOrderObjectsMatchesProfile(t *testing.T) {
 	tail := res.Order[2:]
 	var prev int
 	for i, o := range tail {
-		if i > 0 && o.SeqID < prev {
+		if i > 0 && o.SeqID() < prev {
 			t.Fatal("unmatched tail not in encounter order")
 		}
-		prev = o.SeqID
+		prev = o.SeqID()
 	}
 }
 

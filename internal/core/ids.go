@@ -188,13 +188,15 @@ func (HeapPath) Name() string { return StrategyHeapPath }
 func (HeapPath) AssignIDs(snap *heap.Snapshot) map[*heap.Object]uint64 {
 	ids := make(map[*heap.Object]uint64, len(snap.Objects))
 	for _, o := range snap.Objects {
-		ids[o] = HeapPathHash(heap.ObjEntity(o))
+		ids[o] = HeapPathHash(snap.Entity(o))
 	}
 	return ids
 }
 
 // HeapPathHash computes the 64-bit heap-path hash of one entity (function
-// heapPathHash of Algorithm 3).
+// heapPathHash of Algorithm 3). The path is read from the snapshot
+// metadata the entity carries (Snapshot.Entity); an entity without it
+// hashes as an unrooted object.
 func HeapPathHash(e heap.Entity) uint64 {
 	if e.IsNull() {
 		return 0
@@ -204,25 +206,24 @@ func HeapPathHash(e heap.Entity) uint64 {
 		buf = append(buf, e.Object().Str...)
 		return murmur.Sum64(buf)
 	}
-	current := e.Object()
 	for {
-		buf = append(buf, typeNameOf(current)...)
-		if current.Root {
-			buf = append(buf, current.Reason...)
+		buf = append(buf, typeNameOf(e.Object())...)
+		if e.IsRoot() {
+			buf = append(buf, e.InclusionReason()...)
 			break
 		}
-		parent := current.Parent
-		if parent == nil {
+		parent := e.FirstParent()
+		if parent.IsNull() {
 			// Unrooted object outside a snapshot traversal; hash what we
 			// have rather than loop forever.
 			break
 		}
-		if parent.IsArray {
-			buf = appendInt(buf, int64(current.ParentIndex))
+		if parent.IsArray() {
+			buf = appendInt(buf, int64(e.ParentSlot()))
 		} else {
-			buf = append(buf, current.ParentField.Descriptor()...)
+			buf = append(buf, parent.FieldDecl(e.ParentSlot()).Descriptor()...)
 		}
-		current = parent
+		e = parent
 	}
 	return murmur.Sum64(buf)
 }

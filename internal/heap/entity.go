@@ -11,14 +11,29 @@ type Entity struct {
 	// staticType is the declared type of the slot the value was read from;
 	// used when the value is null or primitive.
 	staticType ir.TypeRef
+	// snap holds the snapshot metadata of the wrapped object; nil for an
+	// entity made without a snapshot, which reads as unrooted and
+	// parentless.
+	snap *Snapshot
 }
 
-// ObjEntity wraps an object reference.
+// ObjEntity wraps an object reference without snapshot metadata.
 func ObjEntity(o *Object) Entity {
 	if o == nil {
 		return Entity{val: Null(), staticType: ir.Ref("java.lang.Object")}
 	}
-	return Entity{val: RefVal(o), staticType: o.Type()}
+	// The static type only types null and primitive values; a reference's
+	// type is its object's (Type).
+	return Entity{val: RefVal(o)}
+}
+
+// Entity wraps o, one of the snapshot's objects or nil, together with the
+// snapshot's metadata, so that the root status, inclusion reason and
+// first-path parents of it and of the entities derived from it can be read.
+func (s *Snapshot) Entity(o *Object) Entity {
+	e := ObjEntity(o)
+	e.snap = s
+	return e
 }
 
 // ValEntity wraps an arbitrary value read from a slot of the given static
@@ -79,7 +94,7 @@ func (e Entity) FieldDecl(k int) *ir.Field { return e.val.Ref.Class.AllFields[k]
 // GetFieldWrapper wraps the value of the k-th field.
 func (e Entity) GetFieldWrapper(k int) Entity {
 	f := e.val.Ref.Class.AllFields[k]
-	return ValEntity(e.val.Ref.Fields[k], f.Type)
+	return Entity{val: e.val.Ref.Fields[k], staticType: f.Type, snap: e.snap}
 }
 
 // Length returns the array length.
@@ -90,15 +105,49 @@ func (e Entity) ElementType() ir.TypeRef { return e.val.Ref.Elem }
 
 // GetElementWrapper wraps the k-th array element.
 func (e Entity) GetElementWrapper(k int) Entity {
-	return ValEntity(e.val.Ref.GetElem(k), e.val.Ref.Elem)
+	return Entity{val: e.val.Ref.GetElem(k), staticType: e.val.Ref.Elem, snap: e.snap}
+}
+
+// snapObject returns the wrapped object when its metadata can be read:
+// the entity carries a snapshot and a snapshot holds the object.
+func (e Entity) snapObject() *Object {
+	if o := e.val.Ref; e.snap != nil && e.val.Kind == VRef && o != nil && o.InSnapshot() {
+		return o
+	}
+	return nil
 }
 
 // IsRoot reports whether the wrapped object is a snapshot root.
-func (e Entity) IsRoot() bool { return e.val.Ref != nil && e.val.Ref.Root }
+func (e Entity) IsRoot() bool {
+	o := e.snapObject()
+	return o != nil && e.snap.IsRoot(o)
+}
 
 // InclusionReason returns the heap-inclusion reason of a root.
-func (e Entity) InclusionReason() string { return e.val.Ref.Reason }
+func (e Entity) InclusionReason() string {
+	if o := e.snapObject(); o != nil {
+		return e.snap.Reason(o)
+	}
+	return ""
+}
 
 // FirstParent returns the first-path parent of the wrapped snapshot object
-// (Algorithm 3 uses getParents().first()).
-func (e Entity) FirstParent() *Object { return e.val.Ref.Parent }
+// (Algorithm 3 uses getParents().first()); it wraps null for roots and for
+// entities without snapshot metadata.
+func (e Entity) FirstParent() Entity {
+	var p *Object
+	if o := e.snapObject(); o != nil {
+		p = e.snap.Parent(o)
+	}
+	return e.snap.Entity(p)
+}
+
+// ParentSlot returns the field slot (of an instance parent) or element
+// index (of an array parent) through which FirstParent references the
+// wrapped object; 0 when there is no parent.
+func (e Entity) ParentSlot() int {
+	if o := e.snapObject(); o != nil && !e.snap.IsRoot(o) {
+		return int(e.snap.at(o).link)
+	}
+	return 0
+}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nimage/internal/ir"
 )
@@ -21,6 +22,28 @@ func testClasses(t *testing.T) *ir.Program {
 		t.Fatalf("Build: %v", err)
 	}
 	return p
+}
+
+// TestObjectSize pins heap.Object at Go's 128-byte size class: snapshot
+// metadata belongs in the Snapshot's side table, not on every object.
+func TestObjectSize(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 128 {
+		t.Fatalf("unsafe.Sizeof(Object{}) = %d, want 128", got)
+	}
+}
+
+// TestRuntimeObjectsOutsideSnapshot checks that a fresh allocation reads
+// as a runtime object until a snapshot takes it.
+func TestRuntimeObjectsOutsideSnapshot(t *testing.T) {
+	p := testClasses(t)
+	o := NewObject(p.Class("Node"))
+	if o.InSnapshot() || o.SeqID() != -1 {
+		t.Fatalf("new object: InSnapshot=%v SeqID=%d", o.InSnapshot(), o.SeqID())
+	}
+	BuildSnapshot([]RootRef{{Obj: o, Reason: ReasonDataSection}})
+	if !o.InSnapshot() || o.SeqID() != 0 {
+		t.Fatalf("snapshot object: InSnapshot=%v SeqID=%d", o.InSnapshot(), o.SeqID())
+	}
 }
 
 func TestNewObjectZeroed(t *testing.T) {
@@ -200,18 +223,18 @@ func TestBuildSnapshotOrderAndParents(t *testing.T) {
 	if s.Objects[0] != a || s.Objects[1] != b2 || s.Objects[2] != c {
 		t.Fatal("encounter order wrong")
 	}
-	if !a.Root || a.Reason != "Main.head" || a.Parent != nil {
-		t.Errorf("root metadata: %+v", a)
+	if !s.IsRoot(a) || s.Reason(a) != "Main.head" || s.Parent(a) != nil {
+		t.Errorf("root metadata: root=%v reason=%q parent=%v", s.IsRoot(a), s.Reason(a), s.Parent(a))
 	}
-	if b2.Parent != a || b2.ParentField != nextF {
-		t.Errorf("b parent: %v %v", b2.Parent, b2.ParentField)
+	if s.Parent(b2) != a || s.Entity(b2).ParentSlot() != nextF.Slot || s.Reason(b2) != "" {
+		t.Errorf("b parent: %v slot %d", s.Parent(b2), s.Entity(b2).ParentSlot())
 	}
 	for i, o := range s.Objects {
-		if o.SeqID != i {
-			t.Errorf("SeqID[%d] = %d", i, o.SeqID)
+		if o.SeqID() != i {
+			t.Errorf("SeqID[%d] = %d", i, o.SeqID())
 		}
-		if !o.InSnapshot || o.Size <= 0 {
-			t.Errorf("object %d metadata: snap=%v size=%d", i, o.InSnapshot, o.Size)
+		if !o.InSnapshot() || s.Size(o) != o.SnapshotSize() {
+			t.Errorf("object %d metadata: snap=%v size=%d", i, o.InSnapshot(), s.Size(o))
 		}
 	}
 }
@@ -235,10 +258,10 @@ func TestBuildSnapshotSharedAndCyclic(t *testing.T) {
 		t.Fatalf("objects = %d (cycle mishandled?)", len(s.Objects))
 	}
 	// y's first path must be via x, not z.
-	if y.Parent != x {
-		t.Errorf("y.Parent = %v", y.Parent)
+	if s.Parent(y) != x {
+		t.Errorf("y.Parent = %v", s.Parent(y))
 	}
-	if z.Parent != nil || !z.Root {
+	if s.Parent(z) != nil || !s.IsRoot(z) || s.Reason(z) != "B.g" {
 		t.Errorf("z should be root")
 	}
 }
@@ -253,8 +276,8 @@ func TestBuildSnapshotArrayParents(t *testing.T) {
 	if len(s.Objects) != 2 {
 		t.Fatalf("objects = %d", len(s.Objects))
 	}
-	if n.Parent != arr || n.ParentIndex != 2 || n.ParentField != nil {
-		t.Errorf("array parent: %v idx=%d", n.Parent, n.ParentIndex)
+	if s.Parent(n) != arr || s.Entity(n).ParentSlot() != 2 || !s.Entity(n).FirstParent().IsArray() {
+		t.Errorf("array parent: %v idx=%d", s.Parent(n), s.Entity(n).ParentSlot())
 	}
 }
 
@@ -265,8 +288,8 @@ func TestBuildSnapshotDuplicateRootKeepsFirstReason(t *testing.T) {
 		{Obj: o, Reason: "first"},
 		{Obj: o, Reason: "second"},
 	})
-	if len(s.Objects) != 1 || o.Reason != "first" {
-		t.Fatalf("objects=%d reason=%q", len(s.Objects), o.Reason)
+	if len(s.Objects) != 1 || s.Reason(o) != "first" {
+		t.Fatalf("objects=%d reason=%q", len(s.Objects), s.Reason(o))
 	}
 	if len(s.Roots) != 1 {
 		t.Fatalf("roots = %d", len(s.Roots))
@@ -279,19 +302,23 @@ func TestLayoutAlignedAndNonOverlapping(t *testing.T) {
 	objs = append(objs, NewString(p.Class(ir.StringClass), "abc"))
 	objs = append(objs, NewObject(p.Class("Node")))
 	objs = append(objs, NewByteArray(13))
+	var roots []RootRef
 	for _, o := range objs {
-		o.Size = o.SnapshotSize()
+		roots = append(roots, RootRef{Obj: o, Reason: ReasonDataSection})
 	}
-	total := Layout(objs)
+	s := BuildSnapshot(roots)
+	// Lay out in reverse encounter order: offsets follow the given order.
+	order := []*Object{objs[2], objs[1], objs[0]}
+	total := s.Layout(order)
 	var prevEnd int64
-	for i, o := range objs {
-		if o.Offset%8 != 0 {
-			t.Errorf("object %d offset %d not aligned", i, o.Offset)
+	for i, o := range order {
+		if s.Offset(o)%8 != 0 {
+			t.Errorf("object %d offset %d not aligned", i, s.Offset(o))
 		}
-		if o.Offset < prevEnd {
+		if s.Offset(o) < prevEnd {
 			t.Errorf("object %d overlaps previous", i)
 		}
-		prevEnd = o.Offset + o.Size
+		prevEnd = s.Offset(o) + s.Size(o)
 	}
 	if total < prevEnd {
 		t.Errorf("total %d < end %d", total, prevEnd)
@@ -366,15 +393,23 @@ func TestEntityRootMetadata(t *testing.T) {
 	nextF := node.LookupField("next")
 	a, b2 := NewObject(node), NewObject(node)
 	a.SetField(nextF, RefVal(b2))
-	BuildSnapshot([]RootRef{{Obj: a, Reason: ReasonInternedString}})
+	s := BuildSnapshot([]RootRef{{Obj: a, Reason: ReasonInternedString}})
 
-	ea := ObjEntity(a)
-	if !ea.IsRoot() || ea.InclusionReason() != ReasonInternedString {
+	ea := s.Entity(a)
+	if !ea.IsRoot() || ea.InclusionReason() != ReasonInternedString || !ea.FirstParent().IsNull() {
 		t.Error("root metadata via entity")
 	}
-	eb := ObjEntity(b2)
-	if eb.IsRoot() || eb.FirstParent() != a {
+	eb := s.Entity(b2)
+	if eb.IsRoot() || eb.FirstParent().Object() != a || eb.ParentSlot() != nextF.Slot {
 		t.Error("child metadata via entity")
+	}
+	// Entities derived from a snapshot entity read the same metadata.
+	if fb := ea.GetFieldWrapper(nextF.Slot); fb.Object() != b2 || fb.FirstParent().Object() != a {
+		t.Error("field wrapper lost the snapshot metadata")
+	}
+	// Without a snapshot, an entity reads as unrooted and parentless.
+	if e := ObjEntity(b2); e.IsRoot() || !e.FirstParent().IsNull() || e.InclusionReason() != "" {
+		t.Error("entity without a snapshot reported snapshot metadata")
 	}
 }
 

@@ -16,11 +16,20 @@ const (
 
 // Object is a heap object or array. Strings are objects of the built-in
 // string class with the Go string as payload.
+//
+// An object carries no snapshot metadata of its own: the image builder's
+// per-object facts (first-path parent, inclusion reason, .svm_heap offset
+// and size) live in the Snapshot that holds it, at the object's SeqID. The
+// object keeps only that number, so a runtime allocation pays nothing for
+// them.
 type Object struct {
 	// Class is the class of an instance object; nil for arrays.
 	Class *ir.Class
 	// IsArray marks arrays.
 	IsArray bool
+	// seq is SeqID+1 in the snapshot that holds the object; 0 for an
+	// object no snapshot holds (every runtime allocation).
+	seq uint32
 	// Elem is the element type of an array.
 	Elem ir.TypeRef
 	// ElemBytes is the storage size of one element: 8 for ordinary arrays,
@@ -34,30 +43,16 @@ type Object struct {
 	// Str is the payload of string objects.
 	Str string
 
-	// Snapshot metadata, populated by BuildSnapshot.
-
-	// InSnapshot marks objects included in the image heap.
-	InSnapshot bool
-	// Root marks snapshot roots.
-	Root bool
-	// Reason is the heap-inclusion reason of a root.
-	Reason string
-	// Parent is the first-path parent: the object whose field/element
-	// reference caused this object's inclusion; nil for roots.
-	Parent *Object
-	// ParentField is the field of Parent referencing this object.
-	ParentField *ir.Field
-	// ParentIndex is the element index in Parent referencing this object.
-	ParentIndex int
-	// SeqID is the encounter order during snapshotting (0-based).
-	SeqID int
-	// Offset and Size locate the object inside .svm_heap after layout.
-	Offset int64
-	Size   int64
-
 	// packedLen is the byte length of packed byte arrays (Elems unset).
 	packedLen int
 }
+
+// InSnapshot reports whether a heap snapshot holds the object.
+func (o *Object) InSnapshot() bool { return o.seq != 0 }
+
+// SeqID returns the object's encounter order in the snapshot that holds
+// it (0-based), or -1 when no snapshot holds it.
+func (o *Object) SeqID() int { return int(o.seq) - 1 }
 
 const objectHeader = 16 // mark word + class pointer
 const slotSize = 8

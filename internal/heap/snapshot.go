@@ -1,5 +1,10 @@
 package heap
 
+import (
+	"fmt"
+	"math"
+)
+
 // RootRef is a heap-snapshot root: an object together with the reason
 // Native Image deemed it reachable (Sec. 5.3).
 type RootRef struct {
@@ -11,6 +16,10 @@ type RootRef struct {
 // section, in default layout order (object-graph encounter order, with roots
 // visited in the order supplied — which the image builder derives from the
 // .text CU order, Sec. 2).
+//
+// The snapshot owns its objects' metadata: a side table indexed by SeqID
+// holds each object's first-path parent, inclusion reason, slot numbers
+// and .svm_heap extent. Read it through the accessors below.
 type Snapshot struct {
 	// Objects in encounter order; SeqID equals the index.
 	Objects []*Object
@@ -19,21 +28,68 @@ type Snapshot struct {
 	// TotalSize is the summed snapshot size of all objects in bytes.
 	TotalSize int64
 
-	// slotBase numbers the objects' fields and elements densely: field or
-	// element i of the object with SeqID k is slot slotBase[k]+i. slots
-	// is the total.
-	slotBase []int32
-	slots    int
+	// meta is the side table, at each object's SeqID.
+	meta []objMeta
+	// slots is the number of field and element slots of all objects.
+	slots int
 }
+
+// objMeta is the snapshot's record of one object.
+type objMeta struct {
+	// parent is the SeqID+1 of the first-path parent: the object whose
+	// field or element reference caused this object's inclusion; 0 for a
+	// root.
+	parent int32
+	// link is, for a root, its index in Roots; otherwise the field slot or
+	// element index of the parent that references the object.
+	link int32
+	// slotBase numbers the object's fields and elements densely: field or
+	// element i is snapshot slot slotBase+i.
+	slotBase int32
+	// size is the object's byte size in .svm_heap.
+	size int32
+	// offset locates the object inside .svm_heap after Layout.
+	offset int64
+}
+
+// at returns the record of o, which must be one of the snapshot's objects.
+func (s *Snapshot) at(o *Object) *objMeta { return &s.meta[o.seq-1] }
 
 // Slot returns the snapshot-wide number of field slot or element index i
 // of o, which must be one of the snapshot's objects. Numbers are dense in
 // [0, NumSlots()), so per-slot sets can be bitsets.
-func (s *Snapshot) Slot(o *Object, i int) int { return int(s.slotBase[o.SeqID]) + i }
+func (s *Snapshot) Slot(o *Object, i int) int { return int(s.at(o).slotBase) + i }
 
 // NumSlots returns the number of field and element slots of the
 // snapshot's objects.
 func (s *Snapshot) NumSlots() int { return s.slots }
+
+// Offset returns o's offset inside .svm_heap, assigned by Layout.
+func (s *Snapshot) Offset(o *Object) int64 { return s.at(o).offset }
+
+// Size returns the byte size o occupies in .svm_heap.
+func (s *Snapshot) Size(o *Object) int64 { return int64(s.at(o).size) }
+
+// IsRoot reports whether o is a snapshot root.
+func (s *Snapshot) IsRoot(o *Object) bool { return s.at(o).parent == 0 }
+
+// Reason returns the heap-inclusion reason of a root, or "" for an object
+// included through a parent.
+func (s *Snapshot) Reason(o *Object) string {
+	if m := s.at(o); m.parent == 0 {
+		return s.Roots[m.link].Reason
+	}
+	return ""
+}
+
+// Parent returns o's first-path parent: the object whose field or element
+// reference caused o's inclusion; nil for roots.
+func (s *Snapshot) Parent(o *Object) *Object {
+	if m := s.at(o); m.parent != 0 {
+		return s.Objects[m.parent-1]
+	}
+	return nil
+}
 
 // BuildSnapshot traverses the object graph from roots in a well-defined
 // (depth-first, field order, element order) order, marking every reached
@@ -42,9 +98,18 @@ func (s *Snapshot) NumSlots() int { return s.slots }
 //
 // Duplicate roots are allowed: the first occurrence wins, matching Native
 // Image where an object already in the heap keeps its original inclusion
-// reason.
+// reason. An object another snapshot already holds is not taken again.
 func BuildSnapshot(roots []RootRef) *Snapshot {
 	s := &Snapshot{}
+	add := func(o *Object, parent uint32, link int) {
+		size := o.SnapshotSize()
+		if len(s.Objects) >= math.MaxInt32 || size > math.MaxInt32 {
+			panic(fmt.Sprintf("heap: snapshot object %d of %d bytes exceeds the metadata range", len(s.Objects), size))
+		}
+		s.Objects = append(s.Objects, o)
+		o.seq = uint32(len(s.Objects))
+		s.meta = append(s.meta, objMeta{parent: int32(parent), link: int32(link), size: int32(size)})
+	}
 	var visit func(o *Object)
 	visit = func(o *Object) {
 		// Children in deterministic order: fields by slot, elements by
@@ -53,16 +118,9 @@ func BuildSnapshot(roots []RootRef) *Snapshot {
 		if o.IsArray {
 			for i := range o.Elems {
 				v := o.Elems[i]
-				if v.Kind == VRef && v.Ref != nil && !v.Ref.InSnapshot {
-					c := v.Ref
-					c.InSnapshot = true
-					c.Parent = o
-					c.ParentField = nil
-					c.ParentIndex = i
-					c.SeqID = len(s.Objects)
-					c.Size = c.SnapshotSize()
-					s.Objects = append(s.Objects, c)
-					visit(c)
+				if v.Kind == VRef && v.Ref != nil && v.Ref.seq == 0 {
+					add(v.Ref, o.seq, i)
+					visit(v.Ref)
 				}
 			}
 			return
@@ -71,40 +129,28 @@ func BuildSnapshot(roots []RootRef) *Snapshot {
 			return
 		}
 		for slot, v := range o.Fields {
-			if v.Kind == VRef && v.Ref != nil && !v.Ref.InSnapshot {
-				c := v.Ref
-				c.InSnapshot = true
-				c.Parent = o
-				c.ParentField = o.Class.AllFields[slot]
-				c.ParentIndex = -1
-				c.SeqID = len(s.Objects)
-				c.Size = c.SnapshotSize()
-				s.Objects = append(s.Objects, c)
-				visit(c)
+			if v.Kind == VRef && v.Ref != nil && v.Ref.seq == 0 {
+				add(v.Ref, o.seq, slot)
+				visit(v.Ref)
 			}
 		}
 	}
 	for _, r := range roots {
-		if r.Obj == nil {
+		if r.Obj == nil || r.Obj.seq != 0 {
 			continue
 		}
-		if r.Obj.InSnapshot {
-			continue
-		}
-		r.Obj.InSnapshot = true
-		r.Obj.Root = true
-		r.Obj.Reason = r.Reason
-		r.Obj.Parent = nil
-		r.Obj.SeqID = len(s.Objects)
-		r.Obj.Size = r.Obj.SnapshotSize()
-		s.Objects = append(s.Objects, r.Obj)
+		add(r.Obj, 0, len(s.Roots))
 		s.Roots = append(s.Roots, r)
 		visit(r.Obj)
 	}
-	s.slotBase = make([]int32, len(s.Objects))
+	// The snapshot lives as long as its image: keep its tables at their
+	// exact size.
+	s.Objects = append([]*Object(nil), s.Objects...)
+	s.meta = append([]objMeta(nil), s.meta...)
 	for k, o := range s.Objects {
-		s.TotalSize += o.Size
-		s.slotBase[k] = int32(s.slots)
+		m := &s.meta[k]
+		s.TotalSize += int64(m.size)
+		m.slotBase = int32(s.slots)
 		s.slots += len(o.Fields) + len(o.Elems)
 	}
 	return s
@@ -113,11 +159,12 @@ func BuildSnapshot(roots []RootRef) *Snapshot {
 // Layout assigns contiguous offsets (8-byte aligned) to objects in the
 // given order, which must be a permutation of the snapshot's objects.
 // It returns the total laid-out size.
-func Layout(order []*Object) int64 {
+func (s *Snapshot) Layout(order []*Object) int64 {
 	var off int64
 	for _, o := range order {
-		o.Offset = off
-		off += (o.Size + 7) / 8 * 8
+		m := s.at(o)
+		m.offset = off
+		off += (int64(m.size) + 7) / 8 * 8
 	}
 	return off
 }

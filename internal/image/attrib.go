@@ -59,8 +59,8 @@ func (img *Image) AttributionIndex() *attrib.Index {
 			Type:    o.TypeName(),
 			Kind:    attrib.KindObject,
 			Section: SectionHeap,
-			Off:     img.HeapSection.Off + o.Offset,
-			Len:     o.Size,
+			Off:     img.HeapSection.Off + img.Snapshot.Offset(o),
+			Len:     img.Snapshot.Size(o),
 		})
 	}
 	img.attrIndex = attrib.NewIndex(img.FileSize,

@@ -211,7 +211,7 @@ func TestObjectNamesStableUnderReordering(t *testing.T) {
 	for _, o := range img.Snapshot.Objects {
 		n := names[o]
 		if n == "" {
-			t.Fatalf("object %d unnamed", o.SeqID)
+			t.Fatalf("object %d unnamed", o.SeqID())
 		}
 		if seen[n] {
 			t.Fatalf("duplicate object name %q", n)

@@ -113,8 +113,8 @@ type Image struct {
 	// as long as the largest root ID needs.
 	cus []cuEntry
 
-	// ObjLayout is the final .svm_heap layout; object Offsets are relative
-	// to the section start.
+	// ObjLayout is the final .svm_heap layout; object offsets
+	// (Snapshot.Offset) are relative to the section start.
 	ObjLayout []*heap.Object
 
 	// Hubs maps each reachable class to its metadata object in the heap.
@@ -443,7 +443,7 @@ func (img *Image) layoutHeap() {
 	} else {
 		img.ObjLayout = img.Snapshot.Objects
 	}
-	heap.Layout(img.ObjLayout)
+	img.Snapshot.Layout(img.ObjLayout)
 }
 
 // finalizeFile computes the section table and total file size.
@@ -451,7 +451,7 @@ func (img *Image) finalizeFile() {
 	heapOff := pageAlign(img.TextSection.Off + img.TextSection.Len)
 	var heapLen int64
 	for _, o := range img.ObjLayout {
-		if end := o.Offset + o.Size; end > heapLen {
+		if end := img.Snapshot.Offset(o) + img.Snapshot.Size(o); end > heapLen {
 			heapLen = end
 		}
 	}
@@ -471,8 +471,8 @@ func (img *Image) recordIDs(strategies []core.HeapStrategy) {
 	for _, s := range strategies {
 		ids := s.AssignIDs(img.Snapshot)
 		bySeq := make([]uint64, len(img.Snapshot.Objects))
-		for _, o := range img.Snapshot.Objects {
-			bySeq[o.SeqID] = ids[o]
+		for k, o := range img.Snapshot.Objects {
+			bySeq[k] = ids[o]
 		}
 		img.StrategyIDs[s.Name()] = bySeq
 	}
@@ -481,10 +481,10 @@ func (img *Image) recordIDs(strategies []core.HeapStrategy) {
 // ObjectHandle returns the per-build handle the instrumentation records for
 // an object: SeqID+1 for snapshot objects, 0 otherwise.
 func (img *Image) ObjectHandle(o *heap.Object) uint64 {
-	if o == nil || !o.InSnapshot {
+	if o == nil {
 		return 0
 	}
-	return uint64(o.SeqID) + 1
+	return uint64(o.SeqID() + 1)
 }
 
 // StrategyIDOfHandle translates a recorded handle to the given strategy's

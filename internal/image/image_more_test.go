@@ -78,7 +78,7 @@ func TestHubTouchedOnAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	hub := img.Hubs[p.Class("Data")]
-	if hub == nil || !hub.InSnapshot {
+	if hub == nil || !hub.InSnapshot() {
 		t.Fatal("Data has no snapshot hub")
 	}
 	o := testOS()
@@ -108,7 +108,7 @@ func TestHubTouchedOnAllocation(t *testing.T) {
 		proc.hooks().OnNew(0, p.Class("App"))
 	}
 	// The strongest check: the hub's page is mapped afterwards.
-	page := (img.HeapSection.Off + hub.Offset) / osim.PageSize
+	page := (img.HeapSection.Off + img.Snapshot.Offset(hub)) / osim.PageSize
 	st := proc.Mapping.PageStates(SectionHeap)
 	idx := page - img.HeapSection.Off/osim.PageSize
 	if st[idx] == osim.PageUntouched {

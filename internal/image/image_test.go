@@ -172,8 +172,9 @@ func TestBuildRegularLayout(t *testing.T) {
 	}
 	// Objects have offsets within the heap section.
 	for _, o := range img.ObjLayout {
-		if o.Offset < 0 || o.Offset+o.Size > img.HeapSection.Len {
-			t.Fatalf("object at %d size %d outside heap section of %d", o.Offset, o.Size, img.HeapSection.Len)
+		off, size := img.Snapshot.Offset(o), img.Snapshot.Size(o)
+		if off < 0 || off+size > img.HeapSection.Len {
+			t.Fatalf("object at %d size %d outside heap section of %d", off, size, img.HeapSection.Len)
 		}
 	}
 	if img.FileSize < img.HeapSection.Off+img.HeapSection.Len {
@@ -195,7 +196,7 @@ func TestBuildDeterministicPerSeed(t *testing.T) {
 		t.Fatalf("object counts differ: %d vs %d", len(a.Snapshot.Objects), len(b.Snapshot.Objects))
 	}
 	for i := range a.ObjLayout {
-		if a.ObjLayout[i].Offset != b.ObjLayout[i].Offset || a.ObjLayout[i].TypeName() != b.ObjLayout[i].TypeName() {
+		if a.Snapshot.Offset(a.ObjLayout[i]) != b.Snapshot.Offset(b.ObjLayout[i]) || a.ObjLayout[i].TypeName() != b.ObjLayout[i].TypeName() {
 			t.Fatalf("layout differs at %d", i)
 		}
 	}
@@ -418,8 +419,8 @@ func TestInstrumentedBuildHasStrategyIDs(t *testing.T) {
 		}
 		for _, o := range img.Snapshot.Objects {
 			id, ok := img.StrategyIDOfHandle(s.Name(), img.ObjectHandle(o))
-			if !ok || id != want[o] || ids[o.SeqID] != want[o] {
-				t.Fatalf("%s: object %d records %#x, want %#x", s.Name(), o.SeqID, id, want[o])
+			if !ok || id != want[o] || ids[o.SeqID()] != want[o] {
+				t.Fatalf("%s: object %d records %#x, want %#x", s.Name(), o.SeqID(), id, want[o])
 			}
 		}
 		if _, ok := img.StrategyIDOfHandle(s.Name(), 0); ok {

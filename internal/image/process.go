@@ -114,7 +114,7 @@ func (img *Image) NewProcess(o *osim.OS, extra vm.Hooks) (*Process, error) {
 
 // hooks wires the interpreter's events to page touches.
 func (p *Process) hooks() vm.Hooks {
-	img := p.Img
+	img, snap := p.Img, p.Img.Snapshot
 	return vm.Hooks{
 		InlineOf: func(ctx, callee *ir.Method) bool {
 			cu := img.cuAt(ctx).cu
@@ -125,22 +125,19 @@ func (p *Process) hooks() vm.Hooks {
 				p.Mapping.TouchRange(e.off, int64(e.cu.Size))
 			}
 		},
-		OnAccess: func(tid int, o *heap.Object, instr bool) {
-			if !o.InSnapshot {
-				return
-			}
-			if !p.accessed[o.SeqID] {
-				p.accessed[o.SeqID] = true
+		OnSnapshotAccess: func(tid int, o *heap.Object, instr bool) {
+			if k := o.SeqID(); !p.accessed[k] {
+				p.accessed[k] = true
 				p.AccessedObjects++
 			}
-			p.Mapping.TouchRange(img.HeapSection.Off+o.Offset, o.Size)
+			p.Mapping.TouchRange(img.HeapSection.Off+snap.Offset(o), snap.Size(o))
 		},
 		OnNew: func(tid int, c *ir.Class) {
 			if c.ID >= len(img.hubs) || img.hubs[c.ID] == nil {
 				return
 			}
 			hub := img.hubs[c.ID]
-			p.Mapping.TouchRange(img.HeapSection.Off+hub.Offset, hub.Size)
+			p.Mapping.TouchRange(img.HeapSection.Off+snap.Offset(hub), snap.Size(hub))
 		},
 	}
 }

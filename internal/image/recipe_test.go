@@ -46,7 +46,7 @@ func TestRecipeRoundTripRegular(t *testing.T) {
 		t.Fatalf("object counts differ")
 	}
 	for i := range img.ObjLayout {
-		if baked.ObjLayout[i].Offset != img.ObjLayout[i].Offset ||
+		if baked.Snapshot.Offset(baked.ObjLayout[i]) != img.Snapshot.Offset(img.ObjLayout[i]) ||
 			baked.ObjLayout[i].TypeName() != img.ObjLayout[i].TypeName() {
 			t.Fatalf("object %d differs", i)
 		}
@@ -143,7 +143,7 @@ func TestEveryRegisteredStrategyBakesAndRoundTrips(t *testing.T) {
 			}
 		}
 		for i := range res.Optimized.ObjLayout {
-			if baked.ObjLayout[i].Offset != res.Optimized.ObjLayout[i].Offset {
+			if baked.Snapshot.Offset(baked.ObjLayout[i]) != res.Optimized.Snapshot.Offset(res.Optimized.ObjLayout[i]) {
 				t.Fatalf("%s: object layout differs at %d", info.Name, i)
 			}
 		}

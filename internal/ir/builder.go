@@ -21,7 +21,16 @@ type Builder struct {
 	p       *Program
 	methods []*MethodBuilder
 	errs    []error
+
+	// arena holds the instructions of blocks under construction, and open
+	// is the block that ends where the arena's used part ends (see emit).
+	// Build copies every block out, so the arena is scratch.
+	arena []Instr
+	open  *Block
 }
+
+// arenaChunk is the capacity, in instructions, of each arena chunk.
+const arenaChunk = 512
 
 // NewBuilder starts building a program with the given name.
 func NewBuilder(name string) *Builder {
@@ -62,10 +71,34 @@ func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, fmt.Errorf("ir: %d build errors, first: %w", len(b.errs), b.errs[0])
 	}
+	for _, mb := range b.methods {
+		packBlocks(mb.m)
+	}
+	b.arena, b.open = nil, nil
 	if err := b.p.Resolve(); err != nil {
 		return nil, err
 	}
 	return b.p, nil
+}
+
+// packBlocks moves the instructions of m's blocks into one backing array
+// of exactly their total length, each block's Instrs a capped sub-slice of
+// it, so that the program keeps neither the arena nor the slack of blocks
+// that grew by themselves. Blocks without instructions keep theirs.
+func packBlocks(m *Method) {
+	n := 0
+	for _, blk := range m.Blocks {
+		n += len(blk.Instrs)
+	}
+	all := make([]Instr, 0, n)
+	for _, blk := range m.Blocks {
+		if len(blk.Instrs) == 0 {
+			continue
+		}
+		start := len(all)
+		all = append(all, blk.Instrs...)
+		blk.Instrs = all[start:len(all):len(all)]
+	}
 }
 
 // MustBuild is Build that panics on error; intended for statically known
@@ -197,7 +230,28 @@ func (bb *BlockBuilder) emit(in Instr) {
 		bb.mb.b.errorf("ir: %s: emit into terminated block %d", bb.mb.m.Signature(), bb.blk.Index)
 		return
 	}
-	bb.blk.Instrs = append(bb.blk.Instrs, in)
+	b, blk := bb.mb.b, bb.blk
+	switch {
+	case blk == b.open && len(b.arena) < cap(b.arena):
+		// The open block extends in place.
+		b.arena = append(b.arena, in)
+		end := len(b.arena)
+		blk.Instrs = b.arena[end-len(blk.Instrs)-1 : end : end]
+	case len(blk.Instrs) == 0:
+		// A block's first instruction opens it at the arena's end.
+		if len(b.arena) == cap(b.arena) {
+			b.arena = make([]Instr, 0, arenaChunk)
+		}
+		b.arena = append(b.arena, in)
+		end := len(b.arena)
+		blk.Instrs = b.arena[end-1 : end : end]
+		b.open = blk
+	default:
+		// A block written again after another block opened, or one that
+		// filled its chunk, grows by itself: its capped slice moves out of
+		// the arena on this append.
+		blk.Instrs = append(blk.Instrs, in)
+	}
 }
 
 func (bb *BlockBuilder) dest() Reg { return bb.mb.NewReg() }

@@ -331,3 +331,43 @@ func TestFieldDescriptorAndSignature(t *testing.T) {
 		t.Error("static flag not set")
 	}
 }
+
+// TestInterleavedEmissionKeepsBlockOrder builds blocks whose instructions
+// are emitted interleaved, and one longer than an arena chunk, and checks
+// that every block holds exactly its own instructions, in emission order.
+func TestInterleavedEmissionKeepsBlockOrder(t *testing.T) {
+	b := NewBuilder("interleave")
+	mb := b.Class("Main").StaticMethod("main", 0, Void())
+	a, c, long := mb.Entry(), mb.NewBlock(), mb.NewBlock()
+	want := map[*BlockBuilder][]int64{}
+	emit := func(bb *BlockBuilder, v int64) {
+		bb.ConstInt(v)
+		want[bb] = append(want[bb], v)
+	}
+	emit(a, 1)
+	emit(c, 2)
+	emit(a, 3) // a again after c opened
+	emit(c, 4)
+	for v := int64(0); v < arenaChunk+3; v++ {
+		emit(long, 100+v) // fills a chunk and grows past it
+	}
+	emit(a, 5)
+	a.Goto(c)
+	c.Goto(long)
+	long.RetVoid()
+	b.SetEntry("Main", "main")
+	if _, err := b.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for bb, vals := range want {
+		ins := bb.blk.Instrs
+		if len(ins) != len(vals) || cap(ins) != len(ins) {
+			t.Fatalf("block %d: len %d cap %d, want %d", bb.Index(), len(ins), cap(ins), len(vals))
+		}
+		for i, v := range vals {
+			if ins[i].Op != OpConstInt || ins[i].Val != v {
+				t.Fatalf("block %d instr %d = %v %d, want const %d", bb.Index(), i, ins[i].Op, ins[i].Val, v)
+			}
+		}
+	}
+}

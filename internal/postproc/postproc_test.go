@@ -99,7 +99,7 @@ func TestMethodOrderProfileDedups(t *testing.T) {
 func TestHeapOrderProfileTranslation(t *testing.T) {
 	p := buildCalls(t)
 	snap := heap.NewObject(p.Class("C"))
-	snap.InSnapshot = true
+	heap.BuildSnapshot([]heap.RootRef{{Obj: snap, Reason: heap.ReasonDataSection}})
 	prep := func(m *vm.Machine, tr *profiler.Tracer) {
 		m.Statics.Set(p.Class("C").LookupStatic("obj"), heap.RefVal(snap))
 		tr.ObjectHandle = func(o *heap.Object) uint64 {

@@ -251,7 +251,7 @@ func TestHeapTraceRecordsObjectHandles(t *testing.T) {
 
 	// One snapshot object with handle 42.
 	snapObj := heap.NewObject(p.Class("A"))
-	snapObj.InSnapshot = true
+	heap.BuildSnapshot([]heap.RootRef{{Obj: snapObj, Reason: heap.ReasonDataSection}})
 	tr.ObjectHandle = func(o *heap.Object) uint64 {
 		if o == snapObj {
 			return 42

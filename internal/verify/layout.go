@@ -30,10 +30,10 @@ func cuDigest(cu *graal.CompilationUnit) uint64 {
 // (type, size, contents one level deep). Shallow is deliberate: a deep
 // digest would make every object's digest depend on most of the heap and
 // mask which object actually changed.
-func objDigest(o *heap.Object) uint64 {
+func objDigest(s *heap.Snapshot, o *heap.Object) uint64 {
 	h := chain(digestSeed, "obj "+o.TypeName())
-	h = chain(h, "size "+strconv.FormatInt(o.Size, 10))
-	h = chain(h, "reason "+o.Reason)
+	h = chain(h, "size "+strconv.FormatInt(s.Size(o), 10))
+	h = chain(h, "reason "+s.Reason(o))
 	switch {
 	case o.IsString():
 		h = chain(h, "s:"+o.Str)
@@ -91,7 +91,7 @@ func cuMultiset(img *image.Image) map[uint64]int {
 func objMultiset(img *image.Image) map[uint64]int {
 	m := make(map[uint64]int, len(img.ObjLayout))
 	for _, o := range img.ObjLayout {
-		m[objDigest(o)]++
+		m[objDigest(img.Snapshot, o)]++
 	}
 	return m
 }
@@ -181,19 +181,20 @@ func offsetChecks(img *image.Image) []layoutCheck {
 	objFail := ""
 	var prev int64
 	for _, o := range img.ObjLayout {
+		off, size := img.Snapshot.Offset(o), img.Snapshot.Size(o)
 		switch {
-		case o.Offset%8 != 0:
-			objFail = fmt.Sprintf("object %s at unaligned heap offset %d", o.TypeName(), o.Offset)
-		case o.Offset < prev:
-			objFail = fmt.Sprintf("object %s at %d overlaps previous end %d", o.TypeName(), o.Offset, prev)
-		case o.Offset+o.Size > img.HeapSection.Len:
+		case off%8 != 0:
+			objFail = fmt.Sprintf("object %s at unaligned heap offset %d", o.TypeName(), off)
+		case off < prev:
+			objFail = fmt.Sprintf("object %s at %d overlaps previous end %d", o.TypeName(), off, prev)
+		case off+size > img.HeapSection.Len:
 			objFail = fmt.Sprintf("object %s [%d,+%d) extends past heap section length %d",
-				o.TypeName(), o.Offset, o.Size, img.HeapSection.Len)
+				o.TypeName(), off, size, img.HeapSection.Len)
 		}
 		if objFail != "" {
 			break
 		}
-		prev = o.Offset + o.Size
+		prev = off + size
 	}
 	cs = append(cs, layoutCheck{name: "object-offsets", fail: objFail})
 	return cs
@@ -255,8 +256,8 @@ func (seqIDStrategy) Name() string { return "verify-identity" }
 
 func (seqIDStrategy) AssignIDs(s *heap.Snapshot) map[*heap.Object]uint64 {
 	ids := make(map[*heap.Object]uint64, len(s.Objects))
-	for _, o := range s.Objects {
-		ids[o] = uint64(o.SeqID) + 1
+	for k, o := range s.Objects {
+		ids[o] = uint64(k) + 1
 	}
 	return ids
 }
@@ -271,7 +272,7 @@ func identityProfiles(opt *image.Image) (code []string, heapProf []uint64) {
 	}
 	heapProf = make([]uint64, 0, len(opt.ObjLayout))
 	for _, o := range opt.ObjLayout {
-		heapProf = append(heapProf, uint64(o.SeqID)+1)
+		heapProf = append(heapProf, uint64(o.SeqID())+1)
 	}
 	return code, heapProf
 }
@@ -308,13 +309,14 @@ func identityChecks(opt, opt2 *image.Image) []layoutCheck {
 	if len(opt.ObjLayout) != len(opt2.ObjLayout) {
 		objFail = fmtCount("object counts differ: %d vs %d", len(opt.ObjLayout), len(opt2.ObjLayout))
 	} else {
-		off2 := make(map[uint64]int64, len(opt2.ObjLayout))
+		off2 := make(map[int]int64, len(opt2.ObjLayout))
 		for _, o := range opt2.ObjLayout {
-			off2[uint64(o.SeqID)] = o.Offset
+			off2[o.SeqID()] = opt2.Snapshot.Offset(o)
 		}
 		for _, o := range opt.ObjLayout {
-			if got, ok := off2[uint64(o.SeqID)]; !ok || got != o.Offset {
-				objFail = fmt.Sprintf("object %s (seq %d) moved: %d vs %d", o.TypeName(), o.SeqID, o.Offset, got)
+			off := opt.Snapshot.Offset(o)
+			if got, ok := off2[o.SeqID()]; !ok || got != off {
+				objFail = fmt.Sprintf("object %s (seq %d) moved: %d vs %d", o.TypeName(), o.SeqID(), off, got)
 				break
 			}
 		}

@@ -67,9 +67,10 @@ func recipeChecks(img *image.Image) []layoutCheck {
 	} else {
 		for i, o := range img.ObjLayout {
 			b := baked.ObjLayout[i]
-			if b.Offset != o.Offset || b.TypeName() != o.TypeName() {
+			off, boff := img.Snapshot.Offset(o), baked.Snapshot.Offset(b)
+			if boff != off || b.TypeName() != o.TypeName() {
 				objFail = fmt.Sprintf("object %d differs: %s@%d vs %s@%d",
-					i, o.TypeName(), o.Offset, b.TypeName(), b.Offset)
+					i, o.TypeName(), off, b.TypeName(), boff)
 				break
 			}
 		}

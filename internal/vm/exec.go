@@ -580,16 +580,28 @@ func (m *Machine) internString(s string) *heap.Object {
 // access reports an explicit field/array access to the hooks.
 func (m *Machine) access(t *thread, o *heap.Object) {
 	m.Cycles += costAccess
-	if m.Hooks.OnAccess != nil {
-		m.Hooks.OnAccess(t.id, o, true)
+	if o.InSnapshot() || m.Hooks.OnAccess != nil {
+		m.fireAccess(t, o, true)
 	}
 }
 
 // touch reports an implicit object touch (string intrinsics, print).
 func (m *Machine) touch(t *thread, o *heap.Object) {
 	m.Cycles += costAccess
-	if m.Hooks.OnAccess != nil {
-		m.Hooks.OnAccess(t.id, o, false)
+	if o.InSnapshot() || m.Hooks.OnAccess != nil {
+		m.fireAccess(t, o, false)
+	}
+}
+
+// fireAccess calls the access hooks that o's touch concerns. It is kept out
+// of access, which calls it only for a snapshot object or when OnAccess
+// is set, so that access stays small enough to inline.
+func (m *Machine) fireAccess(t *thread, o *heap.Object, instr bool) {
+	if h := m.Hooks.OnSnapshotAccess; h != nil && o.InSnapshot() {
+		h(t.id, o, instr)
+	}
+	if h := m.Hooks.OnAccess; h != nil {
+		h(t.id, o, instr)
 	}
 }
 

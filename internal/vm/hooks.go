@@ -20,6 +20,7 @@ func ComposeHooks(a, b Hooks) Hooks {
 	h.OnMethodExit = compose2M(a.OnMethodExit, b.OnMethodExit)
 	h.OnBlock = compose2B(a.OnBlock, b.OnBlock)
 	h.OnAccess = compose2A(a.OnAccess, b.OnAccess)
+	h.OnSnapshotAccess = compose2A(a.OnSnapshotAccess, b.OnSnapshotAccess)
 	h.OnNew = compose2N(a.OnNew, b.OnNew)
 	h.OnRespond = compose2V(a.OnRespond, b.OnRespond)
 	h.OnPrint = compose2P(a.OnPrint, b.OnPrint)

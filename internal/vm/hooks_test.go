@@ -16,8 +16,11 @@ func TestComposeHooksBothFire(t *testing.T) {
 			OnMethodExit:  func(tid int, m *ir.Method) { log = append(log, tag+":exit") },
 			OnBlock:       func(tid int, m *ir.Method, b int) { log = append(log, tag+":block") },
 			OnAccess:      func(tid int, o *heap.Object, instr bool) { log = append(log, tag+":access") },
-			OnNew:         func(tid int, c *ir.Class) { log = append(log, tag+":new") },
-			OnRespond:     func() { log = append(log, tag+":respond") },
+			OnSnapshotAccess: func(tid int, o *heap.Object, instr bool) {
+				log = append(log, tag+":snapshot-access")
+			},
+			OnNew:     func(tid int, c *ir.Class) { log = append(log, tag+":new") },
+			OnRespond: func() { log = append(log, tag+":respond") },
 		}
 	}
 	h := ComposeHooks(mk("a"), mk("b"))
@@ -26,11 +29,13 @@ func TestComposeHooksBothFire(t *testing.T) {
 	h.OnMethodExit(0, nil)
 	h.OnBlock(0, nil, 0)
 	h.OnAccess(0, nil, true)
+	h.OnSnapshotAccess(0, nil, true)
 	h.OnNew(0, nil)
 	h.OnRespond()
 	want := []string{
 		"a:cu", "b:cu", "a:enter", "b:enter", "a:exit", "b:exit",
-		"a:block", "b:block", "a:access", "b:access", "a:new", "b:new",
+		"a:block", "b:block", "a:access", "b:access",
+		"a:snapshot-access", "b:snapshot-access", "a:new", "b:new",
 		"a:respond", "b:respond",
 	}
 	if len(log) != len(want) {

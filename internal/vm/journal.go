@@ -58,7 +58,7 @@ type staticWrite struct {
 
 // EnableJournal starts recording mutations of pre-existing heap state: the
 // statics, the intern table, and the objects of snap, which must hold every
-// object marked InSnapshot that the run writes. Writes to objects allocated
+// snapshot object (heap.Object.InSnapshot) that the run writes. Writes to objects allocated
 // after this call are not journaled (they are garbage after the run
 // anyway).
 func (m *Machine) EnableJournal(snap *heap.Snapshot) {
@@ -138,7 +138,7 @@ func (m *Machine) JournalEvents() []JournalEvent {
 // recordFieldWrite journals the first overwrite of a snapshot object field.
 func (m *Machine) recordFieldWrite(o *heap.Object, f *ir.Field) {
 	j := m.journal
-	if j == nil || !o.InSnapshot {
+	if j == nil || !o.InSnapshot() {
 		return
 	}
 	if !j.seenSlot.add(j.snap.Slot(o, f.Slot), j.snap.NumSlots()) {
@@ -150,7 +150,7 @@ func (m *Machine) recordFieldWrite(o *heap.Object, f *ir.Field) {
 // recordElemWrite journals the first overwrite of a snapshot array element.
 func (m *Machine) recordElemWrite(o *heap.Object, idx int) {
 	j := m.journal
-	if j == nil || !o.InSnapshot {
+	if j == nil || !o.InSnapshot() {
 		return
 	}
 	if !j.seenSlot.add(j.snap.Slot(o, idx), j.snap.NumSlots()) {

@@ -42,6 +42,11 @@ type Hooks struct {
 	// (intrinsics reading string contents), which fault pages but carry no
 	// statically countable probe.
 	OnAccess func(tid int, o *heap.Object, instr bool)
+	// OnSnapshotAccess fires like OnAccess, and before it, but only for
+	// objects a heap snapshot holds (heap.Object.InSnapshot): the loaded
+	// image touches their .svm_heap pages with it, while a runtime
+	// allocation costs the access path no call.
+	OnSnapshotAccess func(tid int, o *heap.Object, instr bool)
 	// OnNew fires when an instance of c is allocated. The loaded image uses
 	// it to touch the class's metadata (hub) object in the heap snapshot,
 	// the way compiled allocation code reads the hub word.

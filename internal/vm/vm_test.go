@@ -394,6 +394,46 @@ func TestAccessHookFires(t *testing.T) {
 	}
 }
 
+// TestSnapshotAccessHookOnlySnapshotObjects: OnSnapshotAccess fires for
+// the accesses to a snapshot object, each time before OnAccess, and not for
+// a runtime allocation, while OnAccess fires for all of them.
+func TestSnapshotAccessHookOnlySnapshotObjects(t *testing.T) {
+	b := ir.NewBuilder("snapacc")
+	b.Class(ir.StringClass)
+	c := b.Class("A").Field("x", ir.Int()).Static("snap", ir.Ref("A"))
+	mb := c.StaticMethod("run", 0, ir.Int())
+	e := mb.Entry()
+	s := e.GetStatic("A", "snap")
+	v := e.GetField(s, "A", "x")
+	o := e.New("A")
+	e.PutField(o, "A", "x", v)
+	e.Ret(e.GetField(o, "A", "x"))
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapObj := heap.NewObject(p.Class("A"))
+	heap.BuildSnapshot([]heap.RootRef{{Obj: snapObj, Reason: "A.snap"}})
+	m := New(p)
+	m.Statics.Set(p.Class("A").LookupStatic("snap"), heap.RefVal(snapObj))
+	var log []string
+	tag := func(kind string, o *heap.Object) string {
+		if o == snapObj {
+			return kind + ":snap"
+		}
+		return kind + ":new"
+	}
+	m.Hooks.OnSnapshotAccess = func(tid int, o *heap.Object, instr bool) { log = append(log, tag("S", o)) }
+	m.Hooks.OnAccess = func(tid int, o *heap.Object, instr bool) { log = append(log, tag("A", o)) }
+	if _, err := m.RunMethod(p.Class("A").DeclaredMethod("run")); err != nil {
+		t.Fatal(err)
+	}
+	want := "S:snap A:snap A:new A:new"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("hook events %q, want %q", got, want)
+	}
+}
+
 func TestBuildSaltDiffersAcrossBuilds(t *testing.T) {
 	b := ir.NewBuilder("salt")
 	b.Class(ir.StringClass)

@@ -193,7 +193,9 @@ type HeapSnapshot = heap.Snapshot
 // Entity wraps a heap value for the identity algorithms (Algorithms 1–3).
 type Entity = heap.Entity
 
-// ObjEntity wraps an object reference as an Entity.
+// ObjEntity wraps an object reference as an Entity without snapshot
+// metadata; HeapSnapshot.Entity wraps one with it, which heap-path IDs
+// need.
 func ObjEntity(o *HeapObject) Entity { return heap.ObjEntity(o) }
 
 // OrderObjects applies a heap-ordering profile to a snapshot's objects
