@@ -16,11 +16,6 @@
 // serve-slo-p*.csv), with a telemetry-on/off overhead control reported
 // alongside.
 //
-// The "search" experiment runs the SLO-driven layout search on every
-// serve workload and scores the searched layout against the c3 and
-// ext-tsp seeds on the search's own objective (output/BENCH_search.json,
-// per-workload nimage.search/v1 journals, plus search-iterations.csv).
-//
 // The "fleet" experiment is the multi-tenant observatory: mixed-strategy
 // tenant fleets share ONE page cache at each tenant count, and the
 // per-strategy SLO attainment, isolation-factor geomeans, and fairness
@@ -29,10 +24,9 @@
 //
 // Usage:
 //
-//	nimage-eval [-figure all|2|3|4|5|overhead|accessed|6|serve|slo|search|fleet|report] [-workloads Bounce,micronaut]
+//	nimage-eval [-figure all|2|3|4|5|overhead|accessed|6|serve|slo|fleet|report] [-workloads Bounce,micronaut]
 //	            [-builds N] [-device ssd|nfs] [-out output]
 //	            [-streams N] [-slo "p50=100us,p99=2ms"] [-slo-bursts N]
-//	            [-search-iters N] [-search-topk N]
 //	            [-tenants 2,4] [-budget PAGES] [-quota PCT] [-bursts N]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -207,8 +201,12 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
+// fleetStrategies are the tenant layouts of the fleet experiment: the
+// paper's combined layout and the two graph layouts.
+var fleetStrategies = []string{core.StrategyCombined, core.StrategyC3, core.StrategyExtTSP}
+
 // figureNames are the values -figure accepts: every experiment, or all.
-var figureNames = []string{"all", "2", "3", "4", "5", "overhead", "accessed", "6", "serve", "slo", "search", "fleet", "report"}
+var figureNames = []string{"all", "2", "3", "4", "5", "overhead", "accessed", "6", "serve", "slo", "fleet", "report"}
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("nimage-eval", flag.ContinueOnError)
@@ -223,8 +221,6 @@ func run(args []string) (err error) {
 	streams := fs.Int("streams", 2, "concurrent request streams of the slo experiment")
 	sloFlag := fs.String("slo", "", "SLO targets of the slo experiment as p<quantile>=<duration> terms (empty = defaults)")
 	sloBursts := fs.Int("slo-bursts", 0, "request bursts of the slo experiment (0 = serve default)")
-	searchIters := fs.Int("search-iters", 2, "search iterations of the search experiment")
-	searchTopK := fs.Int("search-topk", 2, "candidates promoted per iteration in the search experiment")
 	fleetTenants := fs.String("tenants", "2,4", "comma-separated tenant counts of the fleet experiment (each >= 2)")
 	fleetBudget := fs.Int("budget", 192, "shared resident-page budget of the fleet experiment")
 	fleetQuota := fs.Int("quota", 0, "per-tenant residency quota of the fleet experiment, percent of the budget (0 = none)")
@@ -253,12 +249,6 @@ func run(args []string) (err error) {
 	if *sloBursts < 0 {
 		return fmt.Errorf("-slo-bursts must be >= 0 (0 = serve default), got %d", *sloBursts)
 	}
-	if *searchIters < 1 || *searchIters > 4096 {
-		return fmt.Errorf("-search-iters must be between 1 and 4096, got %d", *searchIters)
-	}
-	if *searchTopK < 1 || *searchTopK > 1024 {
-		return fmt.Errorf("-search-topk must be between 1 and 1024, got %d", *searchTopK)
-	}
 	fleetCounts, err := parseFleetTenants(*fleetTenants)
 	if err != nil {
 		return err
@@ -282,6 +272,16 @@ func run(args []string) (err error) {
 	keep, err := parseWorkloadFilter(*wfilter)
 	if err != nil {
 		return err
+	}
+	// Each fleet tenant is a distinct (serve workload, strategy) pair, so
+	// a larger fleet cannot be formed. A filter that leaves no serve
+	// workload skips the fleet figure instead.
+	if n := len(filterWorkloads(workloads.Serve(), keep)); n > 0 && (*figure == "all" || *figure == "fleet") {
+		for _, t := range fleetCounts {
+			if t > n*len(fleetStrategies) {
+				return fmt.Errorf("-tenants terms must be <= %d, the distinct serve workload×strategy pairs, got %d", n*len(fleetStrategies), t)
+			}
+		}
 	}
 	dev, err := osim.DeviceByName(*device)
 	if err != nil {
@@ -565,106 +565,6 @@ func run(args []string) (err error) {
 		fmt.Printf("wrote %s (%d entries, %d overhead controls)\n\n", path, len(rep.Entries), len(rep.Overhead))
 		return nil
 	})
-	run("search", func() error {
-		// SLO-driven layout search: run the budget-bounded rebake loop on
-		// every serve workload, journal each trajectory, and score the
-		// searched layout against the c3/ext-tsp seeds on the search's own
-		// objective. The search and the comparison rows run on a
-		// single-build harness, where the slo-search row reproduces the
-		// in-loop measurement of the winner bit for bit.
-		ws := filterWorkloads(workloads.Serve(), keep)
-		if len(ws) == 0 {
-			fmt.Printf("search: no selected workloads, skipped\n\n")
-			return nil
-		}
-		scfg2 := eval.DefaultSearchConfig()
-		scfg2.BudgetIters = *searchIters
-		scfg2.TopK = *searchTopK
-		scfg := cfg
-		scfg.Builds = 1
-		sh := eval.NewHarness(scfg)
-		strategies := []string{core.StrategyC3, core.StrategyExtTSP, core.StrategySLOSearch}
-		var csv strings.Builder
-		csv.WriteString("workload,iter,candidate,op,order_digest,predicted_refaults,predicted_locality,promoted,attained,targets,budget_burn,refault_geomean,accepted,reason\n")
-		attained := map[int]map[string][]float64{}
-		factors := map[int]map[string][]float64{}
-		for _, w := range ws {
-			res, err := sh.SearchLayout(w, scfg2)
-			if err != nil {
-				return err
-			}
-			rep := res.Journal
-			for _, it := range rep.Iterations {
-				for _, c := range it.Candidates {
-					fmt.Fprintf(&csv, "%s,%d,%s,%s,%s,%d,%.4f,%t,%d,%d,%.4f,%.4f,%t,%s\n",
-						w.Name, it.Iter, c.ID, c.Op, c.OrderDigest,
-						c.PredictedRefaults, c.PredictedLocality, c.Promoted,
-						c.Attained, c.Targets, c.BudgetBurn, c.RefaultGeomean,
-						c.Accepted, c.Reason)
-				}
-			}
-			fmt.Println(textviz.SearchTable(fmt.Sprintf(
-				"Layout search (%s, %d iterations, top-%d, pressures %v)",
-				w.Name, rep.BudgetIters, rep.TopK, rep.Pressures), rep))
-			jpath := filepath.Join(*out, fmt.Sprintf("search-%s.json", w.Name))
-			if err := writeDoc(jpath, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (winner %s, attained %d/%d)\n\n",
-				jpath, rep.Final.Candidate, rep.Final.Attained, rep.Final.Targets)
-			// The comparison rows: every strategy scored on the search's own
-			// objective from its memoized build-0 serve measurements.
-			fmt.Printf("search objective per strategy (%s)\n", w.Name)
-			for _, s := range strategies {
-				sc, err := sh.MeasuredSearchScore(w, s, scfg2)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("  %-12s attained %d/%d, refault-factor geomean %.3f, budget burn %.3f\n",
-					s, sc.Attained, sc.Targets, sc.RefaultGeomean, sc.BudgetBurn)
-				for _, ps := range sc.PerPressure {
-					if attained[ps.PressurePct] == nil {
-						attained[ps.PressurePct] = map[string][]float64{}
-						factors[ps.PressurePct] = map[string][]float64{}
-					}
-					if ps.Targets > 0 {
-						attained[ps.PressurePct][s] = append(attained[ps.PressurePct][s],
-							float64(ps.Attained)/float64(ps.Targets))
-					}
-					if ps.RefaultFactor > 0 {
-						factors[ps.PressurePct][s] = append(factors[ps.PressurePct][s], ps.RefaultFactor)
-					}
-				}
-			}
-			fmt.Println()
-		}
-		cpath := filepath.Join(*out, "search-iterations.csv")
-		if err := os.WriteFile(cpath, []byte(csv.String()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cpath)
-		// BENCH_search.json: per-pressure attained fraction (mean over
-		// workloads) and refault-factor geomean per strategy.
-		for p, byStrat := range attained {
-			geo := map[string]float64{}
-			for s, fs := range byStrat {
-				geo[s] = eval.Mean(fs)
-			}
-			baseline.Figures[fmt.Sprintf("search-attained-p%d", p)] = geo
-		}
-		for p, byStrat := range factors {
-			geo := map[string]float64{}
-			for s, fs := range byStrat {
-				geo[s] = eval.GeoMean(fs)
-			}
-			baseline.Figures[fmt.Sprintf("search-refault-factor-p%d", p)] = geo
-		}
-		if err := writeBench(filepath.Join(*out, "BENCH_search.json"), baseline.slice("search-", 1)); err != nil {
-			return err
-		}
-		fmt.Println()
-		return nil
-	})
 	run("fleet", func() error {
 		// Multi-tenant fleet observatory: at each tenant count, a
 		// mixed-strategy fleet shares ONE page cache. The bench slice
@@ -677,7 +577,6 @@ func run(args []string) (err error) {
 			fmt.Printf("fleet: no selected workloads, skipped\n\n")
 			return nil
 		}
-		strategies := []string{core.StrategyCombined, core.StrategyC3, core.StrategyExtTSP, core.StrategySLOSearch}
 		// One image per tenant layout: fleet interference is a property of
 		// the shared cache, not of build-seed noise.
 		fhcfg := cfg
@@ -687,17 +586,13 @@ func run(args []string) (err error) {
 		csv.WriteString("tenants,evictor,owner,pages\n")
 		fairness := map[string]float64{}
 		for _, n := range fleetCounts {
-			if max := len(ws) * len(strategies); n > max {
-				fmt.Printf("fleet: %d tenants exceeds the %d distinct workload×strategy pairs, skipped\n\n", n, max)
-				continue
-			}
 			// Diagonal traversal of the workload×strategy grid: small fleets
 			// already mix strategies instead of replaying one column.
 			specs := make([]eval.TenantSpec, 0, n)
 			for i := 0; i < n; i++ {
 				specs = append(specs, eval.TenantSpec{
 					Workload: ws[i%len(ws)].Name,
-					Strategy: strategies[(i/len(ws)+i%len(ws))%len(strategies)],
+					Strategy: fleetStrategies[(i/len(ws)+i%len(ws))%len(fleetStrategies)],
 					QuotaPct: *fleetQuota,
 				})
 			}

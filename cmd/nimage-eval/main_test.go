@@ -279,71 +279,6 @@ func TestRunSloFiltered(t *testing.T) {
 	}
 }
 
-func TestRunSearchFiltered(t *testing.T) {
-	dir := t.TempDir()
-	err := run([]string{
-		"-figure", "search", "-workloads", "serve-api",
-		"-builds", "1",
-		"-search-iters", "1", "-search-topk", "1",
-		"-out", dir, "-bench", "",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "search-iterations.csv")); err != nil {
-		t.Errorf("iteration CSV missing: %v", err)
-	}
-	jdata, err := os.ReadFile(filepath.Join(dir, "search-serve-api.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var journal struct {
-		Schema string `json:"schema"`
-		Final  struct {
-			Candidate string `json:"candidate"`
-			Attained  int    `json:"attained"`
-			Targets   int    `json:"targets"`
-		} `json:"final"`
-	}
-	if err := json.Unmarshal(jdata, &journal); err != nil {
-		t.Fatal(err)
-	}
-	if journal.Schema != "nimage.search/v1" || journal.Final.Candidate == "" {
-		t.Errorf("bad journal: schema=%q final=%+v", journal.Schema, journal.Final)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_search.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema  string                        `json:"schema"`
-		Figures map[string]map[string]float64 `json:"figures"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Schema != "nimage.bench/v1" {
-		t.Errorf("schema = %q", doc.Schema)
-	}
-	// The acceptance criterion of the figure: at both swept pressures the
-	// searched layout's attainment is >= the best seed's.
-	for _, p := range []int{30, 70} {
-		att := doc.Figures[fmt.Sprintf("search-attained-p%d", p)]
-		if att == nil {
-			t.Fatalf("no search-attained-p%d figure: %v", p, doc.Figures)
-		}
-		for _, s := range []string{"c3", "ext-tsp"} {
-			if att["slo-search"] < att[s] {
-				t.Errorf("p%d: slo-search attains %.3f, below %s's %.3f",
-					p, att["slo-search"], s, att[s])
-			}
-		}
-		if doc.Figures[fmt.Sprintf("search-refault-factor-p%d", p)] == nil {
-			t.Errorf("no search-refault-factor-p%d figure", p)
-		}
-	}
-}
-
 // TestRunFleetFiltered smoke-tests the fleet observatory figure: the
 // bench slice and the interference CSV must land, every attainment and
 // isolation figure must be sane, and the graph-derived tenants must
@@ -421,6 +356,8 @@ func TestRunRejectsBadFleetFlags(t *testing.T) {
 		"tenants-negative": {"-tenants", "-4"},
 		"tenants-garbage":  {"-tenants", "2,abc"},
 		"tenants-empty":    {"-tenants", ","},
+		// Two serve workloads × three fleet layouts: six distinct tenants.
+		"tenants-too-many": {"-tenants", "2,8"},
 		"quota-negative":   {"-quota", "-1"},
 		"quota-over-100":   {"-quota", "101"},
 		"budget-zero":      {"-budget", "0"},
@@ -460,12 +397,9 @@ func TestRunRejectsBadSizing(t *testing.T) {
 		"streams-negative": {"-streams", "-2"},
 		"slo-bursts-neg":   {"-slo-bursts", "-1"},
 		"slo-bad-target":   {"-slo", "p0=1ms"},
-		"search-iters-0":   {"-search-iters", "0"},
-		"search-iters-big": {"-search-iters", "99999"},
-		"search-topk-0":    {"-search-topk", "0"},
-		"search-topk-big":  {"-search-topk", "99999"},
 		"device-typo":      {"-device", "tape"},
 		"figure-unknown":   {"-figure", "7"},
+		"figure-search":    {"-figure", "search"},
 	}
 	for name, extra := range cases {
 		args := append([]string{"-figure", "2", "-workloads", "Bounce", "-out", t.TempDir(), "-bench", ""}, extra...)
@@ -587,6 +521,65 @@ func TestCommittedPaperTrends(t *testing.T) {
 			}
 			if factor < 0.95 {
 				t.Errorf("%s: %s/%s slows down to %.4f×", key, f[0], f[1], factor)
+			}
+		}
+	}
+}
+
+// TestCommittedServeStrategiesRegistered: the committed serve outputs name
+// exactly the registered serve strategies (plus the identity baseline in
+// the tables that carry it), so a row of a deleted strategy, or a missing
+// row of a new one, fails here rather than only in the reproduction gate.
+func TestCommittedServeStrategiesRegistered(t *testing.T) {
+	want := core.ServeStrategyNames()
+	sort.Strings(want)
+	csvs, err := filepath.Glob(filepath.Join("..", "..", "output", "serve-*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(csvs) == 0 {
+		t.Fatal("no committed serve CSVs")
+	}
+	for _, path := range csvs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if h := strings.Split(lines[0], ","); len(h) < 2 || h[1] != "strategy" {
+			t.Fatalf("%s: second column is not strategy: %q", path, lines[0])
+		}
+		seen := map[string]bool{}
+		for _, line := range lines[1:] {
+			if s := strings.Split(line, ",")[1]; s != eval.LayoutBaseline {
+				seen[s] = true
+			}
+		}
+		got := make([]string, 0, len(seen))
+		for s := range seen {
+			got = append(got, s)
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: strategies %v, want the serve set %v", filepath.Base(path), got, want)
+		}
+	}
+
+	data, err := os.ReadFile(filepath.Join("..", "..", "output", "BENCH_serve.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc benchDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Figures) == 0 {
+		t.Fatal("BENCH_serve.json has no figures")
+	}
+	for key, geo := range doc.Figures {
+		for s := range geo {
+			if !slices.Contains(want, s) {
+				t.Errorf("BENCH_serve.json %s: %q is not a registered serve strategy", key, s)
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func validateFleetFlags(tenants, quota, budget, bursts int) error {
 
 // fleetTenantMix builds n distinct workload × strategy pairs by cycling
 // the workload list fastest and the strategy list per full workload
-// cycle, so a 2-workload × 4-strategy default supports up to 8 tenants.
+// cycle, so the default 2 workloads × 6 layouts support up to 12 tenants.
 func fleetTenantMix(n, quota int, workloads, strategies []string) ([]nimage.TenantSpec, error) {
 	if len(workloads) == 0 || len(strategies) == 0 {
 		return nil, fmt.Errorf("empty workload or strategy list")

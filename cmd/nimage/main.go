@@ -9,7 +9,6 @@
 //	nimage run     -workload Bounce [-strategy cu] [-device ssd|nfs] [-report out.json]
 //	nimage serve   -workload serve-api [-strategy cu] [-streams N] [-bursts N] [-burst N] [-pressure PCT] [-budget PAGES] [-report out.json]
 //	nimage slo     [-workload serve-api] [-streams N] [-slo "p50=100us,p99=2ms"] [-pressures 0,30,70] [-trace t.json] [-o slo.json]
-//	nimage tune    [-workload serve-api] [-budget-iters N] [-top-k N] [-seed N] [-pressures 30,70] [-slo "p99=2ms"] [-o search.json]
 //	nimage profile -workload Bounce -strategy "heap path" [-out profile.csv] [-trace trace.bin]
 //	nimage order   -workload Bounce [-seed N]
 //	nimage report  -workloads Bounce,micronaut [-strategies "cu,heap path"] [-o report.json] [-artifacts dir]
@@ -51,8 +50,6 @@ func main() {
 		err = cmdSlo(os.Args[2:])
 	case "fleet":
 		err = cmdFleet(os.Args[2:])
-	case "tune":
-		err = cmdTune(os.Args[2:])
 	case "profile":
 		err = cmdProfile(os.Args[2:])
 	case "order":
@@ -94,7 +91,6 @@ commands:
   serve     drive request bursts under cache pressure, print burst telemetry
   slo       sweep pressure with concurrent streams, score layouts against latency SLOs
   fleet     serve N tenants from one shared page cache, print the interference matrix
-  tune      run the SLO-driven layout search, print the trajectory and winner
   profile   run the profile-guided pipeline, write ordering profiles
   order     print the per-strategy object match breakdown across builds
   report    run an observed evaluation, write a consolidated report.json

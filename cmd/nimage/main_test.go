@@ -324,68 +324,23 @@ func TestCmdFleetRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestCmdTune(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "search.json")
-	if err := cmdTune([]string{"-workload", "serve-api", "-budget-iters", "1",
-		"-top-k", "1", "-pressures", "30", "-o", out}); err != nil {
-		t.Fatal(err)
+// TestCmdsRejectRemovedLayoutSearch: the deleted slo-search layout is no
+// longer a registered strategy, so every command that bakes by name
+// rejects it through the registry lookup.
+func TestCmdsRejectRemovedLayoutSearch(t *testing.T) {
+	cases := map[string]struct {
+		cmd  func([]string) error
+		args []string
+	}{
+		"build": {cmdBuild, []string{"-workload", "Sieve", "-kind", "optimized", "-strategy", "slo-search"}},
+		"serve": {cmdServe, []string{"-workload", "serve-api", "-strategy", "slo-search", "-bursts", "1", "-burst", "2"}},
+		"slo": {cmdSlo, []string{"-workload", "serve-api", "-strategies", "slo-search", "-streams", "1",
+			"-bursts", "1", "-burst", "2", "-pressures", "0"}},
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Schema     string `json:"schema"`
-		Workload   string `json:"workload"`
-		Iterations []any  `json:"iterations"`
-		Final      struct {
-			Candidate string `json:"candidate"`
-			Symbols   int    `json:"symbols"`
-		} `json:"final"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("search JSON: %v", err)
-	}
-	if rep.Schema != "nimage.search/v1" || rep.Workload != "serve-api" {
-		t.Fatalf("schema=%q workload=%q", rep.Schema, rep.Workload)
-	}
-	// The seed round plus one budgeted iteration.
-	if len(rep.Iterations) != 2 {
-		t.Fatalf("iterations=%d, want 2", len(rep.Iterations))
-	}
-	if rep.Final.Candidate == "" || rep.Final.Symbols == 0 {
-		t.Fatalf("empty final block: %+v", rep.Final)
-	}
-	if err := cmdTune([]string{"-workload", "Sieve"}); err == nil {
-		t.Fatal("non-serve workload accepted")
-	}
-	if err := cmdTune([]string{"-workload", "nope"}); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-}
-
-func TestCmdTuneRejectsBadFlags(t *testing.T) {
-	cases := map[string][]string{
-		"budget-zero":        {"-workload", "serve-api", "-budget-iters", "0"},
-		"budget-negative":    {"-workload", "serve-api", "-budget-iters", "-1"},
-		"budget-huge":        {"-workload", "serve-api", "-budget-iters", "99999"},
-		"top-k-zero":         {"-workload", "serve-api", "-top-k", "0"},
-		"top-k-huge":         {"-workload", "serve-api", "-top-k", "99999"},
-		"pressures-over-100": {"-workload", "serve-api", "-pressures", "30,140"},
-		"pressures-garbage":  {"-workload", "serve-api", "-pressures", "30,abc"},
-		"pressures-negative": {"-workload", "serve-api", "-pressures", "-30"},
-		"slo-bad-quantile":   {"-workload", "serve-api", "-slo", "p0=1ms"},
-		"slo-bad-duration":   {"-workload", "serve-api", "-slo", "p99=fast"},
-	}
-	for name, args := range cases {
-		err := cmdTune(args)
-		if err == nil {
-			t.Errorf("%s: accepted %v", name, args)
-			continue
-		}
-		if !strings.Contains(err.Error(), "must") {
-			t.Errorf("%s: unhelpful error %v", name, err)
+	for name, tc := range cases {
+		err := tc.cmd(tc.args)
+		if err == nil || !strings.Contains(err.Error(), `unknown strategy "slo-search"`) {
+			t.Errorf("%s: err = %v, want the unknown-strategy error", name, err)
 		}
 	}
 }

@@ -158,13 +158,6 @@ func emitChains(chains []*symChain, nodes []symNode) []string {
 // merged chain would overflow the chain budget. Chains are emitted in
 // first-touch order (see emitChains).
 func C3Order(g *affinity.Graph) []string {
-	return C3OrderLimit(g, c3MergeLimit)
-}
-
-// C3OrderLimit is C3Order with an explicit chain-size budget: the
-// parameter the layout search sweeps. A limit <= 0 removes the cap
-// (every gainful merge happens).
-func C3OrderLimit(g *affinity.Graph, mergeLimit int64) []string {
 	nodes, remap := textNodes(g)
 	if len(nodes) == 0 {
 		return nil
@@ -223,7 +216,7 @@ func C3OrderLimit(g *affinity.Graph, mergeLimit int64) []string {
 			continue
 		}
 		ca, cb := chainOf[best], chainOf[v]
-		if ca == cb || (mergeLimit > 0 && ca.size+cb.size > mergeLimit) {
+		if ca == cb || ca.size+cb.size > c3MergeLimit {
 			continue
 		}
 		ca.nodes = append(ca.nodes, cb.nodes...)
@@ -248,16 +241,6 @@ func C3OrderLimit(g *affinity.Graph, mergeLimit int64) []string {
 // gap between them approaches the one-page horizon. Chains are emitted in
 // first-touch order (see emitChains).
 func ExtTSPOrder(g *affinity.Graph) []string {
-	return ExtTSPOrderHorizon(g, extTSPHorizon)
-}
-
-// ExtTSPOrderHorizon is ExtTSPOrder with an explicit decay horizon in
-// bytes: the parameter the layout search sweeps. Horizons <= 0 are
-// rejected by returning nil (no edge could ever score).
-func ExtTSPOrderHorizon(g *affinity.Graph, horizon float64) []string {
-	if horizon <= 0 {
-		return nil
-	}
 	nodes, remap := textNodes(g)
 	if len(nodes) == 0 {
 		return nil
@@ -303,8 +286,8 @@ func ExtTSPOrderHorizon(g *affinity.Graph, horizon float64) []string {
 				if gap < 0 {
 					gap = 0
 				}
-				if gap < horizon {
-					s += e.w * (1 - gap/horizon)
+				if gap < extTSPHorizon {
+					s += e.w * (1 - gap/extTSPHorizon)
 				}
 			}
 		}

@@ -207,7 +207,7 @@ func TestRegistryWellFormed(t *testing.T) {
 		}
 		return false
 	}
-	for _, name := range []string{StrategyC3, StrategyExtTSP, StrategySLOSearch} {
+	for _, name := range []string{StrategyC3, StrategyExtTSP} {
 		if !IsGraphStrategy(name) {
 			t.Errorf("IsGraphStrategy(%q) = false", name)
 		}

@@ -47,7 +47,6 @@ var registry = []StrategyInfo{
 	{Name: StrategyCombined, Instr: []graal.Instrumentation{graal.InstrCU, graal.InstrHeap}, Text: true, Heap: true, Eval: true, Serve: true},
 	{Name: StrategyC3, Graph: true, Text: true, Serve: true},
 	{Name: StrategyExtTSP, Graph: true, Text: true, Serve: true},
-	{Name: StrategySLOSearch, Graph: true, Text: true, Serve: true},
 }
 
 // Registry returns every registered strategy, in figure order.

@@ -120,7 +120,6 @@ type Harness struct {
 	serveCache  map[string][]*ServeOutcome
 	serveImgs   map[string]*image.Image
 	serveGraphs map[string]*affinity.Graph
-	searchCache map[string]*SearchResult
 	fleetCache  map[string][]*FleetOutcome
 	profiles    map[string]*image.Profile
 
@@ -136,7 +135,6 @@ func NewHarness(cfg Config) *Harness {
 		serveCache:  make(map[string][]*ServeOutcome),
 		serveImgs:   make(map[string]*image.Image),
 		serveGraphs: make(map[string]*affinity.Graph),
-		searchCache: make(map[string]*SearchResult),
 		fleetCache:  make(map[string][]*FleetOutcome),
 		profiles:    make(map[string]*image.Profile),
 	}

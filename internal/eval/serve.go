@@ -287,16 +287,6 @@ func (h *Harness) serveImage(w workloads.Workload, strategy string, bld int) (*i
 					return err
 				}
 				popts.AffinityGraph = g
-				if strategy == core.StrategySLOSearch {
-					// slo-search bakes the measured search winner: one
-					// searched order per workload (memoized), rebuilt here
-					// with this build's seed like any other strategy.
-					sr, err := h.SearchLayout(w, DefaultSearchConfig())
-					if err != nil {
-						return err
-					}
-					popts.CodeOrder = sr.Order
-				}
 				return nil
 			}
 		}

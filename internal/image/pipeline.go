@@ -50,11 +50,6 @@ type PipelineOptions struct {
 	// harness) pass it here so the layout optimizes burst residency
 	// rather than startup.
 	AffinityGraph *affinity.Graph
-	// CodeOrder, when non-nil, overrides the "slo-search" strategy's text
-	// ordering with a caller-resolved winner (the eval harness injects the
-	// measured layout-search result here). Other strategies ignore it;
-	// slo-search without it runs the standalone graph-scored search.
-	CodeOrder []string
 }
 
 // ProfilingRun reports the instrumented execution (for the overhead
@@ -266,12 +261,6 @@ func profileGraph(p *ir.Program, opts PipelineOptions, reach *graal.Reachability
 		profile = core.C3Order(g)
 	case core.StrategyExtTSP:
 		profile = core.ExtTSPOrder(g)
-	case core.StrategySLOSearch:
-		if opts.CodeOrder != nil {
-			profile = append([]string(nil), opts.CodeOrder...)
-		} else {
-			profile = core.SLOSearchOrder(g)
-		}
 	default:
 		return nil, nil, fmt.Errorf("image: unknown graph strategy %q", opts.Strategy)
 	}

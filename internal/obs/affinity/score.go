@@ -4,9 +4,8 @@ package affinity
 // quality. The affinity graph names symbols (build-stable names), and a
 // candidate layout places the same symbols at new offsets, so a graph
 // recorded once against the baseline can score every candidate layout
-// without re-running the simulation — the cheap inner iteration a layout
-// search or rebake loop needs, with MeasureServe as the ground truth it
-// must order-agree with (asserted by an eval test).
+// without re-running the simulation, with MeasureServe as the ground
+// truth it must order-agree with (asserted by an eval test).
 
 import (
 	"fmt"

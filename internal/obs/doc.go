@@ -2,10 +2,10 @@ package obs
 
 // JSON document codec, shared by every schema-versioned document the
 // toolchain writes: attribution tables, affinity graphs, request traces,
-// SLO reports, search journals, fleet reports, eval reports and verify
-// reports. There is one canonical encoding, and one decode path that
-// rejects foreign schemas and runs the document's structural validator
-// before any consumer walks it.
+// SLO reports, fleet reports, eval reports and verify reports. There is
+// one canonical encoding, and one decode path that rejects foreign
+// schemas and runs the document's structural validator before any
+// consumer walks it.
 
 import (
 	"encoding/json"

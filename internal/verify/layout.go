@@ -324,21 +324,3 @@ func identityChecks(opt, opt2 *image.Image) []layoutCheck {
 	add("identity-object-offsets", objFail)
 	return cs
 }
-
-// PermutationFailures runs the layout-permutation invariants (CU/object
-// digest multisets, section extents, offset validity) between a
-// reference image and a claimed reorder of it, returning one
-// "check: failure" line per violated invariant — empty means opt is a
-// pure permutation of ref. ref must be a KindOptimized build with the
-// same seed and compiler but no profiles applied. Exported for external
-// metamorphic tests (the layout search asserts every candidate it bakes
-// through this).
-func PermutationFailures(ref, opt *image.Image) []string {
-	var out []string
-	for _, c := range append(permutationChecks(ref, opt), offsetChecks(opt)...) {
-		if c.fail != "" {
-			out = append(out, c.name+": "+c.fail)
-		}
-	}
-	return out
-}

@@ -169,7 +169,6 @@ const (
 	StrategyCombined    = core.StrategyCombined
 	StrategyC3          = core.StrategyC3
 	StrategyExtTSP      = core.StrategyExtTSP
-	StrategySLOSearch   = core.StrategySLOSearch
 )
 
 // Strategies lists the cold-start strategies in figure order (the
@@ -547,44 +546,6 @@ func SLOTableText(title string, rep *SLOReport) string { return textviz.SLOTable
 // SLOOverheadTableText renders an SLO report's telemetry-overhead
 // control table.
 func SLOOverheadTableText(rep *SLOReport) string { return textviz.SLOOverheadTable(rep) }
-
-// SLO-driven layout search (Harness.SearchLayout / `nimage tune`): a
-// budget-bounded rebake loop that measures the c3 and ext-tsp seed
-// layouts with the serve scorecard, generates parameter sweeps and
-// seeded perturbations of the incumbent, promotes the statically
-// best-predicted candidates to full measurement, and accepts only on a
-// strict scorecard improvement. The slo-search strategy bakes the
-// searched winner.
-
-// SearchConfig tunes the search (budget, promotion width, seed,
-// pressures, targets, serve scenario).
-type SearchConfig = eval.SearchConfig
-
-// DefaultSearchConfig returns the search defaults.
-func DefaultSearchConfig() SearchConfig { return eval.DefaultSearchConfig() }
-
-// SearchScore is one candidate's measured scorecard: SLO attainment,
-// budget burn, and the refault-factor geomean over the swept pressures.
-type SearchScore = eval.SearchScore
-
-// SearchPressureScore is one pressure level's slice of a SearchScore.
-type SearchPressureScore = eval.SearchPressureScore
-
-// SearchResult is the outcome of one search: the winning order, its
-// score, the full journal, and every measured candidate order.
-type SearchResult = eval.SearchResult
-
-// SearchReport is the per-iteration search journal (nimage.search/v1).
-type SearchReport = obs.SearchReport
-
-// WriteSearchReport / ReadSearchReport are the nimage.search/v1 codec.
-var (
-	WriteSearchReport = obs.WriteSearchReport
-	ReadSearchReport  = obs.ReadSearchReport
-)
-
-// SearchTableText renders a search journal's trajectory as a text table.
-func SearchTableText(title string, rep *SearchReport) string { return textviz.SearchTable(title, rep) }
 
 // Fleet observatory (Harness.MeasureFleet / `nimage fleet`): N tenants
 // (serve workload × strategy pairs) served concurrently from one

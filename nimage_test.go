@@ -95,7 +95,7 @@ func TestFacadeDSL(t *testing.T) {
 
 func TestFacadeStrategiesAndWorkloads(t *testing.T) {
 	// The cold-start set is the paper's six strategies; the graph-based
-	// layouts and the searched layout are serve-only.
+	// layouts are serve-only.
 	if len(nimage.Strategies()) != 6 {
 		t.Errorf("strategies = %v", nimage.Strategies())
 	}
@@ -107,7 +107,7 @@ func TestFacadeStrategiesAndWorkloads(t *testing.T) {
 		}
 		return false
 	}
-	for _, s := range []string{nimage.StrategyC3, nimage.StrategyExtTSP, nimage.StrategySLOSearch} {
+	for _, s := range []string{nimage.StrategyC3, nimage.StrategyExtTSP} {
 		if in(nimage.Strategies(), s) {
 			t.Errorf("graph strategy %q in the cold-start set %v", s, nimage.Strategies())
 		}
