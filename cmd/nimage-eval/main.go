@@ -439,8 +439,9 @@ func run(args []string) (err error) {
 	})
 	run("serve", func() error {
 		// Serve-mode comparison: warm-burst latency and re-fault volume per
-		// layout under mild and severe inter-burst pressure, plus the static
-		// layout scorecards predicted from the baseline affinity recording.
+		// layout under severe inter-burst pressure, plus the static layout
+		// scorecards predicted from the baseline affinity recording under
+		// mild and severe pressure.
 		ws := filterWorkloads(workloads.Serve(), keep)
 		if len(ws) == 0 {
 			fmt.Printf("serve: no selected workloads, skipped\n\n")
@@ -452,19 +453,22 @@ func run(args []string) (err error) {
 		acfg := cfg
 		acfg.TrackAffinity = true
 		ah := eval.NewHarness(acfg)
+		// The measured tables run at severe pressure only: at 30% the
+		// baseline re-faults under one page per build, too few to rank
+		// layouts.
+		severe := eval.DefaultServeConfig()
+		severe.PressurePct = 70
+		lat := func() (*eval.Table, error) { return ah.ServeLatencyTable(ws, severe, nil) }
+		ref := func() (*eval.Table, error) { return ah.ServeRefaultTable(ws, severe, nil) }
+		if err := table("serve-latency-p70", "serve-latency-p70.csv", lat); err != nil {
+			return err
+		}
+		if err := table("serve-refaults-p70", "serve-refaults-p70.csv", ref); err != nil {
+			return err
+		}
 		for _, p := range []int{30, 70} {
 			scfg := eval.DefaultServeConfig()
 			scfg.PressurePct = p
-			lat := func() (*eval.Table, error) { return ah.ServeLatencyTable(ws, scfg, nil) }
-			ref := func() (*eval.Table, error) { return ah.ServeRefaultTable(ws, scfg, nil) }
-			if err := table(fmt.Sprintf("serve-latency-p%d", p),
-				fmt.Sprintf("serve-latency-p%d.csv", p), lat); err != nil {
-				return err
-			}
-			if err := table(fmt.Sprintf("serve-refaults-p%d", p),
-				fmt.Sprintf("serve-refaults-p%d.csv", p), ref); err != nil {
-				return err
-			}
 			var sb strings.Builder
 			sb.WriteString("workload,strategy,pressure_pct,locality,avg_window_pages,peak_window_pages,predicted_refaults,predicted_cold_pages,refault_factor\n")
 			factors := map[string][]float64{}

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -141,10 +142,10 @@ func TestRunReportFiltered(t *testing.T) {
 	}
 }
 
-// TestRunServeFiltered smoke-tests the serve figure: latency, re-fault,
-// and scorecard tables must land for both pressure levels, with geomeans
-// in the benchmark-baseline document and the serve slice in
-// BENCH_serve.json.
+// TestRunServeFiltered smoke-tests the serve figure: latency and re-fault
+// tables must land for severe pressure and scorecard tables for both
+// pressure levels, with geomeans in the benchmark-baseline document and
+// the serve slice in BENCH_serve.json.
 func TestRunServeFiltered(t *testing.T) {
 	dir := t.TempDir()
 	bench := filepath.Join(dir, "BENCH_baseline.json")
@@ -157,12 +158,16 @@ func TestRunServeFiltered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range []string{
-		"serve-latency-p30.csv", "serve-refaults-p30.csv",
 		"serve-latency-p70.csv", "serve-refaults-p70.csv",
 		"serve-scorecards-p30.csv", "serve-scorecards-p70.csv",
 	} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("figure CSV %s missing: %v", f, err)
+		}
+	}
+	for _, f := range []string{"serve-latency-p30.csv", "serve-refaults-p30.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err == nil {
+			t.Errorf("figure CSV %s written; measured serve tables are p70 only", f)
 		}
 	}
 	data, err := os.ReadFile(bench)
@@ -173,7 +178,7 @@ func TestRunServeFiltered(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Figures["serve-latency-p30"]) == 0 || len(doc.Figures["serve-latency-p70"]) == 0 {
+	if len(doc.Figures["serve-latency-p70"]) == 0 {
 		t.Fatalf("no serve geomeans recorded: %+v", doc.Figures)
 	}
 	if len(doc.Figures["serve-scorecards-p30"]) == 0 {
@@ -191,12 +196,9 @@ func TestRunServeFiltered(t *testing.T) {
 	if sdoc.Schema != benchSchema {
 		t.Errorf("BENCH_serve schema = %q, want %q", sdoc.Schema, benchSchema)
 	}
-	// Re-fault geomeans can be legitimately absent (a fully degenerate
-	// zero-refault column at low pressure), so only latency and scorecard
-	// figures are required.
 	for _, key := range []string{
-		"serve-latency-p30", "serve-scorecards-p30",
-		"serve-latency-p70", "serve-scorecards-p70",
+		"serve-latency-p70", "serve-refaults-p70",
+		"serve-scorecards-p30", "serve-scorecards-p70",
 	} {
 		if len(sdoc.Figures[key]) == 0 {
 			t.Errorf("BENCH_serve figure %s missing: %+v", key, sdoc.Figures)
@@ -523,6 +525,97 @@ func TestCommittedPaperTrends(t *testing.T) {
 				t.Errorf("%s: %s/%s slows down to %.4f×", key, f[0], f[1], factor)
 			}
 		}
+	}
+}
+
+// TestCommittedOutputsFinite: no committed CSV or benchmark document
+// holds a NaN or infinite value, and every committed factor table's
+// geomean rows name exactly the strategies its BENCH_baseline.json figure
+// records, so a geomean the bench document silently drops fails here.
+func TestCommittedOutputsFinite(t *testing.T) {
+	finite := func(path, field string) {
+		if v, err := strconv.ParseFloat(field, 64); err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			t.Errorf("%s: non-finite value %q", filepath.Base(path), field)
+		}
+	}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case string:
+			finite(path, v)
+		case []any:
+			for _, e := range v {
+				walk(path, e)
+			}
+		case map[string]any:
+			for _, e := range v {
+				walk(path, e)
+			}
+		}
+	}
+	jsons, err := filepath.Glob(filepath.Join("..", "..", "output", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(jsons, filepath.Join("..", "..", "BENCH_baseline.json")) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		walk(path, doc)
+	}
+
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench benchDoc
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatal(err)
+	}
+	csvs, err := filepath.Glob(filepath.Join("..", "..", "output", "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := 0
+	for _, path := range csvs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		for _, line := range lines[1:] {
+			for _, f := range strings.Split(line, ",") {
+				finite(path, f)
+			}
+		}
+		if !strings.HasPrefix(lines[0], "workload,strategy,factor,") {
+			continue
+		}
+		tables++
+		key := strings.TrimSuffix(filepath.Base(path), ".csv")
+		var got []string
+		for _, line := range lines[1:] {
+			if f := strings.Split(line, ","); f[0] == "geomean" {
+				got = append(got, f[1])
+			}
+		}
+		want := make([]string, 0, len(bench.Figures[key]))
+		for s := range bench.Figures[key] {
+			want = append(want, s)
+		}
+		sort.Strings(got)
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: geomean strategies %v, BENCH_baseline.json records %v", key, got, want)
+		}
+	}
+	if tables == 0 {
+		t.Fatal("no committed factor tables")
 	}
 }
 

@@ -65,7 +65,6 @@ func cmdFleet(args []string) error {
 	strategies := fs.String("strategies", "", "comma-separated layouts to cycle (empty = identity + every serve strategy)")
 	budget := fs.Int("budget", 128, "shared resident-page budget in pages (must be positive)")
 	quota := fs.Int("quota", 0, "per-tenant residency quota as percent of the budget (0 = none)")
-	policy := fs.String("policy", "lru", "eviction policy: lru|clock")
 	pressure := fs.Int("pressure", 40, "percent of resident pages reclaimed between bursts")
 	bursts := fs.Int("bursts", 5, "request bursts after startup (burst 0 is cold)")
 	burst := fs.Int("burst", 16, "requests per burst per tenant")
@@ -110,14 +109,6 @@ func cmdFleet(args []string) error {
 		// The Chrome trace needs the per-request spans.
 		RecordRequests: *trace != "",
 	}
-	switch *policy {
-	case "lru":
-		fcfg.Policy = nimage.EvictLRU
-	case "clock":
-		fcfg.Policy = nimage.EvictClock
-	default:
-		return fmt.Errorf("unknown eviction policy %q", *policy)
-	}
 
 	cfg := nimage.DefaultEvalConfig()
 	cfg.Builds = 1
@@ -131,8 +122,8 @@ func cmdFleet(args []string) error {
 	fo := fos[0]
 	rep := fo.FleetReport()
 
-	title := fmt.Sprintf("Fleet scorecard (%d tenants, budget %d pages, %s, %d%% pressure)",
-		len(rep.Tenants), rep.CacheBudget, rep.Policy, rep.PressurePct)
+	title := fmt.Sprintf("Fleet scorecard (%d tenants, budget %d pages, %d%% pressure)",
+		len(rep.Tenants), rep.CacheBudget, rep.PressurePct)
 	fmt.Print(nimage.FleetTableText(title, rep))
 	fmt.Println()
 	fmt.Print(nimage.FleetMatrixText(rep.EvictedBy, rep.TotalEvictions))

@@ -132,11 +132,8 @@ func TestCmdServe(t *testing.T) {
 	if len(rep.Entries) == 0 || len(rep.Entries[0].Serve) == 0 {
 		t.Fatalf("report carries no serve outcomes: %+v", rep)
 	}
-	if err := cmdServe([]string{"-workload", "serve-cache", "-bursts", "2", "-burst", "4", "-budget", "64", "-policy", "clock"}); err != nil {
+	if err := cmdServe([]string{"-workload", "serve-cache", "-bursts", "2", "-burst", "4", "-budget", "64"}); err != nil {
 		t.Fatal(err)
-	}
-	if err := cmdServe([]string{"-workload", "serve-api", "-policy", "bogus"}); err == nil {
-		t.Fatal("unknown eviction policy accepted")
 	}
 	if err := cmdServe([]string{"-workload", "Sieve"}); err == nil {
 		t.Fatal("non-serve workload accepted")
@@ -206,9 +203,6 @@ func TestCmdSlo(t *testing.T) {
 	}
 	if err := cmdSlo([]string{"-workload", "Sieve", "-bursts", "2", "-burst", "4"}); err == nil {
 		t.Fatal("non-serve workload accepted")
-	}
-	if err := cmdSlo([]string{"-workload", "serve-api", "-policy", "bogus"}); err == nil {
-		t.Fatal("unknown eviction policy accepted")
 	}
 }
 
@@ -288,9 +282,6 @@ func TestCmdFleet(t *testing.T) {
 	if err := cmdFleet([]string{"-tenants", "2", "-workloads", "Sieve,serve-api",
 		"-bursts", "2", "-burst", "4"}); err == nil {
 		t.Fatal("non-serve workload accepted")
-	}
-	if err := cmdFleet([]string{"-tenants", "2", "-policy", "bogus"}); err == nil {
-		t.Fatal("unknown eviction policy accepted")
 	}
 	if err := cmdFleet([]string{"-tenants", "99"}); err == nil {
 		t.Fatal("tenant count beyond the distinct pair space accepted")

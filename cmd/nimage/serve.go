@@ -44,7 +44,6 @@ func cmdServe(args []string) error {
 	burst := fs.Int("burst", 24, "requests per burst")
 	pressure := fs.Int("pressure", 50, "percent of resident pages reclaimed between bursts")
 	budget := fs.Int("budget", 0, "resident-page budget in pages (0 = unlimited)")
-	policy := fs.String("policy", "lru", "eviction policy: lru|clock")
 	hotPct := fs.Int("hot-pct", 80, "percent of requests hitting the hot routes")
 	hotRoutes := fs.Int("hot-routes", 4, "size of the hot route set")
 	seed := fs.Uint64("seed", 0, "request-stream seed (0 = default)")
@@ -84,14 +83,6 @@ func cmdServe(args []string) error {
 		// The report's SLO section needs the per-request traces.
 		RecordRequests: *report != "",
 	}
-	switch *policy {
-	case "lru":
-		scfg.Policy = nimage.EvictLRU
-	case "clock":
-		scfg.Policy = nimage.EvictClock
-	default:
-		return fmt.Errorf("unknown eviction policy %q", *policy)
-	}
 
 	h := nimage.NewHarness(cfg)
 	outs, err := h.MeasureServe(w, *strategy, scfg)
@@ -106,7 +97,7 @@ func cmdServe(args []string) error {
 		fmt.Printf(", %d streams", *streams)
 	}
 	if *budget > 0 {
-		fmt.Printf(", budget %d pages (%s)", *budget, *policy)
+		fmt.Printf(", budget %d pages", *budget)
 	}
 	fmt.Println(")")
 	fmt.Printf("  startup (time to first response): %.3fms\n", o.StartupNanos/1e6)

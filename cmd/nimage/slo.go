@@ -47,7 +47,6 @@ func cmdSlo(args []string) error {
 	bursts := fs.Int("bursts", 5, "request bursts after startup (burst 0 is cold)")
 	burst := fs.Int("burst", 24, "requests per burst per stream")
 	budget := fs.Int("budget", 0, "resident-page budget in pages (0 = unlimited)")
-	policy := fs.String("policy", "lru", "eviction policy: lru|clock")
 	hotPct := fs.Int("hot-pct", 80, "percent of requests hitting the hot routes")
 	seed := fs.Uint64("seed", 0, "request-stream seed (0 = default)")
 	trace := fs.String("trace", "", "write the baseline run's per-stream Chrome trace JSON to this file")
@@ -93,14 +92,6 @@ func cmdSlo(args []string) error {
 		HotPct:      *hotPct,
 		Seed:        *seed,
 		Streams:     *streams,
-	}
-	switch *policy {
-	case "lru":
-		scfg.Policy = nimage.EvictLRU
-	case "clock":
-		scfg.Policy = nimage.EvictClock
-	default:
-		return fmt.Errorf("unknown eviction policy %q", *policy)
 	}
 
 	h := nimage.NewHarness(cfg)

@@ -35,7 +35,7 @@ type TenantSpec struct {
 }
 
 // FleetConfig tunes one multi-tenant serve scenario. The scenario knobs
-// (bursts, pressure, budget, policy, traffic skew, seed) are shared by
+// (bursts, pressure, budget, traffic skew, seed) are shared by
 // every tenant; the tenant list is what varies.
 type FleetConfig struct {
 	// Tenants are the fleet members. Pairs must be distinct: images are
@@ -43,17 +43,16 @@ type FleetConfig struct {
 	// share one page-cache file and their ownership could not be told
 	// apart in the interference matrix.
 	Tenants []TenantSpec `json:"tenants"`
-	// Bursts, BurstSize, PressurePct, CacheBudget, Policy, HotPct,
-	// HotRoutes, Seed mean exactly what they mean in ServeConfig; the
-	// fleet run drives every tenant's request stream from the one Seed.
-	Bursts      int                 `json:"bursts"`
-	BurstSize   int                 `json:"burst_size"`
-	PressurePct int                 `json:"pressure_pct"`
-	CacheBudget int                 `json:"cache_budget,omitempty"`
-	Policy      osim.EvictionPolicy `json:"policy,omitempty"`
-	HotPct      int                 `json:"hot_pct"`
-	HotRoutes   int                 `json:"hot_routes"`
-	Seed        uint64              `json:"seed"`
+	// Bursts, BurstSize, PressurePct, CacheBudget, HotPct, HotRoutes,
+	// Seed mean exactly what they mean in ServeConfig; the fleet run
+	// drives every tenant's request stream from the one Seed.
+	Bursts      int    `json:"bursts"`
+	BurstSize   int    `json:"burst_size"`
+	PressurePct int    `json:"pressure_pct"`
+	CacheBudget int    `json:"cache_budget,omitempty"`
+	HotPct      int    `json:"hot_pct"`
+	HotRoutes   int    `json:"hot_routes"`
+	Seed        uint64 `json:"seed"`
 	// RecordRequests attaches the bounded per-request trace recorder;
 	// streams are tenant indices, feeding the fleet Chrome-trace export.
 	RecordRequests bool `json:"record_requests,omitempty"`
@@ -114,8 +113,8 @@ func (c FleetConfig) key() string {
 	for _, t := range c.Tenants {
 		fmt.Fprintf(&b, "%s|%s|%d\x02", t.Workload, t.Strategy, t.QuotaPct)
 	}
-	fmt.Fprintf(&b, "\x01%d/%d/%d/%d/%d/%d/%d/%d/%t",
-		c.Bursts, c.BurstSize, c.PressurePct, c.CacheBudget, c.Policy,
+	fmt.Fprintf(&b, "\x01%d/%d/%d/%d/%d/%d/%d/%t",
+		c.Bursts, c.BurstSize, c.PressurePct, c.CacheBudget,
 		c.HotPct, c.HotRoutes, c.Seed, c.RecordRequests)
 	return b.String()
 }
@@ -126,8 +125,7 @@ func (c FleetConfig) key() string {
 func (c FleetConfig) serveConfig() ServeConfig {
 	return ServeConfig{
 		Bursts: c.Bursts, BurstSize: c.BurstSize, PressurePct: c.PressurePct,
-		CacheBudget: c.CacheBudget, Policy: c.Policy,
-		HotPct: c.HotPct, HotRoutes: c.HotRoutes, Seed: c.Seed,
+		CacheBudget: c.CacheBudget, HotPct: c.HotPct, HotRoutes: c.HotRoutes, Seed: c.Seed,
 	}
 }
 
@@ -205,7 +203,6 @@ func (fo *FleetOutcome) FleetReport() *obs.FleetReport {
 		BurstSize:      fo.Config.BurstSize,
 		CacheBudget:    fo.Config.CacheBudget,
 		PressurePct:    fo.Config.PressurePct,
-		Policy:         fo.Config.Policy.String(),
 		Targets:        obs.DefaultSLOTargets(),
 		EvictedBy:      make([][]int64, len(fo.EvictedBy)),
 		TotalEvictions: fo.TotalEvictions,

@@ -40,10 +40,8 @@ type ServeConfig struct {
 	// bursts (inter-burst memory pressure from other tenants). 0 disables.
 	PressurePct int `json:"pressure_pct"`
 	// CacheBudget bounds the resident pages of the whole OS (0: unlimited);
-	// the budget is enforced on every fault under the eviction policy.
+	// the budget is enforced on every fault by LRU eviction.
 	CacheBudget int `json:"cache_budget,omitempty"`
-	// Policy is the page-replacement policy (LRU by default).
-	Policy osim.EvictionPolicy `json:"policy,omitempty"`
 	// HotPct percent of requests go to the HotRoutes first routes; the rest
 	// spread uniformly over all routes. Models working-set skew.
 	HotPct    int `json:"hot_pct"`
@@ -106,8 +104,8 @@ func (c ServeConfig) withDefaults() ServeConfig {
 
 // key canonicalizes the config for memoization.
 func (c ServeConfig) key() string {
-	return fmt.Sprintf("%d/%d/%d/%d/%d/%d/%d/%d/%d/%t",
-		c.Bursts, c.BurstSize, c.PressurePct, c.CacheBudget, c.Policy,
+	return fmt.Sprintf("%d/%d/%d/%d/%d/%d/%d/%d/%t",
+		c.Bursts, c.BurstSize, c.PressurePct, c.CacheBudget,
 		c.HotPct, c.HotRoutes, c.Seed, c.Streams, c.RecordRequests)
 }
 
@@ -419,7 +417,6 @@ func (h *Harness) runEngine(ts []engineTenant, scfg ServeConfig, fleet, trackAff
 	}
 	o := h.newOS()
 	o.CacheBudget = scfg.CacheBudget
-	o.Policy = scfg.Policy
 	if trackAffinity {
 		o.TrackAffinity = true
 	}
@@ -763,29 +760,4 @@ func (h *Harness) serveTable(title, metric string, ws []workloads.Workload, scfg
 	t.AddGeoMean()
 	t.SortCells()
 	return t, nil
-}
-
-// ServeFigure produces the serve-mode comparison: per pressure level, a
-// warm-burst latency table and a re-fault volume table. The default
-// pressure levels (30% and 70%) bracket mild and severe inter-burst
-// reclaim.
-func (h *Harness) ServeFigure(pressures []int) ([]*Table, error) {
-	if len(pressures) == 0 {
-		pressures = []int{30, 70}
-	}
-	var out []*Table
-	for _, p := range pressures {
-		scfg := DefaultServeConfig()
-		scfg.PressurePct = p
-		lt, err := h.ServeLatencyTable(nil, scfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := h.ServeRefaultTable(nil, scfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, lt, rt)
-	}
-	return out, nil
 }

@@ -315,11 +315,6 @@ func (bb *BlockBuilder) FArith(op ArithOp, a, b Reg) Reg {
 	return d
 }
 
-// FArithTo computes a float a <op> b into dst.
-func (bb *BlockBuilder) FArithTo(dst Reg, op ArithOp, a, b Reg) {
-	bb.emit(Instr{Op: OpFArith, A: int(dst), B: int(a), C: int(b), Val: int64(op)})
-}
-
 // Cmp compares a and b, producing 0/1.
 func (bb *BlockBuilder) Cmp(op CmpOp, a, b Reg) Reg {
 	d := bb.dest()

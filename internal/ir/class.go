@@ -223,19 +223,6 @@ func (c *Class) LookupStatic(name string) *Field {
 	return nil
 }
 
-// Subclasses returns the direct subclasses of c (populated by Resolve).
-func (c *Class) Subclasses() []*Class { return c.subclasses }
-
-// IsSubclassOf reports whether c equals or derives from k.
-func (c *Class) IsSubclassOf(k *Class) bool {
-	for x := c; x != nil; x = x.Super {
-		if x == k {
-			return true
-		}
-	}
-	return false
-}
-
 func (c *Class) String() string { return c.Name }
 
 // Overriders returns every method that overrides root in the subtree below

@@ -54,15 +54,6 @@ func (p *protoBuf) boolField(field int, v bool) {
 	}
 }
 
-func (p *protoBuf) strField(field int, s string) {
-	if s == "" {
-		return
-	}
-	p.tag(field, 2)
-	p.varint(uint64(len(s)))
-	p.b = append(p.b, s...)
-}
-
 func (p *protoBuf) msgField(field int, m *protoBuf) {
 	p.tag(field, 2)
 	p.varint(uint64(len(m.b)))

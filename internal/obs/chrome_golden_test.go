@@ -82,7 +82,7 @@ func goldenRequests(streams int) *obs.RequestTrace {
 func goldenFleet() *obs.FleetReport {
 	return &obs.FleetReport{
 		Schema: obs.FleetSchema, Bursts: 3, BurstSize: 2, CacheBudget: 64,
-		PressurePct: 40, Policy: "clock",
+		PressurePct: 40,
 		Tenants: []obs.FleetTenant{
 			{Tenant: 0, Workload: "serve-api", Strategy: "cu", Timeline: []obs.FleetBurst{
 				{Burst: 0, EvictedPages: 0}, {Burst: 1, EvictedPages: 5}, {Burst: 2, EvictedPages: 2}}},

@@ -82,11 +82,10 @@ type FleetTenant struct {
 type FleetReport struct {
 	Schema string `json:"schema"`
 	// Scenario knobs shared by every tenant.
-	Bursts      int    `json:"bursts"`
-	BurstSize   int    `json:"burst_size"`
-	CacheBudget int    `json:"cache_budget"`
-	PressurePct int    `json:"pressure_pct"`
-	Policy      string `json:"policy"`
+	Bursts      int `json:"bursts"`
+	BurstSize   int `json:"burst_size"`
+	CacheBudget int `json:"cache_budget"`
+	PressurePct int `json:"pressure_pct"`
 	// Targets are the SLO objectives the attainments were scored against.
 	Targets []SLOTarget   `json:"targets,omitempty"`
 	Tenants []FleetTenant `json:"tenants"`

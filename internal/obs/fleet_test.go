@@ -14,7 +14,6 @@ func sampleFleetReport() *FleetReport {
 		BurstSize:   8,
 		CacheBudget: 96,
 		PressurePct: 50,
-		Policy:      "lru",
 		Targets:     DefaultSLOTargets(),
 		Tenants: []FleetTenant{
 			{

@@ -6,7 +6,7 @@ package osim
 // need pages to *leave* the cache while a process is running — because the
 // kernel reclaims them under a resident budget, or because other tenants
 // push them out between bursts. This file models both: a resident-page
-// budget enforced with an LRU or clock replacement policy, an explicit
+// budget enforced with exact LRU replacement, an explicit
 // Reclaim API for inter-burst pressure, and evict events on the page-event
 // stream (event.go) so attribution can name which symbols' pages fell out
 // of cache and came back (re-faults).
@@ -16,29 +16,6 @@ package osim
 // not a free hit on a stale PTE.
 
 import "sort"
-
-// EvictionPolicy selects the page-replacement algorithm the OS uses when
-// the resident budget overflows or Reclaim is called.
-type EvictionPolicy int
-
-const (
-	// EvictLRU evicts the exactly least-recently-used resident page.
-	EvictLRU EvictionPolicy = iota
-	// EvictClock runs the second-chance clock: a sweeping hand clears
-	// per-page reference bits and evicts the first unreferenced page.
-	EvictClock
-)
-
-// String names the policy.
-func (p EvictionPolicy) String() string {
-	switch p {
-	case EvictLRU:
-		return "lru"
-	case EvictClock:
-		return "clock"
-	}
-	return "unknown"
-}
 
 // EvictCause says why a page left the page cache.
 type EvictCause uint8
@@ -76,13 +53,13 @@ type SectionPages struct {
 // across all files of the OS.
 func (o *OS) ResidentPages() int { return o.residentTotal }
 
-// Reclaim evicts up to n resident pages under the configured policy,
+// Reclaim evicts up to n least-recently-used resident pages,
 // modelling inter-burst memory pressure (another tenant's working set
 // pushing this binary's pages out), and returns how many were evicted.
 func (o *OS) Reclaim(n int) int {
 	evicted := 0
 	for evicted < n && o.residentTotal > 0 {
-		if !o.evictVictim(nil, -1, EvictPressure, -1) {
+		if !o.lruEvict(-1, nil, -1, EvictPressure, -1) {
 			break
 		}
 		evicted++
@@ -108,31 +85,26 @@ func (o *OS) enforceBudget(pin *File, pinPage int, evictor int) {
 		return
 	}
 	for o.residentTotal > o.CacheBudget {
-		if !o.evictVictim(pin, pinPage, EvictBudget, evictor) {
+		if !o.lruEvict(-1, pin, pinPage, EvictBudget, evictor) {
 			return
 		}
 	}
 }
 
-// evictVictim selects one victim page under the policy and evicts it.
-// Returns false when no evictable page exists.
-func (o *OS) evictVictim(pin *File, pinPage int, cause EvictCause, evictor int) bool {
-	switch o.Policy {
-	case EvictClock:
-		return o.clockEvict(pin, pinPage, cause, evictor)
-	default:
-		return o.lruEvict(pin, pinPage, cause, evictor)
-	}
-}
-
 // lruEvict evicts the resident page with the smallest last-use stamp
-// (ties broken by file registration order, then page index, so victim
-// selection is deterministic).
-func (o *OS) lruEvict(pin *File, pinPage int, cause EvictCause, evictor int) bool {
+// among the files owned by tenant owner (-1: any file), never the pinned
+// (currently faulting) page. Ties break by file registration order, then
+// page index, so victim selection is deterministic. Returns false when no
+// evictable page exists. Reclaim, the resident budget and tenant quotas
+// all select their victims here.
+func (o *OS) lruEvict(owner int, pin *File, pinPage int, cause EvictCause, evictor int) bool {
 	var victim *File
 	vp := -1
 	var vUse int64
 	for _, f := range o.files {
+		if owner >= 0 && f.tenant != owner {
+			continue
+		}
 		for p, res := range f.resident {
 			if !res || (f == pin && p == pinPage) {
 				continue
@@ -147,48 +119,6 @@ func (o *OS) lruEvict(pin *File, pinPage int, cause EvictCause, evictor int) boo
 	}
 	o.evictPage(victim, vp, cause, evictor)
 	return true
-}
-
-// clockEvict advances the global clock hand over the concatenated page
-// space of all files: referenced resident pages get a second chance (bit
-// cleared), the first unreferenced resident page is evicted.
-func (o *OS) clockEvict(pin *File, pinPage int, cause EvictCause, evictor int) bool {
-	total := 0
-	for _, f := range o.files {
-		total += len(f.resident)
-	}
-	if total == 0 {
-		return false
-	}
-	// Two full sweeps suffice: the first clears every reference bit in the
-	// worst case, the second must then find a victim if one exists.
-	for i := 0; i < 2*total; i++ {
-		pos := o.hand % total
-		o.hand++
-		f, p := o.pageAt(pos)
-		if !f.resident[p] || (f == pin && p == pinPage) {
-			continue
-		}
-		if f.ref[p] {
-			f.ref[p] = false
-			continue
-		}
-		o.evictPage(f, p, cause, evictor)
-		return true
-	}
-	return false
-}
-
-// pageAt resolves a position in the concatenated page space to its file
-// and page index.
-func (o *OS) pageAt(pos int) (*File, int) {
-	for _, f := range o.files {
-		if pos < len(f.resident) {
-			return f, pos
-		}
-		pos -= len(f.resident)
-	}
-	panic("osim: clock hand out of range")
 }
 
 // evictPage removes one resident page from the cache: accounting, rmap
@@ -221,11 +151,10 @@ func (o *OS) evictPage(f *File, p int, cause EvictCause, evictor int) {
 // are classified by their fault offset.
 func (f *File) pageSection(p int) int { return f.offSection(int64(p) * PageSize) }
 
-// noteUse stamps a page's access recency for the replacement policies.
+// noteUse stamps a page's access recency for LRU replacement.
 func (f *File) noteUse(p int) {
 	f.os.clock++
 	f.lastUse[p] = f.os.clock
-	f.ref[p] = true
 }
 
 // ReadInPages returns the cumulative number of pages read into the cache

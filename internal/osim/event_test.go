@@ -78,7 +78,7 @@ func TestAccessStreamCoarse(t *testing.T) {
 // evictions the fault's read forces come first, then the fault, then the
 // access; a touch of a page fault-around already mapped is an access only.
 func TestPageEventOrder(t *testing.T) {
-	o, f, m := newBudgetOS(t, 8, 1, EvictLRU)
+	o, f, m := newBudgetOS(t, 8, 1)
 	log := &pageLog{}
 	m.Observe(log)
 	m.Touch(0)
@@ -118,7 +118,7 @@ func TestPageEventOrder(t *testing.T) {
 // TestEvictReachesEveryMapping: an eviction is one event on every mapping
 // still registered on the file, and none on a released one.
 func TestEvictReachesEveryMapping(t *testing.T) {
-	o, f, m1 := newBudgetOS(t, 8, 0, EvictLRU)
+	o, f, m1 := newBudgetOS(t, 8, 0)
 	m2 := f.Map()
 	l1, l2 := &pageLog{}, &pageLog{}
 	m1.Observe(l1)
@@ -148,7 +148,7 @@ func TestEvictReachesEveryMapping(t *testing.T) {
 // pressure and then dropped while not resident, whose next fault is a
 // first fault — the fault events flagged Refault sum to Mapping.Refaults.
 func TestRefaultEventsSumToMapping(t *testing.T) {
-	o, f, m := newBudgetOS(t, 8, 0, EvictLRU)
+	o, f, m := newBudgetOS(t, 8, 0)
 	log := &pageLog{}
 	m.Observe(log)
 	for p := int64(0); p < 4; p++ {

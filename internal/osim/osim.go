@@ -80,11 +80,8 @@ type OS struct {
 	// CacheBudget caps the resident pages across all files of the OS;
 	// 0 means unlimited (the cold-start model, where only DropCaches
 	// empties the cache). When a fault's read overflows the budget, the
-	// Policy picks victims to evict.
+	// least-recently-used pages are evicted.
 	CacheBudget int
-	// Policy selects the page-replacement policy used by the budget and
-	// by Reclaim (EvictLRU by default).
-	Policy EvictionPolicy
 
 	// DefaultTenant, when non-negative, tags every file and mapping
 	// created afterwards with that tenant id, as if SetTenant were called
@@ -102,12 +99,10 @@ type OS struct {
 	evictedBy   [][]int64
 	tenantQuota map[int]int
 
-	// Replacement-policy state: a logical access clock for LRU stamps,
-	// the resident total the budget is enforced against, and the clock
-	// policy's sweep hand over the concatenated page space.
+	// Replacement state: a logical access clock for LRU stamps and the
+	// resident total the budget is enforced against.
 	clock         int64
 	residentTotal int
-	hand          int
 }
 
 // DefaultFaultAround is the default fault-around cluster size in pages.
@@ -136,11 +131,10 @@ type File struct {
 	Sections []Section
 	resident []bool
 
-	// Replacement-policy state: per-page last-use stamps (LRU), reference
-	// bits (clock), and whether the page was evicted under pressure or
-	// budget since the last DropCaches (re-fault tracking).
+	// Replacement state: per-page last-use stamps (LRU) and whether the
+	// page was evicted under pressure or budget since the last DropCaches
+	// (re-fault tracking).
 	lastUse     []int64
-	ref         []bool
 	everEvicted []bool
 
 	// mappings are the live mappings of the file; evicting a page unmaps
@@ -179,7 +173,6 @@ func (o *OS) NewFile(name string, size int64, sections []Section) (*File, error)
 		Sections:    sections,
 		resident:    make([]bool, n),
 		lastUse:     make([]int64, n),
-		ref:         make([]bool, n),
 		everEvicted: make([]bool, n),
 		evictBySec:  make([]int64, len(sections)+1),
 		tenant:      o.DefaultTenant,

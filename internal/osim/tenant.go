@@ -178,35 +178,8 @@ func (o *OS) enforceQuota(t int, pin *File, pinPage int) {
 		return
 	}
 	for o.TenantResidentPages(t) > q {
-		if !o.tenantLRUEvict(t, pin, pinPage) {
+		if !o.lruEvict(t, pin, pinPage, EvictBudget, t) {
 			return
 		}
 	}
-}
-
-// tenantLRUEvict evicts tenant t's least-recently-used resident page
-// (the same deterministic tie-breaks as lruEvict: file registration
-// order, then page index), charged to t itself.
-func (o *OS) tenantLRUEvict(t int, pin *File, pinPage int) bool {
-	var victim *File
-	vp := -1
-	var vUse int64
-	for _, f := range o.files {
-		if f.tenant != t {
-			continue
-		}
-		for p, res := range f.resident {
-			if !res || (f == pin && p == pinPage) {
-				continue
-			}
-			if victim == nil || f.lastUse[p] < vUse {
-				victim, vp, vUse = f, p, f.lastUse[p]
-			}
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	o.evictPage(victim, vp, EvictBudget, t)
-	return true
 }

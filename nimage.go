@@ -79,7 +79,6 @@ type TypeRef = ir.TypeRef
 
 // Type constructors of the mini-IR.
 func IntType() TypeRef               { return ir.Int() }
-func FloatType() TypeRef             { return ir.Float() }
 func VoidType() TypeRef              { return ir.Void() }
 func StringType() TypeRef            { return ir.String() }
 func RefType(name string) TypeRef    { return ir.Ref(name) }
@@ -363,19 +362,10 @@ func DeviceByName(name string) (Device, error) { return osim.DeviceByName(name) 
 //
 // Beyond the all-or-nothing DropCaches of cold-start measurement, the OS
 // models pages leaving the cache while a process runs: a resident-page
-// budget (OS.CacheBudget) enforced under an eviction policy, and explicit
+// budget (OS.CacheBudget) enforced by LRU eviction, and explicit
 // Reclaim calls for inter-tenant pressure. Evictions unmap pages from live
 // mappings, so re-accessed pages take major re-faults — the serve-mode
 // churn the Harness's serve protocol measures.
-
-// EvictionPolicy selects the page-replacement algorithm.
-type EvictionPolicy = osim.EvictionPolicy
-
-// Eviction policies.
-const (
-	EvictLRU   = osim.EvictLRU
-	EvictClock = osim.EvictClock
-)
 
 // Process is one execution of an image over an OS.
 type Process = image.Process
@@ -457,7 +447,7 @@ type ResultTable = eval.Table
 // NewHarness creates an evaluation harness.
 func NewHarness(cfg EvalConfig) *Harness { return eval.NewHarness(cfg) }
 
-// Serve-mode measurement (Harness.MeasureServe / Harness.ServeFigure):
+// Serve-mode measurement (Harness.MeasureServe):
 // startup followed by request bursts with page-cache pressure between
 // them, producing per-burst latency quantiles, fault and re-fault counts,
 // and residency telemetry. See `nimage serve`.
