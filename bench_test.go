@@ -403,6 +403,29 @@ func BenchmarkAblationPerTypeCounters(b *testing.B) {
 // Micro-benchmarks of the core machinery.
 // ---------------------------------------------------------------------------
 
+// BenchmarkIRBuild measures building programs through the builder DSL:
+// construction, exact-size block packing and Resolve. The awfy
+// sub-benchmark builds the 14 AWFY programs, microservices the three
+// microservice programs.
+func BenchmarkIRBuild(b *testing.B) {
+	for _, set := range []struct {
+		name string
+		ws   []workloads.Workload
+	}{
+		{"awfy", workloads.AWFY()},
+		{"microservices", workloads.Microservices()},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, w := range set.ws {
+					w.Build()
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkImageBuild measures one regular image build of Bounce
 // (compile + build-time initialization + snapshotting + layout).
 func BenchmarkImageBuild(b *testing.B) {

@@ -139,18 +139,18 @@ func refNonEscapingAllocs(m *ir.Method) int {
 			in := &b.Instrs[i]
 			switch in.Op {
 			case ir.OpNew:
-				allocs[in.A] = true
+				allocs[int(in.A)] = true
 			case ir.OpPutField:
-				escaped[in.B] = true
+				escaped[int(in.B)] = true
 			case ir.OpArraySet:
-				escaped[in.C] = true
+				escaped[int(in.C)] = true
 			case ir.OpPutStatic:
-				escaped[in.A] = true
+				escaped[int(in.A)] = true
 			case ir.OpMove:
-				escaped[in.B] = true
+				escaped[int(in.B)] = true
 			case ir.OpCall, ir.OpCallVirt, ir.OpIntrinsic:
 				for _, a := range in.Args {
-					escaped[a] = true
+					escaped[int(a)] = true
 				}
 			}
 		}

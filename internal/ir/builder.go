@@ -27,6 +27,9 @@ type Builder struct {
 	// Build copies every block out, so the arena is scratch.
 	arena []Instr
 	open  *Block
+	// slab holds the Operands of the instructions built so far; unlike
+	// the arena, the program keeps it.
+	slab operandSlab
 }
 
 // arenaChunk is the capacity, in instructions, of each arena chunk.
@@ -254,185 +257,191 @@ func (bb *BlockBuilder) emit(in Instr) {
 	}
 }
 
+// emitOperand emits in with a slab copy of o as its Operand.
+func (bb *BlockBuilder) emitOperand(in Instr, o Operand) {
+	in.Operand = bb.mb.b.slab.operand(o)
+	bb.emit(in)
+}
+
 func (bb *BlockBuilder) dest() Reg { return bb.mb.NewReg() }
 
 // ConstInt loads an integer literal.
 func (bb *BlockBuilder) ConstInt(v int64) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConstInt, A: int(d), Val: v})
+	bb.emit(Instr{Op: OpConstInt, A: int32(d), Val: v})
 	return d
 }
 
 // ConstFloat loads a float literal.
 func (bb *BlockBuilder) ConstFloat(v float64) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConstFloat, A: int(d), Val: int64(math.Float64bits(v))})
+	bb.emit(Instr{Op: OpConstFloat, A: int32(d), Val: int64(math.Float64bits(v))})
 	return d
 }
 
 // Str loads a string literal.
 func (bb *BlockBuilder) Str(s string) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConstStr, A: int(d), Sym: s})
+	bb.emitOperand(Instr{Op: OpConstStr, A: int32(d)}, Operand{Sym: s})
 	return d
 }
 
 // Null loads the null reference.
 func (bb *BlockBuilder) Null() Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConstNull, A: int(d)})
+	bb.emit(Instr{Op: OpConstNull, A: int32(d)})
 	return d
 }
 
 // Move copies src into a fresh register.
 func (bb *BlockBuilder) Move(src Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpMove, A: int(d), B: int(src)})
+	bb.emit(Instr{Op: OpMove, A: int32(d), B: int32(src)})
 	return d
 }
 
 // MoveTo copies src into dst (used for loop-carried variables).
 func (bb *BlockBuilder) MoveTo(dst, src Reg) {
-	bb.emit(Instr{Op: OpMove, A: int(dst), B: int(src)})
+	bb.emit(Instr{Op: OpMove, A: int32(dst), B: int32(src)})
 }
 
 // Arith computes an integer a <op> b into a fresh register.
 func (bb *BlockBuilder) Arith(op ArithOp, a, b Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpArith, A: int(d), B: int(a), C: int(b), Val: int64(op)})
+	bb.emit(Instr{Op: OpArith, A: int32(d), B: int32(a), C: int32(b), Val: int64(op)})
 	return d
 }
 
 // ArithTo computes an integer a <op> b into dst.
 func (bb *BlockBuilder) ArithTo(dst Reg, op ArithOp, a, b Reg) {
-	bb.emit(Instr{Op: OpArith, A: int(dst), B: int(a), C: int(b), Val: int64(op)})
+	bb.emit(Instr{Op: OpArith, A: int32(dst), B: int32(a), C: int32(b), Val: int64(op)})
 }
 
 // FArith computes a float a <op> b into a fresh register.
 func (bb *BlockBuilder) FArith(op ArithOp, a, b Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpFArith, A: int(d), B: int(a), C: int(b), Val: int64(op)})
+	bb.emit(Instr{Op: OpFArith, A: int32(d), B: int32(a), C: int32(b), Val: int64(op)})
 	return d
 }
 
 // Cmp compares a and b, producing 0/1.
 func (bb *BlockBuilder) Cmp(op CmpOp, a, b Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpCmp, A: int(d), B: int(a), C: int(b), Val: int64(op)})
+	bb.emit(Instr{Op: OpCmp, A: int32(d), B: int32(a), C: int32(b), Val: int64(op)})
 	return d
 }
 
 // IntToFloat converts an integer register to float.
 func (bb *BlockBuilder) IntToFloat(a Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConvIF, A: int(d), B: int(a)})
+	bb.emit(Instr{Op: OpConvIF, A: int32(d), B: int32(a)})
 	return d
 }
 
 // FloatToInt truncates a float register to integer.
 func (bb *BlockBuilder) FloatToInt(a Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConvFI, A: int(d), B: int(a)})
+	bb.emit(Instr{Op: OpConvFI, A: int32(d), B: int32(a)})
 	return d
 }
 
 // New allocates an instance of the named class.
 func (bb *BlockBuilder) New(class string) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpNew, A: int(d), Type: Ref(class)})
+	bb.emitOperand(Instr{Op: OpNew, A: int32(d)}, Operand{Type: Ref(class)})
 	return d
 }
 
 // NewArray allocates an array with the given element type and length.
 func (bb *BlockBuilder) NewArray(elem TypeRef, length Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpNewArray, A: int(d), B: int(length), Type: elem})
+	bb.emitOperand(Instr{Op: OpNewArray, A: int32(d), B: int32(length)}, Operand{Type: elem})
 	return d
 }
 
 // AGet loads arr[idx].
 func (bb *BlockBuilder) AGet(arr, idx Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpArrayGet, A: int(d), B: int(arr), C: int(idx)})
+	bb.emit(Instr{Op: OpArrayGet, A: int32(d), B: int32(arr), C: int32(idx)})
 	return d
 }
 
 // ASet stores arr[idx] = val.
 func (bb *BlockBuilder) ASet(arr, idx, val Reg) {
-	bb.emit(Instr{Op: OpArraySet, A: int(arr), B: int(idx), C: int(val)})
+	bb.emit(Instr{Op: OpArraySet, A: int32(arr), B: int32(idx), C: int32(val)})
 }
 
 // ALen loads the length of arr.
 func (bb *BlockBuilder) ALen(arr Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpArrayLen, A: int(d), B: int(arr)})
+	bb.emit(Instr{Op: OpArrayLen, A: int32(d), B: int32(arr)})
 	return d
 }
 
 // GetField loads obj.field (field declared on or inherited by class).
 func (bb *BlockBuilder) GetField(obj Reg, class, field string) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpGetField, A: int(d), B: int(obj), CName: class, Sym: field})
+	bb.emitOperand(Instr{Op: OpGetField, A: int32(d), B: int32(obj)}, Operand{CName: class, Sym: field})
 	return d
 }
 
 // PutField stores obj.field = val.
 func (bb *BlockBuilder) PutField(obj Reg, class, field string, val Reg) {
-	bb.emit(Instr{Op: OpPutField, A: int(obj), B: int(val), CName: class, Sym: field})
+	bb.emitOperand(Instr{Op: OpPutField, A: int32(obj), B: int32(val)}, Operand{CName: class, Sym: field})
 }
 
 // GetStatic loads a static field.
 func (bb *BlockBuilder) GetStatic(class, field string) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpGetStatic, A: int(d), CName: class, Sym: field})
+	bb.emitOperand(Instr{Op: OpGetStatic, A: int32(d)}, Operand{CName: class, Sym: field})
 	return d
 }
 
 // PutStatic stores a static field.
 func (bb *BlockBuilder) PutStatic(class, field string, val Reg) {
-	bb.emit(Instr{Op: OpPutStatic, A: int(val), CName: class, Sym: field})
+	bb.emitOperand(Instr{Op: OpPutStatic, A: int32(val)}, Operand{CName: class, Sym: field})
 }
 
 // Call invokes a statically bound method and returns the result register.
 func (bb *BlockBuilder) Call(class, method string, args ...Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpCall, A: int(d), CName: class, Sym: method, Args: regInts(args)})
+	bb.emitOperand(Instr{Op: OpCall, A: int32(d)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
 	return d
 }
 
 // CallVoid invokes a statically bound method, discarding any result.
 func (bb *BlockBuilder) CallVoid(class, method string, args ...Reg) {
-	bb.emit(Instr{Op: OpCall, A: int(NoReg), CName: class, Sym: method, Args: regInts(args)})
+	bb.emitOperand(Instr{Op: OpCall, A: int32(NoReg)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
 }
 
 // CallVirt invokes a method with dynamic dispatch on args[0].
 func (bb *BlockBuilder) CallVirt(class, method string, args ...Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpCallVirt, A: int(d), CName: class, Sym: method, Args: regInts(args)})
+	bb.emitOperand(Instr{Op: OpCallVirt, A: int32(d)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
 	return d
 }
 
 // CallVirtVoid invokes a method with dynamic dispatch, discarding any result.
 func (bb *BlockBuilder) CallVirtVoid(class, method string, args ...Reg) {
-	bb.emit(Instr{Op: OpCallVirt, A: int(NoReg), CName: class, Sym: method, Args: regInts(args)})
+	bb.emitOperand(Instr{Op: OpCallVirt, A: int32(NoReg)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
 }
 
 // Intrinsic invokes a value-producing intrinsic.
 func (bb *BlockBuilder) Intrinsic(name string, args ...Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpIntrinsic, A: int(d), Sym: name, Args: regInts(args)})
+	bb.emitOperand(Instr{Op: OpIntrinsic, A: int32(d)}, Operand{Sym: name, Args: bb.regs(args)})
 	return d
 }
 
 // IntrinsicVoid invokes a side-effect-only intrinsic.
 func (bb *BlockBuilder) IntrinsicVoid(name string, args ...Reg) {
-	bb.emit(Instr{Op: OpIntrinsic, A: int(NoReg), Sym: name, Args: regInts(args)})
+	bb.emitOperand(Instr{Op: OpIntrinsic, A: int32(NoReg)}, Operand{Sym: name, Args: bb.regs(args)})
 }
 
 // Spawn starts a thread running the static method target ("Class.method")
 // with the given arguments.
 func (bb *BlockBuilder) Spawn(target string, args ...Reg) {
-	bb.emit(Instr{Op: OpIntrinsic, A: int(NoReg), Sym: IntrinsicSpawn, CName: target, Args: regInts(args)})
+	bb.emitOperand(Instr{Op: OpIntrinsic, A: int32(NoReg)}, Operand{Sym: IntrinsicSpawn, CName: target, Args: bb.regs(args)})
 }
 
 // Goto terminates the block with an unconditional jump.
@@ -525,10 +534,11 @@ func (bb *BlockBuilder) IfElse(cond Reg, fillT, fillE func(b *BlockBuilder) *Blo
 	return join
 }
 
-func regInts(rs []Reg) []int {
-	out := make([]int, len(rs))
+// regs copies argument registers into the builder's slab.
+func (bb *BlockBuilder) regs(rs []Reg) []int32 {
+	out := bb.mb.b.slab.regs(len(rs))
 	for i, r := range rs {
-		out[i] = int(r)
+		out[i] = int32(r)
 	}
 	return out
 }

@@ -77,6 +77,18 @@ func collectType(e *encoder, t TypeRef) {
 	}
 }
 
+// noOperand is what an instruction without an Operand encodes: an empty
+// symbol and class name, the zero type and no arguments.
+var noOperand Operand
+
+// encodedOperand returns the operand fields that in encodes.
+func encodedOperand(in *Instr) *Operand {
+	if in.Operand == nil {
+		return &noOperand
+	}
+	return in.Operand
+}
+
 // EncodeProgram serializes the program to w.
 func EncodeProgram(w io.Writer, p *Program) error {
 	e := &encoder{w: bufio.NewWriter(w), strings: make(map[string]uint64)}
@@ -100,10 +112,10 @@ func EncodeProgram(w io.Writer, p *Program) error {
 			collectType(e, m.Returns)
 			for _, b := range m.Blocks {
 				for i := range b.Instrs {
-					in := &b.Instrs[i]
-					e.collect(in.Sym)
-					e.collect(in.CName)
-					collectType(e, in.Type)
+					o := encodedOperand(&b.Instrs[i])
+					e.collect(o.Sym)
+					e.collect(o.CName)
+					collectType(e, o.Type)
 				}
 			}
 		}
@@ -168,11 +180,12 @@ func EncodeProgram(w io.Writer, p *Program) error {
 					e.i(int64(in.B))
 					e.i(int64(in.C))
 					e.i(in.Val)
-					e.s(in.Sym)
-					e.s(in.CName)
-					e.typeRef(in.Type)
-					e.u(uint64(len(in.Args)))
-					for _, a := range in.Args {
+					o := encodedOperand(in)
+					e.s(o.Sym)
+					e.s(o.CName)
+					e.typeRef(o.Type)
+					e.u(uint64(len(o.Args)))
+					for _, a := range o.Args {
 						e.i(int64(a))
 					}
 				}
@@ -194,6 +207,10 @@ func EncodeProgram(w io.Writer, p *Program) error {
 type decoder struct {
 	r     *bufio.Reader
 	table []string
+	// slab holds the decoded Operands, and args is scratch for the
+	// argument registers of one instruction.
+	slab operandSlab
+	args []int32
 }
 
 func (d *decoder) u() (uint64, error) { return binary.ReadUvarint(d.r) }
@@ -215,6 +232,19 @@ func (d *decoder) s() (string, error) {
 		return "", fmt.Errorf("ir: string index %d out of table range %d", idx, len(d.table))
 	}
 	return d.table[idx], nil
+}
+
+// reg reads a register. A value outside int32 is corrupt: it is rejected
+// rather than truncated, which could wrap it into a valid register.
+func (d *decoder) reg() (int32, error) {
+	v, err := d.i()
+	if err != nil {
+		return 0, err
+	}
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("ir: register %d outside the int32 range", v)
+	}
+	return int32(v), nil
 }
 
 // maxTypeDepth bounds array-type nesting; deeper encodings are corrupt
@@ -428,46 +458,48 @@ func DecodeProgram(r io.Reader) (*Program, error) {
 						return nil, err
 					}
 					in.Op = Op(op)
-					if av, err := d.i(); err == nil {
-						in.A = int(av)
-					} else {
+					if in.A, err = d.reg(); err != nil {
 						return nil, err
 					}
-					if bv, err := d.i(); err == nil {
-						in.B = int(bv)
-					} else {
+					if in.B, err = d.reg(); err != nil {
 						return nil, err
 					}
-					if cv, err := d.i(); err == nil {
-						in.C = int(cv)
-					} else {
+					if in.C, err = d.reg(); err != nil {
 						return nil, err
 					}
 					if in.Val, err = d.i(); err != nil {
 						return nil, err
 					}
-					if in.Sym, err = d.s(); err != nil {
+					var o Operand
+					if o.Sym, err = d.s(); err != nil {
 						return nil, err
 					}
-					if in.CName, err = d.s(); err != nil {
+					if o.CName, err = d.s(); err != nil {
 						return nil, err
 					}
-					if in.Type, err = d.typeRef(); err != nil {
+					if o.Type, err = d.typeRef(); err != nil {
 						return nil, err
 					}
 					na, err := d.count("arg")
 					if err != nil {
 						return nil, err
 					}
-					if na > 0 {
-						in.Args = make([]int, 0, prealloc(na, 256))
-						for ai := 0; ai < na; ai++ {
-							av, err := d.i()
-							if err != nil {
-								return nil, err
-							}
-							in.Args = append(in.Args, int(av))
+					d.args = d.args[:0]
+					for ai := 0; ai < na; ai++ {
+						a, err := d.reg()
+						if err != nil {
+							return nil, err
 						}
+						d.args = append(d.args, a)
+					}
+					if na > 0 {
+						o.Args = d.slab.regs(na)
+						copy(o.Args, d.args)
+					}
+					// An opcode without operands keeps any it was encoded
+					// with, so a decoded program re-encodes to the same bytes.
+					if in.Op.HasOperand() || !o.encodesEmpty() {
+						in.Operand = d.slab.operand(o)
 					}
 				}
 				top, err := d.u()

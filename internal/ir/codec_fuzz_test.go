@@ -20,7 +20,8 @@ func putUvarints(prefix []byte, vs ...uint64) []byte {
 
 // TestDecodeProgramRejectsHostileInput covers the alloc-bomb and
 // recursion paths hardened against fuzzer findings: declared counts far
-// beyond the bytes present, and unbounded array-type nesting.
+// beyond the bytes present, and unbounded array-type nesting; and
+// registers outside the int32 range of Instr.
 func TestDecodeProgramRejectsHostileInput(t *testing.T) {
 	head := []byte(progMagic)
 	head = putUvarints(head, progVersion)
@@ -33,10 +34,11 @@ func TestDecodeProgramRejectsHostileInput(t *testing.T) {
 		deepType = putUvarints(deepType, uint64(KArray))
 	}
 
-	cases := map[string]struct {
+	type hostile struct {
 		data    []byte
 		wantErr string
-	}{
+	}
+	cases := map[string]hostile{
 		"huge-string-table": {putUvarints(head, 1<<40), "implausible string-table count"},
 		// Declares maxCount strings with no bytes behind them: must fail
 		// from missing input, not allocate the declared table.
@@ -70,6 +72,48 @@ func TestDecodeProgramRejectsHostileInput(t *testing.T) {
 			1<<40, // NParams
 		), "implausible parameter count"},
 	}
+	// A static void method A.f with 4 registers whose one block holds
+	// the instruction encoded by instr and returns.
+	oneInstr := func(instr ...uint64) []byte {
+		data := putUvarints(head,
+			4, 0, 1, 'A', 1, 'f', 5, 'p', 'r', 'i', 'n', 't', // "", "A", "f", "print"
+			0, 1, 2, // name, entry class, entry method
+			0,    // no resources
+			1,    // one class
+			1, 0, // name "A", no super
+			0, 0, // no fields, no statics
+			1, // one method
+			2, // name "f"
+			1, // static
+			0, // NParams
+			uint64(KVoid),
+			4, // NumRegs
+			1, // one block
+			1, // one instruction
+		)
+		data = putUvarints(data, instr...)
+		return putUvarints(data, uint64(TermReturn), 0, 0, 0, 1) // ret (Ret -1)
+	}
+	// zigzag encodes a signed varint operand.
+	zigzag := func(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+	// Registers beyond int32 must be rejected, not truncated: 2^32+3
+	// would wrap into the valid register 3.
+	const wraps = 1<<32 + 3
+	constInto := func(r int64) []byte {
+		return oneInstr(uint64(OpConstInt), zigzag(r), 0, 0, 0, 0, 0, uint64(KInt), 0)
+	}
+	printArg := func(r int64) []byte {
+		return oneInstr(uint64(OpIntrinsic), zigzag(-1), 0, 0, 0, 3, 0, uint64(KInt), 1, zigzag(r))
+	}
+	for name, data := range map[string][]byte{"register": constInto(3), "argument": printArg(3)} {
+		if _, err := DecodeProgram(bytes.NewReader(data)); err != nil {
+			t.Fatalf("%s 3: the valid form of the int32 cases does not decode: %v", name, err)
+		}
+	}
+	cases["register-beyond-int32"] = hostile{constInto(wraps), "outside the int32 range"}
+	cases["negative-register-beyond-int32"] = hostile{constInto(-wraps), "outside the int32 range"}
+	cases["argument-beyond-int32"] = hostile{printArg(wraps), "outside the int32 range"}
+
 	for name, tc := range cases {
 		_, err := DecodeProgram(bytes.NewReader(tc.data))
 		if err == nil {

@@ -3,6 +3,7 @@ package ir
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -115,8 +116,9 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 				for ii := range pb.Instrs {
 					pi, qi := pb.Instrs[ii], qb.Instrs[ii]
 					if pi.Op != qi.Op || pi.A != qi.A || pi.B != qi.B || pi.C != qi.C ||
-						pi.Val != qi.Val || pi.Sym != qi.Sym || pi.CName != qi.CName ||
-						!pi.Type.Equal(qi.Type) || len(pi.Args) != len(qi.Args) {
+						pi.Val != qi.Val || (pi.Operand == nil) != (qi.Operand == nil) ||
+						pi.Operand != nil && (pi.Sym != qi.Sym || pi.CName != qi.CName ||
+							!pi.Type.Equal(qi.Type) || !slices.Equal(pi.Args, qi.Args)) {
 						t.Fatalf("%s block %d instr %d mismatch:\n%+v\n%+v", pm.Signature(), bi, ii, pi, qi)
 					}
 				}
@@ -185,7 +187,7 @@ func TestProgramCodecNegativeRegisterFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := q.Class("A").DeclaredMethod("f").Blocks[0].Instrs[0]
-	if in.A != int(NoReg) {
+	if in.A != int32(NoReg) {
 		t.Errorf("A = %d, want %d", in.A, NoReg)
 	}
 }
@@ -245,6 +247,58 @@ func TestProgramCodecCanonicalOnLargePrograms(t *testing.T) {
 		}
 		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 			t.Errorf("%s: re-encoding differs (%d vs %d bytes)", p.Name, b1.Len(), b2.Len())
+		}
+	}
+}
+
+// TestProgramCodecKeepsStrayOperands: an instruction whose opcode has no
+// operands but which was given some keeps them through the codec, so a
+// decoded program re-encodes to its own bytes; one without keeps none.
+func TestProgramCodecKeepsStrayOperands(t *testing.T) {
+	body := []Instr{
+		{Op: OpConstInt, A: 0, Val: 7, Operand: &Operand{Sym: "stray", Args: []int32{0}}},
+		{Op: OpConstInt, A: 1, Val: 8},
+	}
+	m := &Method{Name: "f", Static: true, Returns: Void(), NumRegs: 2,
+		Blocks: []*Block{{Instrs: body, Term: Term{Op: TermReturn, Ret: -1}}}}
+	p := &Program{Name: "stray", EntryClass: "A", EntryMethod: "f",
+		Classes: []*Class{{Name: "A", Methods: []*Method{m}}}}
+	var b1 bytes.Buffer
+	if err := EncodeProgram(&b1, p); err != nil {
+		t.Fatal(err)
+	}
+	q, err := DecodeProgram(bytes.NewReader(b1.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := q.Class("A").DeclaredMethod("f").Blocks[0].Instrs
+	if got[0].Operand == nil || got[0].Sym != "stray" || !slices.Equal(got[0].Args, []int32{0}) {
+		t.Errorf("stray operand lost: %+v", got[0].Operand)
+	}
+	if got[1].Operand != nil {
+		t.Errorf("operand-free instruction decoded with %+v", *got[1].Operand)
+	}
+	var b2 bytes.Buffer
+	if err := EncodeProgram(&b2, q); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		t.Error("re-encoding is not canonical")
+	}
+}
+
+// TestResolveRejectsMissingOperand: an opcode that needs an Operand and
+// has none fails Resolve with a defined error.
+func TestResolveRejectsMissingOperand(t *testing.T) {
+	for op := Op(0); int(op) < NumOps; op++ {
+		if !op.HasOperand() {
+			continue
+		}
+		m := &Method{Name: "f", Static: true, Returns: Void(), NumRegs: 1,
+			Blocks: []*Block{{Instrs: []Instr{{Op: op}}, Term: Term{Op: TermReturn, Ret: -1}}}}
+		p := &Program{Name: "bare", Classes: []*Class{{Name: "A", Methods: []*Method{m}}}}
+		if err := p.Resolve(); err == nil || !strings.Contains(err.Error(), "no operand") {
+			t.Errorf("%s without an Operand: err = %v", op, err)
 		}
 	}
 }

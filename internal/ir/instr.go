@@ -240,17 +240,28 @@ func (id IntrinsicID) Arity() int {
 // intrinsic is assumed to, so its destination is still validated.
 func (id IntrinsicID) HasDest() bool { return id == IntrUnknown || intrinsics[id].dest }
 
-// Instr is a single three-address instruction. The meaning of the operand
-// fields depends on Op; unused fields are zero.
+// Instr is a single three-address instruction, 32 bytes. The meaning of
+// the fields depends on Op; unused fields are zero.
 type Instr struct {
 	Op Op
 	// A is the destination register for producing instructions, or the
 	// object/array register for OpArraySet/OpPutField/OpPutStatic.
-	A int
+	A int32
 	// B and C are source registers.
-	B, C int
+	B, C int32
 	// Val is the integer literal, float bits, or operator code.
 	Val int64
+	// Operand holds the operands only some opcodes use (see
+	// Op.HasOperand); it is nil on the others. Its fields are promoted,
+	// so in.Sym reads in.Operand.Sym.
+	*Operand
+}
+
+// Operand is the side record of an instruction whose opcode names a
+// symbol, a type or argument registers. About one instruction in twenty
+// has one, so keeping these fields out of Instr keeps the instruction
+// arrays, which every program holds resident, small.
+type Operand struct {
 	// Sym is the string literal, field name, method name, or intrinsic name.
 	Sym string
 	// CName is the class name qualifying Sym for field/method instructions.
@@ -258,7 +269,7 @@ type Instr struct {
 	// Type is the allocated type for OpNew (KRef) / OpNewArray (element).
 	Type TypeRef
 	// Args are the argument registers of calls and intrinsics.
-	Args []int
+	Args []int32
 
 	// Resolved links, populated by Program.Resolve.
 
@@ -269,6 +280,59 @@ type Instr struct {
 	Method *Method
 	// Class is the resolved class for OpNew.
 	Class *Class
+}
+
+// HasOperand reports whether instructions with opcode o carry an Operand:
+// a string constant, an allocation, a field or static access, a call or
+// an intrinsic.
+func (o Op) HasOperand() bool {
+	switch o {
+	case OpConstStr, OpNew, OpNewArray, OpGetField, OpPutField,
+		OpGetStatic, OpPutStatic, OpCall, OpCallVirt, OpIntrinsic:
+		return true
+	}
+	return false
+}
+
+// encodesEmpty reports whether o encodes as no Operand does: no symbol,
+// class name, type or argument.
+func (o *Operand) encodesEmpty() bool {
+	return o.Sym == "" && o.CName == "" && o.Type == (TypeRef{}) && len(o.Args) == 0
+}
+
+// operandChunk and argChunk are the capacities of the slab chunks that
+// Operands and argument registers are carved from.
+const (
+	operandChunk = 256
+	argChunk     = 1024
+)
+
+// operandSlab carves Operands and argument-register slices out of chunked
+// backing arrays, so a program's operands cost a few allocations rather
+// than one each. The program keeps every chunk it draws from.
+type operandSlab struct {
+	operands []Operand
+	args     []int32
+}
+
+// operand returns a pointer to a slab copy of o.
+func (s *operandSlab) operand(o Operand) *Operand {
+	if len(s.operands) == cap(s.operands) {
+		s.operands = make([]Operand, 0, operandChunk)
+	}
+	s.operands = append(s.operands, o)
+	return &s.operands[len(s.operands)-1]
+}
+
+// regs returns n zeroed argument registers for the caller to fill, as a
+// capped slice of the slab, so appending to it never writes into the slab.
+func (s *operandSlab) regs(n int) []int32 {
+	if len(s.args)+n > cap(s.args) {
+		s.args = make([]int32, 0, max(argChunk, n))
+	}
+	start := len(s.args)
+	s.args = s.args[:start+n]
+	return s.args[start : start+n : start+n]
 }
 
 // HasDest reports whether the instruction writes register A.

@@ -15,7 +15,7 @@ func TestIntrinsicTable(t *testing.T) {
 		if got := LookupIntrinsic(name); got != id {
 			t.Errorf("LookupIntrinsic(%q) = %d, want %d", name, got, id)
 		}
-		in := Instr{Op: OpIntrinsic, Sym: name}
+		in := Instr{Op: OpIntrinsic, Operand: &Operand{Sym: name}}
 		if in.HasDest() != id.HasDest() {
 			t.Errorf("%s: Instr.HasDest %v, table %v", name, in.HasDest(), id.HasDest())
 		}

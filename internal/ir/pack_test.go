@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"bytes"
 	"testing"
 	"unsafe"
 
@@ -35,6 +36,54 @@ func TestBlocksStoredAtExactSize(t *testing.T) {
 		}
 		if instrs == 0 {
 			t.Errorf("%s: no instructions", p.Name)
+		}
+	}
+}
+
+// TestInstrSize pins the instruction at 32 bytes: the opcode, three int32
+// registers, the literal and the Operand pointer. Every program holds its
+// instructions resident, so a field added here costs on all of them.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(ir.Instr{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(ir.Instr{}) = %d, want 32", got)
+	}
+}
+
+// TestOperandsFollowOpcodes: on every workload program, built and after a
+// codec round trip, an instruction carries an Operand exactly when its
+// opcode has operands.
+func TestOperandsFollowOpcodes(t *testing.T) {
+	for _, p := range everyProgram() {
+		var buf bytes.Buffer
+		if err := ir.EncodeProgram(&buf, p); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		q, err := ir.DecodeProgram(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		for _, prog := range []struct {
+			how string
+			p   *ir.Program
+		}{{"built", p}, {"decoded", q}} {
+			with := 0
+			for _, m := range prog.p.Methods() {
+				for _, blk := range m.Blocks {
+					for i := range blk.Instrs {
+						in := &blk.Instrs[i]
+						if (in.Operand != nil) != in.Op.HasOperand() {
+							t.Fatalf("%s %s: %s block %d instr %d (%s): has Operand %v",
+								prog.how, p.Name, m.Signature(), blk.Index, i, in.Op, in.Operand != nil)
+						}
+						if in.Operand != nil {
+							with++
+						}
+					}
+				}
+			}
+			if with == 0 {
+				t.Errorf("%s %s: no instruction has an Operand", prog.how, p.Name)
+			}
 		}
 	}
 }

@@ -124,7 +124,7 @@ func cmpName(op CmpOp) string {
 	return fmt.Sprintf("cmp(%d)", op)
 }
 
-func regList(rs []int) string {
+func regList(rs []int32) string {
 	parts := make([]string, len(rs))
 	for i, r := range rs {
 		parts[i] = fmt.Sprintf("r%d", r)

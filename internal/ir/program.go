@@ -180,21 +180,16 @@ func (p *Program) resolveMethod(m *Method) error {
 }
 
 func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) error {
-	regs := func(rs ...int) error {
+	regs := func(rs ...int32) error {
 		for _, r := range rs {
-			if err := checkReg(r); err != nil {
+			if err := checkReg(int(r)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	argRegs := func() error {
-		for _, r := range in.Args {
-			if err := checkReg(r); err != nil {
-				return err
-			}
-		}
-		return nil
+	if in.Op.HasOperand() && in.Operand == nil {
+		return fmt.Errorf("no operand")
 	}
 	switch in.Op {
 	case OpConstInt, OpConstFloat, OpConstStr, OpConstNull:
@@ -258,7 +253,7 @@ func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) e
 				return err
 			}
 		}
-		if err := argRegs(); err != nil {
+		if err := regs(in.Args...); err != nil {
 			return err
 		}
 		c := p.Class(in.CName)
@@ -289,7 +284,7 @@ func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) e
 				return err
 			}
 		}
-		return argRegs()
+		return regs(in.Args...)
 	default:
 		return fmt.Errorf("invalid opcode %d", in.Op)
 	}

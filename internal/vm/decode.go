@@ -129,8 +129,8 @@ type code struct {
 	// constants (low word first).
 	aux []int32
 	// refs holds the program entities ops refer to. A string or type is a
-	// pointer to the instruction's own field, shared rather than copied:
-	// the body is immutable once decoded.
+	// pointer to the field of the instruction's Operand, shared rather
+	// than copied: the body is immutable once decoded.
 	refs []any
 }
 
@@ -163,7 +163,7 @@ func decode(meth *ir.Method) *code {
 }
 
 func (c *code) instr(in *ir.Instr) op {
-	o := op{code: uint8(in.Op), a: reg(in.A), b: reg(in.B), c: reg(in.C)}
+	o := op{code: uint8(in.Op), a: reg(int(in.A)), b: reg(int(in.B)), c: reg(int(in.C))}
 	switch in.Op {
 	case ir.OpConstInt, ir.OpConstFloat:
 		if in.Val >= math.MinInt32 && in.Val <= math.MaxInt32 {
@@ -242,12 +242,10 @@ func (c *code) ref(v any) int32 {
 }
 
 // site appends a call or intrinsic site to aux and returns its offset.
-func (c *code) site(target any, args []int) int32 {
+func (c *code) site(target any, args []int32) int32 {
 	off := int32(len(c.aux))
 	c.aux = append(c.aux, c.ref(target), int32(len(args)))
-	for _, r := range args {
-		c.aux = append(c.aux, int32(r))
-	}
+	c.aux = append(c.aux, args...)
 	return off
 }
 
