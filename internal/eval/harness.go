@@ -123,6 +123,10 @@ type Harness struct {
 	fleetCache  map[string][]*FleetOutcome
 	profiles    map[string]*image.Profile
 
+	// onNewOS, when set, sees every OS the harness creates (a test
+	// checks that none outlives its run).
+	onNewOS func(*osim.OS)
+
 	sched sched
 }
 
@@ -153,6 +157,9 @@ func (h *Harness) newOS() *osim.OS {
 	o := osim.NewOS(h.Cfg.Device)
 	o.FaultAround = h.Cfg.FaultAround
 	o.TrackAffinity = h.Cfg.TrackAffinity
+	if h.onNewOS != nil {
+		h.onNewOS(o)
+	}
 	return o
 }
 

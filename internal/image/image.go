@@ -151,7 +151,6 @@ type Image struct {
 	HeapSection osim.Section
 	FileSize    int64
 
-	files     map[*osim.OS]*osim.File
 	attrIndex *attrib.Index
 }
 
@@ -201,7 +200,6 @@ func build(p *ir.Program, opts Options, reach *graal.Reachability, scan *graal.M
 		Program: p,
 		Opts:    opts,
 		Comp:    graal.Assemble(p, opts.Compiler, instr, opts.Kind == KindOptimized, reach, scan),
-		files:   make(map[*osim.OS]*osim.File),
 	}
 	img.Table = profiler.NewMethodTable(img.Comp.Reach.CompiledMethods())
 	if opts.Kind == KindInstrumented && opts.Instr == graal.InstrHeap {

@@ -16,19 +16,12 @@ import (
 )
 
 // File returns (creating on first use) the on-disk representation of the
-// image under the given OS's page cache.
+// image under the given OS's page cache. The OS keeps the lookup, keyed by
+// the image, so an image holds no reference to the OSes it ran on.
 func (img *Image) File(o *osim.OS) (*osim.File, error) {
-	if f, ok := img.files[o]; ok {
-		return f, nil
-	}
-	f, err := o.NewFile(img.Program.Name+".bin", img.FileSize, []osim.Section{
+	return o.FileFor(img, img.Program.Name+".bin", img.FileSize, []osim.Section{
 		img.TextSection, img.HeapSection,
 	})
-	if err != nil {
-		return nil, err
-	}
-	img.files[o] = f
-	return f, nil
 }
 
 // Process is one execution of the image: a fresh memory mapping over the

@@ -11,11 +11,21 @@ package osim
 // stream (event.go) so attribution can name which symbols' pages fell out
 // of cache and came back (re-faults).
 //
+// Every eviction call (a Reclaim, a budget overflow, a tenant's quota)
+// first computes how many pages must go, then picks all of them in one
+// pass over the resident pages (evictColdest). The counts those calls
+// compare against — the resident total, the resident pages per owning
+// tenant and per section — are counters kept where pages are read in and
+// evicted, so no check rescans the cache.
+//
 // Evicting a resident page also unmaps it from every live mapping of the
 // file (the kernel's rmap walk): the next access takes a major re-fault,
 // not a free hit on a stale PTE.
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // EvictCause says why a page left the page cache.
 type EvictCause uint8
@@ -57,14 +67,7 @@ func (o *OS) ResidentPages() int { return o.residentTotal }
 // modelling inter-burst memory pressure (another tenant's working set
 // pushing this binary's pages out), and returns how many were evicted.
 func (o *OS) Reclaim(n int) int {
-	evicted := 0
-	for evicted < n && o.residentTotal > 0 {
-		if !o.lruEvict(-1, nil, -1, EvictPressure, -1) {
-			break
-		}
-		evicted++
-	}
-	return evicted
+	return o.evictColdest(n, -1, nil, -1, EvictPressure, -1)
 }
 
 // ReclaimFraction evicts pct percent of the currently resident pages
@@ -84,41 +87,96 @@ func (o *OS) enforceBudget(pin *File, pinPage int, evictor int) {
 	if o.CacheBudget <= 0 {
 		return
 	}
-	for o.residentTotal > o.CacheBudget {
-		if !o.lruEvict(-1, pin, pinPage, EvictBudget, evictor) {
-			return
-		}
-	}
+	o.evictColdest(o.residentTotal-o.CacheBudget, -1, pin, pinPage, EvictBudget, evictor)
 }
 
-// lruEvict evicts the resident page with the smallest last-use stamp
-// among the files owned by tenant owner (-1: any file), never the pinned
-// (currently faulting) page. Ties break by file registration order, then
-// page index, so victim selection is deterministic. Returns false when no
-// evictable page exists. Reclaim, the resident budget and tenant quotas
-// all select their victims here.
-func (o *OS) lruEvict(owner int, pin *File, pinPage int, cause EvictCause, evictor int) bool {
-	var victim *File
-	vp := -1
-	var vUse int64
-	for _, f := range o.files {
+// victim is one eviction candidate: a resident page's last-use stamp and
+// its position (file registration index, page index). It holds no
+// pointer, so filling the OS's scratch buffer needs no write barrier.
+type victim struct {
+	use  int64
+	file int32
+	page int32
+}
+
+// cmpUse orders candidates coldest first.
+func cmpUse(a, b victim) int { return cmp.Compare(a.use, b.use) }
+
+// evictColdest evicts the n least-recently-used resident pages of the
+// files owned by tenant owner (-1: any file), coldest first, never the
+// pinned (currently faulting) page, and returns how many it evicted
+// (fewer when fewer pages are evictable). Reclaim, the resident budget
+// and tenant quotas all select their victims here, in one pass over the
+// resident pages: a max-heap keeps the n coldest seen so far. Every page
+// read in and every access takes a fresh stamp of the OS clock, so no two
+// resident pages share one: the n coldest in ascending order are exactly
+// the pages n repeated minimum scans would pick, in the same order.
+func (o *OS) evictColdest(n, owner int, pin *File, pinPage int, cause EvictCause, evictor int) int {
+	if n <= 0 {
+		return 0
+	}
+	h := o.victims[:0]
+	for fi, f := range o.files {
 		if owner >= 0 && f.tenant != owner {
 			continue
 		}
-		for p, res := range f.resident {
-			if !res || (f == pin && p == pinPage) {
+		left := f.ResidentPages()
+		for p := 0; left > 0; p++ {
+			if !f.resident[p] {
 				continue
 			}
-			if victim == nil || f.lastUse[p] < vUse {
-				victim, vp, vUse = f, p, f.lastUse[p]
+			left--
+			if f == pin && p == pinPage {
+				continue
+			}
+			v := victim{use: f.lastUse[p], file: int32(fi), page: int32(p)}
+			switch {
+			case len(h) < n:
+				h = append(h, v)
+				siftUp(h, len(h)-1)
+			case v.use < h[0].use:
+				h[0] = v
+				siftDown(h, 0)
 			}
 		}
 	}
-	if victim == nil {
-		return false
+	slices.SortFunc(h, cmpUse)
+	for _, v := range h {
+		o.evictPage(o.files[v.file], int(v.page), cause, evictor)
 	}
-	o.evictPage(victim, vp, cause, evictor)
-	return true
+	o.victims = h[:0]
+	return len(h)
+}
+
+// siftUp restores the max-heap order of h (warmest candidate at the
+// root) after h[i] was appended.
+func siftUp(h []victim, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].use >= h[i].use {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+// siftDown restores the max-heap order of h after h[i] was replaced.
+func siftDown(h []victim, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].use > h[c].use {
+			c++
+		}
+		if h[i].use >= h[c].use {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // evictPage removes one resident page from the cache: accounting, rmap
@@ -127,10 +185,12 @@ func (o *OS) lruEvict(owner int, pin *File, pinPage int, cause EvictCause, evict
 // or DropCaches), charged against the file's owning tenant in the
 // interference matrix.
 func (o *OS) evictPage(f *File, p int, cause EvictCause, evictor int) {
-	f.resident[p] = false
-	o.residentTotal--
-	f.evicted++
 	sec := f.pageSection(p)
+	f.resident[p] = false
+	f.residentBySec[sec]--
+	o.residentTotal--
+	o.ownerResident[f.tenant+1]--
+	f.evicted++
 	f.evictBySec[sec]++
 	o.noteEviction(evictor, f.tenant)
 	if cause == EvictDrop {
@@ -184,45 +244,33 @@ func (f *File) EvictionsBySection() []SectionPages {
 // ResidencyBySection returns the current resident page counts per section
 // (plus the catch-all bucket) — the residency timeline's sample unit.
 func (f *File) ResidencyBySection() []SectionPages {
-	counts := make([]int64, len(f.Sections)+1)
-	for p, res := range f.resident {
-		if res {
-			counts[f.pageSection(p)]++
-		}
-	}
-	out := make([]SectionPages, 0, len(counts))
+	out := make([]SectionPages, 0, len(f.Sections)+1)
 	for i, s := range f.Sections {
-		out = append(out, SectionPages{Section: s.Name, Pages: counts[i]})
+		out = append(out, SectionPages{Section: s.Name, Pages: f.residentBySec[i]})
 	}
-	return append(out, SectionPages{Section: otherSection, Pages: counts[len(f.Sections)]})
+	return append(out, SectionPages{Section: otherSection, Pages: f.residentBySec[len(f.Sections)]})
 }
 
 // ResidentInSection returns how many pages of the named section are
 // currently resident.
 func (f *File) ResidentInSection(name string) int {
 	n := 0
-	for _, sp := range f.ResidencyBySection() {
-		if sp.Section == name {
-			n = int(sp.Pages)
+	for i, s := range f.Sections {
+		if s.Name == name {
+			n = int(f.residentBySec[i])
 		}
+	}
+	if name == otherSection {
+		n = int(f.residentBySec[len(f.Sections)])
 	}
 	return n
 }
 
-// coldestResident returns the file's resident pages sorted coldest-first
-// (for tests and diagnostics).
-func (f *File) coldestResident() []int {
-	var pages []int
-	for p, res := range f.resident {
-		if res {
-			pages = append(pages, p)
-		}
+// ResidentPages returns how many pages of the file are in the page cache.
+func (f *File) ResidentPages() int {
+	n := int64(0)
+	for _, c := range f.residentBySec {
+		n += c
 	}
-	sort.Slice(pages, func(i, j int) bool {
-		if f.lastUse[pages[i]] != f.lastUse[pages[j]] {
-			return f.lastUse[pages[i]] < f.lastUse[pages[j]]
-		}
-		return pages[i] < pages[j]
-	})
-	return pages
+	return int(n)
 }

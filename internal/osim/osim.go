@@ -92,6 +92,8 @@ type OS struct {
 	DefaultTenant int
 
 	files []*File
+	// byKey finds the file registered for a caller's key (FileFor).
+	byKey map[any]*File
 
 	// Tenant accounting state (tenant.go): the eviction interference
 	// matrix and per-tenant residency quotas. Both nil until tenancy is
@@ -99,10 +101,15 @@ type OS struct {
 	evictedBy   [][]int64
 	tenantQuota map[int]int
 
-	// Replacement state: a logical access clock for LRU stamps and the
-	// resident total the budget is enforced against.
+	// Replacement state: a logical access clock for LRU stamps, the
+	// resident total the budget is enforced against, the resident pages
+	// per owning tenant (indexed by tenant+1, so untenanted files count
+	// at 0) that quotas are enforced against, and the eviction pass's
+	// scratch buffer.
 	clock         int64
 	residentTotal int
+	ownerResident []int
+	victims       []victim
 }
 
 // DefaultFaultAround is the default fault-around cluster size in pages.
@@ -151,6 +158,10 @@ type File struct {
 	evicted    int64
 	refaults   int64
 	evictBySec []int64 // per Sections index, + catch-all at the end
+
+	// residentBySec counts the resident pages per Sections index, +
+	// catch-all at the end; ResidentPages is their sum.
+	residentBySec []int64
 }
 
 // NewFile registers a file with the OS. Sections must not overlap.
@@ -167,20 +178,43 @@ func (o *OS) NewFile(name string, size int64, sections []Section) (*File, error)
 	}
 	n := pagesFor(size)
 	f := &File{
-		os:          o,
-		Name:        name,
-		Size:        size,
-		Sections:    sections,
-		resident:    make([]bool, n),
-		lastUse:     make([]int64, n),
-		everEvicted: make([]bool, n),
-		evictBySec:  make([]int64, len(sections)+1),
-		tenant:      o.DefaultTenant,
+		os:            o,
+		Name:          name,
+		Size:          size,
+		Sections:      sections,
+		resident:      make([]bool, n),
+		lastUse:       make([]int64, n),
+		everEvicted:   make([]bool, n),
+		evictBySec:    make([]int64, len(sections)+1),
+		residentBySec: make([]int64, len(sections)+1),
+		tenant:        max(o.DefaultTenant, -1),
 	}
 	if f.tenant >= 0 {
 		o.enableTenants(f.tenant)
 	}
+	for len(o.ownerResident) <= f.tenant+1 {
+		o.ownerResident = append(o.ownerResident, 0)
+	}
 	o.files = append(o.files, f)
+	return f, nil
+}
+
+// FileFor returns the file registered for key, registering it with
+// NewFile(name, size, sections) on first use. The OS owns the lookup, so
+// a caller that runs one key (an image) on many short-lived OSes keeps
+// none of them alive.
+func (o *OS) FileFor(key any, name string, size int64, sections []Section) (*File, error) {
+	if f, ok := o.byKey[key]; ok {
+		return f, nil
+	}
+	f, err := o.NewFile(name, size, sections)
+	if err != nil {
+		return nil, err
+	}
+	if o.byKey == nil {
+		o.byKey = make(map[any]*File)
+	}
+	o.byKey[key] = f
 	return f, nil
 }
 
@@ -352,10 +386,7 @@ func (m *Mapping) Touch(off int64) {
 		}
 		for i := start; i < end; i++ {
 			if !m.file.resident[i] {
-				m.file.resident[i] = true
-				m.file.readIn++
-				m.file.os.residentTotal++
-				m.file.noteUse(i)
+				m.file.readPage(i)
 				read++
 			}
 		}
@@ -471,15 +502,14 @@ func (m *Mapping) PageClasses() []PageState {
 	return out
 }
 
-// ResidentPages returns how many pages of the file are in the page cache.
-func (f *File) ResidentPages() int {
-	n := 0
-	for _, r := range f.resident {
-		if r {
-			n++
-		}
-	}
-	return n
+// readPage brings page p into the page cache and stamps its use.
+func (f *File) readPage(p int) {
+	f.resident[p] = true
+	f.residentBySec[f.pageSection(p)]++
+	f.readIn++
+	f.os.residentTotal++
+	f.os.ownerResident[f.tenant+1]++
+	f.noteUse(p)
 }
 
 func pagesFor(size int64) int {

@@ -134,13 +134,10 @@ func (o *OS) TenantRefaults(t int) int64 {
 // TenantResidentPages returns how many pages of tenant t's files are
 // currently resident.
 func (o *OS) TenantResidentPages(t int) int {
-	n := 0
-	for _, f := range o.files {
-		if f.tenant == t {
-			n += f.ResidentPages()
-		}
+	if t < -1 || t+1 >= len(o.ownerResident) {
+		return 0
 	}
-	return n
+	return o.ownerResident[t+1]
 }
 
 // SetTenantQuota caps the resident pages of the files owned by tenant t.
@@ -167,7 +164,7 @@ func (o *OS) SetTenantQuota(t, pages int) {
 // TenantQuota returns tenant t's residency quota in pages (0: none).
 func (o *OS) TenantQuota(t int) int { return o.tenantQuota[t] }
 
-// enforceQuota evicts tenant t's own coldest pages while it exceeds its
+// enforceQuota evicts tenant t's own coldest pages until it fits its
 // residency quota, never evicting the pinned (currently faulting) page.
 func (o *OS) enforceQuota(t int, pin *File, pinPage int) {
 	if t < 0 || o.tenantQuota == nil {
@@ -177,9 +174,5 @@ func (o *OS) enforceQuota(t int, pin *File, pinPage int) {
 	if !ok {
 		return
 	}
-	for o.TenantResidentPages(t) > q {
-		if !o.lruEvict(t, pin, pinPage, EvictBudget, t) {
-			return
-		}
-	}
+	o.evictColdest(o.TenantResidentPages(t)-q, t, pin, pinPage, EvictBudget, t)
 }
