@@ -442,6 +442,67 @@ func BenchmarkImageBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshot measures one heap.BuildSnapshot of micronaut's
+// build-time heap: the traversal from the roots of a regular build, its
+// side table and the object sizes. Every iteration snapshots a fresh copy
+// of the heap, made with the timer stopped, because a snapshot does not
+// take an object another snapshot holds.
+func BenchmarkSnapshot(b *testing.B) {
+	w, err := workloads.ByName("micronaut")
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := image.Build(w.Build(), image.Options{Kind: image.KindRegular, Compiler: graal.DefaultConfig(), BuildSeed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		roots := copyHeap(img.Snapshot.Roots)
+		b.StartTimer()
+		if s := heap.BuildSnapshot(roots); len(s.Objects) != len(img.Snapshot.Objects) {
+			b.Fatalf("snapshot of %d objects, want %d", len(s.Objects), len(img.Snapshot.Objects))
+		}
+	}
+}
+
+// copyHeap returns roots over a deep copy of the object graph they reach.
+func copyHeap(roots []heap.RootRef) []heap.RootRef {
+	copies := make(map[*heap.Object]*heap.Object)
+	var dup func(o *heap.Object) *heap.Object
+	dup = func(o *heap.Object) *heap.Object {
+		if c := copies[o]; c != nil {
+			return c
+		}
+		var c *heap.Object
+		switch {
+		case o.Packed():
+			c = heap.NewByteArray(o.Len())
+		case o.IsArray():
+			elem := o.ElemType()
+			c = heap.NewArray(&elem, o.Len())
+		default:
+			c = heap.NewObject(o.Class)
+			c.Str = o.Str
+		}
+		copies[o] = c
+		for i, v := range o.Slots {
+			if v.Kind == heap.VRef && v.Ref != nil {
+				v = heap.RefVal(dup(v.Ref))
+			}
+			c.Slots[i] = v
+		}
+		return c
+	}
+	out := make([]heap.RootRef, len(roots))
+	for i, r := range roots {
+		out[i] = heap.RootRef{Obj: dup(r.Obj), Reason: r.Reason}
+	}
+	return out
+}
+
 // BenchmarkBuildOptimized measures one profile-guided bake of micronaut
 // under the combined strategy: two instrumented builds with memory-mapped
 // profiling runs, post-processing, and the optimized build.

@@ -42,7 +42,8 @@ func buildSnapshotProgram(t *testing.T) (*ir.Program, *heap.Snapshot, map[string
 	s1 := heap.NewString(str, "interned-a")
 	s2 := heap.NewString(str, "interned-b")
 
-	arr := heap.NewArray(ir.Ref("Node"), 2)
+	nodeT := ir.Ref("Node")
+	arr := heap.NewArray(&nodeT, 2)
 	n3 := heap.NewObject(nodeC)
 	n3.SetField(valF, heap.IntVal(3))
 	arr.SetElem(0, heap.RefVal(n3))

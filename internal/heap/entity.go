@@ -53,11 +53,11 @@ func (e Entity) IsString() bool {
 
 // IsObjectInstance reports whether the wrapped value is a non-array object.
 func (e Entity) IsObjectInstance() bool {
-	return e.val.Kind == VRef && e.val.Ref != nil && !e.val.Ref.IsArray
+	return e.val.Kind == VRef && e.val.Ref != nil && !e.val.Ref.IsArray()
 }
 
 // IsArray reports whether the wrapped value is an array.
-func (e Entity) IsArray() bool { return e.val.Kind == VRef && e.val.Ref != nil && e.val.Ref.IsArray }
+func (e Entity) IsArray() bool { return e.val.Kind == VRef && e.val.Ref != nil && e.val.Ref.IsArray() }
 
 // Object returns the wrapped object, or nil.
 func (e Entity) Object() *Object { return e.val.Ref }
@@ -85,7 +85,7 @@ func (e Entity) NumFields() int {
 	if !e.IsObjectInstance() {
 		return 0
 	}
-	return len(e.val.Ref.Fields)
+	return len(e.val.Ref.Slots)
 }
 
 // FieldDecl returns the declaration of the k-th field (source order).
@@ -94,18 +94,18 @@ func (e Entity) FieldDecl(k int) *ir.Field { return e.val.Ref.Class.AllFields[k]
 // GetFieldWrapper wraps the value of the k-th field.
 func (e Entity) GetFieldWrapper(k int) Entity {
 	f := e.val.Ref.Class.AllFields[k]
-	return Entity{val: e.val.Ref.Fields[k], staticType: f.Type, snap: e.snap}
+	return Entity{val: e.val.Ref.Slots[k], staticType: f.Type, snap: e.snap}
 }
 
 // Length returns the array length.
 func (e Entity) Length() int { return e.val.Ref.Len() }
 
 // ElementType returns the array element type.
-func (e Entity) ElementType() ir.TypeRef { return e.val.Ref.Elem }
+func (e Entity) ElementType() ir.TypeRef { return e.val.Ref.ElemType() }
 
 // GetElementWrapper wraps the k-th array element.
 func (e Entity) GetElementWrapper(k int) Entity {
-	return Entity{val: e.val.Ref.GetElem(k), staticType: e.val.Ref.Elem, snap: e.snap}
+	return Entity{val: e.val.Ref.GetElem(k), staticType: e.val.Ref.ElemType(), snap: e.snap}
 }
 
 // snapObject returns the wrapped object when its metadata can be read:

@@ -24,11 +24,49 @@ func testClasses(t *testing.T) *ir.Program {
 	return p
 }
 
-// TestObjectSize pins heap.Object at Go's 128-byte size class: snapshot
-// metadata belongs in the Snapshot's side table, not on every object.
+// typeOf returns a pointer to a copy of t, for NewArray.
+func typeOf(t ir.TypeRef) *ir.TypeRef { return &t }
+
+// TestObjectSize pins heap.Object at Go's 64-byte size class: snapshot
+// metadata belongs in the Snapshot's side table, and what an array's
+// class, element size and packing would say is derived.
 func TestObjectSize(t *testing.T) {
-	if got := unsafe.Sizeof(Object{}); got != 128 {
-		t.Fatalf("unsafe.Sizeof(Object{}) = %d, want 128", got)
+	if got := unsafe.Sizeof(Object{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Object{}) = %d, want 64", got)
+	}
+}
+
+// TestDerivedFacts checks the facts each constructor's object derives
+// from its fields rather than stores.
+func TestDerivedFacts(t *testing.T) {
+	p := testClasses(t)
+	for _, c := range []struct {
+		name      string
+		o         *Object
+		isArray   bool
+		elemBytes int
+		len       int
+		packed    bool
+		typ       string
+		size      int64
+	}{
+		{"NewObject", NewObject(p.Class("Node")), false, 8, 0, false, "Node", 16 + 2*8},
+		{"NewString", NewString(p.Class(ir.StringClass), "hello"), false, 8, 0, false, ir.StringClass, 16 + 8 + 8},
+		{"NewArray", NewArray(typeOf(ir.Ref("Node")), 3), true, 8, 3, false, "Node[]", 16 + 3*8},
+		{"NewByteArray(n)", NewByteArray(13), true, 1, 13, true, "long[]", 16 + 13},
+		{"NewByteArray(0)", NewByteArray(0), true, 8, 0, false, "long[]", 16},
+	} {
+		o := c.o
+		if o.IsArray() != c.isArray || o.ElemBytes() != c.elemBytes || o.Len() != c.len || o.Packed() != c.packed {
+			t.Errorf("%s: IsArray=%v ElemBytes=%d Len=%d Packed=%v, want %v %d %d %v", c.name,
+				o.IsArray(), o.ElemBytes(), o.Len(), o.Packed(), c.isArray, c.elemBytes, c.len, c.packed)
+		}
+		if got := o.Type().FullyQualifiedName(); got != c.typ {
+			t.Errorf("%s: Type = %s, want %s", c.name, got, c.typ)
+		}
+		if got := o.SnapshotSize(); got != c.size {
+			t.Errorf("%s: SnapshotSize = %d, want %d", c.name, got, c.size)
+		}
 	}
 }
 
@@ -49,11 +87,11 @@ func TestRuntimeObjectsOutsideSnapshot(t *testing.T) {
 func TestNewObjectZeroed(t *testing.T) {
 	p := testClasses(t)
 	o := NewObject(p.Class("Node"))
-	if !o.Fields[0].IsNull() {
-		t.Errorf("ref field not null: %v", o.Fields[0])
+	if !o.Slots[0].IsNull() {
+		t.Errorf("ref field not null: %v", o.Slots[0])
 	}
-	if o.Fields[1].Kind != VInt || o.Fields[1].Int() != 0 {
-		t.Errorf("int field not zero: %v", o.Fields[1])
+	if o.Slots[1].Kind != VInt || o.Slots[1].Int() != 0 {
+		t.Errorf("int field not zero: %v", o.Slots[1])
 	}
 }
 
@@ -82,7 +120,7 @@ func TestNewZeroedByKind(t *testing.T) {
 		if got := o.GetField(z.LookupField(c.field)); got != c.want {
 			t.Errorf("field %s = %+v, want %+v", c.field, got, c.want)
 		}
-		arr := NewArray(c.typ, 3)
+		arr := NewArray(&c.typ, 3)
 		for i := 0; i < arr.Len(); i++ {
 			if got := arr.GetElem(i); got != c.want {
 				t.Errorf("%s array elem %d = %+v, want %+v", c.typ.FullyQualifiedName(), i, got, c.want)
@@ -99,7 +137,7 @@ func TestFieldAndElemAccess(t *testing.T) {
 	if got := n.GetField(valF).Int(); got != 7 {
 		t.Errorf("val = %d", got)
 	}
-	a := NewArray(ir.Int(), 3)
+	a := NewArray(typeOf(ir.Int()), 3)
 	a.SetElem(1, IntVal(5))
 	if got := a.GetElem(1).Int(); got != 5 {
 		t.Errorf("elem = %d", got)
@@ -139,7 +177,7 @@ func TestSnapshotSizes(t *testing.T) {
 	if got := s.SnapshotSize(); got != 16+8+8 {
 		t.Errorf("string size = %d", got)
 	}
-	a := NewArray(ir.Float(), 4)
+	a := NewArray(typeOf(ir.Float()), 4)
 	if got := a.SnapshotSize(); got != 16+32 {
 		t.Errorf("array size = %d", got)
 	}
@@ -269,7 +307,7 @@ func TestBuildSnapshotSharedAndCyclic(t *testing.T) {
 func TestBuildSnapshotArrayParents(t *testing.T) {
 	p := testClasses(t)
 	node := p.Class("Node")
-	arr := NewArray(ir.Ref("Node"), 3)
+	arr := NewArray(typeOf(ir.Ref("Node")), 3)
 	n := NewObject(node)
 	arr.SetElem(2, RefVal(n))
 	s := BuildSnapshot([]RootRef{{Obj: arr, Reason: ReasonDataSection}})
@@ -368,7 +406,7 @@ func TestEntityInspection(t *testing.T) {
 		t.Errorf("field b type = %s", fb.Type())
 	}
 
-	arr := NewArray(ir.Int(), 2)
+	arr := NewArray(typeOf(ir.Int()), 2)
 	arr.SetElem(0, IntVal(9))
 	ae := ObjEntity(arr)
 	if !ae.IsArray() || ae.Length() != 2 {

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"math"
 
 	"nimage/internal/ir"
 )
@@ -21,30 +22,25 @@ const (
 // per-object facts (first-path parent, inclusion reason, .svm_heap offset
 // and size) live in the Snapshot that holds it, at the object's SeqID. The
 // object keeps only that number, so a runtime allocation pays nothing for
-// them.
+// them. The object fits Go's 64-byte size class: instances and arrays
+// share one slot slice, and an array's element size is derived.
 type Object struct {
 	// Class is the class of an instance object; nil for arrays.
 	Class *ir.Class
-	// IsArray marks arrays.
-	IsArray bool
+	// elem is the element type of an array; nil for instances.
+	elem *ir.TypeRef
+	// Slots holds an instance's field values indexed by ir.Field.Slot, or
+	// an array's elements. A packed byte array has none.
+	Slots []Value
+	// Str is the payload of string objects.
+	Str string
 	// seq is SeqID+1 in the snapshot that holds the object; 0 for an
 	// object no snapshot holds (every runtime allocation).
 	seq uint32
-	// Elem is the element type of an array.
-	Elem ir.TypeRef
-	// ElemBytes is the storage size of one element: 8 for ordinary arrays,
-	// 1 for packed byte arrays (metadata and resource blobs, which dominate
-	// heap-snapshot size in real images — Sec. 7.2).
-	ElemBytes int
-	// Fields holds instance-field values indexed by ir.Field.Slot.
-	Fields []Value
-	// Elems holds array elements.
-	Elems []Value
-	// Str is the payload of string objects.
-	Str string
-
-	// packedLen is the byte length of packed byte arrays (Elems unset).
-	packedLen int
+	// n is an array's length: len(Slots), or the byte length of a packed
+	// byte array, whose elements are not materialized. It is 0 for
+	// instances.
+	n uint32
 }
 
 // InSnapshot reports whether a heap snapshot holds the object.
@@ -57,26 +53,30 @@ func (o *Object) SeqID() int { return int(o.seq) - 1 }
 const objectHeader = 16 // mark word + class pointer
 const slotSize = 8
 
+// intType is the element type of every packed byte array.
+var intType = ir.Int()
+
 // NewObject allocates an instance of class with zeroed fields (integers 0,
 // floats 0.0, references null). Integer fields need no store: IntVal(0) is
 // Go's zero Value.
 func NewObject(class *ir.Class) *Object {
-	o := &Object{Class: class, Fields: make([]Value, len(class.AllFields))}
+	o := &Object{Class: class, Slots: make([]Value, len(class.AllFields))}
 	for i, f := range class.AllFields {
 		if z := zeroOf(f.Type.Kind); z != (Value{}) {
-			o.Fields[i] = z
+			o.Slots[i] = z
 		}
 	}
 	return o
 }
 
-// NewArray allocates an array of n elements of the given type, zeroed.
-// Integer arrays need no fill: IntVal(0) is Go's zero Value.
-func NewArray(elem ir.TypeRef, n int) *Object {
-	o := &Object{IsArray: true, Elem: elem, ElemBytes: slotSize, Elems: make([]Value, n)}
+// NewArray allocates an array of n elements of type *elem, zeroed. The
+// array keeps the pointer, so *elem must not change. Integer arrays need
+// no fill: IntVal(0) is Go's zero Value.
+func NewArray(elem *ir.TypeRef, n int) *Object {
+	o := &Object{elem: elem, Slots: make([]Value, n), n: arrayLen(n)}
 	if z := zeroOf(elem.Kind); z != (Value{}) {
-		for i := range o.Elems {
-			o.Elems[i] = z
+		for i := range o.Slots {
+			o.Slots[i] = z
 		}
 	}
 	return o
@@ -95,14 +95,23 @@ func zeroOf(k ir.TypeKind) Value {
 }
 
 // NewByteArray allocates a packed byte array of n bytes. Its elements are
-// not materialized; it models the metadata blobs of real image heaps.
+// not materialized; it models the metadata blobs of real image heaps,
+// which dominate heap-snapshot size (Sec. 7.2).
 func NewByteArray(n int) *Object {
-	return &Object{IsArray: true, Elem: ir.Int(), ElemBytes: 1, Elems: nil, packedLen: n}
+	return &Object{elem: &intType, n: arrayLen(n)}
+}
+
+// arrayLen checks that n can be an array length.
+func arrayLen(n int) uint32 {
+	if n < 0 || uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("heap: array length %d out of range", n))
+	}
+	return uint32(n)
 }
 
 // NewString allocates a string object.
 func NewString(class *ir.Class, s string) *Object {
-	if class == nil || class.Name != ir.StringClass {
+	if class == nil || !class.IsString() {
 		panic("heap: NewString requires the java.lang.String class")
 	}
 	o := NewObject(class)
@@ -110,25 +119,35 @@ func NewString(class *ir.Class, s string) *Object {
 	return o
 }
 
-// Len returns the array length.
-func (o *Object) Len() int {
-	if o.packedLen > 0 {
-		return o.packedLen
-	}
-	return len(o.Elems)
-}
+// IsArray reports whether the object is an array.
+func (o *Object) IsArray() bool { return o.Class == nil }
+
+// Len returns the array length; 0 for an instance.
+func (o *Object) Len() int { return int(o.n) }
 
 // Packed reports whether the object is a packed byte array whose contents
 // are a deterministic function of its length.
-func (o *Object) Packed() bool { return o.packedLen > 0 }
+func (o *Object) Packed() bool { return int(o.n) > len(o.Slots) }
+
+// ElemBytes returns the storage size of one array element: 1 for packed
+// byte arrays, 8 otherwise.
+func (o *Object) ElemBytes() int {
+	if o.Packed() {
+		return 1
+	}
+	return slotSize
+}
+
+// ElemType returns the element type of an array.
+func (o *Object) ElemType() ir.TypeRef { return *o.elem }
 
 // IsString reports whether the object is a string.
-func (o *Object) IsString() bool { return o.Class != nil && o.Class.Name == ir.StringClass }
+func (o *Object) IsString() bool { return o.Class != nil && o.Class.IsString() }
 
 // Type returns the object's type.
 func (o *Object) Type() ir.TypeRef {
-	if o.IsArray {
-		return ir.Array(o.Elem)
+	if o.IsArray() {
+		return ir.TypeRef{Kind: ir.KArray, Elem: o.elem}
 	}
 	return ir.Ref(o.Class.Name)
 }
@@ -138,31 +157,31 @@ func (o *Object) TypeName() string { return o.Type().FullyQualifiedName() }
 
 // SnapshotSize returns the byte size the object occupies in .svm_heap.
 func (o *Object) SnapshotSize() int64 {
-	if o.IsArray {
-		return objectHeader + int64(o.Len()*o.ElemBytes)
+	if o.IsArray() {
+		return objectHeader + int64(o.Len()*o.ElemBytes())
 	}
 	if o.IsString() {
 		// Header + length/hash slots + character data, 8-byte aligned.
 		n := int64(len(o.Str))
 		return objectHeader + 8 + (n+7)/8*8
 	}
-	return objectHeader + int64(len(o.Fields)*slotSize)
+	return objectHeader + int64(len(o.Slots)*slotSize)
 }
 
 // GetField reads the field value by resolved field.
 func (o *Object) GetField(f *ir.Field) Value {
-	if o.IsArray || f.Slot >= len(o.Fields) {
+	if o.Class == nil || f.Slot >= len(o.Slots) {
 		o.badField("get", f)
 	}
-	return o.Fields[f.Slot]
+	return o.Slots[f.Slot]
 }
 
 // SetField writes the field value by resolved field.
 func (o *Object) SetField(f *ir.Field, v Value) {
-	if o.IsArray || f.Slot >= len(o.Fields) {
+	if o.Class == nil || f.Slot >= len(o.Slots) {
 		o.badField("set", f)
 	}
-	o.Fields[f.Slot] = v
+	o.Slots[f.Slot] = v
 }
 
 // badField panics on an access to a field o does not have. It is kept out
@@ -173,10 +192,10 @@ func (o *Object) badField(verb string, f *ir.Field) {
 
 // GetElem reads array element i.
 func (o *Object) GetElem(i int) Value {
-	if o.packedLen > 0 || uint(i) >= uint(len(o.Elems)) {
+	if o.Class != nil || uint(i) >= uint(len(o.Slots)) {
 		return o.slowElem(i)
 	}
-	return o.Elems[i]
+	return o.Slots[i]
 }
 
 // slowElem reads element i of a packed byte array, whose elements are
@@ -191,20 +210,20 @@ func (o *Object) slowElem(i int) Value {
 
 // SetElem writes array element i.
 func (o *Object) SetElem(i int, v Value) {
-	if o.packedLen > 0 || uint(i) >= uint(len(o.Elems)) {
+	if o.Class != nil || uint(i) >= uint(len(o.Slots)) {
 		o.badStore(i)
 	}
-	o.Elems[i] = v
+	o.Slots[i] = v
 }
 
 // badStore panics on a store SetElem cannot make.
 //
 //go:noinline
 func (o *Object) badStore(i int) {
-	if o.packedLen > 0 {
+	if o.Packed() {
 		panic("heap: write to packed byte array")
 	}
-	panic(fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, len(o.Elems)))
+	panic(fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, o.Len()))
 }
 
 // Statics is the build-time storage of static fields: one value slice per

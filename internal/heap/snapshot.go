@@ -115,22 +115,9 @@ func BuildSnapshot(roots []RootRef) *Snapshot {
 		// Children in deterministic order: fields by slot, elements by
 		// index. Recursion is depth-first to mirror Native Image's
 		// traversal of the first path to each object.
-		if o.IsArray {
-			for i := range o.Elems {
-				v := o.Elems[i]
-				if v.Kind == VRef && v.Ref != nil && v.Ref.seq == 0 {
-					add(v.Ref, o.seq, i)
-					visit(v.Ref)
-				}
-			}
-			return
-		}
-		if o.Class == nil {
-			return
-		}
-		for slot, v := range o.Fields {
+		for i, v := range o.Slots {
 			if v.Kind == VRef && v.Ref != nil && v.Ref.seq == 0 {
-				add(v.Ref, o.seq, slot)
+				add(v.Ref, o.seq, i)
 				visit(v.Ref)
 			}
 		}
@@ -151,7 +138,7 @@ func BuildSnapshot(roots []RootRef) *Snapshot {
 		m := &s.meta[k]
 		s.TotalSize += int64(m.size)
 		m.slotBase = int32(s.slots)
-		s.slots += len(o.Fields) + len(o.Elems)
+		s.slots += len(o.Slots)
 	}
 	return s
 }

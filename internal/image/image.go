@@ -94,7 +94,10 @@ type Image struct {
 	Program *ir.Program
 	Opts    Options
 	Comp    *graal.Compilation
-	Table   *profiler.MethodTable
+	// Table indexes the compiled methods for the tracer and the
+	// post-processing of an instrumented build; nil in every other build,
+	// whose runs nothing traces.
+	Table *profiler.MethodTable
 	// Numberings numbers the paths of compiled methods on first use
 	// (instrumented heap builds). Like the heap state below, it serves one
 	// process at a time.
@@ -201,9 +204,11 @@ func build(p *ir.Program, opts Options, reach *graal.Reachability, scan *graal.M
 		Opts:    opts,
 		Comp:    graal.Assemble(p, opts.Compiler, instr, opts.Kind == KindOptimized, reach, scan),
 	}
-	img.Table = profiler.NewMethodTable(img.Comp.Reach.CompiledMethods())
-	if opts.Kind == KindInstrumented && opts.Instr == graal.InstrHeap {
-		img.Numberings = img.Table.Numberings(opts.MaxPaths)
+	if opts.Kind == KindInstrumented {
+		img.Table = profiler.NewMethodTable(img.Comp.Reach.CompiledMethods())
+		if opts.Instr == graal.InstrHeap {
+			img.Numberings = img.Table.Numberings(opts.MaxPaths)
+		}
 	}
 	maxID := 0
 	for _, cu := range img.Comp.CUs {

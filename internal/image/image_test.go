@@ -390,6 +390,34 @@ func TestPipelineCombinedStrategy(t *testing.T) {
 	}
 }
 
+// TestMethodTableOnlyInstrumented checks that only the builds a tracer
+// reads carry a method table: the regular and optimized builds have none,
+// the CU- and heap-instrumented builds have one, and only the
+// heap-instrumented build numbers paths.
+func TestMethodTableOnlyInstrumented(t *testing.T) {
+	p := buildApp(t)
+	for _, c := range []struct {
+		name              string
+		kind              BuildKind
+		instr             graal.Instrumentation
+		table, numberings bool
+	}{
+		{"regular", KindRegular, graal.InstrNone, false, false},
+		{"optimized", KindOptimized, graal.InstrNone, false, false},
+		{"cu-instrumented", KindInstrumented, graal.InstrCU, true, false},
+		{"heap-instrumented", KindInstrumented, graal.InstrHeap, true, true},
+	} {
+		img, err := Build(p, Options{Kind: c.kind, Compiler: graal.DefaultConfig(), Instr: c.instr, BuildSeed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (img.Table != nil) != c.table || (img.Numberings != nil) != c.numberings {
+			t.Errorf("%s: Table %v, Numberings %v; want %v, %v", c.name,
+				img.Table != nil, img.Numberings != nil, c.table, c.numberings)
+		}
+	}
+}
+
 // TestInstrumentedBuildHasStrategyIDs: a heap-instrumented build records
 // no object IDs itself; recordIDs, which a heap profiling run calls before
 // the run, records exactly the IDs each given strategy assigns. A
@@ -458,8 +486,8 @@ func TestBuildSeedChangesEncounterOrder(t *testing.T) {
 	// builds are not identical in their Data objects' salted fields.
 	fieldOf := func(img *Image) int64 {
 		for _, o := range img.Snapshot.Objects {
-			if !o.IsArray && o.Class != nil && o.Class.Name == "Data" {
-				return o.Fields[1].Int() // pad0 = buildsalt
+			if o.Class != nil && o.Class.Name == "Data" {
+				return o.Slots[1].Int() // pad0 = buildsalt
 			}
 		}
 		return 0

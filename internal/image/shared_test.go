@@ -11,9 +11,10 @@ import (
 	"nimage/internal/workloads"
 )
 
-// layoutKey renders what a build decides from the program's shared,
-// lazily cached facts (method signatures, the compiled-method list): the
-// .text layout with each CU's offset, and the method-table order.
+// layoutKey renders what an instrumented build decides from the
+// program's shared, lazily cached facts (method signatures, the
+// compiled-method list): the .text layout with each CU's offset, and the
+// method-table order.
 func layoutKey(img *Image) string {
 	s := ""
 	for _, cu := range img.CULayout {
@@ -35,7 +36,9 @@ func TestConcurrentBuildsShareProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Build(w.Build(), regularOpts())
+	// A CU-instrumented build, so that the image has a method table.
+	opts := Options{Kind: KindInstrumented, Compiler: graal.DefaultConfig(), Instr: graal.InstrCU, BuildSeed: 1}
+	ref, err := Build(w.Build(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestConcurrentBuildsShareProgram(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			img, err := Build(shared, regularOpts())
+			img, err := Build(shared, opts)
 			if err != nil {
 				errs[i] = err
 				return

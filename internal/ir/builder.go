@@ -27,9 +27,12 @@ type Builder struct {
 	// Build copies every block out, so the arena is scratch.
 	arena []Instr
 	open  *Block
-	// slab holds the Operands of the instructions built so far; unlike
-	// the arena, the program keeps it.
-	slab operandSlab
+	// slab holds the Operands and Blocks built so far; unlike the arena,
+	// the program keeps it.
+	slab codeSlab
+	// builders holds the chunks every BlockBuilder is carved from, in
+	// creation order; the last one is being filled.
+	builders [][]BlockBuilder
 }
 
 // arenaChunk is the capacity, in instructions, of each arena chunk.
@@ -64,10 +67,10 @@ func (b *Builder) Resource(name string, size int) {
 
 // Build finalizes and resolves the program.
 func (b *Builder) Build() (*Program, error) {
-	for _, mb := range b.methods {
-		for _, bb := range mb.blocks {
-			if !bb.terminated {
-				b.errorf("ir: %s: block %d not terminated", mb.m.Signature(), bb.blk.Index)
+	for _, chunk := range b.builders {
+		for i := range chunk {
+			if bb := &chunk[i]; !bb.terminated {
+				b.errorf("ir: %s: block %d not terminated", bb.mb.m.Signature(), bb.blk.Index)
 			}
 		}
 	}
@@ -177,10 +180,9 @@ func (cb *ClassBuilder) newMethod(name string, nparams int, returns TypeRef, sta
 
 // MethodBuilder constructs one method body.
 type MethodBuilder struct {
-	b      *Builder
-	m      *Method
-	entry  *BlockBuilder
-	blocks []*BlockBuilder
+	b     *Builder
+	m     *Method
+	entry *BlockBuilder
 }
 
 // Method returns the method under construction.
@@ -203,10 +205,14 @@ func (mb *MethodBuilder) Param(i int) Reg {
 
 // NewBlock appends a fresh basic block.
 func (mb *MethodBuilder) NewBlock() *BlockBuilder {
-	blk := &Block{Index: len(mb.m.Blocks)}
+	b := mb.b
+	blk := b.slab.block(len(mb.m.Blocks))
 	mb.m.Blocks = append(mb.m.Blocks, blk)
-	bb := &BlockBuilder{mb: mb, blk: blk}
-	mb.blocks = append(mb.blocks, bb)
+	if n := len(b.builders); n == 0 || len(b.builders[n-1]) == blockChunk {
+		b.builders = append(b.builders, make([]BlockBuilder, 0, blockChunk))
+	}
+	bb := carve(&b.builders[len(b.builders)-1], blockChunk)
+	bb.mb, bb.blk = mb, blk
 	return bb
 }
 

@@ -157,6 +157,8 @@ type Class struct {
 	// the same type has the same ID in every build of the program.
 	ID int
 
+	// isString marks the built-in string class; set by Program.Resolve.
+	isString      bool
 	methodsByName map[string]*Method
 	subclasses    []*Class
 	// dispatch is the dispatch table: dispatch[s] is LookupMethod of the
@@ -164,6 +166,10 @@ type Class struct {
 	// unused.
 	dispatch []*Method
 }
+
+// IsString reports whether c is the built-in string class of a resolved
+// program.
+func (c *Class) IsString() bool { return c.isString }
 
 // Clinit returns the class initializer method, or nil.
 func (c *Class) Clinit() *Method {

@@ -207,9 +207,9 @@ func EncodeProgram(w io.Writer, p *Program) error {
 type decoder struct {
 	r     *bufio.Reader
 	table []string
-	// slab holds the decoded Operands, and args is scratch for the
-	// argument registers of one instruction.
-	slab operandSlab
+	// slab holds the decoded Operands and Blocks, and args is scratch for
+	// the argument registers of one instruction.
+	slab codeSlab
 	args []int32
 }
 
@@ -443,8 +443,9 @@ func DecodeProgram(r io.Reader) (*Program, error) {
 			if err != nil {
 				return nil, err
 			}
+			m.Blocks = make([]*Block, 0, prealloc(nb, 1024))
 			for bi := 0; bi < nb; bi++ {
-				b := &Block{Index: bi}
+				b := d.slab.block(bi)
 				ni, err := d.count("instr")
 				if err != nil {
 					return nil, err

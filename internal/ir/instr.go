@@ -300,33 +300,51 @@ func (o *Operand) encodesEmpty() bool {
 	return o.Sym == "" && o.CName == "" && o.Type == (TypeRef{}) && len(o.Args) == 0
 }
 
-// operandChunk and argChunk are the capacities of the slab chunks that
-// Operands and argument registers are carved from.
+// operandChunk, argChunk and blockChunk are the capacities of the slab
+// chunks that Operands, argument registers and Blocks are carved from.
 const (
 	operandChunk = 256
 	argChunk     = 1024
+	blockChunk   = 256
 )
 
-// operandSlab carves Operands and argument-register slices out of chunked
-// backing arrays, so a program's operands cost a few allocations rather
-// than one each. The program keeps every chunk it draws from.
-type operandSlab struct {
+// codeSlab carves Operands, argument-register slices and Blocks out of
+// chunked backing arrays, so a program's code costs a few allocations
+// rather than one per operand or block. The program keeps every chunk it
+// draws from.
+type codeSlab struct {
 	operands []Operand
 	args     []int32
+	blocks   []Block
+}
+
+// carve returns a pointer to the next zero element of the chunk *s,
+// starting a new chunk of n elements when it is full.
+func carve[T any](s *[]T, n int) *T {
+	if len(*s) == cap(*s) {
+		*s = make([]T, 0, n)
+	}
+	*s = (*s)[:len(*s)+1]
+	return &(*s)[len(*s)-1]
 }
 
 // operand returns a pointer to a slab copy of o.
-func (s *operandSlab) operand(o Operand) *Operand {
-	if len(s.operands) == cap(s.operands) {
-		s.operands = make([]Operand, 0, operandChunk)
-	}
-	s.operands = append(s.operands, o)
-	return &s.operands[len(s.operands)-1]
+func (s *codeSlab) operand(o Operand) *Operand {
+	p := carve(&s.operands, operandChunk)
+	*p = o
+	return p
+}
+
+// block returns a new empty block with the given index.
+func (s *codeSlab) block(index int) *Block {
+	b := carve(&s.blocks, blockChunk)
+	b.Index = index
+	return b
 }
 
 // regs returns n zeroed argument registers for the caller to fill, as a
 // capped slice of the slab, so appending to it never writes into the slab.
-func (s *operandSlab) regs(n int) []int32 {
+func (s *codeSlab) regs(n int) []int32 {
 	if len(s.args)+n > cap(s.args) {
 		s.args = make([]int32, 0, max(argChunk, n))
 	}

@@ -65,6 +65,7 @@ func (p *Program) Resolve() error {
 			return fmt.Errorf("ir: program %s: duplicate class %s", p.Name, c.Name)
 		}
 		p.byName[c.Name] = c
+		c.isString = c.Name == StringClass
 	}
 	for _, c := range p.Classes {
 		if err := c.resolveInto(p); err != nil {

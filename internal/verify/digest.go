@@ -63,7 +63,7 @@ func renderValue(v heap.Value) string {
 			return "null"
 		case o.IsString():
 			return "s:" + o.Str
-		case o.IsArray:
+		case o.IsArray():
 			return o.TypeName() + "[" + strconv.Itoa(o.Len()) + "]"
 		default:
 			return o.TypeName()
@@ -145,14 +145,12 @@ func (d *heapDigester) walk(v heap.Value) {
 		// Packed byte arrays have deterministic pseudo-contents fully
 		// determined by their length.
 		d.h = chain(d.h, "packed:"+strconv.Itoa(o.Len()))
-	case o.IsArray:
-		d.h = chain(d.h, "len:"+strconv.Itoa(o.Len()))
-		for i := range o.Elems {
-			d.walk(o.Elems[i])
-		}
 	default:
-		for i := range o.Fields {
-			d.walk(o.Fields[i])
+		if o.IsArray() {
+			d.h = chain(d.h, "len:"+strconv.Itoa(o.Len()))
+		}
+		for i := range o.Slots {
+			d.walk(o.Slots[i])
 		}
 	}
 }

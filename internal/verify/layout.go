@@ -39,14 +39,12 @@ func objDigest(s *heap.Snapshot, o *heap.Object) uint64 {
 		h = chain(h, "s:"+o.Str)
 	case o.Packed():
 		h = chain(h, "packed:"+strconv.Itoa(o.Len()))
-	case o.IsArray:
-		h = chain(h, "len:"+strconv.Itoa(o.Len()))
-		for i := range o.Elems {
-			h = chain(h, renderValue(o.Elems[i]))
-		}
 	default:
-		for i := range o.Fields {
-			h = chain(h, renderValue(o.Fields[i]))
+		if o.IsArray() {
+			h = chain(h, "len:"+strconv.Itoa(o.Len()))
+		}
+		for i := range o.Slots {
+			h = chain(h, renderValue(o.Slots[i]))
 		}
 	}
 	return h

@@ -181,7 +181,7 @@ func (m *Machine) runQuantum(t *thread) error {
 					return m.trapf(f, "array length %d out of range", n)
 				}
 				m.Cycles += costAlloc + n/8
-				regs[o.a] = heap.RefVal(heap.NewArray(*c.refs[o.x].(*ir.TypeRef), int(n)))
+				regs[o.a] = heap.RefVal(heap.NewArray(c.refs[o.x].(*ir.TypeRef), int(n)))
 			case uint8(ir.OpArrayGet):
 				a := regs[o.b].Ref
 				if a == nil {

@@ -14,7 +14,8 @@ import (
 // those stale references). Every register of a reused frame must read null.
 func TestReusedFrameRegistersReadNull(t *testing.T) {
 	m := New(buildFib(t))
-	obj := heap.NewArray(ir.Int(), 1)
+	intT := ir.Int()
+	obj := heap.NewArray(&intT, 1)
 	small := &ir.Method{Name: "small", NumRegs: 2}
 	mid := &ir.Method{Name: "mid", NumRegs: 4}
 	big := &ir.Method{Name: "big", NumRegs: 8}
