@@ -23,6 +23,7 @@ import (
 	"nimage/internal/image"
 	"nimage/internal/ir"
 	"nimage/internal/murmur"
+	"nimage/internal/obs/affinity"
 	"nimage/internal/osim"
 	"nimage/internal/profiler"
 	"nimage/internal/vm"
@@ -635,6 +636,62 @@ func BenchmarkServeRequest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// eventLog is an osim.PageObserver that keeps every event it observes.
+type eventLog []osim.PageEvent
+
+func (l *eventLog) OnPageEvent(ev osim.PageEvent) { *l = append(*l, ev) }
+
+// BenchmarkAffinityRecorder measures the affinity recorder alone. The
+// page-event stream of one serve-api run is recorded once: from the first
+// instruction to the first response, then four bursts of eight requests
+// with a 30% page-cache reclaim before each, whose pressure evictions
+// close recorder windows. Every iteration replays the stream through a
+// fresh affinity.Recorder and finishes it.
+func BenchmarkAffinityRecorder(b *testing.B) {
+	w, err := workloads.ByName("serve-api")
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := image.Build(w.Build(), image.Options{
+		Kind: image.KindRegular, Compiler: graal.DefaultConfig(), BuildSeed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := osim.NewOS(osim.SSD())
+	proc, err := img.NewProcess(o, nimage.Hooks{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer proc.Close()
+	var events eventLog
+	proc.Mapping.Observe(&events)
+	proc.Machine.StopOnRespond = true
+	if err := proc.Run(w.Args...); err != nil {
+		b.Fatal(err)
+	}
+	dispatch := img.Program.Class(w.Serve.DispatchClass).LookupMethod(w.Serve.DispatchMethod)
+	for burst := 0; burst < 4; burst++ {
+		o.ReclaimFraction(30)
+		for i := 0; i < 8; i++ {
+			if _, err := proc.Machine.RunMethod(dispatch, heap.IntVal(int64(i%w.Serve.Routes))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	ix := img.AttributionIndex()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := affinity.NewRecorder(ix, affinity.Config{})
+		for _, ev := range events {
+			r.OnPageEvent(ev)
+		}
+		r.Finish()
+	}
+	b.ReportMetric(float64(len(events)), "events/op")
 }
 
 // BenchmarkPathNumbering measures Ball–Larus numbering over all compiled

@@ -154,8 +154,8 @@ func refNonEscapingAllocs(m *ir.Method) int {
 				}
 			}
 		}
-		if b.Term.Op == ir.TermReturn && b.Term.Ret >= 0 {
-			escaped[b.Term.Ret] = true
+		if b.Term.Op == ir.TermReturn && b.Term.Ret != ir.RegNone {
+			escaped[int(b.Term.Ret)] = true
 		}
 	}
 	n := 0

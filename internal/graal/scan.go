@@ -146,7 +146,7 @@ func (s *scanner) nonEscapingAllocs(m *ir.Method) int {
 				}
 			}
 		}
-		if b.Term.Op == ir.TermReturn && b.Term.Ret >= 0 {
+		if b.Term.Op == ir.TermReturn && b.Term.Ret != ir.RegNone {
 			flags[b.Term.Ret] |= escEscaped
 		}
 	}

@@ -11,9 +11,35 @@ type Reg int
 // NoReg marks an absent destination register.
 const NoReg Reg = -1
 
-// MaxRegs bounds a method's register file, so that an interpreter can
-// hold every register index, and NoReg, in 16 bits.
+// MaxRegs bounds a method's register file, so that every register index,
+// and NoReg, fits in 16 bits: registers are [0, MaxRegs), and the 16-bit
+// register fields of Instr and Term hold NoReg as RegNone.
 const MaxRegs = 1<<16 - 1
+
+// RegNone is NoReg in a 16-bit register field.
+const RegNone uint16 = MaxRegs
+
+// narrowReg returns r as a 16-bit register field. It reports false for a
+// value outside [NoReg, MaxRegs), which has no 16-bit form: truncating it
+// could wrap it into a valid register.
+func narrowReg(r int64) (uint16, bool) {
+	switch {
+	case r == int64(NoReg):
+		return RegNone, true
+	case r < 0 || r >= MaxRegs:
+		return 0, false
+	}
+	return uint16(r), true
+}
+
+// wideReg returns the register a 16-bit register field holds, NoReg for
+// RegNone.
+func wideReg(r uint16) Reg {
+	if r == RegNone {
+		return NoReg
+	}
+	return Reg(r)
+}
 
 // Builder constructs a Program. Workloads use it as an embedded DSL; the
 // synthetic-library generator drives it programmatically.
@@ -80,7 +106,7 @@ func (b *Builder) Build() (*Program, error) {
 	for _, mb := range b.methods {
 		packBlocks(mb.m)
 	}
-	b.arena, b.open = nil, nil
+	b.arena, b.open, b.slab.interned = nil, nil, nil
 	if err := b.p.Resolve(); err != nil {
 		return nil, err
 	}
@@ -206,6 +232,9 @@ func (mb *MethodBuilder) Param(i int) Reg {
 // NewBlock appends a fresh basic block.
 func (mb *MethodBuilder) NewBlock() *BlockBuilder {
 	b := mb.b
+	if len(mb.m.Blocks) == math.MaxInt32 {
+		b.errorf("ir: %s: more than %d blocks", mb.m.Signature(), math.MaxInt32)
+	}
 	blk := b.slab.block(len(mb.m.Blocks))
 	mb.m.Blocks = append(mb.m.Blocks, blk)
 	if n := len(b.builders); n == 0 || len(b.builders[n-1]) == blockChunk {
@@ -232,7 +261,17 @@ type BlockBuilder struct {
 }
 
 // Index returns the block index.
-func (bb *BlockBuilder) Index() int { return bb.blk.Index }
+func (bb *BlockBuilder) Index() int { return int(bb.blk.Index) }
+
+// reg narrows a register for an instruction or terminator of the block. A
+// register outside [NoReg, MaxRegs) fails Build instead of wrapping.
+func (bb *BlockBuilder) reg(x Reg) uint16 {
+	v, ok := narrowReg(int64(x))
+	if !ok {
+		bb.mb.b.errorf("ir: %s: block %d: register %d outside [%d, %d)", bb.mb.m.Signature(), bb.blk.Index, x, NoReg, MaxRegs)
+	}
+	return v
+}
 
 func (bb *BlockBuilder) emit(in Instr) {
 	if bb.terminated {
@@ -274,180 +313,180 @@ func (bb *BlockBuilder) dest() Reg { return bb.mb.NewReg() }
 // ConstInt loads an integer literal.
 func (bb *BlockBuilder) ConstInt(v int64) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConstInt, A: int32(d), Val: v})
+	bb.emit(Instr{Op: OpConstInt, A: bb.reg(d), Val: v})
 	return d
 }
 
 // ConstFloat loads a float literal.
 func (bb *BlockBuilder) ConstFloat(v float64) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConstFloat, A: int32(d), Val: int64(math.Float64bits(v))})
+	bb.emit(Instr{Op: OpConstFloat, A: bb.reg(d), Val: int64(math.Float64bits(v))})
 	return d
 }
 
 // Str loads a string literal.
 func (bb *BlockBuilder) Str(s string) Reg {
 	d := bb.dest()
-	bb.emitOperand(Instr{Op: OpConstStr, A: int32(d)}, Operand{Sym: s})
+	bb.emitOperand(Instr{Op: OpConstStr, A: bb.reg(d)}, Operand{Sym: s})
 	return d
 }
 
 // Null loads the null reference.
 func (bb *BlockBuilder) Null() Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConstNull, A: int32(d)})
+	bb.emit(Instr{Op: OpConstNull, A: bb.reg(d)})
 	return d
 }
 
 // Move copies src into a fresh register.
 func (bb *BlockBuilder) Move(src Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpMove, A: int32(d), B: int32(src)})
+	bb.emit(Instr{Op: OpMove, A: bb.reg(d), B: bb.reg(src)})
 	return d
 }
 
 // MoveTo copies src into dst (used for loop-carried variables).
 func (bb *BlockBuilder) MoveTo(dst, src Reg) {
-	bb.emit(Instr{Op: OpMove, A: int32(dst), B: int32(src)})
+	bb.emit(Instr{Op: OpMove, A: bb.reg(dst), B: bb.reg(src)})
 }
 
 // Arith computes an integer a <op> b into a fresh register.
 func (bb *BlockBuilder) Arith(op ArithOp, a, b Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpArith, A: int32(d), B: int32(a), C: int32(b), Val: int64(op)})
+	bb.emit(Instr{Op: OpArith, A: bb.reg(d), B: bb.reg(a), C: bb.reg(b), Val: int64(op)})
 	return d
 }
 
 // ArithTo computes an integer a <op> b into dst.
 func (bb *BlockBuilder) ArithTo(dst Reg, op ArithOp, a, b Reg) {
-	bb.emit(Instr{Op: OpArith, A: int32(dst), B: int32(a), C: int32(b), Val: int64(op)})
+	bb.emit(Instr{Op: OpArith, A: bb.reg(dst), B: bb.reg(a), C: bb.reg(b), Val: int64(op)})
 }
 
 // FArith computes a float a <op> b into a fresh register.
 func (bb *BlockBuilder) FArith(op ArithOp, a, b Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpFArith, A: int32(d), B: int32(a), C: int32(b), Val: int64(op)})
+	bb.emit(Instr{Op: OpFArith, A: bb.reg(d), B: bb.reg(a), C: bb.reg(b), Val: int64(op)})
 	return d
 }
 
 // Cmp compares a and b, producing 0/1.
 func (bb *BlockBuilder) Cmp(op CmpOp, a, b Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpCmp, A: int32(d), B: int32(a), C: int32(b), Val: int64(op)})
+	bb.emit(Instr{Op: OpCmp, A: bb.reg(d), B: bb.reg(a), C: bb.reg(b), Val: int64(op)})
 	return d
 }
 
 // IntToFloat converts an integer register to float.
 func (bb *BlockBuilder) IntToFloat(a Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConvIF, A: int32(d), B: int32(a)})
+	bb.emit(Instr{Op: OpConvIF, A: bb.reg(d), B: bb.reg(a)})
 	return d
 }
 
 // FloatToInt truncates a float register to integer.
 func (bb *BlockBuilder) FloatToInt(a Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpConvFI, A: int32(d), B: int32(a)})
+	bb.emit(Instr{Op: OpConvFI, A: bb.reg(d), B: bb.reg(a)})
 	return d
 }
 
 // New allocates an instance of the named class.
 func (bb *BlockBuilder) New(class string) Reg {
 	d := bb.dest()
-	bb.emitOperand(Instr{Op: OpNew, A: int32(d)}, Operand{Type: Ref(class)})
+	bb.emitOperand(Instr{Op: OpNew, A: bb.reg(d)}, Operand{Type: bb.mb.b.slab.typeRef(Ref(class))})
 	return d
 }
 
 // NewArray allocates an array with the given element type and length.
 func (bb *BlockBuilder) NewArray(elem TypeRef, length Reg) Reg {
 	d := bb.dest()
-	bb.emitOperand(Instr{Op: OpNewArray, A: int32(d), B: int32(length)}, Operand{Type: elem})
+	bb.emitOperand(Instr{Op: OpNewArray, A: bb.reg(d), B: bb.reg(length)}, Operand{Type: bb.mb.b.slab.typeRef(elem)})
 	return d
 }
 
 // AGet loads arr[idx].
 func (bb *BlockBuilder) AGet(arr, idx Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpArrayGet, A: int32(d), B: int32(arr), C: int32(idx)})
+	bb.emit(Instr{Op: OpArrayGet, A: bb.reg(d), B: bb.reg(arr), C: bb.reg(idx)})
 	return d
 }
 
 // ASet stores arr[idx] = val.
 func (bb *BlockBuilder) ASet(arr, idx, val Reg) {
-	bb.emit(Instr{Op: OpArraySet, A: int32(arr), B: int32(idx), C: int32(val)})
+	bb.emit(Instr{Op: OpArraySet, A: bb.reg(arr), B: bb.reg(idx), C: bb.reg(val)})
 }
 
 // ALen loads the length of arr.
 func (bb *BlockBuilder) ALen(arr Reg) Reg {
 	d := bb.dest()
-	bb.emit(Instr{Op: OpArrayLen, A: int32(d), B: int32(arr)})
+	bb.emit(Instr{Op: OpArrayLen, A: bb.reg(d), B: bb.reg(arr)})
 	return d
 }
 
 // GetField loads obj.field (field declared on or inherited by class).
 func (bb *BlockBuilder) GetField(obj Reg, class, field string) Reg {
 	d := bb.dest()
-	bb.emitOperand(Instr{Op: OpGetField, A: int32(d), B: int32(obj)}, Operand{CName: class, Sym: field})
+	bb.emitOperand(Instr{Op: OpGetField, A: bb.reg(d), B: bb.reg(obj)}, Operand{CName: class, Sym: field})
 	return d
 }
 
 // PutField stores obj.field = val.
 func (bb *BlockBuilder) PutField(obj Reg, class, field string, val Reg) {
-	bb.emitOperand(Instr{Op: OpPutField, A: int32(obj), B: int32(val)}, Operand{CName: class, Sym: field})
+	bb.emitOperand(Instr{Op: OpPutField, A: bb.reg(obj), B: bb.reg(val)}, Operand{CName: class, Sym: field})
 }
 
 // GetStatic loads a static field.
 func (bb *BlockBuilder) GetStatic(class, field string) Reg {
 	d := bb.dest()
-	bb.emitOperand(Instr{Op: OpGetStatic, A: int32(d)}, Operand{CName: class, Sym: field})
+	bb.emitOperand(Instr{Op: OpGetStatic, A: bb.reg(d)}, Operand{CName: class, Sym: field})
 	return d
 }
 
 // PutStatic stores a static field.
 func (bb *BlockBuilder) PutStatic(class, field string, val Reg) {
-	bb.emitOperand(Instr{Op: OpPutStatic, A: int32(val)}, Operand{CName: class, Sym: field})
+	bb.emitOperand(Instr{Op: OpPutStatic, A: bb.reg(val)}, Operand{CName: class, Sym: field})
 }
 
 // Call invokes a statically bound method and returns the result register.
 func (bb *BlockBuilder) Call(class, method string, args ...Reg) Reg {
 	d := bb.dest()
-	bb.emitOperand(Instr{Op: OpCall, A: int32(d)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
+	bb.emitOperand(Instr{Op: OpCall, A: bb.reg(d)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
 	return d
 }
 
 // CallVoid invokes a statically bound method, discarding any result.
 func (bb *BlockBuilder) CallVoid(class, method string, args ...Reg) {
-	bb.emitOperand(Instr{Op: OpCall, A: int32(NoReg)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
+	bb.emitOperand(Instr{Op: OpCall, A: RegNone}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
 }
 
 // CallVirt invokes a method with dynamic dispatch on args[0].
 func (bb *BlockBuilder) CallVirt(class, method string, args ...Reg) Reg {
 	d := bb.dest()
-	bb.emitOperand(Instr{Op: OpCallVirt, A: int32(d)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
+	bb.emitOperand(Instr{Op: OpCallVirt, A: bb.reg(d)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
 	return d
 }
 
 // CallVirtVoid invokes a method with dynamic dispatch, discarding any result.
 func (bb *BlockBuilder) CallVirtVoid(class, method string, args ...Reg) {
-	bb.emitOperand(Instr{Op: OpCallVirt, A: int32(NoReg)}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
+	bb.emitOperand(Instr{Op: OpCallVirt, A: RegNone}, Operand{CName: class, Sym: method, Args: bb.regs(args)})
 }
 
 // Intrinsic invokes a value-producing intrinsic.
 func (bb *BlockBuilder) Intrinsic(name string, args ...Reg) Reg {
 	d := bb.dest()
-	bb.emitOperand(Instr{Op: OpIntrinsic, A: int32(d)}, Operand{Sym: name, Args: bb.regs(args)})
+	bb.emitOperand(Instr{Op: OpIntrinsic, A: bb.reg(d)}, Operand{Sym: name, Args: bb.regs(args)})
 	return d
 }
 
 // IntrinsicVoid invokes a side-effect-only intrinsic.
 func (bb *BlockBuilder) IntrinsicVoid(name string, args ...Reg) {
-	bb.emitOperand(Instr{Op: OpIntrinsic, A: int32(NoReg)}, Operand{Sym: name, Args: bb.regs(args)})
+	bb.emitOperand(Instr{Op: OpIntrinsic, A: RegNone}, Operand{Sym: name, Args: bb.regs(args)})
 }
 
 // Spawn starts a thread running the static method target ("Class.method")
 // with the given arguments.
 func (bb *BlockBuilder) Spawn(target string, args ...Reg) {
-	bb.emitOperand(Instr{Op: OpIntrinsic, A: int32(NoReg)}, Operand{Sym: IntrinsicSpawn, CName: target, Args: bb.regs(args)})
+	bb.emitOperand(Instr{Op: OpIntrinsic, A: RegNone}, Operand{Sym: IntrinsicSpawn, CName: target, Args: bb.regs(args)})
 }
 
 // Goto terminates the block with an unconditional jump.
@@ -457,17 +496,17 @@ func (bb *BlockBuilder) Goto(t *BlockBuilder) {
 
 // If terminates the block with a conditional branch.
 func (bb *BlockBuilder) If(cond Reg, then, els *BlockBuilder) {
-	bb.terminate(Term{Op: TermIf, Cond: int(cond), Then: then.blk.Index, Else: els.blk.Index})
+	bb.terminate(Term{Op: TermIf, Cond: bb.reg(cond), Then: then.blk.Index, Else: els.blk.Index})
 }
 
 // Ret terminates the block returning v.
 func (bb *BlockBuilder) Ret(v Reg) {
-	bb.terminate(Term{Op: TermReturn, Ret: int(v)})
+	bb.terminate(Term{Op: TermReturn, Ret: bb.reg(v)})
 }
 
 // RetVoid terminates the block with a void return.
 func (bb *BlockBuilder) RetVoid() {
-	bb.terminate(Term{Op: TermReturn, Ret: int(NoReg)})
+	bb.terminate(Term{Op: TermReturn, Ret: RegNone})
 }
 
 func (bb *BlockBuilder) terminate(t Term) {
@@ -540,10 +579,12 @@ func (bb *BlockBuilder) IfElse(cond Reg, fillT, fillE func(b *BlockBuilder) *Blo
 	return join
 }
 
-// regs copies argument registers into the builder's slab.
+// regs copies argument registers into the builder's slab. Each is bounded
+// as reg bounds it, so none is truncated to int32.
 func (bb *BlockBuilder) regs(rs []Reg) []int32 {
 	out := bb.mb.b.slab.regs(len(rs))
 	for i, r := range rs {
+		bb.reg(r)
 		out[i] = int32(r)
 	}
 	return out

@@ -115,7 +115,7 @@ func EncodeProgram(w io.Writer, p *Program) error {
 					o := encodedOperand(&b.Instrs[i])
 					e.collect(o.Sym)
 					e.collect(o.CName)
-					collectType(e, o.Type)
+					collectType(e, o.typeOf())
 				}
 			}
 		}
@@ -176,24 +176,24 @@ func EncodeProgram(w io.Writer, p *Program) error {
 				for i := range b.Instrs {
 					in := &b.Instrs[i]
 					e.u(uint64(in.Op))
-					e.i(int64(in.A))
-					e.i(int64(in.B))
-					e.i(int64(in.C))
+					e.i(int64(wideReg(in.A)))
+					e.i(int64(wideReg(in.B)))
+					e.i(int64(wideReg(in.C)))
 					e.i(in.Val)
 					o := encodedOperand(in)
 					e.s(o.Sym)
 					e.s(o.CName)
-					e.typeRef(o.Type)
+					e.typeRef(o.typeOf())
 					e.u(uint64(len(o.Args)))
 					for _, a := range o.Args {
 						e.i(int64(a))
 					}
 				}
 				e.u(uint64(b.Term.Op))
-				e.i(int64(b.Term.Cond))
+				e.i(int64(wideReg(b.Term.Cond)))
 				e.i(int64(b.Term.Then))
 				e.i(int64(b.Term.Else))
-				e.i(int64(b.Term.Ret))
+				e.i(int64(wideReg(b.Term.Ret)))
 			}
 		}
 	}
@@ -234,15 +234,31 @@ func (d *decoder) s() (string, error) {
 	return d.table[idx], nil
 }
 
-// reg reads a register. A value outside int32 is corrupt: it is rejected
-// rather than truncated, which could wrap it into a valid register.
-func (d *decoder) reg() (int32, error) {
+// reg reads a register field of an instruction or terminator. A value
+// outside [NoReg, MaxRegs) is corrupt: it is rejected rather than
+// truncated, which could wrap it into a valid register.
+func (d *decoder) reg() (uint16, error) {
+	v, err := d.i()
+	if err != nil {
+		return 0, err
+	}
+	r, ok := narrowReg(v)
+	if !ok {
+		return 0, fmt.Errorf("ir: register %d outside [%d, %d)", v, NoReg, MaxRegs)
+	}
+	return r, nil
+}
+
+// i32 reads an argument register or a block target. A value outside
+// int32 is rejected, as reg rejects one outside 16 bits; Resolve bounds
+// the rest.
+func (d *decoder) i32(what string) (int32, error) {
 	v, err := d.i()
 	if err != nil {
 		return 0, err
 	}
 	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("ir: register %d outside the int32 range", v)
+		return 0, fmt.Errorf("ir: %s %d outside the int32 range", what, v)
 	}
 	return int32(v), nil
 }
@@ -478,8 +494,12 @@ func DecodeProgram(r io.Reader) (*Program, error) {
 					if o.CName, err = d.s(); err != nil {
 						return nil, err
 					}
-					if o.Type, err = d.typeRef(); err != nil {
+					t, err := d.typeRef()
+					if err != nil {
 						return nil, err
+					}
+					if in.Op.HasType() || t != (TypeRef{}) {
+						o.Type = d.slab.typeRef(t)
 					}
 					na, err := d.count("arg")
 					if err != nil {
@@ -487,7 +507,7 @@ func DecodeProgram(r io.Reader) (*Program, error) {
 					}
 					d.args = d.args[:0]
 					for ai := 0; ai < na; ai++ {
-						a, err := d.reg()
+						a, err := d.i32("argument register")
 						if err != nil {
 							return nil, err
 						}
@@ -508,12 +528,17 @@ func DecodeProgram(r io.Reader) (*Program, error) {
 					return nil, err
 				}
 				b.Term.Op = TermOp(top)
-				for _, dst := range []*int{&b.Term.Cond, &b.Term.Then, &b.Term.Else, &b.Term.Ret} {
-					v, err := d.i()
-					if err != nil {
-						return nil, err
-					}
-					*dst = int(v)
+				if b.Term.Cond, err = d.reg(); err != nil {
+					return nil, err
+				}
+				if b.Term.Then, err = d.i32("block target"); err != nil {
+					return nil, err
+				}
+				if b.Term.Else, err = d.i32("block target"); err != nil {
+					return nil, err
+				}
+				if b.Term.Ret, err = d.reg(); err != nil {
+					return nil, err
 				}
 				m.Blocks = append(m.Blocks, b)
 			}

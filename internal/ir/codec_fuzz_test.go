@@ -3,6 +3,8 @@ package ir
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -20,8 +22,9 @@ func putUvarints(prefix []byte, vs ...uint64) []byte {
 
 // TestDecodeProgramRejectsHostileInput covers the alloc-bomb and
 // recursion paths hardened against fuzzer findings: declared counts far
-// beyond the bytes present, and unbounded array-type nesting; and
-// registers outside the int32 range of Instr.
+// beyond the bytes present, and unbounded array-type nesting; registers
+// outside the 16-bit fields of Instr and Term; and block targets and
+// argument registers outside int32.
 func TestDecodeProgramRejectsHostileInput(t *testing.T) {
 	head := []byte(progMagic)
 	head = putUvarints(head, progVersion)
@@ -72,9 +75,9 @@ func TestDecodeProgramRejectsHostileInput(t *testing.T) {
 			1<<40, // NParams
 		), "implausible parameter count"},
 	}
-	// A static void method A.f with 4 registers whose one block holds
-	// the instruction encoded by instr and returns.
-	oneInstr := func(instr ...uint64) []byte {
+	// A static void method A.f with 4 registers and one block, which holds
+	// the instructions encoded by instrs and ends in the terminator term.
+	oneBlock := func(term [5]uint64, ninstr uint64, instrs ...uint64) []byte {
 		data := putUvarints(head,
 			4, 0, 1, 'A', 1, 'f', 5, 'p', 'r', 'i', 'n', 't', // "", "A", "f", "print"
 			0, 1, 2, // name, entry class, entry method
@@ -89,29 +92,55 @@ func TestDecodeProgramRejectsHostileInput(t *testing.T) {
 			uint64(KVoid),
 			4, // NumRegs
 			1, // one block
-			1, // one instruction
+			ninstr,
 		)
-		data = putUvarints(data, instr...)
-		return putUvarints(data, uint64(TermReturn), 0, 0, 0, 1) // ret (Ret -1)
+		data = putUvarints(data, instrs...)
+		return putUvarints(data, term[:]...)
 	}
 	// zigzag encodes a signed varint operand.
 	zigzag := func(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-	// Registers beyond int32 must be rejected, not truncated: 2^32+3
-	// would wrap into the valid register 3.
-	const wraps = 1<<32 + 3
-	constInto := func(r int64) []byte {
-		return oneInstr(uint64(OpConstInt), zigzag(r), 0, 0, 0, 0, 0, uint64(KInt), 0)
+	retVoid := [5]uint64{uint64(TermReturn), 0, 0, 0, zigzag(-1)}
+	oneInstr := func(instr ...uint64) []byte { return oneBlock(retVoid, 1, instr...) }
+	// constInto encodes const.i with registers a, b and c.
+	constInto := func(a, b, c int64) []byte {
+		return oneInstr(uint64(OpConstInt), zigzag(a), zigzag(b), zigzag(c), 0, 0, 0, uint64(KInt), 0)
 	}
 	printArg := func(r int64) []byte {
 		return oneInstr(uint64(OpIntrinsic), zigzag(-1), 0, 0, 0, 3, 0, uint64(KInt), 1, zigzag(r))
 	}
-	for name, data := range map[string][]byte{"register": constInto(3), "argument": printArg(3)} {
+	// ifOn encodes a block that branches on register cond to blocks then
+	// and els; ret encodes one that returns register r.
+	ifOn := func(cond, then, els int64) []byte {
+		return oneBlock([5]uint64{uint64(TermIf), zigzag(cond), zigzag(then), zigzag(els), zigzag(-1)}, 0)
+	}
+	ret := func(r int64) []byte {
+		return oneBlock([5]uint64{uint64(TermReturn), 0, 0, 0, zigzag(r)}, 0)
+	}
+	for name, data := range map[string][]byte{
+		"register": constInto(3, 0, 0), "argument": printArg(3),
+		"if": ifOn(3, 0, 0),
+	} {
 		if _, err := DecodeProgram(bytes.NewReader(data)); err != nil {
-			t.Fatalf("%s 3: the valid form of the int32 cases does not decode: %v", name, err)
+			t.Fatalf("%s: the valid form of the register cases does not decode: %v", name, err)
 		}
 	}
-	cases["register-beyond-int32"] = hostile{constInto(wraps), "outside the int32 range"}
-	cases["negative-register-beyond-int32"] = hostile{constInto(-wraps), "outside the int32 range"}
+	// A register field holds [NoReg, MaxRegs) in 16 bits, and a block
+	// target an int32. Anything else must be rejected, not truncated:
+	// 65536 would wrap into register 0, 65535 into NoReg, and 2^32+3 into
+	// register 3; the target 2^32 would wrap into block 0.
+	const wraps = 1<<32 + 3
+	const badReg = "outside [-1, 65535)"
+	for _, r := range []int64{-2, MaxRegs, MaxRegs + 1, wraps, -wraps} {
+		cases[fmt.Sprintf("register-A-%d", r)] = hostile{constInto(r, 0, 0), badReg}
+		cases[fmt.Sprintf("register-B-%d", r)] = hostile{constInto(0, r, 0), badReg}
+		cases[fmt.Sprintf("register-C-%d", r)] = hostile{constInto(0, 0, r), badReg}
+		cases[fmt.Sprintf("term-cond-%d", r)] = hostile{ifOn(r, 0, 0), badReg}
+		cases[fmt.Sprintf("term-ret-%d", r)] = hostile{ret(r), badReg}
+	}
+	for _, b := range []int64{1 << 32, -(1 << 32), math.MaxInt32 + 1} {
+		cases[fmt.Sprintf("term-then-%d", b)] = hostile{ifOn(0, b, 0), "outside the int32 range"}
+		cases[fmt.Sprintf("term-else-%d", b)] = hostile{ifOn(0, 0, b), "outside the int32 range"}
+	}
 	cases["argument-beyond-int32"] = hostile{printArg(wraps), "outside the int32 range"}
 
 	for name, tc := range cases {

@@ -118,7 +118,7 @@ func TestProgramCodecRoundTrip(t *testing.T) {
 					if pi.Op != qi.Op || pi.A != qi.A || pi.B != qi.B || pi.C != qi.C ||
 						pi.Val != qi.Val || (pi.Operand == nil) != (qi.Operand == nil) ||
 						pi.Operand != nil && (pi.Sym != qi.Sym || pi.CName != qi.CName ||
-							!pi.Type.Equal(qi.Type) || !slices.Equal(pi.Args, qi.Args)) {
+							(pi.Type == nil) != (qi.Type == nil) || pi.Type != nil && !pi.Type.Equal(*qi.Type) || !slices.Equal(pi.Args, qi.Args)) {
 						t.Fatalf("%s block %d instr %d mismatch:\n%+v\n%+v", pm.Signature(), bi, ii, pi, qi)
 					}
 				}
@@ -187,7 +187,7 @@ func TestProgramCodecNegativeRegisterFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := q.Class("A").DeclaredMethod("f").Blocks[0].Instrs[0]
-	if in.A != int32(NoReg) {
+	if in.A != RegNone {
 		t.Errorf("A = %d, want %d", in.A, NoReg)
 	}
 }
@@ -260,7 +260,7 @@ func TestProgramCodecKeepsStrayOperands(t *testing.T) {
 		{Op: OpConstInt, A: 1, Val: 8},
 	}
 	m := &Method{Name: "f", Static: true, Returns: Void(), NumRegs: 2,
-		Blocks: []*Block{{Instrs: body, Term: Term{Op: TermReturn, Ret: -1}}}}
+		Blocks: []*Block{{Instrs: body, Term: Term{Op: TermReturn, Ret: RegNone}}}}
 	p := &Program{Name: "stray", EntryClass: "A", EntryMethod: "f",
 		Classes: []*Class{{Name: "A", Methods: []*Method{m}}}}
 	var b1 bytes.Buffer
@@ -288,17 +288,27 @@ func TestProgramCodecKeepsStrayOperands(t *testing.T) {
 }
 
 // TestResolveRejectsMissingOperand: an opcode that needs an Operand and
-// has none fails Resolve with a defined error.
+// has none, or an allocation whose Operand has no Type, fails Resolve with
+// a defined error.
 func TestResolveRejectsMissingOperand(t *testing.T) {
+	resolve := func(in Instr) error {
+		m := &Method{Name: "f", Static: true, Returns: Void(), NumRegs: 1,
+			Blocks: []*Block{{Instrs: []Instr{in}, Term: Term{Op: TermReturn, Ret: RegNone}}}}
+		p := &Program{Name: "bare", Classes: []*Class{{Name: "A", Methods: []*Method{m}}}}
+		return p.Resolve()
+	}
 	for op := Op(0); int(op) < NumOps; op++ {
 		if !op.HasOperand() {
 			continue
 		}
-		m := &Method{Name: "f", Static: true, Returns: Void(), NumRegs: 1,
-			Blocks: []*Block{{Instrs: []Instr{{Op: op}}, Term: Term{Op: TermReturn, Ret: -1}}}}
-		p := &Program{Name: "bare", Classes: []*Class{{Name: "A", Methods: []*Method{m}}}}
-		if err := p.Resolve(); err == nil || !strings.Contains(err.Error(), "no operand") {
+		if err := resolve(Instr{Op: op}); err == nil || !strings.Contains(err.Error(), "no operand") {
 			t.Errorf("%s without an Operand: err = %v", op, err)
+		}
+		if !op.HasType() {
+			continue
+		}
+		if err := resolve(Instr{Op: op, Operand: &Operand{}}); err == nil || !strings.Contains(err.Error(), "no type") {
+			t.Errorf("%s without a Type: err = %v", op, err)
 		}
 	}
 }

@@ -240,15 +240,17 @@ func (id IntrinsicID) Arity() int {
 // intrinsic is assumed to, so its destination is still validated.
 func (id IntrinsicID) HasDest() bool { return id == IntrUnknown || intrinsics[id].dest }
 
-// Instr is a single three-address instruction, 32 bytes. The meaning of
-// the fields depends on Op; unused fields are zero.
+// Instr is a single three-address instruction, 24 bytes: the opcode and
+// its three registers share one word. The meaning of the fields depends on
+// Op; unused fields are zero. A register field holds a register index
+// below MaxRegs, or RegNone for NoReg.
 type Instr struct {
 	Op Op
 	// A is the destination register for producing instructions, or the
 	// object/array register for OpArraySet/OpPutField/OpPutStatic.
-	A int32
+	A uint16
 	// B and C are source registers.
-	B, C int32
+	B, C uint16
 	// Val is the integer literal, float bits, or operator code.
 	Val int64
 	// Operand holds the operands only some opcodes use (see
@@ -266,8 +268,10 @@ type Operand struct {
 	Sym string
 	// CName is the class name qualifying Sym for field/method instructions.
 	CName string
-	// Type is the allocated type for OpNew (KRef) / OpNewArray (element).
-	Type TypeRef
+	// Type is the allocated type for OpNew (KRef) / OpNewArray (element),
+	// nil on the other opcodes (see Op.HasType). Instructions of one
+	// program share each distinct type.
+	Type *TypeRef
 	// Args are the argument registers of calls and intrinsics.
 	Args []int32
 
@@ -294,28 +298,46 @@ func (o Op) HasOperand() bool {
 	return false
 }
 
+// HasType reports whether instructions with opcode o allocate, and so
+// carry a Type in their Operand.
+func (o Op) HasType() bool { return o == OpNew || o == OpNewArray }
+
+// typeOf returns the type o encodes: its Type, or the zero type when it
+// has none.
+func (o *Operand) typeOf() TypeRef {
+	if o.Type == nil {
+		return TypeRef{}
+	}
+	return *o.Type
+}
+
 // encodesEmpty reports whether o encodes as no Operand does: no symbol,
 // class name, type or argument.
 func (o *Operand) encodesEmpty() bool {
-	return o.Sym == "" && o.CName == "" && o.Type == (TypeRef{}) && len(o.Args) == 0
+	return o.Sym == "" && o.CName == "" && o.typeOf() == (TypeRef{}) && len(o.Args) == 0
 }
 
-// operandChunk, argChunk and blockChunk are the capacities of the slab
-// chunks that Operands, argument registers and Blocks are carved from.
+// operandChunk, argChunk, blockChunk and typeChunk are the capacities of
+// the slab chunks that Operands, argument registers, Blocks and interned
+// TypeRefs are carved from.
 const (
 	operandChunk = 256
 	argChunk     = 1024
 	blockChunk   = 256
+	typeChunk    = 64
 )
 
 // codeSlab carves Operands, argument-register slices and Blocks out of
 // chunked backing arrays, so a program's code costs a few allocations
 // rather than one per operand or block. The program keeps every chunk it
-// draws from.
+// draws from. It also interns the types of allocating instructions, so
+// that those of one type share one TypeRef.
 type codeSlab struct {
 	operands []Operand
 	args     []int32
 	blocks   []Block
+	types    []TypeRef
+	interned map[TypeRef]*TypeRef
 }
 
 // carve returns a pointer to the next zero element of the chunk *s,
@@ -335,11 +357,30 @@ func (s *codeSlab) operand(o Operand) *Operand {
 	return p
 }
 
-// block returns a new empty block with the given index.
+// block returns a new empty block with the given index, which the caller
+// has bounded by math.MaxInt32.
 func (s *codeSlab) block(index int) *Block {
 	b := carve(&s.blocks, blockChunk)
-	b.Index = index
+	b.Index = int32(index)
 	return b
+}
+
+// typeRef returns the interned copy of t. An array type's element type is
+// interned first, so structurally equal types map to one key.
+func (s *codeSlab) typeRef(t TypeRef) *TypeRef {
+	if t.Kind == KArray && t.Elem != nil {
+		t.Elem = s.typeRef(*t.Elem)
+	}
+	if p, ok := s.interned[t]; ok {
+		return p
+	}
+	if s.interned == nil {
+		s.interned = make(map[TypeRef]*TypeRef)
+	}
+	p := carve(&s.types, typeChunk)
+	*p = t
+	s.interned[t] = p
+	return p
 }
 
 // regs returns n zeroed argument registers for the caller to fill, as a
@@ -361,7 +402,7 @@ func (in *Instr) HasDest() bool {
 	case OpIntrinsic:
 		return LookupIntrinsic(in.Sym).HasDest()
 	case OpCall, OpCallVirt:
-		return in.A >= 0
+		return in.A != RegNone
 	}
 	return true
 }
@@ -418,13 +459,14 @@ const (
 	TermReturn
 )
 
-// Term is the terminator of a basic block.
+// Term is the terminator of a basic block, 16 bytes. Its registers are
+// narrowed as Instr's are.
 type Term struct {
 	Op   TermOp
-	Cond int // register for TermIf
-	Then int // target block index
-	Else int // target block index for TermIf
-	Ret  int // return value register for TermReturn; -1 for void
+	Cond uint16 // register for TermIf
+	Ret  uint16 // return value register for TermReturn; RegNone for void
+	Then int32  // target block index
+	Else int32  // target block index for TermIf
 }
 
 // CodeSize returns the estimated machine-code size of the terminator.
@@ -442,9 +484,10 @@ func (t Term) CodeSize() int {
 }
 
 // Block is a basic block: a straight-line instruction sequence ending in a
-// terminator. Blocks are identified by their index within the method.
+// terminator, 48 bytes. Blocks are identified by their index within the
+// method.
 type Block struct {
-	Index  int
+	Index  int32
 	Instrs []Instr
 	Term   Term
 }

@@ -232,6 +232,37 @@ func TestDoubleTerminationRejected(t *testing.T) {
 	}
 }
 
+// TestRegisterOverflowRejected: a register outside [NoReg, MaxRegs) fails
+// Build with a defined error instead of wrapping into a 16-bit register
+// field, whether a method allocates more than MaxRegs registers or a
+// caller names one it never allocated.
+func TestRegisterOverflowRejected(t *testing.T) {
+	cases := map[string]func(e *BlockBuilder){
+		"allocates beyond MaxRegs": func(e *BlockBuilder) {
+			for i := 0; i <= MaxRegs; i++ {
+				e.ConstInt(int64(i))
+			}
+		},
+		"source 65536":     func(e *BlockBuilder) { e.Move(Reg(1 << 16)) },
+		"destination -2":   func(e *BlockBuilder) { e.MoveTo(-2, e.ConstInt(0)) },
+		"branch on 65535":  func(e *BlockBuilder) { e.IfThen(Reg(MaxRegs), func(t *BlockBuilder) *BlockBuilder { return t }) },
+		"argument 2^32+3":  func(e *BlockBuilder) { e.IntrinsicVoid(IntrinsicPrint, Reg(1<<32+3)) },
+		"condition 2^32+3": func(e *BlockBuilder) { e.IfThen(Reg(1<<32+3), func(t *BlockBuilder) *BlockBuilder { return t }) },
+	}
+	for name, fill := range cases {
+		t.Run(name, func(t *testing.T) {
+			b := NewBuilder("regs")
+			e := b.Class("A").StaticMethod("f", 0, Void()).Entry()
+			fill(e)
+			e.RetVoid()
+			_, err := b.Build()
+			if err == nil || !strings.Contains(err.Error(), "outside [-1, 65535)") {
+				t.Fatalf("Build err = %v, want a register outside [-1, 65535)", err)
+			}
+		})
+	}
+}
+
 func TestForLoopShape(t *testing.T) {
 	b := NewBuilder("loop")
 	c := b.Class("A")

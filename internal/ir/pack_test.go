@@ -40,18 +40,30 @@ func TestBlocksStoredAtExactSize(t *testing.T) {
 	}
 }
 
-// TestInstrSize pins the instruction at 32 bytes: the opcode, three int32
-// registers, the literal and the Operand pointer. Every program holds its
-// instructions resident, so a field added here costs on all of them.
+// TestInstrSize pins the resident IR records: the instruction at 24 bytes
+// (the opcode and three 16-bit registers in one word, the literal and the
+// Operand pointer), the terminator at 16, the block at 48 and the operand
+// at 88. Every program holds these resident, so a field added here costs
+// on all of them.
 func TestInstrSize(t *testing.T) {
-	if got := unsafe.Sizeof(ir.Instr{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(ir.Instr{}) = %d, want 32", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"ir.Instr", unsafe.Sizeof(ir.Instr{}), 24},
+		{"ir.Term", unsafe.Sizeof(ir.Term{}), 16},
+		{"ir.Block", unsafe.Sizeof(ir.Block{}), 48},
+		{"ir.Operand", unsafe.Sizeof(ir.Operand{}), 88},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
 // TestOperandsFollowOpcodes: on every workload program, built and after a
 // codec round trip, an instruction carries an Operand exactly when its
-// opcode has operands.
+// opcode has operands, and a Type exactly when it allocates.
 func TestOperandsFollowOpcodes(t *testing.T) {
 	for _, p := range everyProgram() {
 		var buf bytes.Buffer
@@ -77,6 +89,10 @@ func TestOperandsFollowOpcodes(t *testing.T) {
 						}
 						if in.Operand != nil {
 							with++
+							if (in.Type != nil) != in.Op.HasType() {
+								t.Fatalf("%s %s: %s block %d instr %d (%s): has Type %v",
+									prog.how, p.Name, m.Signature(), blk.Index, i, in.Op, in.Type != nil)
+							}
 						}
 					}
 				}

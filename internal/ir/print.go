@@ -98,7 +98,7 @@ func formatTerm(t Term) string {
 	case TermIf:
 		return fmt.Sprintf("if r%d -> b%d else b%d", t.Cond, t.Then, t.Else)
 	case TermReturn:
-		if t.Ret < 0 {
+		if t.Ret == RegNone {
 			return "ret"
 		}
 		return fmt.Sprintf("ret r%d", t.Ret)

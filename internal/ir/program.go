@@ -133,14 +133,14 @@ func (p *Program) resolveMethod(m *Method) error {
 		}
 		return nil
 	}
-	checkBlock := func(b int) error {
-		if b < 0 || b >= len(m.Blocks) {
+	checkBlock := func(b int32) error {
+		if b < 0 || int(b) >= len(m.Blocks) {
 			return fmt.Errorf("%s: block target %d out of range [0,%d)", where(), b, len(m.Blocks))
 		}
 		return nil
 	}
 	for bi, b := range m.Blocks {
-		if b.Index != bi {
+		if int(b.Index) != bi {
 			return fmt.Errorf("%s: block %d has index %d", where(), bi, b.Index)
 		}
 		for ii := range b.Instrs {
@@ -155,7 +155,7 @@ func (p *Program) resolveMethod(m *Method) error {
 				return err
 			}
 		case TermIf:
-			if err := checkReg(b.Term.Cond); err != nil {
+			if err := checkReg(int(wideReg(b.Term.Cond))); err != nil {
 				return err
 			}
 			if err := checkBlock(b.Term.Then); err != nil {
@@ -165,8 +165,8 @@ func (p *Program) resolveMethod(m *Method) error {
 				return err
 			}
 		case TermReturn:
-			if b.Term.Ret >= 0 {
-				if err := checkReg(b.Term.Ret); err != nil {
+			if b.Term.Ret != RegNone {
+				if err := checkReg(int(b.Term.Ret)); err != nil {
 					return err
 				}
 				if m.Returns.Kind == KVoid {
@@ -181,8 +181,16 @@ func (p *Program) resolveMethod(m *Method) error {
 }
 
 func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) error {
-	regs := func(rs ...int32) error {
+	regs := func(rs ...uint16) error {
 		for _, r := range rs {
+			if err := checkReg(int(wideReg(r))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	args := func() error {
+		for _, r := range in.Args {
 			if err := checkReg(int(r)); err != nil {
 				return err
 			}
@@ -203,6 +211,9 @@ func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) e
 		if err := regs(in.A); err != nil {
 			return err
 		}
+		if in.Type == nil {
+			return fmt.Errorf("no type")
+		}
 		c := p.Class(in.Type.Name)
 		if in.Type.Kind != KRef || c == nil {
 			return fmt.Errorf("unknown class %q", in.Type.Name)
@@ -212,6 +223,9 @@ func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) e
 	case OpNewArray:
 		if err := regs(in.A, in.B); err != nil {
 			return err
+		}
+		if in.Type == nil {
+			return fmt.Errorf("no type")
 		}
 		if err := in.Type.validate(); err != nil {
 			return err
@@ -249,12 +263,12 @@ func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) e
 		in.Field = f
 		return nil
 	case OpCall, OpCallVirt:
-		if in.A >= 0 {
+		if in.A != RegNone {
 			if err := regs(in.A); err != nil {
 				return err
 			}
 		}
-		if err := regs(in.Args...); err != nil {
+		if err := args(); err != nil {
 			return err
 		}
 		c := p.Class(in.CName)
@@ -285,7 +299,7 @@ func (p *Program) resolveInstr(m *Method, in *Instr, checkReg func(int) error) e
 				return err
 			}
 		}
-		return regs(in.Args...)
+		return args()
 	default:
 		return fmt.Errorf("invalid opcode %d", in.Op)
 	}

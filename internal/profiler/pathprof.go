@@ -56,12 +56,12 @@ type Numbering struct {
 func successors(b *ir.Block) []int {
 	switch b.Term.Op {
 	case ir.TermGoto:
-		return []int{b.Term.Then}
+		return []int{int(b.Term.Then)}
 	case ir.TermIf:
 		if b.Term.Then == b.Term.Else {
-			return []int{b.Term.Then}
+			return []int{int(b.Term.Then)}
 		}
-		return []int{b.Term.Then, b.Term.Else}
+		return []int{int(b.Term.Then), int(b.Term.Else)}
 	default:
 		return nil
 	}

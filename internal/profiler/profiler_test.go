@@ -74,8 +74,8 @@ func TestNumberingBackEdgesCut(t *testing.T) {
 	nb := ComputeNumbering(m, 0)
 	cuts := 0
 	for _, b := range m.Blocks {
-		for _, w := range []int{b.Term.Then, b.Term.Else} {
-			if b.Term.Op != ir.TermReturn && nb.IsCut(b.Index, w) {
+		for _, w := range []int32{b.Term.Then, b.Term.Else} {
+			if b.Term.Op != ir.TermReturn && nb.IsCut(int(b.Index), int(w)) {
 				cuts++
 			}
 		}

@@ -85,8 +85,8 @@ const (
 )
 
 const (
-	// noReg is the register field of an absent register.
-	noReg = uint16(ir.MaxRegs)
+	// noReg is the register field of an absent register, as in ir.Instr.
+	noReg = ir.RegNone
 	// flagClinit marks new, static accesses, and calls of static methods
 	// other than class initializers: the ops that trigger class
 	// initialization on an AutoClinit machine.
@@ -163,7 +163,7 @@ func decode(meth *ir.Method) *code {
 }
 
 func (c *code) instr(in *ir.Instr) op {
-	o := op{code: uint8(in.Op), a: reg(int(in.A)), b: reg(int(in.B)), c: reg(int(in.C))}
+	o := op{code: uint8(in.Op), a: in.A, b: in.B, c: in.C}
 	switch in.Op {
 	case ir.OpConstInt, ir.OpConstFloat:
 		if in.Val >= math.MinInt32 && in.Val <= math.MaxInt32 {
@@ -185,7 +185,7 @@ func (c *code) instr(in *ir.Instr) op {
 		o.sub = flagClinit
 		o.x = c.ref(in.Class)
 	case ir.OpNewArray:
-		o.x = c.ref(&in.Type)
+		o.x = c.ref(in.Type)
 	case ir.OpGetField, ir.OpPutField:
 		o.x = c.ref(in.Field)
 	case ir.OpGetStatic, ir.OpPutStatic:
@@ -225,11 +225,11 @@ func (o *op) operator(v int64, first uint8, last int64) {
 func term(t ir.Term) op {
 	switch t.Op {
 	case ir.TermGoto:
-		return op{code: opGoto, x: int32(t.Then)}
+		return op{code: opGoto, x: t.Then}
 	case ir.TermIf:
-		return op{code: opIf, a: reg(t.Cond), x: int32(t.Then), b: uint16(t.Else), c: uint16(t.Else >> 16)}
+		return op{code: opIf, a: t.Cond, x: t.Then, b: uint16(t.Else), c: uint16(t.Else >> 16)}
 	case ir.TermReturn:
-		return op{code: opReturn, a: reg(t.Ret)}
+		return op{code: opReturn, a: t.Ret}
 	default:
 		return op{code: opBadTerm, x: int32(t.Op)}
 	}
@@ -304,15 +304,6 @@ func DecodedBytes(p *ir.Program) int64 {
 		}
 	}
 	return n
-}
-
-// reg narrows a register index; a negative index (ir.NoReg) becomes noReg.
-// Resolve bounds every register by ir.MaxRegs.
-func reg(r int) uint16 {
-	if r < 0 {
-		return noReg
-	}
-	return uint16(r)
 }
 
 // exact returns s in a slice of exactly its length, or nil when empty.

@@ -2,7 +2,7 @@ package workloads
 
 import (
 	"encoding/binary"
-	"fmt"
+	"strconv"
 
 	"nimage/internal/ir"
 	"nimage/internal/murmur"
@@ -57,6 +57,28 @@ func (sp pkgSpec) salted(ci int) bool {
 	return int(murmur.Sum64Seed(buf[:], uint64(len(sp.name)))%100) < share
 }
 
+// pad2 renders a non-negative i in decimal, zero-padded to two digits.
+func pad2(i int) string {
+	if i < 10 {
+		return "0" + strconv.Itoa(i)
+	}
+	return strconv.Itoa(i)
+}
+
+// names returns the package's class names ("pkg.C00", …) and method names
+// ("m00", …), made once so every call site shares them.
+func (sp pkgSpec) names() (classes, methods []string) {
+	classes = make([]string, sp.classes)
+	for ci := range classes {
+		classes[ci] = sp.name + ".C" + pad2(ci)
+	}
+	methods = make([]string, sp.methods)
+	for mi := range methods {
+		methods[mi] = "m" + pad2(mi)
+	}
+	return classes, methods
+}
+
 func (sp pkgSpec) isHot(ci, mi int) bool {
 	return sp.hotPeriod > 0 && ci%sp.hotPeriod == 0 && mi%2 == 0
 }
@@ -84,8 +106,8 @@ func addPackages(b *ir.Builder, specs []pkgSpec) []string {
 		if sp.data%2 == 1 {
 			sp.data++ // keep the string/box alternation aligned
 		}
-		for ci := 0; ci < sp.classes; ci++ {
-			cls := fmt.Sprintf("%s.C%02d", sp.name, ci)
+		classes, methods := sp.names()
+		for ci, cls := range classes {
 			c := b.Class(cls)
 			c.Field("state", ir.Int())
 			// Two candidate roots for the class table: which one the
@@ -151,7 +173,7 @@ func addPackages(b *ir.Builder, specs []pkgSpec) []string {
 			fin.RetVoid()
 
 			for mi := 0; mi < sp.methods; mi++ {
-				m := c.StaticMethod(fmt.Sprintf("m%02d", mi), 1, ir.Int())
+				m := c.StaticMethod(methods[mi], 1, ir.Int())
 				me := m.Entry()
 				acc := me.Move(m.Param(0))
 				for k := 0; k < sp.body; k++ {
@@ -217,7 +239,7 @@ func addPackages(b *ir.Builder, specs []pkgSpec) []string {
 		for ci := 0; ci < sp.classes; ci++ {
 			for mi := 0; mi < sp.methods; mi++ {
 				if sp.isHot(ci, mi) {
-					r := be.Call(fmt.Sprintf("%s.C%02d", sp.name, ci), fmt.Sprintf("m%02d", mi), acc)
+					r := be.Call(classes[ci], methods[mi], acc)
 					be.MoveTo(acc, r)
 				}
 			}
@@ -229,7 +251,7 @@ func addPackages(b *ir.Builder, specs []pkgSpec) []string {
 			for ci := 0; ci < sp.classes; ci++ {
 				for mi := 0; mi < sp.methods; mi++ {
 					if !sp.isHot(ci, mi) {
-						r := th.Call(fmt.Sprintf("%s.C%02d", sp.name, ci), fmt.Sprintf("m%02d", mi), a2)
+						r := th.Call(classes[ci], methods[mi], a2)
 						th.MoveTo(a2, r)
 					}
 				}
