@@ -505,28 +505,33 @@ func copyHeap(roots []heap.RootRef) []heap.RootRef {
 }
 
 // BenchmarkBuildOptimized measures one profile-guided bake of micronaut
-// under the combined strategy: two instrumented builds with memory-mapped
-// profiling runs, post-processing, and the optimized build.
+// per layout strategy: "cu+heap path" makes two instrumented builds with
+// memory-mapped profiling runs, post-processing and the optimized build;
+// "c3" makes a recording build whose run the affinity recorder watches,
+// orders the CUs from the graph and makes the optimized build.
 func BenchmarkBuildOptimized(b *testing.B) {
 	w, err := workloads.ByName("micronaut")
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := w.Build()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := image.BuildOptimized(p, image.PipelineOptions{
-			Compiler:         graal.DefaultConfig(),
-			Strategy:         core.StrategyCombined,
-			InstrumentedSeed: uint64(2 * i),
-			OptimizedSeed:    uint64(2*i + 1),
-			Mode:             profiler.MemoryMapped,
-			Args:             w.Args,
-			Service:          w.Service,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, strategy := range []string{core.StrategyCombined, core.StrategyC3} {
+		b.Run(strategy, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := image.BuildOptimized(p, image.PipelineOptions{
+					Compiler:         graal.DefaultConfig(),
+					Strategy:         strategy,
+					InstrumentedSeed: uint64(2 * i),
+					OptimizedSeed:    uint64(2*i + 1),
+					Mode:             profiler.MemoryMapped,
+					Args:             w.Args,
+					Service:          w.Service,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,8 @@
 package graal
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"nimage/internal/ir"
@@ -138,13 +139,15 @@ func spawnTarget(p *ir.Program, target string) *ir.Method {
 // as read-only and copy it before reordering.
 func (r *Reachability) CompiledMethods() []*ir.Method {
 	r.compiledOnce.Do(func() {
-		var out []*ir.Method
+		out := make([]*ir.Method, 0, len(r.MethodOrder))
 		for _, m := range r.MethodOrder {
 			if !m.Clinit {
 				out = append(out, m)
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Signature() < out[j].Signature() })
+		// ir.Class rejects duplicate methods, so signatures are unique
+		// and the order is total.
+		slices.SortFunc(out, func(a, b *ir.Method) int { return strings.Compare(a.Signature(), b.Signature()) })
 		r.compiled = out
 	})
 	return r.compiled

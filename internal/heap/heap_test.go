@@ -304,6 +304,34 @@ func TestBuildSnapshotSharedAndCyclic(t *testing.T) {
 	}
 }
 
+// TestBuildSnapshotSkipsOtherSnapshots checks that a snapshot takes no
+// object another snapshot holds, nor what is reachable only through one,
+// skips nil roots, and allocates its tables at their exact size.
+func TestBuildSnapshotSkipsOtherSnapshots(t *testing.T) {
+	p := testClasses(t)
+	node := p.Class("Node")
+	nextF := node.LookupField("next")
+	x, y, w, v := NewObject(node), NewObject(node), NewObject(node), NewObject(node)
+	x.SetField(nextF, RefVal(y))
+	y.SetField(nextF, RefVal(w))
+	v.SetField(nextF, RefVal(x))
+	first := BuildSnapshot([]RootRef{{Obj: y, Reason: "A.f"}})
+	if len(first.Objects) != 2 || w.SeqID() != 1 {
+		t.Fatalf("first snapshot: %d objects, w at %d", len(first.Objects), w.SeqID())
+	}
+	s := BuildSnapshot([]RootRef{{Obj: nil}, {Obj: w}, {Obj: v, Reason: "B.g"}, {Obj: y}})
+	if len(s.Objects) != 2 || s.Objects[0] != v || s.Objects[1] != x || s.Parent(x) != v {
+		t.Fatalf("second snapshot took %d objects: %v", len(s.Objects), s.Objects)
+	}
+	if len(s.Roots) != 1 || s.Reason(v) != "B.g" || y.SeqID() != 0 || w.SeqID() != 1 {
+		t.Fatalf("roots %d, reason %q, y at %d, w at %d", len(s.Roots), s.Reason(v), y.SeqID(), w.SeqID())
+	}
+	if cap(s.Objects) != len(s.Objects) || cap(s.meta) != len(s.Objects) || cap(s.Roots) != len(s.Roots) {
+		t.Fatalf("tables not exact: objects %d/%d, meta %d, roots %d/%d",
+			len(s.Objects), cap(s.Objects), cap(s.meta), len(s.Roots), cap(s.Roots))
+	}
+}
+
 func TestBuildSnapshotArrayParents(t *testing.T) {
 	p := testClasses(t)
 	node := p.Class("Node")

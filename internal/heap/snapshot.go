@@ -99,11 +99,43 @@ func (s *Snapshot) Parent(o *Object) *Object {
 // Duplicate roots are allowed: the first occurrence wins, matching Native
 // Image where an object already in the heap keeps its original inclusion
 // reason. An object another snapshot already holds is not taken again.
+//
+// The snapshot lives as long as its image, so its tables are allocated
+// once at their exact size: a first traversal marks and counts the
+// objects and roots, and a second one, which visits the marked objects
+// in the same order, fills the tables.
 func BuildSnapshot(roots []RootRef) *Snapshot {
-	s := &Snapshot{}
+	// Pass 1: mark every object the snapshot takes with seqMarked.
+	var objects, nroots int
+	var mark func(o *Object)
+	mark = func(o *Object) {
+		if objects == math.MaxInt32 {
+			panic(fmt.Sprintf("heap: snapshot of more than %d objects exceeds the metadata range", objects))
+		}
+		o.seq = seqMarked
+		objects++
+		for _, v := range o.Slots {
+			if v.Kind == VRef && v.Ref != nil && v.Ref.seq == 0 {
+				mark(v.Ref)
+			}
+		}
+	}
+	for _, r := range roots {
+		if r.Obj != nil && r.Obj.seq == 0 {
+			nroots++
+			mark(r.Obj)
+		}
+	}
+
+	// Pass 2: number the marked objects in the same order.
+	s := &Snapshot{
+		Objects: make([]*Object, 0, objects),
+		Roots:   make([]RootRef, 0, nroots),
+		meta:    make([]objMeta, 0, objects),
+	}
 	add := func(o *Object, parent uint32, link int) {
 		size := o.SnapshotSize()
-		if len(s.Objects) >= math.MaxInt32 || size > math.MaxInt32 {
+		if size > math.MaxInt32 {
 			panic(fmt.Sprintf("heap: snapshot object %d of %d bytes exceeds the metadata range", len(s.Objects), size))
 		}
 		s.Objects = append(s.Objects, o)
@@ -116,24 +148,20 @@ func BuildSnapshot(roots []RootRef) *Snapshot {
 		// index. Recursion is depth-first to mirror Native Image's
 		// traversal of the first path to each object.
 		for i, v := range o.Slots {
-			if v.Kind == VRef && v.Ref != nil && v.Ref.seq == 0 {
+			if v.Kind == VRef && v.Ref != nil && v.Ref.seq == seqMarked {
 				add(v.Ref, o.seq, i)
 				visit(v.Ref)
 			}
 		}
 	}
 	for _, r := range roots {
-		if r.Obj == nil || r.Obj.seq != 0 {
+		if r.Obj == nil || r.Obj.seq != seqMarked {
 			continue
 		}
 		add(r.Obj, 0, len(s.Roots))
 		s.Roots = append(s.Roots, r)
 		visit(r.Obj)
 	}
-	// The snapshot lives as long as its image: keep its tables at their
-	// exact size.
-	s.Objects = append([]*Object(nil), s.Objects...)
-	s.meta = append([]objMeta(nil), s.meta...)
 	for k, o := range s.Objects {
 		m := &s.meta[k]
 		s.TotalSize += int64(m.size)
@@ -142,6 +170,11 @@ func BuildSnapshot(roots []RootRef) *Snapshot {
 	}
 	return s
 }
+
+// seqMarked is the seq of an object BuildSnapshot's first pass has
+// marked for the snapshot; no SeqID reaches it, because snapshots hold
+// at most math.MaxInt32 objects.
+const seqMarked = math.MaxUint32
 
 // Layout assigns contiguous offsets (8-byte aligned) to objects in the
 // given order, which must be a permutation of the snapshot's objects.

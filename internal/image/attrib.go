@@ -1,7 +1,7 @@
 package image
 
 import (
-	"fmt"
+	"strconv"
 
 	"nimage/internal/heap"
 	"nimage/internal/obs/affinity"
@@ -52,11 +52,12 @@ func (img *Image) AttributionIndex() *attrib.Index {
 			Off: img.NativeOff, Len: img.NativeLen,
 		})
 	}
-	names := img.objectNames()
+	names, types := img.objectNames()
 	for _, o := range img.ObjLayout {
+		k := o.SeqID()
 		syms = append(syms, attrib.Symbol{
-			Name:    names[o],
-			Type:    o.TypeName(),
+			Name:    names[k],
+			Type:    types[k],
 			Kind:    attrib.KindObject,
 			Section: SectionHeap,
 			Off:     img.HeapSection.Off + img.Snapshot.Offset(o),
@@ -71,29 +72,44 @@ func (img *Image) AttributionIndex() *attrib.Index {
 // ObjectNames returns the build-stable attribution name of every snapshot
 // object ("hub:Class", "meta:Class", "Type#k"); the equivalence verifier
 // names diverging objects with them.
-func (img *Image) ObjectNames() map[*heap.Object]string { return img.objectNames() }
+func (img *Image) ObjectNames() map[*heap.Object]string {
+	names, _ := img.objectNames()
+	m := make(map[*heap.Object]string, len(names))
+	for k, o := range img.Snapshot.Objects {
+		m[o] = names[k]
+	}
+	return m
+}
 
 // objectNames assigns every snapshot object its build-stable attribution
-// name. Ordinals are counted over img.Snapshot.Objects (encounter order),
-// not the layout order, so reordering the section does not rename objects.
-func (img *Image) objectNames() map[*heap.Object]string {
-	names := make(map[*heap.Object]string, len(img.Snapshot.Objects))
+// name and returns the names and the objects' type names, both indexed
+// by SeqID. Ordinals are counted over img.Snapshot.Objects (encounter
+// order), not the layout order, so reordering the section does not rename
+// objects.
+func (img *Image) objectNames() (names, types []string) {
+	objs := img.Snapshot.Objects
+	names = make([]string, len(objs))
+	types = make([]string, len(objs))
 	for c, hub := range img.Hubs {
-		names[hub] = "hub:" + c.Name
+		names[hub.SeqID()] = "hub:" + c.Name
 	}
 	for c, meta := range img.MetaBlobs {
-		names[meta] = "meta:" + c.Name
+		names[meta.SeqID()] = "meta:" + c.Name
 	}
 	ordinals := make(map[string]int)
-	for _, o := range img.Snapshot.Objects {
-		if _, ok := names[o]; ok {
+	var buf []byte
+	for k, o := range objs {
+		tn := o.TypeName()
+		types[k] = tn
+		if names[k] != "" {
 			continue
 		}
-		tn := o.TypeName()
-		names[o] = fmt.Sprintf("%s#%d", tn, ordinals[tn])
+		buf = append(append(buf[:0], tn...), '#')
+		buf = strconv.AppendInt(buf, int64(ordinals[tn]), 10)
+		names[k] = string(buf)
 		ordinals[tn]++
 	}
-	return names
+	return names, types
 }
 
 // AttributionTable returns the per-symbol fault attribution of the

@@ -1,10 +1,12 @@
 package image
 
 import (
+	"fmt"
 	"testing"
 
 	"nimage/internal/core"
 	"nimage/internal/graal"
+	"nimage/internal/heap"
 	"nimage/internal/obs/attrib"
 )
 
@@ -206,10 +208,18 @@ func TestObjectNamesStableUnderReordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := img.objectNames()
+	names, types := img.objectNames()
+	metadata := map[*heap.Object]bool{}
+	for _, hub := range img.Hubs {
+		metadata[hub] = true
+	}
+	for _, meta := range img.MetaBlobs {
+		metadata[meta] = true
+	}
 	seen := map[string]bool{}
-	for _, o := range img.Snapshot.Objects {
-		n := names[o]
+	ordinals := map[string]int{}
+	for k, o := range img.Snapshot.Objects {
+		n := names[k]
 		if n == "" {
 			t.Fatalf("object %d unnamed", o.SeqID())
 		}
@@ -217,10 +227,27 @@ func TestObjectNamesStableUnderReordering(t *testing.T) {
 			t.Fatalf("duplicate object name %q", n)
 		}
 		seen[n] = true
+		if types[k] != o.TypeName() {
+			t.Fatalf("object %d has type name %q, want %q", k, types[k], o.TypeName())
+		}
+		if !metadata[o] {
+			// "Type#k", k counted per type in encounter order.
+			want := fmt.Sprintf("%s#%d", o.TypeName(), ordinals[o.TypeName()])
+			ordinals[o.TypeName()]++
+			if n != want {
+				t.Fatalf("object %d named %q, want %q", k, n, want)
+			}
+		}
 	}
 	for c, hub := range img.Hubs {
-		if names[hub] != "hub:"+c.Name {
-			t.Errorf("hub of %s named %q", c.Name, names[hub])
+		if names[hub.SeqID()] != "hub:"+c.Name {
+			t.Errorf("hub of %s named %q", c.Name, names[hub.SeqID()])
+		}
+	}
+	byObject := img.ObjectNames()
+	for k, o := range img.Snapshot.Objects {
+		if byObject[o] != names[k] {
+			t.Fatalf("ObjectNames names object %d %q, want %q", k, byObject[o], names[k])
 		}
 	}
 }

@@ -25,10 +25,21 @@
 // graph names one representative CU per touched page, so a layout baked
 // from it covers a fraction of the executed code and degrades toward the
 // identity order for everything else.
+//
+// Recording cost: an access event costs a symbol lookup (a binary search)
+// and at most one edge update. A window rotation decays every live edge
+// in one pass over the edge slice, folds the window's co-occurrence pairs
+// (quadratic in its distinct symbols, at most MaxWindowSymbols) and
+// reuses the oldest slot of the window ring. Past the edge budget, prune
+// finds the survivors by a linear-time selection over the live edges and
+// sorts only the victims; no window sorts the whole graph.
 package affinity
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
+	"strings"
 
 	"nimage/internal/obs/attrib"
 	"nimage/internal/osim"
@@ -230,12 +241,28 @@ func (g *Graph) TotalWeight() float64 {
 	return w
 }
 
-type edgeKey struct{ a, b int32 }
+// nodeCounts is one node's share of the event streams (see Node).
+type nodeCounts struct {
+	accesses, faults, major, refaults, evictions, firstClock int64
+}
 
-type edgeCount struct {
-	weight float64
-	co     int64
-	trans  int64
+// edgeKey packs an edge's endpoints (a < b) into one map key.
+func edgeKey(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
+// compareEdges orders edges by weight descending, then A, then B. Every
+// (A, B) pair of a graph or of the recorder's store is unique, so the
+// order is total and needs no stable sort.
+func compareEdges(x, y *Edge) int {
+	if x.Weight != y.Weight {
+		if x.Weight > y.Weight {
+			return -1
+		}
+		return 1
+	}
+	if x.A != y.A {
+		return cmp.Compare(x.A, y.A)
+	}
+	return cmp.Compare(x.B, y.B)
 }
 
 // Recorder folds one mapping's page-event stream into an affinity graph.
@@ -245,11 +272,21 @@ type Recorder struct {
 	ix  *attrib.Index
 	cfg Config
 
-	nodes   []Node  // symbol nodes, then lazily allocated pseudo-nodes
-	pageRep []int32 // page -> node id of the page's first symbol, -1 if none
-	pseudo  map[int]int32
+	// counts tallies every node by id: the index's symbols, then the
+	// pseudo-nodes, whose names pseudoNodes holds. Graph names the
+	// symbol nodes from the index.
+	counts      []nodeCounts
+	pseudoNodes []Node
+	pageRep     []int32 // page -> node id of the page's first symbol, -1 if none
+	pseudo      map[int]int32
 
-	edges    map[edgeKey]*edgeCount
+	// edges stores the edges over recorder node ids, a free slot having
+	// A = -1; slot maps an edgeKey to its slot, and free lists the slots
+	// prune emptied, which new edges reuse.
+	edges    []Edge
+	slot     map[uint64]int32
+	free     []int32
+	order    []int32 // prune's scratch: the live slots
 	sections *attrib.SectionTally
 
 	accessEvents, faults, major, refaults, evictions int64
@@ -259,14 +296,17 @@ type Recorder struct {
 	prunedWeight                                     float64
 
 	winNodes []int32
-	winSeen  map[int32]bool
+	winSeen  []bool // by node id: the node is in winNodes
 	winStart int64
 	// curPressure marks the window in progress as preceded by a pressure
 	// reclaim (set when EvictPressure force-rotates the previous one).
 	curPressure bool
 	winEvents   int
 	prevNode    int32
-	log         []Window
+	// log is a ring of at most MaxWindows windows. Once it is full,
+	// logHead is the slot of the oldest window, the next one overwritten.
+	log     []Window
+	logHead int
 
 	finished bool
 }
@@ -274,26 +314,35 @@ type Recorder struct {
 // NewRecorder creates a recorder over the layout index with the given
 // config (zero value = defaults).
 func NewRecorder(ix *attrib.Index, cfg Config) *Recorder {
+	syms := ix.Symbols()
 	r := &Recorder{
 		ix:       ix,
 		cfg:      cfg.withDefaults(),
-		nodes:    make([]Node, len(ix.Symbols())),
+		counts:   make([]nodeCounts, len(syms)),
 		pageRep:  make([]int32, ix.Pages()),
-		pseudo:   make(map[int]int32),
-		edges:    make(map[edgeKey]*edgeCount),
+		slot:     make(map[uint64]int32),
 		sections: attrib.NewSectionTally(ix),
-		winSeen:  make(map[int32]bool),
+		winSeen:  make([]bool, len(syms)),
 		prevNode: -1,
 	}
-	for i, s := range ix.Symbols() {
-		r.nodes[i] = Node{Name: s.Name, Type: s.Type, Kind: s.Kind, Section: s.Section, Off: s.Off, Len: s.Len}
-	}
+	// A page's representative is the first symbol, in offset order, that
+	// overlaps it. One sweep over the symbols finds them all: symbols
+	// start in offset order, so no later symbol is the first on a page
+	// below the furthest end seen so far.
 	for p := range r.pageRep {
-		if syms := ix.SymbolsOnPage(p); len(syms) > 0 {
-			r.pageRep[p] = int32(syms[0])
-		} else {
-			r.pageRep[p] = -1
+		r.pageRep[p] = -1
+	}
+	next := 0 // pages below next are settled
+	for i, s := range syms {
+		if s.Len <= 0 || s.Off+s.Len <= 0 {
+			continue
 		}
+		first := max(int(s.Off/osim.PageSize), next)
+		last := min(int((s.Off+s.Len-1)/osim.PageSize), len(r.pageRep)-1)
+		for p := first; p <= last; p++ {
+			r.pageRep[p] = int32(i)
+		}
+		next = max(next, last+1)
 	}
 	return r
 }
@@ -315,11 +364,16 @@ func (r *Recorder) nodeFor(off int64, page, section int) int32 {
 	if id, ok := r.pseudo[section]; ok {
 		return id
 	}
-	id := int32(len(r.nodes))
+	id := int32(len(r.counts))
 	sec := r.ix.SectionName(section)
-	r.nodes = append(r.nodes, Node{
+	r.pseudoNodes = append(r.pseudoNodes, Node{
 		Name: "<unattributed:" + sec + ">", Kind: KindUnattributed, Section: sec,
 	})
+	r.counts = append(r.counts, nodeCounts{})
+	r.winSeen = append(r.winSeen, false)
+	if r.pseudo == nil {
+		r.pseudo = make(map[int]int32)
+	}
 	r.pseudo[section] = id
 	return id
 }
@@ -342,10 +396,10 @@ func (r *Recorder) OnPageEvent(ev osim.PageEvent) {
 // edges.
 func (r *Recorder) access(ev osim.PageEvent) {
 	id := r.nodeFor(ev.Off, ev.Page, ev.Section)
-	n := &r.nodes[id]
-	n.Accesses++
-	if n.FirstClock == 0 {
-		n.FirstClock = ev.Clock
+	n := &r.counts[id]
+	n.accesses++
+	if n.firstClock == 0 {
+		n.firstClock = ev.Clock
 	}
 	r.accessEvents++
 	if r.winEvents == 0 {
@@ -361,8 +415,8 @@ func (r *Recorder) access(ev osim.PageEvent) {
 	}
 	if r.prevNode >= 0 && r.prevNode != id {
 		e := r.edge(r.prevNode, id)
-		e.weight++
-		e.trans++
+		e.Weight++
+		e.Trans++
 		r.transitions++
 	}
 	r.prevNode = id
@@ -375,15 +429,15 @@ func (r *Recorder) access(ev osim.PageEvent) {
 // fault charges one fault to the faulting offset's node.
 func (r *Recorder) fault(ev osim.PageEvent) {
 	r.faults++
-	n := &r.nodes[r.nodeFor(ev.Off, ev.Page, ev.Section)]
-	n.Faults++
+	n := &r.counts[r.nodeFor(ev.Off, ev.Page, ev.Section)]
+	n.faults++
 	if ev.Major {
 		r.major++
-		n.Major++
+		n.major++
 	}
 	if ev.Refault {
 		r.refaults++
-		n.Refaults++
+		n.refaults++
 	}
 }
 
@@ -392,24 +446,35 @@ func (r *Recorder) fault(ev osim.PageEvent) {
 // reclaim boundaries for the scorecard replay.
 func (r *Recorder) evict(ev osim.PageEvent) {
 	r.evictions++
-	r.nodes[r.nodeFor(ev.Off, ev.Page, ev.Section)].Evictions++
+	r.counts[r.nodeFor(ev.Off, ev.Page, ev.Section)].evictions++
 	if ev.Cause == osim.EvictPressure {
 		r.rotate()
 		r.curPressure = true
 	}
 }
 
-func (r *Recorder) edge(a, b int32) *edgeCount {
+// edge returns the edge between a and b, creating it in a free slot, or
+// at the end of the store, on first use. The pointer is valid until the
+// next edge call.
+func (r *Recorder) edge(a, b int32) *Edge {
 	if a > b {
 		a, b = b, a
 	}
-	k := edgeKey{a, b}
-	e := r.edges[k]
-	if e == nil {
-		e = &edgeCount{}
-		r.edges[k] = e
+	k := edgeKey(a, b)
+	if s, ok := r.slot[k]; ok {
+		return &r.edges[s]
 	}
-	return e
+	var s int32
+	if n := len(r.free); n > 0 {
+		s = r.free[n-1]
+		r.free = r.free[:n-1]
+		r.edges[s] = Edge{A: a, B: b}
+	} else {
+		s = int32(len(r.edges))
+		r.edges = append(r.edges, Edge{A: a, B: b})
+	}
+	r.slot[k] = s
+	return &r.edges[s]
 }
 
 // rotate completes the current window: age every edge by the decay,
@@ -419,68 +484,111 @@ func (r *Recorder) rotate() {
 	if r.winEvents == 0 {
 		return
 	}
-	for _, e := range r.edges {
-		e.weight *= r.cfg.Decay
+	for i := range r.edges {
+		r.edges[i].Weight *= r.cfg.Decay
 	}
 	for i := 0; i < len(r.winNodes); i++ {
 		for j := i + 1; j < len(r.winNodes); j++ {
 			e := r.edge(r.winNodes[i], r.winNodes[j])
-			e.weight++
-			e.co++
+			e.Weight++
+			e.Co++
 			r.cooccur++
 		}
 	}
 	r.windows++
-	r.log = append(r.log, Window{
-		Start:    r.winStart,
-		Events:   r.winEvents,
-		Pressure: r.curPressure,
-		Nodes:    append([]int32(nil), r.winNodes...),
-	})
-	r.curPressure = false
-	if len(r.log) > r.cfg.MaxWindows {
-		n := copy(r.log, r.log[len(r.log)-r.cfg.MaxWindows:])
-		r.log = r.log[:n]
+	w := Window{Start: r.winStart, Events: r.winEvents, Pressure: r.curPressure}
+	if len(r.log) < r.cfg.MaxWindows {
+		w.Nodes = append([]int32(nil), r.winNodes...)
+		r.log = append(r.log, w)
+	} else {
+		// The ring is full: the window replaces the oldest, reusing its
+		// node buffer.
+		w.Nodes = append(r.log[r.logHead].Nodes[:0], r.winNodes...)
+		r.log[r.logHead] = w
+		r.logHead = (r.logHead + 1) % len(r.log)
 		r.droppedWindows++
 	}
+	r.curPressure = false
 	r.prune()
-	r.winNodes = r.winNodes[:0]
-	for k := range r.winSeen {
-		delete(r.winSeen, k)
+	for _, id := range r.winNodes {
+		r.winSeen[id] = false
 	}
+	r.winNodes = r.winNodes[:0]
 	r.winEvents = 0
 }
 
-// prune enforces the edge budget deterministically: edges sorted by
-// weight descending (ties by node ids) survive; the rest move their raw
-// counts into the Pruned* buckets so the totals stay exact.
+// prune enforces the edge budget deterministically: the first MaxEdges
+// edges by weight descending (ties by node ids) survive; the rest move
+// their raw counts into the Pruned* buckets so the totals stay exact. A
+// selection over the live slots finds the survivors, and only the victims
+// are sorted, so their weights are summed in rank order.
 func (r *Recorder) prune() {
-	if len(r.edges) <= r.cfg.MaxEdges {
+	if len(r.slot) <= r.cfg.MaxEdges {
 		return
 	}
-	type kv struct {
-		k edgeKey
-		e *edgeCount
-	}
-	all := make([]kv, 0, len(r.edges))
-	for k, e := range r.edges {
-		all = append(all, kv{k, e})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].e.weight != all[j].e.weight {
-			return all[i].e.weight > all[j].e.weight
+	live := r.order[:0]
+	for i := range r.edges {
+		if r.edges[i].A >= 0 {
+			live = append(live, int32(i))
 		}
-		if all[i].k.a != all[j].k.a {
-			return all[i].k.a < all[j].k.a
-		}
-		return all[i].k.b < all[j].k.b
-	})
-	for _, v := range all[r.cfg.MaxEdges:] {
+	}
+	r.order = live
+	bySlot := func(x, y int32) int { return compareEdges(&r.edges[x], &r.edges[y]) }
+	selectFirst(live, r.cfg.MaxEdges, bySlot)
+	victims := live[r.cfg.MaxEdges:]
+	slices.SortFunc(victims, bySlot)
+	for _, s := range victims {
+		e := &r.edges[s]
 		r.prunedEdges++
-		r.prunedWeight += v.e.weight
-		r.prunedCo += v.e.co
-		r.prunedTrans += v.e.trans
-		delete(r.edges, v.k)
+		r.prunedWeight += e.Weight
+		r.prunedCo += e.Co
+		r.prunedTrans += e.Trans
+		delete(r.slot, edgeKey(e.A, e.B))
+		*e = Edge{A: -1, B: -1}
+		r.free = append(r.free, s)
+	}
+}
+
+// selectFirst reorders s so that s[:k] holds its k least elements under
+// compare, a total order, in no particular order (0 <= k < len(s)). It is
+// quickselect with a median-of-three pivot, in expected linear time; a
+// run that keeps partitioning badly falls back to sorting what is left.
+func selectFirst(s []int32, k int, compare func(x, y int32) int) {
+	lo, hi := 0, len(s)
+	for budget := 2 * bits.Len(uint(len(s))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			slices.SortFunc(s[lo:hi], compare)
+			return
+		}
+		// Order s[lo], s[mid], s[hi-1]; their median becomes the pivot,
+		// parked at hi-1 while the rest is partitioned around it.
+		mid := lo + (hi-lo)/2
+		if compare(s[mid], s[lo]) < 0 {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if compare(s[hi-1], s[mid]) < 0 {
+			s[hi-1], s[mid] = s[mid], s[hi-1]
+			if compare(s[mid], s[lo]) < 0 {
+				s[mid], s[lo] = s[lo], s[mid]
+			}
+		}
+		s[mid], s[hi-1] = s[hi-1], s[mid]
+		pivot, p := s[hi-1], lo
+		for i := lo; i < hi-1; i++ {
+			if compare(s[i], pivot) < 0 {
+				s[i], s[p] = s[p], s[i]
+				p++
+			}
+		}
+		s[p], s[hi-1] = s[hi-1], s[p]
+		switch {
+		case p == k:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p
+		}
 	}
 }
 
@@ -520,22 +628,38 @@ func (r *Recorder) Graph() *Graph {
 		OverflowEvents: r.overflowEvents,
 		Sections:       r.sections.Totals(),
 	}
-	remap := make([]int32, len(r.nodes))
-	for i, n := range r.nodes {
-		if n.Accesses > 0 || n.Faults > 0 || n.Evictions > 0 {
-			remap[i] = int32(len(g.Nodes))
-			g.Nodes = append(g.Nodes, n)
-		} else {
+	syms := r.ix.Symbols()
+	remap := make([]int32, len(r.counts))
+	for i, c := range r.counts {
+		if c.accesses == 0 && c.faults == 0 && c.evictions == 0 {
 			remap[i] = -1
+			continue
 		}
+		var n Node
+		if i < len(syms) {
+			s := &syms[i]
+			n = Node{Name: s.Name, Type: s.Type, Kind: s.Kind, Section: s.Section, Off: s.Off, Len: s.Len}
+		} else {
+			n = r.pseudoNodes[i-len(syms)]
+		}
+		n.Accesses, n.Faults, n.Major = c.accesses, c.faults, c.major
+		n.Refaults, n.Evictions, n.FirstClock = c.refaults, c.evictions, c.firstClock
+		remap[i] = int32(len(g.Nodes))
+		g.Nodes = append(g.Nodes, n)
 	}
-	for k, e := range r.edges {
-		g.Edges = append(g.Edges, Edge{
-			A: remap[k.a], B: remap[k.b], Weight: e.weight, Co: e.co, Trans: e.trans,
-		})
+	if len(r.slot) > 0 {
+		g.Edges = make([]Edge, 0, len(r.slot))
+	}
+	for _, e := range r.edges {
+		if e.A < 0 {
+			continue
+		}
+		e.A, e.B = remap[e.A], remap[e.B]
+		g.Edges = append(g.Edges, e)
 	}
 	rankEdges(g.Edges)
-	for _, w := range r.log {
+	for i := range r.log {
+		w := r.log[(r.logHead+i)%len(r.log)]
 		nw := Window{Start: w.Start, Events: w.Events, Pressure: w.Pressure, Nodes: make([]int32, len(w.Nodes))}
 		for i, id := range w.Nodes {
 			nw.Nodes[i] = remap[id]
@@ -545,17 +669,9 @@ func (r *Recorder) Graph() *Graph {
 	return g
 }
 
+// rankEdges sorts edges by compareEdges.
 func rankEdges(es []Edge) {
-	sort.SliceStable(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.Weight != b.Weight {
-			return a.Weight > b.Weight
-		}
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
+	slices.SortFunc(es, func(x, y Edge) int { return compareEdges(&x, &y) })
 }
 
 // Merge combines affinity graphs — e.g. the per-iteration graphs of one
@@ -660,7 +776,7 @@ func Merge(graphs ...*Graph) *Graph {
 			out.WindowLog = append(out.WindowLog, nw)
 		}
 	}
-	sort.Slice(out.Sections, func(i, j int) bool { return out.Sections[i].Section < out.Sections[j].Section })
+	slices.SortFunc(out.Sections, func(x, y attrib.SectionTotal) int { return strings.Compare(x.Section, y.Section) })
 	rankEdges(out.Edges)
 	cfg := out.Config.withDefaults()
 	if len(out.WindowLog) > cfg.MaxWindows {

@@ -3,6 +3,7 @@ package affinity
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nimage/internal/obs/attrib"
@@ -377,5 +378,69 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g, got) {
 		t.Fatalf("round trip differs:\n%+v\n%+v", g, got)
+	}
+}
+
+// TestSelectFirst checks the selection prune uses: after selectFirst(s,
+// k), s[:k] holds exactly the k least elements, for every k, on random,
+// sorted, reversed and organ-pipe inputs.
+func TestSelectFirst(t *testing.T) {
+	compare := func(x, y int32) int { return int(x) - int(y) }
+	inputs := map[string]func(n int) []int32{
+		"random": func(n int) []int32 {
+			s := make([]int32, n)
+			for i := range s {
+				s[i] = int32(i)
+			}
+			x := uint32(n*2654435761 + 1)
+			for i := n - 1; i > 0; i-- {
+				x ^= x << 13
+				x ^= x >> 17
+				x ^= x << 5
+				j := int(x % uint32(i+1))
+				s[i], s[j] = s[j], s[i]
+			}
+			return s
+		},
+		"sorted": func(n int) []int32 {
+			s := make([]int32, n)
+			for i := range s {
+				s[i] = int32(i)
+			}
+			return s
+		},
+		"reversed": func(n int) []int32 {
+			s := make([]int32, n)
+			for i := range s {
+				s[i] = int32(n - 1 - i)
+			}
+			return s
+		},
+		"organ-pipe": func(n int) []int32 {
+			s := make([]int32, n)
+			for i := range s {
+				if i < n/2 {
+					s[i] = int32(2 * i)
+				} else {
+					s[i] = int32(2*(n-1-i) + 1)
+				}
+			}
+			return s
+		},
+	}
+	for name, gen := range inputs {
+		for _, n := range []int{1, 2, 3, 5, 8, 33, 100, 257} {
+			for k := 0; k < n; k++ {
+				s := gen(n)
+				sorted := slices.Clone(s)
+				slices.Sort(sorted)
+				selectFirst(s, k, compare)
+				for i, v := range s {
+					if (i < k) != (v < sorted[k]) {
+						t.Fatalf("%s n=%d k=%d: s[%d] = %d after selection: %v", name, n, k, i, v, s)
+					}
+				}
+			}
+		}
 	}
 }
