@@ -10,23 +10,16 @@
 // output/BENCH_serve.json, and the "report" experiment regenerates the
 // consolidated observability document (output/report.json, not committed).
 //
-// The "slo" experiment is the serve SLO observatory: concurrent request
-// streams at several pressure levels, per-strategy SLO attainment and
-// error-budget burn (output/BENCH_slo.json, nimage.slo/v1, plus
-// serve-slo-p*.csv), with a telemetry-on/off overhead control reported
-// alongside.
-//
 // The "fleet" experiment is the multi-tenant observatory: mixed-strategy
 // tenant fleets share ONE page cache at each tenant count, and the
-// per-strategy SLO attainment, isolation-factor geomeans, and fairness
-// spreads land in output/BENCH_fleet.json with the who-evicted-whom
-// matrices in output/fleet-interference.csv.
+// per-strategy isolation-factor geomeans and fairness spreads land in
+// output/BENCH_fleet.json with the who-evicted-whom matrices in
+// output/fleet-interference.csv.
 //
 // Usage:
 //
-//	nimage-eval [-figure all|2|3|4|5|overhead|accessed|6|serve|slo|fleet|report] [-workloads Bounce,micronaut]
+//	nimage-eval [-figure all|2|3|4|5|overhead|accessed|6|serve|fleet|report] [-workloads Bounce,micronaut]
 //	            [-builds N] [-device ssd|nfs] [-out output]
-//	            [-streams N] [-slo "p50=100us,p99=2ms"] [-slo-bursts N]
 //	            [-tenants 2,4] [-budget PAGES] [-quota PCT] [-bursts N]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -206,7 +199,7 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 var fleetStrategies = []string{core.StrategyCombined, core.StrategyC3, core.StrategyExtTSP}
 
 // figureNames are the values -figure accepts: every experiment, or all.
-var figureNames = []string{"all", "2", "3", "4", "5", "overhead", "accessed", "6", "serve", "slo", "fleet", "report"}
+var figureNames = []string{"all", "2", "3", "4", "5", "overhead", "accessed", "6", "serve", "fleet", "report"}
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("nimage-eval", flag.ContinueOnError)
@@ -218,9 +211,6 @@ func run(args []string) (err error) {
 	viz := fs.String("viz-workload", "Bounce", "workload of the Fig. 6 visualization")
 	workers := fs.Int("workers", 0, "concurrent build+measure tasks (0 = GOMAXPROCS; results are identical for every count)")
 	wfilter := fs.String("workloads", "", "comma-separated workload filter applied to every experiment (empty = full sets)")
-	streams := fs.Int("streams", 2, "concurrent request streams of the slo experiment")
-	sloFlag := fs.String("slo", "", "SLO targets of the slo experiment as p<quantile>=<duration> terms (empty = defaults)")
-	sloBursts := fs.Int("slo-bursts", 0, "request bursts of the slo experiment (0 = serve default)")
 	fleetTenants := fs.String("tenants", "2,4", "comma-separated tenant counts of the fleet experiment (each >= 2)")
 	fleetBudget := fs.Int("budget", 192, "shared resident-page budget of the fleet experiment")
 	fleetQuota := fs.Int("quota", 0, "per-tenant residency quota of the fleet experiment, percent of the budget (0 = none)")
@@ -243,12 +233,6 @@ func run(args []string) (err error) {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
 	}
-	if *streams < 1 {
-		return fmt.Errorf("-streams must be >= 1 (concurrent request streams), got %d", *streams)
-	}
-	if *sloBursts < 0 {
-		return fmt.Errorf("-slo-bursts must be >= 0 (0 = serve default), got %d", *sloBursts)
-	}
 	fleetCounts, err := parseFleetTenants(*fleetTenants)
 	if err != nil {
 		return err
@@ -261,13 +245,6 @@ func run(args []string) (err error) {
 	}
 	if *fleetBursts <= 0 {
 		return fmt.Errorf("-bursts must be positive (request bursts per tenant), got %d", *fleetBursts)
-	}
-	var sloTargets []obs.SLOTarget
-	if *sloFlag != "" {
-		var err error
-		if sloTargets, err = obs.ParseSLOTargets(*sloFlag); err != nil {
-			return err
-		}
 	}
 	keep, err := parseWorkloadFilter(*wfilter)
 	if err != nil {
@@ -513,69 +490,12 @@ func run(args []string) (err error) {
 		fmt.Println()
 		return nil
 	})
-	run("slo", func() error {
-		// Serve SLO observatory: every layout scored against the latency
-		// SLOs over concurrent request streams at each pressure level, with
-		// the telemetry-on/off overhead control alongside.
-		ws := filterWorkloads(workloads.Serve(), keep)
-		if len(ws) == 0 {
-			fmt.Printf("slo: no selected workloads, skipped\n\n")
-			return nil
-		}
-		scfg := eval.DefaultServeConfig()
-		scfg.Streams = *streams
-		if *sloBursts > 0 {
-			scfg.Bursts = *sloBursts
-		}
-		pressures := eval.DefaultSLOPressures()
-		rep, err := h.SLOReport(ws, nil, scfg, sloTargets, pressures)
-		if err != nil {
-			return err
-		}
-		var labels []string
-		for _, t := range rep.Targets {
-			labels = append(labels, t.String())
-		}
-		fmt.Println(textviz.SLOTable(fmt.Sprintf("SLO attainment (%d streams, targets %s)",
-			rep.Streams, strings.Join(labels, " ")), rep))
-		fmt.Println(textviz.SLOOverheadTable(rep))
-		// One attainment CSV per pressure level, mirroring the serve CSVs.
-		for _, p := range pressures {
-			var sb strings.Builder
-			sb.WriteString("workload,strategy,pressure_pct,streams,target,budget_nanos,measured_nanos,violations,requests,violation_frac,budget_burn,attained\n")
-			for _, e := range rep.Entries {
-				if e.PressurePct != p {
-					continue
-				}
-				for _, a := range e.Attainments {
-					fmt.Fprintf(&sb, "%s,%s,%d,%d,%s,%.0f,%.0f,%d,%d,%.6f,%.4f,%t\n",
-						e.Workload, e.Strategy, e.PressurePct, e.Streams,
-						obs.SLOTarget{Quantile: a.Quantile, BudgetNanos: a.BudgetNanos},
-						a.BudgetNanos, a.MeasuredNanos, a.Violations, a.Requests,
-						a.ViolationFrac, a.BudgetBurn, a.Attained)
-				}
-			}
-			path := filepath.Join(*out, fmt.Sprintf("serve-slo-p%d.csv", p))
-			if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		// BENCH_slo.json is the nimage.slo/v1 document itself.
-		path := filepath.Join(*out, "BENCH_slo.json")
-		if err := writeDoc(path, rep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d entries, %d overhead controls)\n\n", path, len(rep.Entries), len(rep.Overhead))
-		return nil
-	})
 	run("fleet", func() error {
 		// Multi-tenant fleet observatory: at each tenant count, a
 		// mixed-strategy fleet shares ONE page cache. The bench slice
-		// carries the per-strategy SLO-attainment means, the isolation
-		// geomeans vs each tenant's solo run, and the fairness spread
-		// (min/max isolation across the fleet); the CSV carries the
-		// who-evicted-whom matrices.
+		// carries the per-strategy isolation geomeans vs each tenant's
+		// solo run and the fairness spread (min/max isolation across the
+		// fleet); the CSV carries the who-evicted-whom matrices.
 		ws := filterWorkloads(workloads.Serve(), keep)
 		if len(ws) == 0 {
 			fmt.Printf("fleet: no selected workloads, skipped\n\n")
@@ -627,31 +547,15 @@ func run(args []string) (err error) {
 					fmt.Fprintf(&csv, "%d,%s,%s,%d\n", n, label(i), label(j), row[j])
 				}
 			}
-			attained := map[string][]float64{}
 			isolation := map[string][]float64{}
 			isoMin, isoMax := math.Inf(1), 0.0
 			for _, t := range rep.Tenants {
-				att := 0
-				for _, a := range t.Attainment {
-					if a.Attained {
-						att++
-					}
-				}
-				if len(t.Attainment) > 0 {
-					attained[t.Strategy] = append(attained[t.Strategy],
-						float64(att)/float64(len(t.Attainment)))
-				}
 				if t.IsolationLatency > 0 {
 					isolation[t.Strategy] = append(isolation[t.Strategy], t.IsolationLatency)
 					isoMin = math.Min(isoMin, t.IsolationLatency)
 					isoMax = math.Max(isoMax, t.IsolationLatency)
 				}
 			}
-			geoAtt := map[string]float64{}
-			for s, fs := range attained {
-				geoAtt[s] = eval.Mean(fs)
-			}
-			baseline.Figures[fmt.Sprintf("fleet-attained-t%d", n)] = geoAtt
 			geoIso := map[string]float64{}
 			for s, fs := range isolation {
 				geoIso[s] = eval.GeoMean(fs)

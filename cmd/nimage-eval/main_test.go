@@ -216,75 +216,9 @@ func TestRunServeFiltered(t *testing.T) {
 	}
 }
 
-// TestRunSloFiltered smoke-tests the SLO observatory figure: the
-// nimage.slo/v1 document and the per-pressure attainment CSVs must land
-// in the chosen output directory, with entries for every default
-// pressure level and the telemetry-overhead control alongside.
-func TestRunSloFiltered(t *testing.T) {
-	dir := t.TempDir()
-	err := run([]string{
-		"-figure", "slo", "-workloads", "serve-api",
-		"-builds", "1",
-		"-streams", "2", "-slo-bursts", "2",
-		"-out", dir, "-bench", "",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{
-		"serve-slo-p0.csv", "serve-slo-p30.csv", "serve-slo-p70.csv",
-	} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Errorf("figure CSV %s missing: %v", f, err)
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_slo.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema    string `json:"schema"`
-		Streams   int    `json:"streams"`
-		Pressures []int  `json:"pressures"`
-		Entries   []struct {
-			PressurePct int `json:"pressure_pct"`
-		} `json:"entries"`
-		Overhead []struct {
-			SimIdentical bool `json:"sim_identical"`
-		} `json:"overhead"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Schema != "nimage.slo/v1" {
-		t.Errorf("schema = %q", doc.Schema)
-	}
-	if doc.Streams != 2 {
-		t.Errorf("streams = %d, want 2", doc.Streams)
-	}
-	seen := map[int]bool{}
-	for _, e := range doc.Entries {
-		seen[e.PressurePct] = true
-	}
-	for _, p := range []int{0, 30, 70} {
-		if !seen[p] {
-			t.Errorf("no entries at pressure %d%%: %+v", p, doc.Pressures)
-		}
-	}
-	if len(doc.Overhead) == 0 {
-		t.Fatal("no telemetry-overhead control recorded")
-	}
-	for _, o := range doc.Overhead {
-		if !o.SimIdentical {
-			t.Error("telemetry on/off runs diverged in simulated outcome")
-		}
-	}
-}
-
 // TestRunFleetFiltered smoke-tests the fleet observatory figure: the
-// bench slice and the interference CSV must land, every attainment and
-// isolation figure must be sane, and the graph-derived tenants must
-// attain at least the combined-heuristic tenant's SLO cells.
+// bench slice and the interference CSV must land, and every isolation
+// figure must be sane.
 func TestRunFleetFiltered(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
@@ -321,20 +255,10 @@ func TestRunFleetFiltered(t *testing.T) {
 		t.Errorf("schema = %q", doc.Schema)
 	}
 	for _, n := range []int{2, 4} {
-		att := doc.Figures[fmt.Sprintf("fleet-attained-t%d", n)]
-		if len(att) == 0 {
-			t.Fatalf("no fleet-attained-t%d figure: %v", n, doc.Figures)
-		}
-		// The acceptance criterion: graph-based tenants hold at least the
-		// combined heuristic's attainment inside the shared cache.
-		if base, ok := att["cu+heap path"]; ok {
-			for s, f := range att {
-				if s != "cu+heap path" && f < base {
-					t.Errorf("t%d: %s attains %.3f, below cu+heap path's %.3f", n, s, f, base)
-				}
-			}
-		}
 		iso := doc.Figures[fmt.Sprintf("fleet-isolation-t%d", n)]
+		if len(iso) == 0 {
+			t.Fatalf("no fleet-isolation-t%d figure: %v", n, doc.Figures)
+		}
 		for s, f := range iso {
 			if f <= 0 {
 				t.Errorf("t%d: strategy %s: non-positive isolation geomean %v", n, s, f)
@@ -395,13 +319,10 @@ func TestRunRejectsBadSizing(t *testing.T) {
 		"builds-zero":      {"-builds", "0"},
 		"builds-negative":  {"-builds", "-3"},
 		"workers-negative": {"-workers", "-2"},
-		"streams-zero":     {"-streams", "0"},
-		"streams-negative": {"-streams", "-2"},
-		"slo-bursts-neg":   {"-slo-bursts", "-1"},
-		"slo-bad-target":   {"-slo", "p0=1ms"},
 		"device-typo":      {"-device", "tape"},
 		"figure-unknown":   {"-figure", "7"},
 		"figure-search":    {"-figure", "search"},
+		"figure-slo":       {"-figure", "slo"},
 	}
 	for name, extra := range cases {
 		args := append([]string{"-figure", "2", "-workloads", "Bounce", "-out", t.TempDir(), "-bench", ""}, extra...)

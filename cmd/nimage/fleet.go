@@ -2,8 +2,8 @@ package main
 
 // The multi-tenant fleet observatory's CLI: serve N workload × strategy
 // tenants concurrently from ONE shared page cache, then print each
-// tenant's scorecard (latency, fault traffic, SLO attainment, isolation
-// vs its solo run) and the cross-tenant interference matrix — who
+// tenant's scorecard (latency, fault traffic, isolation vs its solo
+// run) and the cross-tenant interference matrix — who
 // evicted whose pages. Optionally dumps the nimage.fleet/v1 document
 // and a per-tenant Chrome trace.
 

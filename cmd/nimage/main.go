@@ -7,8 +7,7 @@
 //	nimage info
 //	nimage build   -workload Bounce [-kind regular|instrumented|optimized] [-seed N] [-report out.json]
 //	nimage run     -workload Bounce [-strategy cu] [-device ssd|nfs] [-report out.json]
-//	nimage serve   -workload serve-api [-strategy cu] [-streams N] [-bursts N] [-burst N] [-pressure PCT] [-budget PAGES] [-report out.json]
-//	nimage slo     [-workload serve-api] [-streams N] [-slo "p50=100us,p99=2ms"] [-pressures 0,30,70] [-trace t.json] [-o slo.json]
+//	nimage serve   -workload serve-api [-strategy cu] [-streams N] [-bursts N] [-burst N] [-pressure PCT] [-budget PAGES] [-report out.json] [-trace t.json]
 //	nimage profile -workload Bounce -strategy "heap path" [-out profile.csv] [-trace trace.bin]
 //	nimage order   -workload Bounce [-seed N]
 //	nimage report  -workloads Bounce,micronaut [-strategies "cu,heap path"] [-o report.json] [-artifacts dir]
@@ -46,8 +45,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "slo":
-		err = cmdSlo(os.Args[2:])
 	case "fleet":
 		err = cmdFleet(os.Args[2:])
 	case "profile":
@@ -89,7 +86,6 @@ commands:
   build     build one image and print its layout
   run       build and run images cold, print page faults and times
   serve     drive request bursts under cache pressure, print burst telemetry
-  slo       sweep pressure with concurrent streams, score layouts against latency SLOs
   fleet     serve N tenants from one shared page cache, print the interference matrix
   profile   run the profile-guided pipeline, write ordering profiles
   order     print the per-strategy object match breakdown across builds

@@ -110,8 +110,38 @@ func TestCmdRun(t *testing.T) {
 func TestCmdServe(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "serve.json")
-	if err := cmdServe([]string{"-workload", "serve-api", "-bursts", "2", "-burst", "6", "-pressure", "40", "-report", out}); err != nil {
+	trace := filepath.Join(dir, "trace.json")
+	if err := cmdServe([]string{"-workload", "serve-api", "-bursts", "2", "-burst", "6", "-pressure", "40",
+		"-streams", "2", "-report", out, "-trace", trace}); err != nil {
 		t.Fatal(err)
+	}
+	tdata, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tdoc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(tdata, &tdoc); err != nil {
+		t.Fatalf("Chrome trace JSON: %v", err)
+	}
+	streams, requests := 0, 0
+	for _, ev := range tdoc.TraceEvents {
+		switch {
+		case ev.Ph == "M" && strings.HasPrefix(ev.Args.Name, "stream "):
+			streams++
+		case ev.Ph == "X":
+			requests++
+		}
+	}
+	// 2 streams × 2 bursts × 6 requests, one duration event each.
+	if streams != 2 || requests != 24 {
+		t.Errorf("Chrome trace has %d stream tracks and %d request events, want 2 and 24", streams, requests)
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
@@ -159,74 +189,6 @@ func TestCmdServeRejectsBadFlags(t *testing.T) {
 			continue
 		}
 		if !strings.Contains(err.Error(), "must be") {
-			t.Errorf("%s: unhelpful error %v", name, err)
-		}
-	}
-}
-
-func TestCmdSlo(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "slo.json")
-	trace := filepath.Join(dir, "trace.json")
-	if err := cmdSlo([]string{"-workload", "serve-api", "-strategies", "cu",
-		"-streams", "2", "-bursts", "2", "-burst", "6", "-pressures", "0,50",
-		"-o", out, "-trace", trace}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Schema    string `json:"schema"`
-		Streams   int    `json:"streams"`
-		Pressures []int  `json:"pressures"`
-		Entries   []any  `json:"entries"`
-		Overhead  []any  `json:"overhead"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("SLO JSON: %v", err)
-	}
-	if rep.Schema != "nimage.slo/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if rep.Streams != 2 || len(rep.Pressures) != 2 {
-		t.Fatalf("streams=%d pressures=%v", rep.Streams, rep.Pressures)
-	}
-	// 1 workload × 2 layouts (baseline + cu) × 2 pressures.
-	if len(rep.Entries) != 4 || len(rep.Overhead) != 1 {
-		t.Fatalf("entries=%d overhead=%d", len(rep.Entries), len(rep.Overhead))
-	}
-	st, err := os.Stat(trace)
-	if err != nil || st.Size() == 0 {
-		t.Errorf("Chrome trace missing or empty: %v", err)
-	}
-	if err := cmdSlo([]string{"-workload", "Sieve", "-bursts", "2", "-burst", "4"}); err == nil {
-		t.Fatal("non-serve workload accepted")
-	}
-}
-
-func TestCmdSloRejectsBadFlags(t *testing.T) {
-	cases := map[string][]string{
-		"streams-zero":       {"-workload", "serve-api", "-streams", "0"},
-		"streams-negative":   {"-workload", "serve-api", "-streams", "-2"},
-		"pressures-over-100": {"-workload", "serve-api", "-pressures", "0,140"},
-		"pressures-garbage":  {"-workload", "serve-api", "-pressures", "0,abc"},
-		"pressures-negative": {"-workload", "serve-api", "-pressures", "-10"},
-		"bursts-zero":        {"-workload", "serve-api", "-bursts", "0"},
-		"burst-negative":     {"-workload", "serve-api", "-burst", "-4"},
-		"budget-negative":    {"-workload", "serve-api", "-budget", "-1"},
-		"hot-pct-over-100":   {"-workload", "serve-api", "-hot-pct", "120"},
-		"slo-bad-quantile":   {"-workload", "serve-api", "-slo", "p0=1ms"},
-		"slo-bad-duration":   {"-workload", "serve-api", "-slo", "p99=fast"},
-	}
-	for name, args := range cases {
-		err := cmdSlo(args)
-		if err == nil {
-			t.Errorf("%s: accepted %v", name, args)
-			continue
-		}
-		if !strings.Contains(err.Error(), "must") {
 			t.Errorf("%s: unhelpful error %v", name, err)
 		}
 	}
@@ -325,8 +287,6 @@ func TestCmdsRejectRemovedLayoutSearch(t *testing.T) {
 	}{
 		"build": {cmdBuild, []string{"-workload", "Sieve", "-kind", "optimized", "-strategy", "slo-search"}},
 		"serve": {cmdServe, []string{"-workload", "serve-api", "-strategy", "slo-search", "-bursts", "1", "-burst", "2"}},
-		"slo": {cmdSlo, []string{"-workload", "serve-api", "-strategies", "slo-search", "-streams", "1",
-			"-bursts", "1", "-burst", "2", "-pressures", "0"}},
 	}
 	for name, tc := range cases {
 		err := tc.cmd(tc.args)

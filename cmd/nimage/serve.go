@@ -12,7 +12,8 @@ import (
 // harness would silently substitute defaults for non-positive burst
 // counts, percentages outside [0,100] have no meaning as reclaim or
 // traffic fractions, and a negative page budget is neither unlimited
-// (that's 0) nor a cap. Shared by `nimage serve` and `nimage slo`.
+// (that's 0) nor a cap. Shared by `nimage serve`, `nimage affinity` and
+// `nimage fleet`.
 func validateServeFlags(pressure, hotPct, bursts, burst, budget int) error {
 	if pressure < 0 || pressure > 100 {
 		return fmt.Errorf("-pressure must be between 0 and 100 (percent of resident pages), got %d", pressure)
@@ -34,7 +35,8 @@ func validateServeFlags(pressure, hotPct, bursts, burst, budget int) error {
 
 // cmdServe runs a serve-mode scenario: startup, then request bursts with
 // page-cache pressure between them, printing the per-burst telemetry
-// table and warm-burst aggregates.
+// table and warm-burst aggregates. -trace exports the run's per-request
+// trace as Chrome trace-event JSON, one track per stream.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	name := fs.String("workload", "serve-api", "serve workload: serve-api|serve-cache")
@@ -49,6 +51,7 @@ func cmdServe(args []string) error {
 	seed := fs.Uint64("seed", 0, "request-stream seed (0 = default)")
 	streams := fs.Int("streams", 1, "concurrent closed-loop request streams")
 	report := fs.String("report", "", "write a nimage.report/v6 JSON document to this file")
+	trace := fs.String("trace", "", "write the run's per-stream Chrome trace JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -80,8 +83,8 @@ func cmdServe(args []string) error {
 		HotRoutes:   *hotRoutes,
 		Seed:        *seed,
 		Streams:     *streams,
-		// The report's SLO section needs the per-request traces.
-		RecordRequests: *report != "",
+		// The report and the Chrome trace carry the per-request traces.
+		RecordRequests: *report != "" || *trace != "",
 	}
 
 	h := nimage.NewHarness(cfg)
@@ -105,6 +108,12 @@ func cmdServe(args []string) error {
 	fmt.Printf("  warm bursts: mean %.3fµs, p99 %.3fµs; run totals: %d pages evicted, %d re-faulted\n",
 		o.WarmMeanNanos/1e3, o.WarmP99Nanos/1e3, o.EvictedPages, o.RefaultPages)
 
+	if *trace != "" {
+		if err := writeWith(*trace, func(f *os.File) error { return nimage.WriteRequestChromeTrace(f, o.Requests) }); err != nil {
+			return err
+		}
+		fmt.Printf("wrote per-stream Chrome trace to %s\n", *trace)
+	}
 	if *report != "" {
 		var strategies []string
 		if *strategy != "" {

@@ -156,9 +156,6 @@ type TenantOutcome struct {
 	// accesses took (osim.TenantFaults), summing across tenants to the OS
 	// totals — the reconciliation contract fleet_test.go enforces.
 	Counters osim.TenantFaults `json:"counters"`
-	// Attainment scores the tenant's warm latencies against the default
-	// SLO targets.
-	Attainment []obs.SLOAttainment `json:"attainment,omitempty"`
 	// Solo-run comparison (same workload, strategy, budget and pressure,
 	// alone on the OS): IsolationLatency is in-fleet / solo warm mean;
 	// IsolationRefault the add-one-smoothed re-fault ratio.
@@ -203,7 +200,6 @@ func (fo *FleetOutcome) FleetReport() *obs.FleetReport {
 		BurstSize:      fo.Config.BurstSize,
 		CacheBudget:    fo.Config.CacheBudget,
 		PressurePct:    fo.Config.PressurePct,
-		Targets:        obs.DefaultSLOTargets(),
 		EvictedBy:      make([][]int64, len(fo.EvictedBy)),
 		TotalEvictions: fo.TotalEvictions,
 	}
@@ -223,7 +219,6 @@ func (fo *FleetOutcome) FleetReport() *obs.FleetReport {
 			IONanos:           tn.Counters.IONanos,
 			EvictedPages:      tn.EvictedPages,
 			ResidentPages:     tn.ResidentPages,
-			Attainment:        tn.Attainment,
 			SoloWarmMeanNanos: tn.SoloWarmMeanNanos,
 			SoloRefaults:      tn.SoloRefaults,
 			IsolationLatency:  tn.IsolationLatency,

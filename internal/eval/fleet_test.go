@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nimage/internal/core"
 	"nimage/internal/obs"
 )
 
@@ -58,9 +57,6 @@ func TestMeasureFleetPartition(t *testing.T) {
 		}
 		if tn.WarmMeanNanos <= 0 || tn.WarmP99Nanos < tn.WarmMeanNanos {
 			t.Errorf("tenant %d: warm aggregates mean=%v p99=%v", i, tn.WarmMeanNanos, tn.WarmP99Nanos)
-		}
-		if len(tn.Attainment) == 0 {
-			t.Errorf("tenant %d: no SLO attainment", i)
 		}
 		if tn.SoloWarmMeanNanos <= 0 || tn.IsolationLatency <= 0 || tn.IsolationRefault <= 0 {
 			t.Errorf("tenant %d: isolation factors solo=%v lat=%v refault=%v",
@@ -316,58 +312,6 @@ func TestFleetMemoized(t *testing.T) {
 	}
 	if &a[0] != &b[0] {
 		t.Error("reordered tenants missed the memoization cache")
-	}
-}
-
-// TestFleetGraphTenantsAttain is the acceptance contract of the fleet
-// figure: under one shared budget, tenants running the graph-derived
-// serve layouts attain at least as many SLO cells as the cu+heap path
-// tenant — residency-aware layouts survive contention better.
-func TestFleetGraphTenantsAttain(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Builds = 1
-	h := NewHarness(cfg)
-	fcfg := FleetConfig{
-		Tenants: []TenantSpec{
-			{Workload: "serve-api", Strategy: core.StrategyCombined},
-			{Workload: "serve-api", Strategy: core.StrategyC3},
-			{Workload: "serve-cache", Strategy: core.StrategyExtTSP},
-		},
-		Bursts: 3, BurstSize: 8, PressurePct: 40, CacheBudget: 128,
-		HotPct: 80, HotRoutes: 3, Seed: 7,
-	}
-	outs, err := h.MeasureFleet(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attained := func(tn *TenantOutcome) int {
-		n := 0
-		for _, a := range tn.Attainment {
-			if a.Attained {
-				n++
-			}
-		}
-		return n
-	}
-	var combined int
-	found := false
-	for _, tn := range outs[0].Tenants {
-		if tn.Spec.Strategy == core.StrategyCombined {
-			combined = attained(tn)
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("cu+heap path tenant missing")
-	}
-	for _, tn := range outs[0].Tenants {
-		if tn.Spec.Strategy == core.StrategyCombined {
-			continue
-		}
-		if got := attained(tn); got < combined {
-			t.Errorf("tenant %s/%s attains %d SLO cells, cu+heap path attains %d",
-				tn.Spec.Workload, tn.Spec.Strategy, got, combined)
-		}
 	}
 }
 

@@ -117,8 +117,8 @@ func TestGoldenFleetPins(t *testing.T) {
 		cfg  FleetConfig
 		want string
 	}{
-		{"quota", quotad, "3793ef33ca07a8ecb8944bb83600c65b8a773860a87ae6dbfdea636e8d75c45f"},
-		{"open", open, "0cfd971ef79ced8963666c81c006b88066590a132a8945a189f8516a5945089a"},
+		{"quota", quotad, "f5cb0c1b987c3d7a8fdd17c2b181bf78fd7a55c9e50ee6b91672e5859e4f654b"},
+		{"open", open, "ee3224ff91458e8748fc4f88dbddc44a931123411efbeee6358675cf5037f2c4"},
 	} {
 		outs, err := h.MeasureFleet(tc.cfg)
 		if err != nil {

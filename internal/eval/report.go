@@ -18,12 +18,13 @@ import (
 // per-entry serve-mode outcomes (burst telemetry under cache pressure); v4
 // added the per-entry temporal co-access affinity graph (merged over builds
 // and iterations, schema nimage.affinity/v1) and the per-measure layout
-// scorecards; v5 added the optional top-level SLO section (schema
-// nimage.slo/v1: per-strategy attainment and error-budget burn over the
-// serve request traces) and the per-outcome request traces behind it;
-// v6 adds the optional top-level fleet section (schema nimage.fleet/v1:
-// per-tenant scorecards and the cross-tenant interference matrix of a
-// shared-cache fleet run).
+// scorecards; v5 added the optional top-level "slo" section (latency
+// targets scored over the serve request traces) and the per-outcome
+// request traces behind it; v6 adds the optional top-level fleet section
+// (schema nimage.fleet/v1: per-tenant scorecards and the cross-tenant
+// interference matrix of a shared-cache fleet run). The "slo" section is
+// no longer written (it scored every layout attained); decoders ignore it,
+// so older documents still read.
 const ReportSchema = "nimage.report/v6"
 
 // Report is the consolidated observability document the evaluation emits:
@@ -43,10 +44,6 @@ type Report struct {
 	// everything was already memoized).
 	ParallelSpeedup float64       `json:"parallel_speedup"`
 	Entries         []ReportEntry `json:"entries"`
-	// SLO is the serve SLO scorecard built from the entries' request
-	// traces (schema nimage.slo/v1); nil unless the report was produced by
-	// the serve protocol with request recording on.
-	SLO *obs.SLOReport `json:"slo,omitempty"`
 	// Fleet is the multi-tenant observatory scorecard (schema
 	// nimage.fleet/v1); nil unless the report was produced by a fleet run.
 	Fleet *obs.FleetReport `json:"fleet,omitempty"`
@@ -138,10 +135,7 @@ func (h *Harness) Report(ws []workloads.Workload, strategies []string) (*Report,
 // ServeReport measures one serve workload under the baseline and the given
 // strategies and assembles a consolidated document: one entry per layout,
 // carrying the per-build serve outcomes (with their obs snapshots in Runs
-// and the attribution merged across builds). When the config records
-// requests, the per-layout request traces are additionally scored against
-// DefaultSLOTargets into the report's SLO section (at the config's single
-// pressure level — the full sweep lives in Harness.SLOReport).
+// and the attribution merged across builds).
 func (h *Harness) ServeReport(w workloads.Workload, strategies []string, scfg ServeConfig) (*Report, error) {
 	rep := &Report{
 		Schema:  ReportSchema,
@@ -149,23 +143,10 @@ func (h *Harness) ServeReport(w workloads.Workload, strategies []string, scfg Se
 		Builds:  h.Cfg.Builds,
 		Workers: h.Workers(),
 	}
-	dcfg := scfg.withDefaults()
-	targets := obs.DefaultSLOTargets()
 	for _, s := range append([]string{LayoutBaseline}, strategies...) {
 		outs, err := h.MeasureServe(w, s, scfg)
 		if err != nil {
 			return nil, err
-		}
-		if scfg.RecordRequests {
-			if rep.SLO == nil {
-				rep.SLO = &obs.SLOReport{
-					Schema:    obs.SLOSchema,
-					Streams:   dcfg.Streams,
-					Pressures: []int{dcfg.PressurePct},
-					Targets:   targets,
-				}
-			}
-			rep.SLO.Entries = append(rep.SLO.Entries, sloEntry(w.Name, s, dcfg, outs, targets))
 		}
 		e := ReportEntry{
 			Workload: w.Name,

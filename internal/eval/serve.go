@@ -55,14 +55,14 @@ type ServeConfig struct {
 	// stream's BurstSize requests served in a deterministic seeded
 	// interleave: the server is a single simulated CPU, so a request
 	// waits in queue while requests of other streams are served — the
-	// queue-wait/service split the SLO scorecards consume. Concurrency
+	// queue-wait/service split the request traces record. Concurrency
 	// is modeled, not goroutine-parallel, so results stay bit-identical
 	// across -workers and repeated runs (the scheduler's determinism
 	// contract).
 	Streams int `json:"streams,omitempty"`
 	// RecordRequests attaches the bounded per-request trace recorder
 	// (obs.RequestTrace) to the run; the trace rides on the outcome and
-	// feeds the SLO attainment math and the Chrome-trace export.
+	// feeds the Chrome-trace export.
 	RecordRequests bool `json:"record_requests,omitempty"`
 }
 
@@ -659,7 +659,6 @@ func (h *Harness) runEngine(ts []engineTenant, scfg ServeConfig, fleet, trackAff
 		to.EvictedPages = o.TenantEvictions(i)
 		to.RefaultPages = o.TenantRefaults(i)
 		to.ResidentPages = int64(o.TenantResidentPages(i))
-		to.Attainment = obs.Attainment(warm, obs.DefaultSLOTargets())
 		// Each tenant owns exactly one mapping: its counters are the
 		// tenant's charge-side partition.
 		m := tn.proc.Mapping

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nimage/internal/core"
+	"nimage/internal/obs"
 	"nimage/internal/workloads"
 )
 
@@ -273,9 +274,6 @@ func TestServeReportV6(t *testing.T) {
 	if rep.Schema != "nimage.report/v6" {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
-	if rep.SLO != nil {
-		t.Error("report carries an SLO section without request recording")
-	}
 	if rep.Fleet != nil {
 		t.Error("report carries a fleet section outside a fleet run")
 	}
@@ -309,6 +307,34 @@ func TestServeReportV6(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"serve"`) {
 		t.Error("JSON document missing serve entries")
+	}
+}
+
+// TestReportIgnoresSLOSection: v6 reports written while the serve report
+// still carried its "slo" scorecard decode under the same schema, and the
+// section does not survive a re-encode.
+func TestReportIgnoresSLOSection(t *testing.T) {
+	old := `{"schema":"nimage.report/v6","device":"ssd","builds":1,"workers":1,
+		"entries":[{"workload":"serve-api","service":true}],
+		"slo":{"schema":"nimage.slo/v1","streams":2,"pressures":[70],
+			"targets":[{"quantile":0.99,"budget_nanos":2000000}],
+			"entries":[{"workload":"serve-api","strategy":"identity","pressure_pct":70,"streams":2,"requests":64,
+				"attainments":[{"quantile":0.99,"budget_nanos":2000000,"measured_nanos":91000,
+					"requests":64,"attained":true}]}]}}`
+	rep, err := obs.ReadDoc(strings.NewReader(old), "eval", "report", ReportSchema,
+		func(r *Report) string { return r.Schema }, nil)
+	if err != nil {
+		t.Fatalf("report with an slo section rejected: %v", err)
+	}
+	if len(rep.Entries) != 1 || rep.Entries[0].Workload != "serve-api" || !rep.Entries[0].Service {
+		t.Fatalf("decoded entries %+v", rep.Entries)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"slo"`) {
+		t.Error("re-encoded report still carries the slo section")
 	}
 }
 
@@ -412,6 +438,68 @@ func TestServeSingleStreamBackCompat(t *testing.T) {
 	}
 	if !sameSimOutcome(outs[0], pouts[0]) {
 		t.Error("request recording perturbed the simulated outcome")
+	}
+}
+
+// sameSimOutcome compares the simulated (deterministic) surface of two
+// serve outcomes: startup, every burst measure, warm aggregates and the
+// run's eviction totals. Telemetry fields (Report, Attrib, Affinity,
+// Requests) are deliberately outside the comparison.
+func sameSimOutcome(a, b *ServeOutcome) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	if a.StartupNanos != b.StartupNanos ||
+		a.WarmMeanNanos != b.WarmMeanNanos ||
+		a.WarmP99Nanos != b.WarmP99Nanos ||
+		a.EvictedPages != b.EvictedPages ||
+		a.RefaultPages != b.RefaultPages ||
+		len(a.Bursts) != len(b.Bursts) {
+		return false
+	}
+	for i := range a.Bursts {
+		if a.Bursts[i] != b.Bursts[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestServeTelemetryLeavesOutcomeIdentical: telemetry never perturbs the
+// simulation. The same multi-stream serve scenario runs on fresh 1-build
+// harnesses once with every recorder attached (obs registry, fault
+// attribution, affinity recording, per-request trace) and once with none,
+// and the simulated outcomes must match bit for bit.
+func TestServeTelemetryLeavesOutcomeIdentical(t *testing.T) {
+	scfg := DefaultServeConfig()
+	scfg.PressurePct = 70
+	scfg.Streams = 2
+	for _, name := range []string{"serve-api", "serve-cache"} {
+		w := serveWorkload(t, name)
+		run := func(on bool) *ServeOutcome {
+			cfg := DefaultConfig()
+			cfg.Builds = 1
+			cfg.Observe = on
+			cfg.TrackAffinity = on
+			rcfg := scfg
+			rcfg.RecordRequests = on
+			outs, err := NewHarness(cfg).MeasureServe(w, "", rcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return outs[0]
+		}
+		on, off := run(true), run(false)
+		if on.Report == nil || on.Attrib == nil || on.Affinity == nil || on.Requests == nil {
+			t.Fatalf("%s: telemetry-on run carries report=%v attrib=%v affinity=%v requests=%v",
+				name, on.Report != nil, on.Attrib != nil, on.Affinity != nil, on.Requests != nil)
+		}
+		if off.Report != nil || off.Attrib != nil || off.Affinity != nil || off.Requests != nil {
+			t.Fatalf("%s: telemetry-off run still recorded telemetry", name)
+		}
+		if !sameSimOutcome(on, off) {
+			t.Errorf("%s: telemetry perturbed the simulated outcome", name)
+		}
 	}
 }
 

@@ -2,10 +2,10 @@
 // simulated page-event streams: which CUs and heap objects are hot
 // *together* over time, not just which faulted first. First-touch order
 // (what the profile-guided layouts of the paper consume) is enough to
-// compact the cold-start path, but the graph-based layouts the ROADMAP
-// points at next — C3-style balanced partitioning, ext-TSP ordering
-// (Newell & Pupyrev) — and any latency-SLO rebake loop need an affinity
-// signal: edge weights between symbols that share working-set windows.
+// compact the cold-start path, but the graph-based layouts — C3-style
+// balanced partitioning and ext-TSP ordering (Newell & Pupyrev) — need an
+// affinity signal: edge weights between symbols that share working-set
+// windows.
 //
 // The pieces: a Recorder observes one osim mapping's page-event stream,
 // folding the coarse page accesses into a sliding co-residency window and

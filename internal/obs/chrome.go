@@ -2,7 +2,7 @@ package obs
 
 // Chrome trace-event export, shared by every trace the observatory
 // writes: the fault timeline (attrib), the co-residency windows
-// (affinity), the per-stream request tracks (serve, slo) and the tenant
+// (affinity), the per-stream request tracks (serve) and the tenant
 // tracks (fleet). One event type, one document builder, and one renderer
 // for request tracks. The output is the trace-event JSON that
 // chrome://tracing and Perfetto load directly.

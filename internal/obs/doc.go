@@ -2,15 +2,15 @@ package obs
 
 // JSON document codec, shared by every schema-versioned document the
 // toolchain writes: attribution tables, affinity graphs, request traces,
-// SLO reports, fleet reports, eval reports and verify reports. There is
-// one canonical encoding, and one decode path that rejects foreign
-// schemas and runs the document's structural validator before any
-// consumer walks it.
+// fleet reports, eval reports and verify reports. There is one canonical
+// encoding, and one decode path that rejects foreign schemas and runs the
+// document's structural validator before any consumer walks it.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // WriteDoc encodes v as one two-space-indented JSON document followed by
@@ -42,4 +42,9 @@ func ReadDoc[T any](r io.Reader, pkg, noun, schema string, schemaOf func(*T) str
 		}
 	}
 	return &v, nil
+}
+
+// finiteNonNeg is the validators' check for a decoded time or ratio.
+func finiteNonNeg(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }

@@ -3,18 +3,17 @@ package obs
 // Fleet observatory document: the serialized scorecard of one multi-
 // tenant serve run — N tenants (workload × strategy pairs) served from
 // one simulated OS under a shared page-cache budget. Each tenant carries
-// its latency/fault/residency telemetry, per-burst timeline, SLO
-// attainment and isolation factors (in-fleet vs solo), and the report
-// carries the eviction interference matrix: entry [i][j] counts pages
-// owned by tenant j-1 that tenant i-1's faults evicted (row 0: external
-// pressure; column 0: untenanted files). The matrix partitions the total
-// evictions exactly — the validator rejects documents whose cells do not
-// sum to the totals, so every consumer can trust the partition.
+// its latency/fault/residency telemetry, per-burst timeline and isolation
+// factors (in-fleet vs solo), and the report carries the eviction
+// interference matrix: entry [i][j] counts pages owned by tenant j-1 that
+// tenant i-1's faults evicted (row 0: external pressure; column 0:
+// untenanted files). The matrix partitions the total evictions exactly —
+// the validator rejects documents whose cells do not sum to the totals, so
+// every consumer can trust the partition.
 
 import (
 	"fmt"
 	"io"
-	"math"
 )
 
 // FleetSchema versions the serialized fleet report document.
@@ -24,6 +23,7 @@ const FleetSchema = "nimage.fleet/v1"
 const (
 	maxDecodeFleetTenants = 1 << 10
 	maxDecodeFleetBursts  = 1 << 16
+	maxDecodePressurePct  = 100
 )
 
 // FleetBurst is one burst of one tenant's timeline: latency quantiles
@@ -40,9 +40,9 @@ type FleetBurst struct {
 }
 
 // FleetTenant is one tenant's scorecard: identity (workload × strategy),
-// run aggregates, the per-burst timeline, SLO attainment over the warm
-// requests, and the isolation factors against the tenant's solo run
-// under the same budget (>1: the fleet made it worse).
+// run aggregates, the per-burst timeline, and the isolation factors
+// against the tenant's solo run under the same budget (>1: the fleet made
+// it worse).
 type FleetTenant struct {
 	Tenant     int    `json:"tenant"`
 	Workload   string `json:"workload"`
@@ -63,9 +63,6 @@ type FleetTenant struct {
 	ResidentPages int64 `json:"resident_pages"`
 	// Timeline is the per-burst fault/refault/residency record.
 	Timeline []FleetBurst `json:"timeline,omitempty"`
-	// Attainment scores the tenant's warm latencies against the SLO
-	// targets of the run.
-	Attainment []SLOAttainment `json:"attainment,omitempty"`
 	// Solo-run comparison: the same workload × strategy measured alone
 	// under the same budget and pressure. IsolationLatency is the
 	// in-fleet / solo warm-mean ratio; IsolationRefault the (1+fleet) /
@@ -82,13 +79,11 @@ type FleetTenant struct {
 type FleetReport struct {
 	Schema string `json:"schema"`
 	// Scenario knobs shared by every tenant.
-	Bursts      int `json:"bursts"`
-	BurstSize   int `json:"burst_size"`
-	CacheBudget int `json:"cache_budget"`
-	PressurePct int `json:"pressure_pct"`
-	// Targets are the SLO objectives the attainments were scored against.
-	Targets []SLOTarget   `json:"targets,omitempty"`
-	Tenants []FleetTenant `json:"tenants"`
+	Bursts      int           `json:"bursts"`
+	BurstSize   int           `json:"burst_size"`
+	CacheBudget int           `json:"cache_budget"`
+	PressurePct int           `json:"pressure_pct"`
+	Tenants     []FleetTenant `json:"tenants"`
 	// EvictedBy is the interference matrix: [i][j] counts pages owned by
 	// tenant j-1 evicted by tenant i-1's faults (row 0 external pressure,
 	// column 0 untenanted files). It is (len(Tenants)+1)² and partitions
@@ -108,32 +103,6 @@ func ReadFleetReport(r io.Reader) (*FleetReport, error) {
 	return ReadDoc(r, "obs", "fleet report", FleetSchema, func(r *FleetReport) string { return r.Schema }, (*FleetReport).validate)
 }
 
-// validAttainments shares the attainment invariants between the SLO and
-// fleet validators.
-func validAttainments(as []SLOAttainment) error {
-	if len(as) > maxDecodeTargets {
-		return fmt.Errorf("%d attainments exceeds bound %d", len(as), maxDecodeTargets)
-	}
-	for j, a := range as {
-		if math.IsNaN(a.Quantile) || a.Quantile <= 0 || a.Quantile >= 1 {
-			return fmt.Errorf("attainment %d: quantile outside (0, 1)", j)
-		}
-		if !finiteNonNeg(a.BudgetNanos) || !finiteNonNeg(a.MeasuredNanos) {
-			return fmt.Errorf("attainment %d: budget or measurement not finite non-negative", j)
-		}
-		if a.Violations < 0 || a.Requests < 0 || a.Violations > a.Requests {
-			return fmt.Errorf("attainment %d: violation count out of range", j)
-		}
-		if math.IsNaN(a.ViolationFrac) || a.ViolationFrac < 0 || a.ViolationFrac > 1 {
-			return fmt.Errorf("attainment %d: violation fraction outside [0, 1]", j)
-		}
-		if math.IsNaN(a.BudgetBurn) || a.BudgetBurn < 0 {
-			return fmt.Errorf("attainment %d: negative or NaN budget burn", j)
-		}
-	}
-	return nil
-}
-
 // validate enforces the structural invariants a decoded fleet report must
 // hold before any consumer renders it — including the partition contract
 // of the interference matrix.
@@ -143,9 +112,6 @@ func (r *FleetReport) validate() error {
 	}
 	if r.PressurePct < 0 || r.PressurePct > maxDecodePressurePct {
 		return fmt.Errorf("pressure %d%% outside [0, %d]", r.PressurePct, maxDecodePressurePct)
-	}
-	if err := validTargets(r.Targets); err != nil {
-		return err
 	}
 	if len(r.Tenants) > maxDecodeFleetTenants {
 		return fmt.Errorf("%d tenants exceeds bound %d", len(r.Tenants), maxDecodeFleetTenants)
@@ -183,9 +149,6 @@ func (r *FleetReport) validate() error {
 			if b.MajorFaults < 0 || b.Refaults < 0 || b.EvictedPages < 0 || b.ResidentPages < 0 {
 				return fmt.Errorf("tenant %d burst %d: negative counter", i, k)
 			}
-		}
-		if err := validAttainments(tn.Attainment); err != nil {
-			return fmt.Errorf("tenant %d: %w", i, err)
 		}
 	}
 	// Interference matrix: exactly (tenants+1)² and an exact partition of

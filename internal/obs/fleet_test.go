@@ -14,7 +14,6 @@ func sampleFleetReport() *FleetReport {
 		BurstSize:   8,
 		CacheBudget: 96,
 		PressurePct: 50,
-		Targets:     DefaultSLOTargets(),
 		Tenants: []FleetTenant{
 			{
 				Tenant: 0, Workload: "serve-api", Strategy: "cu+heap path",
@@ -27,7 +26,6 @@ func sampleFleetReport() *FleetReport {
 					{Burst: 1, Requests: 8, MeanNanos: 1.8e5, P99Nanos: 9.1e5,
 						MajorFaults: 40, Refaults: 30, EvictedPages: 3, ResidentPages: 44},
 				},
-				Attainment:        Attainment([]float64{100, 200, 3e6}, DefaultSLOTargets()),
 				SoloWarmMeanNanos: 1.5e5, SoloRefaults: 10,
 				IsolationLatency: 1.2, IsolationRefault: 31.0 / 11.0,
 			},
@@ -42,7 +40,6 @@ func sampleFleetReport() *FleetReport {
 					{Burst: 1, Requests: 8, MeanNanos: 1.2e5, P99Nanos: 6.4e5,
 						MajorFaults: 30, Refaults: 18, EvictedPages: 3, ResidentPages: 48},
 				},
-				Attainment:        Attainment([]float64{90, 150, 4e5}, DefaultSLOTargets()),
 				SoloWarmMeanNanos: 1.1e5, SoloRefaults: 8,
 				IsolationLatency: 1.09, IsolationRefault: 19.0 / 9.0,
 			},
@@ -78,7 +75,6 @@ func TestReadFleetReportRejectsHostile(t *testing.T) {
 		"bad schema":       `{"schema":"nope","evicted_by":[[0]]}`,
 		"negative bursts":  `{"schema":"nimage.fleet/v1","bursts":-1,"evicted_by":[[0]]}`,
 		"bad pressure":     `{"schema":"nimage.fleet/v1","pressure_pct":130,"evicted_by":[[0]]}`,
-		"bad target":       `{"schema":"nimage.fleet/v1","targets":[{"quantile":1.5,"budget_nanos":10}],"evicted_by":[[0]]}`,
 		"tenant id":        `{"schema":"nimage.fleet/v1","tenants":[{"tenant":1,"workload":"w","strategy":"s"}],"evicted_by":[[0,0],[0,0]]}`,
 		"empty workload":   `{"schema":"nimage.fleet/v1","tenants":[{"tenant":0,"workload":"","strategy":"s"}],"evicted_by":[[0,0],[0,0]]}`,
 		"negative counter": `{"schema":"nimage.fleet/v1","tenants":[{"tenant":0,"workload":"w","strategy":"s","faults":-1}],"evicted_by":[[0,0],[0,0]]}`,
@@ -88,12 +84,40 @@ func TestReadFleetReportRejectsHostile(t *testing.T) {
 		"matrix sum":       `{"schema":"nimage.fleet/v1","evicted_by":[[3]],"total_evictions":2}`,
 		"column sum":       `{"schema":"nimage.fleet/v1","tenants":[{"tenant":0,"workload":"w","strategy":"s","evicted_pages":1}],"evicted_by":[[0,0],[0,0]],"total_evictions":0}`,
 		"negative cell":    `{"schema":"nimage.fleet/v1","evicted_by":[[-1]],"total_evictions":-1}`,
-		"bad attainment":   `{"schema":"nimage.fleet/v1","tenants":[{"tenant":0,"workload":"w","strategy":"s","attainment":[{"quantile":0.5,"budget_nanos":1,"violations":5,"requests":2}]}],"evicted_by":[[0,0],[0,0]]}`,
 		"bad isolation":    `{"schema":"nimage.fleet/v1","tenants":[{"tenant":0,"workload":"w","strategy":"s","isolation_latency":-1}],"evicted_by":[[0,0],[0,0]]}`,
 		"not json":         `]`,
 	} {
 		if _, err := ReadFleetReport(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReadFleetReportIgnoresSLOFields: fleet documents written before the
+// SLO scorecard was removed carry "targets" and per-tenant "attainment";
+// they still decode and validate under the same schema, and the dropped
+// fields do not survive a re-encode.
+func TestReadFleetReportIgnoresSLOFields(t *testing.T) {
+	old := `{"schema":"nimage.fleet/v1","bursts":2,"burst_size":8,"cache_budget":96,"pressure_pct":50,
+		"targets":[{"quantile":0.5,"budget_nanos":100000},{"quantile":0.99,"budget_nanos":2000000}],
+		"tenants":[{"tenant":0,"workload":"serve-api","strategy":"c3","warm_mean_nanos":1200,"evicted_pages":1,
+			"attainment":[{"quantile":0.5,"budget_nanos":100000,"measured_nanos":900,"violations":1,
+				"requests":16,"violation_frac":0.0625,"attained":true,"budget_burn":0.125}]}],
+		"evicted_by":[[0,1],[0,0]],"total_evictions":1}`
+	rep, err := ReadFleetReport(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("pre-removal fleet document rejected: %v", err)
+	}
+	if len(rep.Tenants) != 1 || rep.Tenants[0].Strategy != "c3" || rep.Tenants[0].WarmMeanNanos != 1200 {
+		t.Fatalf("decoded tenants %+v", rep.Tenants)
+	}
+	var buf bytes.Buffer
+	if err := WriteFleetReport(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"targets"`, `"attainment"`} {
+		if strings.Contains(buf.String(), key) {
+			t.Errorf("re-encoded document still carries %s", key)
 		}
 	}
 }

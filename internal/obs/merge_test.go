@@ -149,7 +149,7 @@ func TestMergeSnapshotsRegistries(t *testing.T) {
 	}
 }
 
-// TestMergeSnapshotsStreamHistograms is the serve-SLO merge contract:
+// TestMergeSnapshotsStreamHistograms is the serve-stream merge contract:
 // per-stream latency histograms recorded by independent registries (one
 // per concurrent stream, as the multi-stream serve harness does) merge
 // into quantiles identical to a single histogram observing the union of

@@ -8,9 +8,9 @@ import (
 // QuantileExact returns the exact nearest-rank q-quantile of a sorted
 // sample — unlike histogram quantiles, which interpolate buckets. It is
 // the single shared implementation behind the serve-mode burst quantiles
-// and the SLO scorecards. An empty sample yields 0; q is clamped to
-// [0, 1] by the rank computation. The sample must already be sorted
-// ascending: passing an unsorted slice is a programming error and
+// and the fleet's warm-latency quantiles. An empty sample yields 0; q is
+// clamped to [0, 1] by the rank computation. The sample must already be
+// sorted ascending: passing an unsorted slice is a programming error and
 // panics, because a silently wrong p99 is worse than a crash.
 func QuantileExact(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {

@@ -4,10 +4,10 @@ package obs
 // request traces of the serve-mode harness. Each record carries the
 // request's stream, burst and route, its queue-wait vs service split on
 // the simulated server clock, and the fault traffic it incurred — the
-// raw material of the SLO scorecards (slo.go) and of the per-stream
-// Chrome trace export. The recorder is bounded: past the limit it
-// counts drops instead of growing, so an unexpectedly long run degrades
-// to summary statistics rather than unbounded memory.
+// raw material of the per-stream Chrome trace export. The recorder is
+// bounded: past the limit it counts drops instead of growing, so an
+// unexpectedly long run degrades to summary statistics rather than
+// unbounded memory.
 
 import (
 	"fmt"
@@ -127,7 +127,7 @@ func WriteRequestTrace(w io.Writer, t *RequestTrace) error { return WriteDoc(w, 
 // ReadRequestTrace deserializes and validates a trace written by
 // WriteRequestTrace: hostile or truncated documents fail loudly instead
 // of producing records whose indices crash the exporters — the contract
-// FuzzSLOCodec exercises.
+// FuzzRequestTraceCodec exercises.
 func ReadRequestTrace(r io.Reader) (*RequestTrace, error) {
 	return ReadDoc(r, "obs", "request trace", RequestTraceSchema, func(t *RequestTrace) string { return t.Schema }, (*RequestTrace).validate)
 }

@@ -146,3 +146,36 @@ func TestWriteRequestChromeTrace(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRequestTraceCodec fuzzes the request-trace codec: any input must
+// either be rejected or decode to a trace that re-encodes and re-decodes
+// to the same value (accepted inputs are a round-trip fixed point), and no
+// input may panic the decoder.
+func FuzzRequestTraceCodec(f *testing.F) {
+	var tr bytes.Buffer
+	if err := WriteRequestTrace(&tr, sampleTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tr.Bytes())
+	f.Add([]byte(`{"schema":"nimage.reqtrace/v1","streams":1,"limit":0}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadRequestTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteRequestTrace(&buf, tr); err != nil {
+			t.Fatalf("accepted trace failed to encode: %v", err)
+		}
+		again, err := ReadRequestTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		a, _ := json.Marshal(tr)
+		b, _ := json.Marshal(again)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("trace round trip not a fixed point:\n%s\n%s", a, b)
+		}
+	})
+}

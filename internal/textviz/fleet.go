@@ -14,14 +14,14 @@ import (
 )
 
 // FleetTable renders the per-tenant scorecard: identity, latency, fault
-// and residency telemetry, SLO attainment (cells attained of cells
-// scored) and isolation factors ("-" when no solo baseline was measured).
+// and residency telemetry, and isolation factors ("-" when no solo
+// baseline was measured).
 func FleetTable(title string, rep *obs.FleetReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-3s %-12s %-14s %6s %10s %10s %10s %6s %8s %8s %9s %5s %9s %9s\n",
+	fmt.Fprintf(&b, "%-3s %-12s %-14s %6s %10s %10s %10s %6s %8s %8s %9s %9s %9s\n",
 		"id", "workload", "strategy", "quota", "startup", "warm mean", "warm p99",
-		"major", "refaults", "evicted", "resident", "slo", "iso(lat)", "iso(ref)")
+		"major", "refaults", "evicted", "resident", "iso(lat)", "iso(ref)")
 	iso := func(v float64) string {
 		if v <= 0 {
 			return "-"
@@ -33,18 +33,11 @@ func FleetTable(title string, rep *obs.FleetReport) string {
 		if r.QuotaPages > 0 {
 			quota = fmt.Sprintf("%dp", r.QuotaPages)
 		}
-		attained := 0
-		for _, a := range r.Attainment {
-			if a.Attained {
-				attained++
-			}
-		}
-		fmt.Fprintf(&b, "%-3d %-12s %-14s %6s %10v %10v %10v %6d %8d %8d %9d %2d/%-2d %9s %9s\n",
+		fmt.Fprintf(&b, "%-3d %-12s %-14s %6s %10v %10v %10v %6d %8d %8d %9d %9s %9s\n",
 			r.Tenant, r.Workload, r.Strategy, quota,
 			time.Duration(r.StartupNanos), time.Duration(r.WarmMeanNanos),
 			time.Duration(r.WarmP99Nanos),
 			r.MajorFaults, r.Refaults, r.EvictedPages, r.ResidentPages,
-			attained, len(r.Attainment),
 			iso(r.IsolationLatency), iso(r.IsolationRefault))
 	}
 	return b.String()

@@ -8,28 +8,19 @@ import (
 )
 
 func TestFleetTable(t *testing.T) {
-	attain := func(hits, cells int) []obs.SLOAttainment {
-		as := make([]obs.SLOAttainment, cells)
-		for i := 0; i < hits; i++ {
-			as[i].Attained = true
-		}
-		return as
-	}
 	out := FleetTable("Fleet scorecard (2 tenants, budget 96)", &obs.FleetReport{Tenants: []obs.FleetTenant{
 		{Tenant: 0, Workload: "serve-api", Strategy: "cu+heap path",
 			StartupNanos: 4.2e6, WarmMeanNanos: 1.8e5, WarmP99Nanos: 9.1e5,
 			MajorFaults: 120, Refaults: 30, EvictedPages: 5, ResidentPages: 44,
-			Attainment:       attain(3, 4),
 			IsolationLatency: 1.2, IsolationRefault: 2.82},
 		{Tenant: 1, Workload: "serve-cache", Strategy: "c3", QuotaPages: 48,
 			StartupNanos: 3.9e6, WarmMeanNanos: 1.2e5, WarmP99Nanos: 6.4e5,
-			MajorFaults: 90, Refaults: 18, EvictedPages: 7, ResidentPages: 48,
-			Attainment: attain(4, 4)},
+			MajorFaults: 90, Refaults: 18, EvictedPages: 7, ResidentPages: 48},
 	}})
 	for _, want := range []string{
 		"Fleet scorecard (2 tenants, budget 96)",
 		"serve-api", "serve-cache", "cu+heap path", "c3",
-		"48p", "3/4", "4/4", "1.20x", "2.82x",
+		"48p", "1.20x", "2.82x",
 		"iso(lat)", "iso(ref)",
 	} {
 		if !strings.Contains(out, want) {

@@ -476,25 +476,9 @@ func BurstTableText(title string, bursts []BurstMeasure) string {
 	return textviz.BurstTable(title, bursts)
 }
 
-// Serve SLO observatory (Harness.SLOReport / `nimage slo`): concurrent
-// request streams multiplexed against one long-lived mapping, per-request
-// traces, and pressure-sweep SLO scorecards with a telemetry-overhead
-// control.
-
-// SLOTarget is one latency objective (quantile + budget).
-type SLOTarget = obs.SLOTarget
-
-// SLOAttainment is one target's score over a measured latency sample.
-type SLOAttainment = obs.SLOAttainment
-
-// SLOEntry is one (workload, strategy, pressure) cell of the SLO sweep.
-type SLOEntry = obs.SLOEntry
-
-// SLOOverhead is one telemetry-on/off overhead control run.
-type SLOOverhead = obs.SLOOverhead
-
-// SLOReport is the pressure-sweep SLO document (nimage.slo/v1).
-type SLOReport = obs.SLOReport
+// Serve request traces (ServeConfig.Streams / RecordRequests): concurrent
+// request streams multiplexed against one long-lived mapping, recorded
+// per request.
 
 // RequestTrace is the bounded per-request recording of one serve run.
 type RequestTrace = obs.RequestTrace
@@ -502,25 +486,7 @@ type RequestTrace = obs.RequestTrace
 // RequestRecord is the telemetry of one served request.
 type RequestRecord = obs.RequestRecord
 
-// DefaultSLOTargets returns the default serve objectives
-// (p50/p95/p99/p99.9 latency budgets).
-func DefaultSLOTargets() []SLOTarget { return obs.DefaultSLOTargets() }
-
-// ParseSLOTargets parses a -slo flag value like "p50=100us,p99=2ms".
-func ParseSLOTargets(s string) ([]SLOTarget, error) { return obs.ParseSLOTargets(s) }
-
-// DefaultSLOPressures returns the default sweep pressure levels (0/30/70%).
-func DefaultSLOPressures() []int { return eval.DefaultSLOPressures() }
-
-// SLOAttainmentOf scores a sorted latency sample against each target.
-func SLOAttainmentOf(sorted []float64, targets []SLOTarget) []SLOAttainment {
-	return obs.Attainment(sorted, targets)
-}
-
 var (
-	// WriteSLOReport / ReadSLOReport are the nimage.slo/v1 codec.
-	WriteSLOReport = obs.WriteSLOReport
-	ReadSLOReport  = obs.ReadSLOReport
 	// WriteRequestTrace / ReadRequestTrace are the nimage.reqtrace/v1 codec;
 	// WriteRequestChromeTrace exports a trace as Chrome trace-event JSON
 	// (one track per stream) for chrome://tracing and Perfetto.
@@ -529,18 +495,10 @@ var (
 	WriteRequestChromeTrace = obs.WriteRequestChromeTrace
 )
 
-// SLOTableText renders an SLO report's attainment scorecard as a text
-// table.
-func SLOTableText(title string, rep *SLOReport) string { return textviz.SLOTable(title, rep) }
-
-// SLOOverheadTableText renders an SLO report's telemetry-overhead
-// control table.
-func SLOOverheadTableText(rep *SLOReport) string { return textviz.SLOOverheadTable(rep) }
-
 // Fleet observatory (Harness.MeasureFleet / `nimage fleet`): N tenants
 // (serve workload × strategy pairs) served concurrently from one
 // simulated OS under a shared page-cache budget, with per-tenant
-// telemetry, SLO attainment, isolation factors against each tenant's
+// telemetry, isolation factors against each tenant's
 // solo run, and the cross-tenant eviction interference matrix.
 
 // TenantSpec names one fleet tenant: a serve workload × strategy pair
